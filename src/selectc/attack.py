@@ -25,10 +25,12 @@ pessimistically. Q = 0 means the attacker's first pick is right.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -36,11 +38,11 @@ import numpy as np
 from .errors import ConfigError, EnumerationCapError
 from .field import Op
 from .ir import (
+    FoldPlan,
     Program,
     canonical_key,
     dead_code_eliminate,
     eval_plain,
-    fold_combines,
     live_statement_indices,
 )
 from .obfuscate import ObfProgram
@@ -61,6 +63,11 @@ class ClassDescriptor:
     def option_counts(self) -> list[int]:
         return [len(opts) for opts in self.options]
 
+    @cached_property
+    def fold_plan(self) -> FoldPlan:
+        """Fold metadata of the obfuscated program, shared by every candidate."""
+        return FoldPlan(self.obf.program)
+
 
 @dataclass
 class Candidate:
@@ -72,6 +79,7 @@ class Candidate:
 class RankedCandidate(Candidate):
     log_score: float = 0.0
     prob: float = 0.0
+    key: str = ""  # canonical_key(program, False)
 
 
 @dataclass
@@ -109,7 +117,7 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
 def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Program:
     """Fold the obfuscated program to one member of its class."""
     choice = dict(zip(cd.combine_indices, selection))
-    return dead_code_eliminate(fold_combines(cd.obf.program, choice))
+    return dead_code_eliminate(cd.fold_plan.fold(choice))
 
 
 def enumerate_candidates(cd: ClassDescriptor) -> Iterator[Candidate]:
@@ -170,15 +178,23 @@ def rank_candidates(
     p(candidate) is proportional to the product of smoothed relative
     frequencies of its statement operations; probabilities are
     normalized over the enumerated candidates. Ties are broken by
-    canonical serialization so the order is reproducible.
+    canonical serialization so the order is reproducible. The
+    canonical key is computed once per distinct program: candidates
+    of one class share inputs and consts, so their statements identify
+    the program.
     """
     if candidates is None:
         if cd.class_size > cap:
             raise EnumerationCapError(cd.class_size, cap)
         candidates = list(enumerate_candidates(cd))
     scores, default = _statement_log_scores(table)
+    keys: dict[tuple, str] = {}
     ranked: list[RankedCandidate] = []
     for cand in candidates:
+        stmts = tuple(cand.program.statements)
+        key = keys.get(stmts)
+        if key is None:
+            key = keys[stmts] = canonical_key(cand.program, False)
         logs = sorted(
             scores.get(st.expr.op.value, -default) for st in cand.program.statements
         )
@@ -187,9 +203,10 @@ def rank_candidates(
                 selection=cand.selection,
                 program=cand.program,
                 log_score=math.fsum(logs),
+                key=key,
             )
         )
-    ranked.sort(key=lambda rc: (-rc.log_score, canonical_key(rc.program, False)))
+    ranked.sort(key=lambda rc: (-rc.log_score, rc.key))
     if ranked:
         peak = max(rc.log_score for rc in ranked)
         weights = [math.exp(rc.log_score - peak) for rc in ranked]
@@ -199,13 +216,18 @@ def rank_candidates(
     return ranked
 
 
-def _ranks_of(ranked: list[RankedCandidate], keys: set[str]) -> list[int]:
-    ranks = []
-    for rc in ranked:
-        if canonical_key(rc.program, False) in keys:
-            r = sum(1 for other in ranked if other.log_score >= rc.log_score)
-            ranks.append(r)
-    return ranks
+def _grade(ranked: list[RankedCandidate], truth: list[Program]) -> tuple[int, float] | None:
+    """(r, Q) for the best-ranked truth program, or None if none is ranked.
+
+    ranked is best first, as rank_candidates returns it. r counts every
+    candidate scoring at least as high, ties included; Q = 1 - 1/r.
+    """
+    wanted = {canonical_key(p, False) for p in truth}
+    best = max((rc.log_score for rc in ranked if rc.key in wanted), default=None)
+    if best is None:
+        return None
+    rank = bisect.bisect_right(ranked, -best, key=lambda rc: -rc.log_score)
+    return rank, 1.0 - 1.0 / rank
 
 
 def class_quality(ranked: list[RankedCandidate], confidential: list[Program]) -> float:
@@ -215,11 +237,10 @@ def class_quality(ranked: list[RankedCandidate], confidential: list[Program]) ->
     so equal scores never flatter the obfuscation. Q = 0 when some
     confidential program is the attacker's unique top pick.
     """
-    keys = {canonical_key(p, False) for p in confidential}
-    ranks = _ranks_of(ranked, keys)
-    if not ranks:
+    graded = _grade(ranked, confidential)
+    if graded is None:
         raise ConfigError("no confidential program appears in the ranked class")
-    return 1.0 - 1.0 / min(ranks)
+    return graded[1]
 
 
 def run_attack(
@@ -238,14 +259,8 @@ def run_attack(
         candidates = kpa_filter(cd, pairs, cap=cap)
         survivors = len(candidates)
     ranked = rank_candidates(cd, table=table, cap=cap, candidates=candidates)
-    min_rank = None
-    quality = None
-    if truth:
-        keys = {canonical_key(p, False) for p in truth}
-        ranks = _ranks_of(ranked, keys)
-        if ranks:
-            min_rank = min(ranks)
-            quality = 1.0 - 1.0 / min_rank
+    graded = _grade(ranked, truth) if truth else None
+    min_rank, quality = graded or (None, None)
     return AttackReport(
         class_size=cd.class_size,
         enumerated=len(ranked),
@@ -266,7 +281,7 @@ def render_attack_report(report: AttackReport, top: int = 10) -> str:
     if report.quality is not None:
         lines.append(f"quality | {report.quality:.6g}")
     for i, rc in enumerate(report.ranked[:top], start=1):
-        lines.append(f"top | {i} | {rc.prob:.6g} | {canonical_key(rc.program, False)}")
+        lines.append(f"top | {i} | {rc.prob:.6g} | {rc.key}")
     return "\n".join(lines) + "\n"
 
 

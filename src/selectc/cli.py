@@ -30,6 +30,7 @@ from .lower import lower
 from .metrics import measure, render_metrics
 from .obfuscate import (
     ObfuscationConfig,
+    checked_key,
     eval_encrypted,
     deobfuscate,
     obfuscate_statement_level,
@@ -66,12 +67,10 @@ def _env_seed() -> int | None:
 def _resolve_seed(flag: int | None, configured: int | None = None) -> int:
     if flag is not None:
         return flag
-    if configured is not None and configured != DEFAULT_SEED:
+    if configured is not None:
         return configured
     env = _env_seed()
-    if env is not None:
-        return env
-    return configured if configured is not None else DEFAULT_SEED
+    return env if env is not None else DEFAULT_SEED
 
 
 def _load_plain_program(path: str) -> Program:
@@ -127,7 +126,7 @@ def _read_pairs(path: str) -> list[tuple[dict[str, int], int]]:
 
 def _cmd_obfuscate(args) -> int:
     cfg = read_config(args.config) if args.config else ObfuscationConfig()
-    cfg.seed = _resolve_seed(args.seed, cfg.seed)
+    cfg.seed = _resolve_seed(args.seed, cfg.seed if cfg.seed_configured else None)
     program = _load_plain_program(args.src)
     obf, sel_key = obfuscate_statement_level(program, cfg)
     write_obf_program(args.output, obf)
@@ -144,6 +143,7 @@ def _cmd_run(args) -> int:
     obf = read_obf_program(args.obf)
     prime = obf.program.prime
     seed, sel_key = read_key_file(args.key, prime)
+    checked_key(obf, sel_key)
     bindings = _parse_bindings(args.inputs)
     key = keygen(seed, prime)
     enc_inputs = {v: enc(key, val) for v, val in bindings.items()}

@@ -45,6 +45,35 @@ def op_from_name(name: str) -> Op:
         raise ValueError(f"unknown operation {name!r}") from None
 
 
+# Miller-Rabin with these bases is exact for every n below 3.18 * 10**23,
+# so for all 64-bit moduli; above that it is a strong probable-prime test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality test, deterministic for n < 2**64."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def norm(x: int, prime: int = FIELD_PRIME) -> int:
     return x % prime
 

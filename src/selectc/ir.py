@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import FormatError, UnboundVariableError
-from .field import FIELD_PRIME, Op, apply_op, op_from_name, signed
+from .field import FIELD_PRIME, Op, apply_op, is_prime, op_from_name, signed
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,15 @@ class Program:
         return self.statements[-1].target
 
     def selector_ids(self) -> list[str]:
-        seen: list[str] = []
-        for st in self.statements:
-            if isinstance(st, Combine):
-                for sel, _ in st.options:
-                    if sel not in seen:
-                        seen.append(sel)
-        return seen
+        """Selector variables of all combining statements, in first-use order."""
+        return list(
+            dict.fromkeys(
+                sel
+                for st in self.statements
+                if isinstance(st, Combine)
+                for sel, _ in st.options
+            )
+        )
 
     def copy(self) -> "Program":
         return Program(
@@ -211,69 +213,92 @@ def dead_code_eliminate(program: Program) -> Program:
     )
 
 
-def fold_combines(program: Program, selection: dict[int, int]) -> Program:
-    """Resolve every combining statement to one chosen option.
+class FoldPlan:
+    """The selection-independent part of fold_combines, built once per program.
 
-    selection maps statement index to option index; unlisted combining
-    statements fold to option 0 (they are dead wherever that matters).
-    An option defined by a single-use assignment is inlined in place of
-    the combining statement; any other option variable substitutes for
-    the statement's target downstream. Fold output contains assignments
-    only; callers usually run dead_code_eliminate on it afterwards.
+    Holds the use counts and definitions fold needs to decide between
+    inlining and substitution, and the statement positions a selection
+    can change: every combining statement, and every assignment that
+    reads a combining statement's target. All other assignments come
+    through fold unchanged, as the same (frozen) statement objects.
     """
-    use_count: dict[str, int] = {}
-    defs: dict[str, Assign] = {}
-    for st in program.statements:
-        for v in statement_operands(st):
-            use_count[v] = use_count.get(v, 0) + 1
-        if isinstance(st, Assign):
-            defs[st.target] = st
 
-    subst: dict[str, str] = {}
+    def __init__(self, program: Program):
+        self.program = program
+        stmts = program.statements
+        use_count: dict[str, int] = {}
+        defs: dict[str, Assign] = {}
+        for st in stmts:
+            for v in statement_operands(st):
+                use_count[v] = use_count.get(v, 0) + 1
+            if isinstance(st, Assign):
+                defs[st.target] = st
+        # an option defined by an assignment it alone reads is inlined
+        self._inline = {v: d for v, d in defs.items() if use_count.get(v, 0) == 1}
+        # substitution keys are combining targets, so only their readers move
+        combined = {st.target for st in stmts if isinstance(st, Combine)}
+        self._steps = [
+            (idx, st)
+            for idx, st in enumerate(stmts)
+            if isinstance(st, Combine) or st.expr.in1 in combined or st.expr.in2 in combined
+        ]
 
-    def resolve(v: str) -> str:
-        return subst.get(v, v)
+    def fold(self, selection: dict[int, int]) -> Program:
+        """Resolve every combining statement to one chosen option.
 
-    stmts: list[Statement] = []
-    last = len(program.statements) - 1
-    for idx, st in enumerate(program.statements):
-        if isinstance(st, Assign):
-            stmts.append(
-                Assign(
-                    st.target,
-                    SimpleExpression(st.expr.op, resolve(st.expr.in1), resolve(st.expr.in2)),
+        selection maps statement index to option index; unlisted
+        combining statements fold to option 0 (they are dead wherever
+        that matters). An option defined by a single-use assignment is
+        inlined in place of the combining statement; any other option
+        variable substitutes for the statement's target downstream.
+        Fold output contains assignments only; callers usually run
+        dead_code_eliminate on it afterwards.
+        """
+        program = self.program
+        stmts: list[Statement | None] = list(program.statements)
+        last = len(stmts) - 1
+        subst: dict[str, str] = {}
+        for idx, st in self._steps:
+            if isinstance(st, Assign):
+                expr = _resolved(st.expr, subst)
+                if expr is not st.expr:
+                    stmts[idx] = Assign(st.target, expr)
+                continue
+            choice = selection.get(idx, 0)
+            if not 0 <= choice < len(st.options):
+                raise ValueError(f"option index {choice} out of range at statement {idx}")
+            src = st.options[choice][1]
+            src = subst.get(src, src)
+            definition = self._inline.get(src)
+            if definition is not None:
+                stmts[idx] = Assign(st.target, _resolved(definition.expr, subst))
+            elif idx == last:
+                raise ValueError(
+                    "cannot fold a final combining statement whose option is a shared variable"
                 )
-            )
-            continue
-        choice = selection.get(idx, 0)
-        if not 0 <= choice < len(st.options):
-            raise ValueError(f"option index {choice} out of range at statement {idx}")
-        _, src = st.options[choice]
-        src = resolve(src)
-        definition = defs.get(src)
-        if definition is not None and use_count.get(src, 0) == 1:
-            stmts.append(
-                Assign(
-                    st.target,
-                    SimpleExpression(
-                        definition.expr.op,
-                        resolve(definition.expr.in1),
-                        resolve(definition.expr.in2),
-                    ),
-                )
-            )
-        elif idx == last:
-            raise ValueError(
-                "cannot fold a final combining statement whose option is a shared variable"
-            )
-        else:
-            subst[st.target] = src
-    return Program(
-        inputs=list(program.inputs),
-        statements=stmts,
-        consts=dict(program.consts),
-        prime=program.prime,
-    )
+            else:
+                subst[st.target] = src
+                stmts[idx] = None
+        return Program(
+            inputs=list(program.inputs),
+            statements=[st for st in stmts if st is not None],
+            consts=dict(program.consts),
+            prime=program.prime,
+        )
+
+
+def _resolved(expr: SimpleExpression, subst: dict[str, str]) -> SimpleExpression:
+    """expr with substituted operands; expr itself when none applies."""
+    in1 = subst.get(expr.in1, expr.in1)
+    in2 = subst.get(expr.in2, expr.in2)
+    if in1 is expr.in1 and in2 is expr.in2:
+        return expr
+    return SimpleExpression(expr.op, in1, in2)
+
+
+def fold_combines(program: Program, selection: dict[int, int]) -> Program:
+    """Resolve every combining statement to one chosen option (see FoldPlan.fold)."""
+    return FoldPlan(program).fold(selection)
 
 
 def normalize(program: Program) -> Program:
@@ -364,6 +389,8 @@ def parse_program(text: str) -> Program:
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise FormatError(f"line {lineno}: malformed prime line")
             prime = int(tokens[1])
+            if not is_prime(prime):
+                raise FormatError(f"line {lineno}: field modulus {prime} is not prime")
             continue
         if tokens[0] == "input":
             if len(tokens) != 2:

@@ -65,6 +65,9 @@ class ObfuscationConfig:
     strategy: str = "uniform"
     pattern_table: "PatternTable | None" = None
     seed: int = DEFAULT_SEED
+    # set when a config file gives the seed, so the CLI can rank it above
+    # SELECTC_SEED even when it equals the default
+    seed_configured: bool = False
 
     def validate(self) -> None:
         if self.mislead_factor < 2:
@@ -505,6 +508,17 @@ def eval_encrypted(
     return out
 
 
+def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> SelectorKey:
+    """sel_key over obf's combining groups, validated.
+
+    Raises KeyMismatchError unless every selector has a binary bit and
+    each combining statement has exactly one hot selector.
+    """
+    check = SelectorKey(bits=sel_key.bits, groups=obf.groups(), bindings=sel_key.bindings)
+    check.validate()
+    return check
+
+
 def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
     """Recover the source program using the selector key.
 
@@ -515,17 +529,9 @@ def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
     key folds to some other member of the program class.
     """
     program = obf.program
-    program_sels = set(program.selector_ids())
-    key_sels = set(sel_key.bits)
-    if program_sels - key_sels:
-        raise KeyMismatchError(
-            f"selector bits missing for: {', '.join(sorted(program_sels - key_sels))}"
-        )
-    groups = obf.groups()
-    check = SelectorKey(bits=sel_key.bits, groups=groups, bindings=sel_key.bindings)
-    check.validate()
+    check = checked_key(obf, sel_key)
     selection: dict[int, int] = {}
-    for (idx, st), group in zip(obf.combines(), groups):
+    for (idx, st), group in zip(obf.combines(), check.groups):
         selection[idx] = check.chosen_option(group)
     folded = fold_combines(program, selection)
     folded = dead_code_eliminate(folded)
@@ -595,6 +601,7 @@ def read_config(path: str) -> ObfuscationConfig:
                     cfg.pattern_table = read_table(value)
                 elif key == "seed":
                     cfg.seed = int(value)
+                    cfg.seed_configured = True
                 else:
                     raise FormatError(f"line {lineno}: unknown config key {key!r}")
             except ValueError as exc:

@@ -3,9 +3,12 @@
 import pytest
 
 from selectc.cli import dispatch
+from selectc.crypto import read_key_file, write_key_file
 from selectc.ir import parse_program, render_program
 from selectc.lower import lower
+from selectc.obfuscate import read_obf_program
 from selectc.patterns import read_table
+from selectc.rng import DEFAULT_SEED
 from selectc.surface import parse_surface
 
 TASK1 = "if (y != 0) then r := x / y else r := -9999\n"
@@ -90,6 +93,36 @@ def test_obfuscate_run_deobfuscate_flow(tmp_path, capsys):
         assert fh.read() == render_program(lower(parse_surface(TASK1)))
 
 
+@pytest.mark.parametrize("hot", [0, 2])
+def test_run_rejects_a_key_that_is_not_one_hot(tmp_path, capsys, hot):
+    _, obf, key = obfuscate(tmp_path, TASK1, "--seed", "7")
+    seed, sel_key = read_key_file(key)
+    group = read_obf_program(obf).groups()[-1]
+    for i, sel in enumerate(group):
+        sel_key.bits[sel] = int(i < hot)
+    write_key_file(key, seed, sel_key)
+    capsys.readouterr()
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=12,y=4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"has {hot} hot selectors" in captured.err
+    assert dispatch(["deobfuscate", obf, "--key", key]) == 2
+
+
+@pytest.mark.parametrize("command", ["obfuscate", "run", "attack"])
+def test_composite_prime_is_domain_error(tmp_path, capsys, command):
+    bad = write(tmp_path / "bad.tac", "prime 4\ninput x\nr := ADD x x\n")
+    key = str(tmp_path / "bad.key")
+    write(tmp_path / "bad.key", "seed 1\n")
+    argv = {
+        "obfuscate": ["obfuscate", bad, "-o", str(tmp_path / "o.obf"), "--key", key],
+        "run": ["run", bad, "--key", key, "--inputs", "x=1"],
+        "attack": ["attack", bad],
+    }[command]
+    assert dispatch(argv) == 2
+    assert "not prime" in capsys.readouterr().err
+
+
 def test_deobfuscate_prints_without_output_flag(tmp_path, capsys):
     _, obf, key = obfuscate(tmp_path, SQUARE)
     capsys.readouterr()
@@ -148,6 +181,23 @@ def test_seed_precedence_flag_config_env(tmp_path, capsys, monkeypatch):
 
     cfg = write(tmp_path / "c.cfg", "seed = 4\n")
     assert run("envcfg", "--config", cfg) == seed4
+    capsys.readouterr()
+
+
+def test_configured_default_seed_beats_env(tmp_path, capsys, monkeypatch):
+    src = write(tmp_path / "p.src", TASK1)
+    monkeypatch.delenv("SELECTC_SEED", raising=False)
+    _, default_obf, _ = obfuscate(tmp_path, TASK1, "--seed", str(DEFAULT_SEED))
+    with open(default_obf, "rb") as fh:
+        want = fh.read()
+
+    monkeypatch.setenv("SELECTC_SEED", "5")
+    cfg = write(tmp_path / "c.cfg", f"seed = {DEFAULT_SEED}\n")
+    obf = tmp_path / "cfg.obf"
+    rc = dispatch(["obfuscate", src, "-o", str(obf), "--key", str(tmp_path / "cfg.key"),
+                   "--config", cfg])
+    assert rc == 0
+    assert obf.read_bytes() == want
     capsys.readouterr()
 
 

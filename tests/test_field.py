@@ -9,6 +9,7 @@ from selectc.field import (
     FIELD_PRIME,
     Op,
     apply_op,
+    is_prime,
     norm,
     op_from_name,
     signed,
@@ -19,6 +20,26 @@ P = FIELD_PRIME
 
 def test_prime_is_mersenne_61():
     assert P == 2**61 - 1
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_on_64_bit_moduli():
+    assert is_prime(P)
+    assert is_prime(2**64 - 59)  # largest 64-bit prime
+    assert not is_prime(2**64 - 1)
+    # strong pseudoprimes to every prime base up to 23 and up to 11
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(2152302898747)
+    assert not is_prime(561)  # Carmichael
 
 
 def test_norm_wraps_negatives():

@@ -1,9 +1,12 @@
 """Three-address IR: evaluation, serialization, folding, normalization."""
 
+import random
+
 import pytest
 
 from selectc.errors import FormatError, UnboundVariableError
 from selectc.field import FIELD_PRIME, Op
+from selectc.generate import random_linear_program
 from selectc.ir import (
     Assign,
     Combine,
@@ -21,6 +24,7 @@ from selectc.ir import (
     render_program,
     strip_const_values,
 )
+from selectc.obfuscate import ObfuscationConfig, obfuscate_statement_level
 
 P = FIELD_PRIME
 
@@ -103,6 +107,23 @@ def test_eval_env_returns_all_targets():
     assert env["a"] == 3 and env["b"] == 9
 
 
+def test_selector_ids_keep_first_use_order():
+    cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0",), fake_combining=2, seed=3)
+    obf, _ = obfuscate_statement_level(random_linear_program(random.Random(3), 6), cfg)
+    program = obf.program
+    program.statements.append(
+        Combine("again", tuple((s, program.output) for s in program.selector_ids()[:2]))
+    )
+    seen = []
+    for st in program.statements:
+        if isinstance(st, Combine):
+            for sel, _ in st.options:
+                if sel not in seen:
+                    seen.append(sel)
+    assert program.selector_ids() == seen
+    assert len(seen) == 3 * (6 + 2)  # six real and two fake groups of k = 3
+
+
 def test_count_expressions():
     assert count_expressions(6, 6) == 216
     assert count_expressions(3, 4, arity=2) == 36
@@ -133,6 +154,12 @@ def test_parse_rejects_garbage():
         parse_program("prime 7\ninput x\nr := BOGUS x x\n")
     with pytest.raises(FormatError):
         parse_program("prime 7\ninput x\nr ADD x x\n")
+
+
+@pytest.mark.parametrize("modulus", ["0", "1", "4", "91", "4294967297"])
+def test_parse_rejects_composite_prime_line(modulus):
+    with pytest.raises(FormatError, match="not prime"):
+        parse_program(f"prime {modulus}\ninput x\nr := ADD x x\n")
 
 
 def test_parse_defaults_field_prime():
