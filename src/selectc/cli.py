@@ -30,7 +30,6 @@ from .lower import lower
 from .metrics import measure, render_metrics
 from .obfuscate import (
     ObfuscationConfig,
-    checked_key,
     eval_encrypted,
     deobfuscate,
     obfuscate_statement_level,
@@ -143,7 +142,6 @@ def _cmd_run(args) -> int:
     obf = read_obf_program(args.obf)
     prime = obf.program.prime
     seed, sel_key = read_key_file(args.key, prime)
-    checked_key(obf, sel_key)
     bindings = _parse_bindings(args.inputs)
     key = keygen(seed, prime)
     enc_inputs = {v: enc(key, val) for v, val in bindings.items()}

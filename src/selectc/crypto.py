@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import ForeignCiphertextError, FormatError, KeyMismatchError
+from .errors import ForeignCiphertextError, FormatError
 from .field import FIELD_PRIME, Op, apply_op, signed
 
 
@@ -46,6 +46,21 @@ class SecretKey:
         handle = self._fresh_handle()
         self._store[handle] = value % self.prime
         return Ciphertext(handle)
+
+    def __len__(self) -> int:
+        """Number of live handles."""
+        return len(self._store)
+
+    def release_since(self, mark: int, keep: Ciphertext) -> None:
+        """Delete every handle minted since the store held mark, except keep.
+
+        Handles are inserted in order, so those minted since mark are
+        the newest entries of the store.
+        """
+        value = self._store[keep.handle]
+        for _ in range(len(self._store) - mark):
+            self._store.popitem()
+        self._store[keep.handle] = value
 
     def _get(self, ct: Ciphertext) -> int:
         try:
@@ -78,35 +93,14 @@ def he_op(key: SecretKey, op: Op, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
 class SelectorKey:
     """Secret side of an obfuscation: selector bits and variable bindings.
 
-    bits maps every selector id to 0 or 1. groups lists the selector
-    ids of each combining statement in program order; within a group
-    exactly one bit is 1. bindings holds the plaintext values of const
-    and fake variables the obfuscated program treats as inputs.
+    bits maps every selector id to 0 or 1; obfuscate.checked_key checks
+    them against the combining statements of a program. bindings holds
+    the plaintext values of const and fake variables the obfuscated
+    program treats as inputs. This is exactly what a key file holds.
     """
 
     bits: dict[str, int]
-    groups: list[tuple[str, ...]] = field(default_factory=list)
     bindings: dict[str, int] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for sel, bit in self.bits.items():
-            if bit not in (0, 1):
-                raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
-        for group in self.groups:
-            hot = sum(self.bits.get(s, 0) for s in group)
-            missing = [s for s in group if s not in self.bits]
-            if missing:
-                raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}")
-            if hot != 1:
-                raise KeyMismatchError(
-                    f"combining statement over ({', '.join(group)}) has {hot} hot selectors"
-                )
-
-    def chosen_option(self, group: tuple[str, ...]) -> int:
-        for i, sel in enumerate(group):
-            if self.bits.get(sel) == 1:
-                return i
-        raise KeyMismatchError(f"no hot selector in group ({', '.join(group)})")
 
 
 def write_key_file(path: str, seed: int, sel_key: SelectorKey, prime: int = FIELD_PRIME) -> None:

@@ -26,7 +26,7 @@ from .crypto import SelectorKey, write_key_file
 from .field import FIELD_PRIME, Op
 from .ir import Assign, Combine, Program, SimpleExpression, render_program
 from .lower import lower
-from .obfuscate import ObfProgram, ObfuscationConfig, obfuscate_statement_level, write_obf_program
+from .obfuscate import ObfProgram, ObfuscationConfig, checked_key, obfuscate_statement_level, write_obf_program
 from .rng import DEFAULT_SEED, spawn
 from .surface import parse_surface
 
@@ -134,8 +134,8 @@ def build_l0(seed: int = DEFAULT_SEED, prime: int = FIELD_PRIME) -> Demo:
         prime=prime,
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
-    sel_key = SelectorKey(bits=bits, groups=obf.groups(), bindings=bindings)
-    sel_key.validate()
+    sel_key = SelectorKey(bits=bits, bindings=bindings)
+    checked_key(obf, sel_key)
     return Demo(
         name="l0", seed=seed, source=TASK1_SOURCE, program=program, obf=obf, sel_key=sel_key
     )

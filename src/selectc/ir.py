@@ -20,7 +20,10 @@ statement stream itself is uniform: every operand is a variable.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any
 
 from .errors import FormatError, UnboundVariableError
 from .field import FIELD_PRIME, Op, apply_op, is_prime, op_from_name, signed
@@ -120,25 +123,20 @@ def count_expressions(num_vars: int, num_ops: int, arity: int = 2) -> int:
     return num_ops * num_vars**arity
 
 
-def eval_env(
+def run_statements(
     program: Program,
-    inputs: dict[str, int],
-    selectors: dict[str, int] | None = None,
-) -> dict[str, int]:
-    """Run every statement in order and return the final environment.
+    env: dict[str, Any],
+    selectors: dict[str, Any],
+    apply: Callable[[Op, Any, Any], Any],
+) -> dict[str, Any]:
+    """Run every statement in order over env and return it, extended.
 
-    Combining statements are evaluated as selector-weighted sums, so
-    selector variables must be bound (either merged into inputs or
-    passed separately). There is no short-circuiting of any kind.
+    Values are whatever apply(op, a, b) computes on: field elements for
+    a plain run, ciphertexts for an encrypted one. A combining statement
+    is the ADD-fold of MUL(selector, source) over all of its options,
+    with no short-circuit of any kind. A selector is looked up in
+    selectors first, then among the program's variables.
     """
-    prime = program.prime
-    env: dict[str, int] = {v: val % prime for v, val in program.consts.items()}
-    for v, val in inputs.items():
-        env[v] = val % prime
-    sel_env: dict[str, int] = dict(env)
-    if selectors:
-        for s, bit in selectors.items():
-            sel_env[s] = bit % prime
     missing = [v for v in program.inputs if v not in env]
     if missing:
         raise UnboundVariableError(f"unbound input variable(s): {', '.join(missing)}")
@@ -149,18 +147,37 @@ def eval_env(
                 b = env[st.expr.in2]
             except KeyError as exc:
                 raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-            env[st.target] = apply_op(st.expr.op, a, b, prime)
+            env[st.target] = apply(st.expr.op, a, b)
         else:
-            acc = 0
+            acc = None
             for sel, src in st.options:
-                if sel not in sel_env:
+                bit = selectors[sel] if sel in selectors else env.get(sel)
+                if bit is None:
                     raise UnboundVariableError(f"unbound selector {sel!r}")
                 if src not in env:
                     raise UnboundVariableError(f"unbound variable {src!r}")
-                acc = (acc + sel_env[sel] * env[src]) % prime
+                term = apply(Op.MUL, bit, env[src])
+                acc = term if acc is None else apply(Op.ADD, acc, term)
             env[st.target] = acc
-        sel_env[st.target] = env[st.target]
     return env
+
+
+def eval_env(
+    program: Program,
+    inputs: dict[str, int],
+    selectors: dict[str, int] | None = None,
+) -> dict[str, int]:
+    """Run every statement over field elements; return the final environment.
+
+    Selector variables must be bound, either merged into inputs or
+    passed separately.
+    """
+    prime = program.prime
+    env = {v: val % prime for v, val in program.consts.items()}
+    for v, val in inputs.items():
+        env[v] = val % prime
+    sel = {s: bit % prime for s, bit in selectors.items()} if selectors else {}
+    return run_statements(program, env, sel, partial(apply_op, prime=prime))
 
 
 def eval_plain(

@@ -42,6 +42,12 @@ from .surface import (
     result_variable,
 )
 
+# Largest lowered program, in statements. Unrolling stops with a
+# LowerError once it passes this, so a huge loop bound fails fast instead
+# of exhausting time and memory. No program in the test suite or the
+# benchmark has more than about 3,700 statements.
+MAX_STATEMENTS = 100_000
+
 
 def _surface_identifiers(sp: SurfaceProgram) -> set[str]:
     names: set[str] = set()
@@ -117,6 +123,8 @@ class _Lowerer:
         return name
 
     def emit(self, op: Op, a: str, b: str) -> str:
+        if len(self.stmts) == MAX_STATEMENTS:
+            raise LowerError(f"lowered program exceeds {MAX_STATEMENTS} statements")
         t = self.fresh()
         self.stmts.append(Assign(t, SimpleExpression(op, a, b)))
         return t

@@ -98,10 +98,8 @@ def measure(
         v: p.consts[v] if v in p.consts else rng.randrange(1, p.prime)
         for v in bound_names
     }
-    groups = obf.groups()
     sel_key = SelectorKey(
-        bits={s: int(i == 0) for g in groups for i, s in enumerate(g)},
-        groups=groups,
+        bits={s: int(i == 0) for _, st in obf.combines() for i, (s, _) in enumerate(st.options)},
         bindings=bindings,
     )
     key = keygen(seed, p.prime)

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field
+from functools import partial
 
 from .crypto import Ciphertext, SecretKey, SelectorKey, enc, he_op
-from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError, UnboundVariableError
+from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError
 from .field import ARITH_OPS, Op, op_from_name
 from .ir import (
     Assign,
@@ -39,6 +40,7 @@ from .ir import (
     dead_code_eliminate,
     fold_combines,
     referenced_vars,
+    run_statements,
 )
 from .rng import DEFAULT_SEED, spawn
 
@@ -97,9 +99,6 @@ class ObfProgram:
             for i, st in enumerate(self.program.statements)
             if isinstance(st, Combine)
         ]
-
-    def groups(self) -> list[tuple[str, ...]]:
-        return [tuple(s for s, _ in st.options) for _, st in self.combines()]
 
 
 @dataclass
@@ -384,8 +383,8 @@ def obfuscate_statement_level(
         prime=program.prime,
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
-    sel_key = SelectorKey(bits=bits, groups=obf.groups(), bindings=bindings)
-    sel_key.validate()
+    sel_key = SelectorKey(bits=bits, bindings=bindings)
+    checked_key(obf, sel_key)
     return obf, sel_key
 
 
@@ -455,8 +454,8 @@ def obfuscate_program_level(
         prime=programs[0].prime,
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
-    sel_key = SelectorKey(bits=bits, groups=obf.groups(), bindings=bindings)
-    sel_key.validate()
+    sel_key = SelectorKey(bits=bits, bindings=bindings)
+    checked_key(obf, sel_key)
     return obf, sel_key
 
 
@@ -471,52 +470,47 @@ def eval_encrypted(
     Every statement runs; combining statements compute the full
     selector-weighted sum homomorphically. Bound variables from the
     selector key are encrypted on the fly; callers supply ciphertexts
-    for the true inputs.
+    for the true inputs. The key must pass checked_key. Every handle
+    minted here except the output is freed before returning.
     """
-    program = obf.program
-    missing = [s for s in program.selector_ids() if s not in sel_key.bits]
-    if missing:
-        raise KeyMismatchError(f"selector bits missing for: {', '.join(missing)}")
-    env: dict[str, Ciphertext] = {
-        v: enc(key, val) for v, val in sel_key.bindings.items()
-    }
+    checked_key(obf, sel_key)
+    mark = len(key)
+    env = {v: enc(key, val) for v, val in sel_key.bindings.items()}
     env.update(enc_inputs)
     sel_ct = {s: enc(key, bit) for s, bit in sel_key.bits.items()}
-    unbound = [v for v in program.inputs if v not in env]
-    if unbound:
-        raise UnboundVariableError(f"unbound input variable(s): {', '.join(unbound)}")
-    out: Ciphertext | None = None
-    for st in program.statements:
-        if isinstance(st, Assign):
-            try:
-                a = env[st.expr.in1]
-                b = env[st.expr.in2]
-            except KeyError as exc:
-                raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-            env[st.target] = he_op(key, st.expr.op, a, b)
-        else:
-            acc: Ciphertext | None = None
-            for s, src in st.options:
-                if src not in env:
-                    raise UnboundVariableError(f"unbound variable {src!r}")
-                term = he_op(key, Op.MUL, sel_ct[s], env[src])
-                acc = term if acc is None else he_op(key, Op.ADD, acc, term)
-            assert acc is not None
-            env[st.target] = acc
-        out = env[st.target]
-    assert out is not None
+    out = run_statements(obf.program, env, sel_ct, partial(he_op, key))[obf.program.output]
+    key.release_since(mark, out)
     return out
 
 
-def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> SelectorKey:
-    """sel_key over obf's combining groups, validated.
+def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
+    """The fold selection sel_key makes: {statement index: option index}.
 
-    Raises KeyMismatchError unless every selector has a binary bit and
-    each combining statement has exactly one hot selector.
+    Raises KeyMismatchError unless every bit is 0 or 1, every selector
+    of obf has a bit, and each combining statement has exactly one hot
+    selector.
     """
-    check = SelectorKey(bits=sel_key.bits, groups=obf.groups(), bindings=sel_key.bindings)
-    check.validate()
-    return check
+    bits = sel_key.bits
+    for sel, bit in bits.items():
+        if bit not in (0, 1):
+            raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
+    selection: dict[int, int] = {}
+    for idx, st in enumerate(obf.program.statements):
+        if isinstance(st, Assign):
+            continue
+        hot = 0
+        for i, (sel, _) in enumerate(st.options):
+            bit = bits.get(sel)
+            if bit is None:
+                missing = [s for s, _ in st.options if s not in bits]
+                raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}")
+            if bit:
+                hot += 1
+                selection[idx] = i
+        if hot != 1:
+            group = ", ".join(s for s, _ in st.options)
+            raise KeyMismatchError(f"combining statement over ({group}) has {hot} hot selectors")
+    return selection
 
 
 def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
@@ -529,12 +523,7 @@ def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
     key folds to some other member of the program class.
     """
     program = obf.program
-    check = checked_key(obf, sel_key)
-    selection: dict[int, int] = {}
-    for (idx, st), group in zip(obf.combines(), check.groups):
-        selection[idx] = check.chosen_option(group)
-    folded = fold_combines(program, selection)
-    folded = dead_code_eliminate(folded)
+    folded = dead_code_eliminate(fold_combines(program, checked_key(obf, sel_key)))
     refs = referenced_vars(folded)
     consts = {v: val for v, val in sel_key.bindings.items() if v in refs}
     inputs = [v for v in program.inputs if v not in sel_key.bindings]

@@ -29,6 +29,11 @@ from .errors import ConfigError, FormatError
 
 INT_LITERAL_KIND = "IntegerLiteralE"
 
+# Deepest node a .trees file may hold (the root is depth 0). Reading and
+# mining recurse once or twice per level, so this keeps them well inside
+# Python's stack.
+MAX_TREE_DEPTH = 200
+
 # Printed operator labels for the toy surface language, matching the
 # naming style pattern corpora use for Java-like sources.
 SURFACE_BINARY_NAMES = {
@@ -326,6 +331,8 @@ def parse_trees(text: str) -> list[ExprTree]:
         if indent % 2:
             raise FormatError(f"line {lineno}: indentation must be a multiple of 2")
         depth = indent // 2
+        if depth > MAX_TREE_DEPTH:
+            raise FormatError(f"line {lineno}: tree deeper than {MAX_TREE_DEPTH} levels")
         kind = None
         op = None
         value = None

@@ -33,6 +33,12 @@ SURFACE_OPS = {**_CMP_OPS, **_ADD_OPS, **_MUL_OPS}
 
 _KEYWORDS = {"if", "else", "then", "for", "bound", "array", "not"}
 
+# Deepest nesting the parser accepts. Each statement, expression (so each
+# parenthesis or index) and unary operator opens one level. Parsing,
+# lowering and interpretation recurse a few times per level, so this
+# keeps them well inside Python's stack.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Lit:
@@ -168,6 +174,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arrays: dict[str, int] = {}
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -189,6 +196,12 @@ class _Parser:
 
     def at(self, text: str) -> bool:
         return self.peek().text == text
+
+    def enter(self) -> None:
+        """Open one nesting level; the caller closes it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     def parse_program(self) -> SurfaceProgram:
         statements: list[Stmt] = []
@@ -219,12 +232,16 @@ class _Parser:
         self.arrays[name_tok.text] = size
 
     def parse_statement(self) -> Stmt:
+        self.enter()
         tok = self.peek()
         if tok.text == "if":
-            return self.parse_if()
-        if tok.text == "for":
-            return self.parse_for()
-        return self.parse_assign()
+            st = self.parse_if()
+        elif tok.text == "for":
+            st = self.parse_for()
+        else:
+            st = self.parse_assign()
+        self.depth -= 1
+        return st
 
     def parse_assign(self) -> AssignStmt:
         tok = self.peek()
@@ -302,11 +319,13 @@ class _Parser:
         return body
 
     def parse_expr(self) -> Expr:
+        self.enter()
         left = self.parse_additive()
         if self.peek().text in _CMP_OPS:
             op = self.next().text
             right = self.parse_additive()
-            return Binary(op, left, right)
+            left = Binary(op, left, right)
+        self.depth -= 1
         return left
 
     def parse_additive(self) -> Expr:
@@ -327,16 +346,17 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            operand = self.parse_unary()
-            if isinstance(operand, Lit):
-                return Lit(-operand.value)
-            return Unary("-", operand)
-        if tok.text in ("!", "not"):
-            self.next()
-            return Unary("not", self.parse_unary())
-        return self.parse_atom()
+        if tok.text not in ("-", "!", "not"):
+            return self.parse_atom()
+        self.next()
+        self.enter()
+        operand = self.parse_unary()
+        self.depth -= 1
+        if tok.text != "-":
+            return Unary("not", operand)
+        if isinstance(operand, Lit):
+            return Lit(-operand.value)
+        return Unary("-", operand)
 
     def parse_atom(self) -> Expr:
         tok = self.next()

@@ -8,7 +8,7 @@ from selectc.field import FIELD_PRIME, Op
 from selectc.generate import random_linear_program
 from selectc.ir import Assign, Combine, Program, SimpleExpression
 from selectc.lower import lower
-from selectc.obfuscate import ObfProgram
+from selectc.obfuscate import ObfProgram, checked_key
 from selectc.surface import parse_surface
 
 TASK1_SOURCE = "if (y != 0) then r := x / y else r := -9999\n"
@@ -42,8 +42,8 @@ def two_option_class():
         prime=FIELD_PRIME,
     )
     obf = ObfProgram(program=program, selector_ids=program.selector_ids())
-    sel_key = SelectorKey(bits={"s0": 1, "s1": 0}, groups=obf.groups(), bindings={})
-    sel_key.validate()
+    sel_key = SelectorKey(bits={"s0": 1, "s1": 0}, bindings={})
+    checked_key(obf, sel_key)
     return obf, sel_key
 
 

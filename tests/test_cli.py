@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through dispatch()."""
 
+import time
+
 import pytest
 
 from selectc.cli import dispatch
@@ -97,8 +99,8 @@ def test_obfuscate_run_deobfuscate_flow(tmp_path, capsys):
 def test_run_rejects_a_key_that_is_not_one_hot(tmp_path, capsys, hot):
     _, obf, key = obfuscate(tmp_path, TASK1, "--seed", "7")
     seed, sel_key = read_key_file(key)
-    group = read_obf_program(obf).groups()[-1]
-    for i, sel in enumerate(group):
+    _, last = read_obf_program(obf).combines()[-1]
+    for i, (sel, _) in enumerate(last.options):
         sel_key.bits[sel] = int(i < hot)
     write_key_file(key, seed, sel_key)
     capsys.readouterr()
@@ -107,6 +109,38 @@ def test_run_rejects_a_key_that_is_not_one_hot(tmp_path, capsys, hot):
     assert captured.out == ""
     assert f"has {hot} hot selectors" in captured.err
     assert dispatch(["deobfuscate", obf, "--key", key]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["r := " + "(" * 400 + "x" + ")" * 400 + "\n", "r := " + "-" * 1000 + "x\n"],
+    ids=["parentheses", "unary"],
+)
+def test_deep_nesting_is_domain_error(tmp_path, capsys, text):
+    src = write(tmp_path / "deep.src", text)
+    argv = ["obfuscate", src, "-o", str(tmp_path / "o.obf"), "--key", str(tmp_path / "o.key")]
+    assert dispatch(argv) == 2
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
+def test_deep_tree_file_is_domain_error(tmp_path, capsys):
+    lines = ["  " * i + "UnaryE op=minus" for i in range(1500)]
+    trees = write(tmp_path / "deep.trees", "\n".join(lines) + "\n")
+    assert dispatch(["mine", trees]) == 2
+    assert "tree deeper than" in capsys.readouterr().err
+
+
+def test_huge_loop_bound_stops_early(tmp_path, capsys):
+    src = write(
+        tmp_path / "loop.src",
+        "s := 0\nfor (i := 0; i < n; i := i + 1) bound 100000 {\n  s := s + i\n}\n",
+    )
+    argv = ["obfuscate", src, "-o", str(tmp_path / "o.obf"), "--key", str(tmp_path / "o.key")]
+    start = time.perf_counter()
+    assert dispatch(argv) == 2
+    # the unrolled loop would take minutes; the statement cap stops it in about a second
+    assert time.perf_counter() - start < 10
+    assert "exceeds 100000 statements" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["obfuscate", "run", "attack"])

@@ -15,6 +15,8 @@ from selectc.crypto import (
 )
 from selectc.errors import ForeignCiphertextError, FormatError, KeyMismatchError
 from selectc.field import ALL_OPS, FIELD_PRIME, apply_op, norm
+from selectc.ir import Combine, Program
+from selectc.obfuscate import ObfProgram, checked_key
 
 P = FIELD_PRIME
 
@@ -72,42 +74,42 @@ def test_homomorphism_grid():
             assert got == apply_op(op, a, b), (op, a, b)
 
 
-def test_selector_key_accepts_one_hot():
-    sk = SelectorKey(
-        bits={"s0": 1, "s1": 0, "s2": 0, "s3": 1},
-        groups=[("s0", "s1"), ("s2", "s3")],
+def checked(bits, groups):
+    """checked_key over a program with one combining statement per group."""
+    program = Program(
+        inputs=["x"],
+        statements=[Combine(f"c{i}", tuple((s, "x") for s in g)) for i, g in enumerate(groups)],
     )
-    sk.validate()
-    assert sk.chosen_option(("s0", "s1")) == 0
-    assert sk.chosen_option(("s2", "s3")) == 1
+    return checked_key(ObfProgram(program=program), SelectorKey(bits=bits))
+
+
+def test_selector_key_accepts_one_hot():
+    bits = {"s0": 1, "s1": 0, "s2": 0, "s3": 1}
+    assert checked(bits, [("s0", "s1"), ("s2", "s3")]) == {0: 0, 1: 1}
 
 
 def test_selector_key_rejects_non_binary():
     with pytest.raises(KeyMismatchError):
-        SelectorKey(bits={"s0": 2, "s1": 0}, groups=[("s0", "s1")]).validate()
+        checked({"s0": 2, "s1": 0}, [("s0", "s1")])
 
 
 def test_selector_key_rejects_two_hot():
     with pytest.raises(KeyMismatchError):
-        SelectorKey(bits={"s0": 1, "s1": 1}, groups=[("s0", "s1")]).validate()
+        checked({"s0": 1, "s1": 1}, [("s0", "s1")])
 
 
 def test_selector_key_rejects_cold_group():
     with pytest.raises(KeyMismatchError):
-        SelectorKey(bits={"s0": 0, "s1": 0}, groups=[("s0", "s1")]).validate()
+        checked({"s0": 0, "s1": 0}, [("s0", "s1")])
 
 
 def test_selector_key_rejects_missing_bit():
     with pytest.raises(KeyMismatchError):
-        SelectorKey(bits={"s0": 1}, groups=[("s0", "s1")]).validate()
+        checked({"s0": 1}, [("s0", "s1")])
 
 
 def test_key_file_round_trip(tmp_path):
-    sk = SelectorKey(
-        bits={"s0": 1, "s1": 0},
-        groups=[("s0", "s1")],
-        bindings={"k0": 7, "k1": norm(-9999)},
-    )
+    sk = SelectorKey(bits={"s0": 1, "s1": 0}, bindings={"k0": 7, "k1": norm(-9999)})
     path = tmp_path / "demo.key"
     write_key_file(str(path), 1729, sk)
     seed, loaded = read_key_file(str(path))

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from selectc.attack import extract_class
 from selectc.crypto import SelectorKey, dec, enc, keygen
-from selectc.errors import ConfigError, PoolExhaustedError
+from selectc.errors import ConfigError, KeyMismatchError, PoolExhaustedError
 from selectc.field import ARITH_OPS, FIELD_PRIME, Op
 from selectc.generate import random_inputs, random_linear_program
 from selectc.ir import (
@@ -14,12 +16,15 @@ from selectc.ir import (
     Combine,
     Program,
     SimpleExpression,
+    eval_env,
     eval_plain,
     normalize,
     render_program,
 )
 from selectc.obfuscate import (
+    STRATEGIES,
     ObfuscationConfig,
+    checked_key,
     deobfuscate,
     eval_encrypted,
     gen_misleading,
@@ -29,6 +34,7 @@ from selectc.obfuscate import (
     read_obf_program,
     write_obf_program,
 )
+from selectc.patterns import PatternTable
 
 P = FIELD_PRIME
 
@@ -78,7 +84,7 @@ def test_two_option_demo_deobfuscates_to_mul(two_option_class):
 
 def test_flipped_key_folds_to_the_decoy(two_option_class):
     obf, _ = two_option_class
-    flipped = SelectorKey(bits={"s0": 0, "s1": 1}, groups=obf.groups(), bindings={})
+    flipped = SelectorKey(bits={"s0": 0, "s1": 1}, bindings={})
     p = deobfuscate(obf, flipped)
     (st,) = p.statements
     assert st.expr.op is Op.ADD
@@ -93,9 +99,7 @@ def test_statement_level_group_shape():
     assert len(combines) == 2
     for _, st in combines:
         assert len(st.options) == 3
-    sel_key.validate()
-    for group in obf.groups():
-        assert sum(sel_key.bits[s] for s in group) == 1
+    assert sorted(checked_key(obf, sel_key)) == [idx for idx, _ in combines]
 
 
 def test_statement_count_is_exactly_k_plus_one_per_statement():
@@ -207,6 +211,66 @@ def test_obfuscation_is_seed_deterministic():
     )
     c, _ = obfuscate_statement_level(p, cfg2)
     assert render_program(c.program) != render_program(a.program)
+
+
+def test_eval_encrypted_frees_its_intermediates():
+    cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0",), fake_combining=1)
+    obf, sel_key = obfuscate_statement_level(two_stmt_program(), cfg)
+    key = keygen(0)
+    cts = {"x": enc(key, 3), "y": enc(key, 4)}
+    for run in (1, 2):
+        before = len(key)
+        out = eval_encrypted(obf, key, sel_key, cts)
+        assert len(key) == before + 1, run
+        assert dec(key, out) == 13
+    assert [dec(key, cts[v]) for v in ("x", "y")] == [3, 4]
+
+
+@hst.composite
+def obfuscations(draw):
+    """(source, obfuscation, key, inputs) over every strategy and program level."""
+    seed = draw(hst.integers(0, 2**32 - 1))
+    strategy = draw(hst.sampled_from(STRATEGIES + ("program-level",)))
+    rng = random.Random(seed)
+    k = draw(hst.integers(2, 3))
+    if strategy == "program-level":
+        programs = [
+            random_linear_program(rng, n_statements=draw(hst.integers(1, 4))) for _ in range(k)
+        ]
+        source = programs[draw(hst.integers(0, k - 1))]
+        obf, sel_key = obfuscate_program_level(programs, programs.index(source), seed=seed)
+    else:
+        source = random_linear_program(
+            rng, n_statements=draw(hst.integers(1, 4)), n_consts=draw(hst.integers(0, 2))
+        )
+        cfg = ObfuscationConfig(
+            mislead_factor=k,
+            strategy=strategy,
+            pattern_table=PatternTable(),
+            fake_vars=("f0", "f1"),
+            fake_combining=draw(hst.integers(0, 2)),
+            seed=seed,
+        )
+        obf, sel_key = obfuscate_statement_level(source, cfg)
+    return source, obf, sel_key, random_inputs(source, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obfuscations(), hst.data())
+def test_plain_and_encrypted_runs_agree(case, data):
+    source, obf, sel_key, inputs = case
+    want = eval_plain(source, inputs)
+    plain = eval_env(obf.program, {**inputs, **sel_key.bindings}, sel_key.bits)
+    assert plain[obf.program.output] == want
+    assert run_encrypted(obf, sel_key, inputs) == want
+    # the key holder's run accepts only one hot selector per combining statement
+    _, st = data.draw(hst.sampled_from(obf.combines()))
+    hot = next(s for s, _ in st.options if sel_key.bits[s])
+    cold = next(s for s, _ in st.options if not sel_key.bits[s])
+    for flip in (hot, cold):
+        bad = SelectorKey(bits={**sel_key.bits, flip: 1 - sel_key.bits[flip]}, bindings=sel_key.bindings)
+        with pytest.raises(KeyMismatchError):
+            run_encrypted(obf, bad, inputs)
 
 
 # ------------------------------------------------------ misleading options
