@@ -8,10 +8,12 @@ output) are excluded, since an attacker discards them the same way.
 
 Three attacks are modeled:
 
-  * known-plaintext filtering: evaluate every candidate on observed
-    input/output pairs and keep the ones that agree. The confidential
-    program always survives; the attack refuses classes larger than an
-    enumeration cap rather than silently truncating.
+  * known-plaintext filtering: keep the candidates that agree with
+    observed input/output pairs. The first pair is checked by walking
+    the obfuscated program over the selection space, so only its
+    survivors are folded. The confidential program always survives;
+    the attack refuses classes larger than an enumeration cap rather
+    than silently truncating.
   * likelihood ranking: score candidates by how typical their
     statements look against a mined pattern table (smoothed relative
     operator frequencies), and rank the class by that score.
@@ -30,20 +32,25 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, EnumerationCapError
-from .field import Op
+from .field import Op, apply_op
 from .ir import (
+    Combine,
     FoldPlan,
     Program,
     canonical_key,
+    check_single_assignment,
     dead_code_eliminate,
     eval_plain,
+    field_env,
     live_statement_indices,
+    require_inputs,
+    run_statements,
 )
 from .obfuscate import ObfProgram
 from .rng import DEFAULT_SEED, derive_seed
@@ -59,6 +66,7 @@ class ClassDescriptor:
     combine_indices: list[int]
     options: list[tuple[tuple[str, str], ...]]
     class_size: int
+    live_indices: list[int]
 
     def option_counts(self) -> list[int]:
         return [len(opts) for opts in self.options]
@@ -98,8 +106,13 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
 
     The class size is the product of the option counts of all live
     combining statements; it is exact and may be astronomically large.
+    Raises FormatError unless every variable is assigned once, after
+    what it reads: folding (target := chosen source by substitution)
+    and evaluation agree only on such programs.
     """
-    live = set(live_statement_indices(obf.program))
+    check_single_assignment(obf.program)
+    live_indices = live_statement_indices(obf.program)
+    live = set(live_indices)
     combine_indices: list[int] = []
     options: list[tuple[tuple[str, str], ...]] = []
     for idx, st in obf.combines():
@@ -110,7 +123,11 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
     for opts in options:
         size *= len(opts)
     return ClassDescriptor(
-        obf=obf, combine_indices=combine_indices, options=options, class_size=size
+        obf=obf,
+        combine_indices=combine_indices,
+        options=options,
+        class_size=size,
+        live_indices=live_indices,
     )
 
 
@@ -135,18 +152,74 @@ def kpa_filter(
     Each pair binds every input variable of the obfuscated program
     (candidates may read any of them) and gives the observed output.
     Raises EnumerationCapError instead of enumerating a class larger
-    than cap.
+    than cap. Survivors come in product order, as enumerate_candidates
+    yields them. Only the first pair's survivors are folded: they are
+    found by walking the obfuscated program itself (see
+    _first_pair_selections) and checked on the other pairs one by one.
     """
     if cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
+    obf_program = cd.obf.program
+    # check every pair's inputs before walking (field_env checks the first's),
+    # so a missing input fails before any evaluation
+    for inputs, _ in pairs[1:]:
+        require_inputs(obf_program, inputs.keys() | obf_program.consts.keys())
+    if not pairs:
+        return list(enumerate_candidates(cd))
     survivors = []
-    for cand in enumerate_candidates(cd):
+    env = field_env(obf_program, pairs[0][0])
+    for selection in _first_pair_selections(cd, env, pairs[0][1]):
+        program = realize_candidate(cd, selection)
         if all(
-            eval_plain(cand.program, inputs) == output % cand.program.prime
-            for inputs, output in pairs
+            eval_plain(program, inputs) == output % program.prime
+            for inputs, output in pairs[1:]
         ):
-            survivors.append(cand)
+            survivors.append(Candidate(selection=selection, program=program))
     return survivors
+
+
+def _first_pair_selections(
+    cd: ClassDescriptor, env: dict[str, int], output: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield the selections whose program maps env to output, in product order.
+
+    A depth-first walk over the live combining statements (slots) of
+    the obfuscated program, in env itself: choosing an option is a
+    gather, target := source, after which the live statements up to the
+    next slot run through run_statements. extract_class has checked
+    that every variable is assigned once, after what it reads, so a
+    path overwrites everything it reads that an earlier path set.
+    """
+    program = cd.obf.program
+    slots: list[Combine] = []
+    segments: list[list] = [[]]
+    for idx in cd.live_indices:
+        st = program.statements[idx]
+        if isinstance(st, Combine):
+            slots.append(st)
+            segments.append([])
+        else:
+            segments[-1].append(st)
+    runs = [Program(inputs=[], statements=seg, prime=program.prime) for seg in segments]
+    apply = partial(apply_op, prime=program.prime)
+    want = output % program.prime
+    run_statements(runs[0], env, {}, apply)
+    choice = [-1] * len(slots)
+    i = 0  # the slot whose next option the walk takes
+    while i >= 0:
+        if i == len(slots):
+            if env[program.output] == want:
+                yield tuple(choice)
+            i -= 1
+            continue
+        choice[i] += 1
+        if choice[i] == len(slots[i].options):
+            choice[i] = -1
+            i -= 1
+            continue
+        env[slots[i].target] = env[slots[i].options[choice[i]][1]]
+        run_statements(runs[i + 1], env, {}, apply)
+        i += 1
 
 
 def _statement_log_scores(table) -> tuple[dict[str, float], float]:

@@ -96,6 +96,10 @@ def _parse_bindings(text: str) -> dict[str, int]:
             raise FormatError(f"expected name=value, got {part.strip()!r}")
         name, _, value = part.partition("=")
         name = name.strip()
+        if not name:
+            raise FormatError(f"binding {part.strip()!r} has no name")
+        if name in bindings:
+            raise FormatError(f"{name!r} is bound twice")
         try:
             bindings[name] = int(value.strip())
         except ValueError:
@@ -115,9 +119,14 @@ def _read_pairs(path: str) -> list[tuple[dict[str, int], int]]:
             lhs, _, rhs = line.partition("=>")
             try:
                 output = int(rhs.strip())
+                bindings = _parse_bindings(lhs)
             except ValueError:
                 raise FormatError(f"line {lineno}: output is not an integer") from None
-            pairs.append((_parse_bindings(lhs), output))
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
+            pairs.append((bindings, output))
+    if not pairs:
+        raise FormatError(f"{path}: no input/output pairs")
     return pairs
 
 

@@ -137,9 +137,7 @@ def run_statements(
     with no short-circuit of any kind. A selector is looked up in
     selectors first, then among the program's variables.
     """
-    missing = [v for v in program.inputs if v not in env]
-    if missing:
-        raise UnboundVariableError(f"unbound input variable(s): {', '.join(missing)}")
+    require_inputs(program, env)
     for st in program.statements:
         if isinstance(st, Assign):
             try:
@@ -162,6 +160,26 @@ def run_statements(
     return env
 
 
+def require_inputs(program: Program, bound) -> None:
+    """Raise UnboundVariableError unless bound holds every program input."""
+    missing = [v for v in program.inputs if v not in bound]
+    if missing:
+        raise UnboundVariableError(f"unbound input variable(s): {', '.join(missing)}")
+
+
+def field_env(program: Program, inputs: dict[str, int]) -> dict[str, int]:
+    """The program's consts and the given inputs as field elements.
+
+    Raises UnboundVariableError unless every program input is bound.
+    """
+    prime = program.prime
+    env = {v: val % prime for v, val in program.consts.items()}
+    for v, val in inputs.items():
+        env[v] = val % prime
+    require_inputs(program, env)
+    return env
+
+
 def eval_env(
     program: Program,
     inputs: dict[str, int],
@@ -173,11 +191,10 @@ def eval_env(
     passed separately.
     """
     prime = program.prime
-    env = {v: val % prime for v, val in program.consts.items()}
-    for v, val in inputs.items():
-        env[v] = val % prime
     sel = {s: bit % prime for s, bit in selectors.items()} if selectors else {}
-    return run_statements(program, env, sel, partial(apply_op, prime=prime))
+    return run_statements(
+        program, field_env(program, inputs), sel, partial(apply_op, prime=prime)
+    )
 
 
 def eval_plain(
@@ -193,6 +210,20 @@ def statement_operands(st: Statement) -> tuple[str, ...]:
     if isinstance(st, Assign):
         return (st.expr.in1, st.expr.in2)
     return tuple(src for _, src in st.options)
+
+
+def check_single_assignment(program: Program) -> None:
+    """Raise FormatError unless each statement reads only inputs, consts
+    and earlier targets, and assigns a name nothing else assigns."""
+    defined = {*program.inputs, *program.consts}
+    for number, st in enumerate(program.statements, start=1):
+        reads = statement_operands(st)
+        if not defined.issuperset(reads):
+            v = next(v for v in reads if v not in defined)
+            raise FormatError(f"statement {number} reads {v!r} before it is assigned")
+        if st.target in defined:
+            raise FormatError(f"statement {number} assigns {st.target!r} again")
+        defined.add(st.target)
 
 
 def referenced_vars(program: Program) -> set[str]:

@@ -39,6 +39,7 @@ from .surface import (
     Unary,
     _CMP_OPS,
     SURFACE_OPS,
+    left_spine,
     result_variable,
 )
 
@@ -56,15 +57,17 @@ def _surface_identifiers(sp: SurfaceProgram) -> set[str]:
         names.update(f"{arr}[{i}]" for i in range(size))
 
     def walk_expr(e: Expr) -> None:
-        if isinstance(e, Name):
-            names.add(e.ident)
-        elif isinstance(e, Index):
-            walk_expr(e.index)
-        elif isinstance(e, Unary):
-            walk_expr(e.operand)
-        elif isinstance(e, Binary):
-            walk_expr(e.left)
-            walk_expr(e.right)
+        stack = [e]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Name):
+                names.add(e.ident)
+            elif isinstance(e, Index):
+                stack.append(e.index)
+            elif isinstance(e, Unary):
+                stack.append(e.operand)
+            elif isinstance(e, Binary):
+                stack += (e.left, e.right)
 
     def walk(stmts: list[Stmt]) -> None:
         for st in stmts:
@@ -142,21 +145,19 @@ class _Lowerer:
     # -------------------------------------------------------- expressions
 
     def eval_expr(self, e: Expr) -> str:
+        e, chain = left_spine(e)
         if isinstance(e, Lit):
-            return self.const(e.value)
-        if isinstance(e, Name):
-            return self.read(e.ident)
-        if isinstance(e, Index):
-            return self.eval_index(e)
-        if isinstance(e, Unary):
+            v = self.const(e.value)
+        elif isinstance(e, Name):
+            v = self.read(e.ident)
+        elif isinstance(e, Index):
+            v = self.eval_index(e)
+        else:
             v = self.eval_expr(e.operand)
-            if e.op == "-":
-                return self.emit(Op.SUB, self.const(0), v)
-            return self.emit(Op.SUB, self.const(1), v)
-        op = SURFACE_OPS[e.op]
-        left = self.eval_expr(e.left)
-        right = self.eval_expr(e.right)
-        return self.emit(op, left, right)
+            v = self.emit(Op.SUB, self.const(0 if e.op == "-" else 1), v)
+        for node in chain:
+            v = self.emit(SURFACE_OPS[node.op], v, self.eval_expr(node.right))
+        return v
 
     def eval_index(self, e: Index) -> str:
         size = self.sp.arrays[e.array]

@@ -303,19 +303,16 @@ def read_table(path: str) -> PatternTable:
 def render_trees(trees: Iterable[ExprTree]) -> str:
     """Indented one-node-per-line tree format."""
     lines: list[str] = []
-
-    def emit(node: ExprTree, depth: int) -> None:
+    stack = [(tree, 0) for tree in reversed(list(trees))]
+    while stack:
+        node, depth = stack.pop()
         bits = [node.kind]
         if node.op is not None:
             bits.append(f"op={node.op}")
         if node.value is not None:
             bits.append(f"value={node.value}")
         lines.append("  " * depth + " ".join(bits))
-        for child in node.children:
-            emit(child, depth + 1)
-
-    for tree in trees:
-        emit(tree, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"
 
 
@@ -383,25 +380,24 @@ def read_trees(path: str) -> list[ExprTree]:
 # ------------------------------------------------ surface-language bridge
 
 def _expr_tree(e: surface.Expr) -> ExprTree:
+    e, chain = surface.left_spine(e)
     if isinstance(e, surface.Lit):
-        return ExprTree(INT_LITERAL_KIND, value=e.value)
-    if isinstance(e, surface.Name):
-        return ExprTree("NameE")
-    if isinstance(e, surface.Index):
-        return ExprTree(
-            "ArrayAccessE", children=(ExprTree("NameE"), _expr_tree(e.index))
-        )
-    if isinstance(e, surface.Unary):
-        return ExprTree(
+        tree = ExprTree(INT_LITERAL_KIND, value=e.value)
+    elif isinstance(e, surface.Name):
+        tree = ExprTree("NameE")
+    elif isinstance(e, surface.Index):
+        tree = ExprTree("ArrayAccessE", children=(ExprTree("NameE"), _expr_tree(e.index)))
+    elif isinstance(e, surface.Unary):
+        tree = ExprTree(
             "UnaryE", op=SURFACE_UNARY_NAMES[e.op], children=(_expr_tree(e.operand),)
         )
-    if isinstance(e, surface.Binary):
-        return ExprTree(
-            "BinaryE",
-            op=SURFACE_BINARY_NAMES[e.op],
-            children=(_expr_tree(e.left), _expr_tree(e.right)),
+    else:
+        raise FormatError(f"unknown expression node {type(e).__name__}")
+    for node in chain:
+        tree = ExprTree(
+            "BinaryE", op=SURFACE_BINARY_NAMES[node.op], children=(tree, _expr_tree(node.right))
         )
-    raise FormatError(f"unknown expression node {type(e).__name__}")
+    return tree
 
 
 def _stmt_trees(st: surface.Stmt) -> list[ExprTree]:

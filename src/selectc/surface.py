@@ -36,7 +36,9 @@ _KEYWORDS = {"if", "else", "then", "for", "bound", "array", "not"}
 # Deepest nesting the parser accepts. Each statement, expression (so each
 # parenthesis or index) and unary operator opens one level. Parsing,
 # lowering and interpretation recurse a few times per level, so this
-# keeps them well inside Python's stack.
+# keeps them well inside Python's stack. Operator chains do not nest:
+# they parse left-deep, and every expression walker loops over a chain
+# (see left_spine) instead of recursing once per operator.
 MAX_NESTING = 100
 
 
@@ -70,6 +72,21 @@ class Binary:
 
 
 Expr = Lit | Name | Index | Unary | Binary
+
+
+def left_spine(e: Expr) -> tuple[Expr, list[Binary]]:
+    """e's leftmost operand that is not a Binary, and the chain above it.
+
+    The chain lists the Binary nodes from the innermost (the leftmost
+    operator) out to e itself, so a walker can fold it in evaluation
+    order and recurse only into right operands.
+    """
+    chain: list[Binary] = []
+    while isinstance(e, Binary):
+        chain.append(e)
+        e = e.left
+    chain.reverse()
+    return e, chain
 
 
 @dataclass
@@ -399,26 +416,28 @@ def _prec(e: Expr) -> int:
 
 
 def render_expr(e: Expr) -> str:
+    e, chain = left_spine(e)
     if isinstance(e, Lit):
-        return str(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Index):
-        return f"{e.array}[{render_expr(e.index)}]"
-    if isinstance(e, Unary):
+        text = str(e.value)
+    elif isinstance(e, Name):
+        text = e.ident
+    elif isinstance(e, Index):
+        text = f"{e.array}[{render_expr(e.index)}]"
+    else:
         inner = render_expr(e.operand)
         if _prec(e.operand) < 4:
             inner = f"({inner})"
-        return f"-{inner}" if e.op == "-" else f"not {inner}"
-    left = render_expr(e.left)
-    right = render_expr(e.right)
-    # comparisons do not chain, so a comparison child needs parens on
-    # either side; arithmetic is left-associative, so only on the right
-    if _prec(e.left) < _prec(e) or (_prec(e) == 1 and _prec(e.left) == 1):
-        left = f"({left})"
-    if _prec(e.right) <= _prec(e):
-        right = f"({right})"
-    return f"{left} {e.op} {right}"
+        text = f"-{inner}" if e.op == "-" else f"not {inner}"
+    for node in chain:
+        right = render_expr(node.right)
+        # comparisons do not chain, so a comparison child needs parens on
+        # either side; arithmetic is left-associative, so only on the right
+        if _prec(node.left) < _prec(node) or (_prec(node) == 1 and _prec(node.left) == 1):
+            text = f"({text})"
+        if _prec(node.right) <= _prec(node):
+            right = f"({right})"
+        text = f"{text} {node.op} {right}"
+    return text
 
 
 def _render_stmt(st: Stmt, indent: int, out: list[str]) -> None:
@@ -505,23 +524,21 @@ class _Interp:
         raise UnboundVariableError(f"unbound variable {var!r}")
 
     def eval(self, e: Expr) -> int:
+        e, chain = left_spine(e)
         if isinstance(e, Lit):
-            return e.value % self.prime
-        if isinstance(e, Name):
-            return self.read(e.ident)
-        if isinstance(e, Index):
+            v = e.value % self.prime
+        elif isinstance(e, Name):
+            v = self.read(e.ident)
+        elif isinstance(e, Index):
             idx = signed(self.eval(e.index), self.prime)
             size = self.sp.arrays[e.array]
-            if 0 <= idx < size:
-                return self.read(f"{e.array}[{idx}]")
-            return 0
-        if isinstance(e, Unary):
+            v = self.read(f"{e.array}[{idx}]") if 0 <= idx < size else 0
+        else:
             v = self.eval(e.operand)
-            if e.op == "-":
-                return (-v) % self.prime
-            return apply_op(Op.SUB, 1, v, self.prime)
-        op = SURFACE_OPS[e.op]
-        return apply_op(op, self.eval(e.left), self.eval(e.right), self.prime)
+            v = (-v) % self.prime if e.op == "-" else apply_op(Op.SUB, 1, v, self.prime)
+        for node in chain:
+            v = apply_op(SURFACE_OPS[node.op], v, self.eval(node.right), self.prime)
+        return v
 
     def assign(self, st: AssignStmt) -> None:
         value = self.eval(st.value)

@@ -19,11 +19,11 @@ from selectc.attack import (
     run_attack,
     surviving_option_counts,
 )
-from selectc.errors import ConfigError, EnumerationCapError
+from selectc.errors import ConfigError, EnumerationCapError, FormatError
 from selectc.field import FIELD_PRIME, Op
 from selectc.generate import random_inputs, random_linear_program
-from selectc.ir import Assign, Program, SimpleExpression, canonical_key, eval_plain
-from selectc.obfuscate import ObfuscationConfig, obfuscate_statement_level
+from selectc.ir import Assign, Combine, Program, SimpleExpression, canonical_key, eval_plain
+from selectc.obfuscate import ObfProgram, ObfuscationConfig, obfuscate_statement_level
 from selectc.patterns import PatternTable
 
 P = FIELD_PRIME
@@ -46,6 +46,40 @@ def test_extract_class_smallest_case(two_option_class):
     assert cd.class_size == 2
     assert cd.option_counts() == [2]
     assert cd.combine_indices == [2]
+
+
+@pytest.mark.parametrize(
+    "statements, message",
+    [
+        (
+            [
+                Assign("t0", SimpleExpression(Op.ADD, "a", "a")),
+                Combine("c", (("s0", "t0"), ("s1", "a"))),
+                Assign("t0", SimpleExpression(Op.MUL, "a", "a")),
+                Assign("r", SimpleExpression(Op.ADD, "c", "t0")),
+            ],
+            "statement 3 assigns 't0' again",
+        ),
+        (
+            [Assign("a", SimpleExpression(Op.ADD, "a", "a"))],
+            "statement 1 assigns 'a' again",
+        ),
+        (
+            [
+                Combine("c", (("s0", "t0"), ("s1", "a"))),
+                Assign("t0", SimpleExpression(Op.MUL, "a", "a")),
+            ],
+            "statement 1 reads 't0' before it is assigned",
+        ),
+    ],
+    ids=["reassigned-target", "reassigned-input", "read-before-assigned"],
+)
+def test_extract_class_rejects_what_folding_would_misread(statements, message):
+    program = Program(inputs=["a"], statements=statements)
+    obf = ObfProgram(program=program, selector_ids=program.selector_ids())
+    with pytest.raises(FormatError) as e:
+        extract_class(obf)
+    assert str(e.value) == message
 
 
 def test_class_size_is_product_of_live_groups():

@@ -123,6 +123,15 @@ def test_deep_nesting_is_domain_error(tmp_path, capsys, text):
     assert "nesting deeper than" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("terms", [1000, 2000])
+def test_long_flat_operator_chain_obfuscates(tmp_path, capsys, terms):
+    """A chain parses left-deep; the expression walkers loop over it."""
+    _, obf, key = obfuscate(tmp_path, "r := " + " + ".join(["x"] * terms) + "\n")
+    capsys.readouterr()
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=3"]) == 0
+    assert capsys.readouterr().out == f"{3 * terms}\n"
+
+
 def test_deep_tree_file_is_domain_error(tmp_path, capsys):
     lines = ["  " * i + "UnaryE op=minus" for i in range(1500)]
     trees = write(tmp_path / "deep.trees", "\n".join(lines) + "\n")
@@ -279,11 +288,65 @@ def test_attack_command_reports_ranked_class(tmp_path, capsys):
     assert out.count("top | ") == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x=3,x=4 => 9\n", "line 1: 'x' is bound twice"),
+        ("# observed\n=3 => 9\n", "line 2: binding '=3' has no name"),
+        ("# observed runs, none recorded\n\n", "no input/output pairs"),
+    ],
+    ids=["duplicate-name", "empty-name", "no-pairs"],
+)
+def test_attack_rejects_a_malformed_pairs_file(tmp_path, capsys, text, message):
+    _, obf, _ = obfuscate(tmp_path, SQUARE, "--seed", "3")
+    pairs = write(tmp_path / "pairs.txt", text)
+    capsys.readouterr()
+    assert dispatch(["attack", obf, "--pairs", pairs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [("x=3,x=4", "'x' is bound twice"), ("x=3,=4", "binding '=4' has no name")],
+    ids=["duplicate-name", "empty-name"],
+)
+def test_run_rejects_malformed_inputs(tmp_path, capsys, inputs, message):
+    _, obf, key = obfuscate(tmp_path, SQUARE)
+    capsys.readouterr()
+    assert dispatch(["run", obf, "--key", key, "--inputs", inputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_attack_cap_refusal_is_domain_error(tmp_path, capsys):
     _, obf, _ = obfuscate(tmp_path, SQUARE)
     capsys.readouterr()
     assert dispatch(["attack", obf, "--cap", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+REASSIGNED = """input a
+t0 := ADD a a
+c := COMBINE (s0,t0) (s1,a)
+t0 := MUL a a
+r := ADD c t0
+"""
+
+
+@pytest.mark.parametrize("pairs", [None, "a=3 => 15\n"], ids=["rank", "kpa"])
+def test_attack_rejects_a_reassigned_variable(tmp_path, capsys, pairs):
+    """Folding reads c as t0's later value, evaluation as its earlier one."""
+    obf = tmp_path / "re.obf"
+    obf.write_text(REASSIGNED)
+    argv = ["attack", str(obf)]
+    if pairs is not None:
+        (tmp_path / "runs.txt").write_text(pairs)
+        argv += ["--pairs", str(tmp_path / "runs.txt")]
+    assert dispatch(argv) == 2
+    assert "statement 3 assigns 't0' again" in capsys.readouterr().err
 
 
 def test_game_command_prints_exact_and_simulated(capsys):
