@@ -32,7 +32,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -67,14 +67,10 @@ class ClassDescriptor:
     options: list[tuple[tuple[str, str], ...]]
     class_size: int
     live_indices: list[int]
+    fold_plan: FoldPlan  # fold metadata shared by every candidate
 
     def option_counts(self) -> list[int]:
         return [len(opts) for opts in self.options]
-
-    @cached_property
-    def fold_plan(self) -> FoldPlan:
-        """Fold metadata of the obfuscated program, shared by every candidate."""
-        return FoldPlan(self.obf.program)
 
 
 @dataclass
@@ -108,7 +104,9 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
     combining statements; it is exact and may be astronomically large.
     Raises FormatError unless every variable is assigned once, after
     what it reads: folding (target := chosen source by substitution)
-    and evaluation agree only on such programs.
+    and evaluation agree only on such programs. Also raises it when a
+    member cannot be folded (see FoldPlan), whichever members an
+    attack goes on to fold.
     """
     check_single_assignment(obf.program)
     live_indices = live_statement_indices(obf.program)
@@ -128,6 +126,7 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
         options=options,
         class_size=size,
         live_indices=live_indices,
+        fold_plan=FoldPlan(obf.program),
     )
 
 

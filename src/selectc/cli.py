@@ -23,7 +23,7 @@ from .attack import (
 )
 from .crypto import enc, dec, keygen, read_key_file, write_key_file
 from .demos import build_l0, build_l1, emit_artifacts
-from .errors import ConfigError, FormatError, SelectcError
+from .errors import ConfigError, FormatError, SelectcError, format_count
 from .field import signed
 from .ir import Program, parse_program, render_program
 from .lower import lower
@@ -141,7 +141,7 @@ def _cmd_obfuscate(args) -> int:
     write_key_file(args.key, cfg.seed, sel_key, program.prime)
     cd = extract_class(obf)
     print(f"statements | {len(obf.program.statements)}")
-    print(f"class_size | {cd.class_size}")
+    print(f"class_size | {format_count(cd.class_size)}")
     print(f"wrote | {args.output}")
     print(f"wrote | {args.key}")
     return 0
@@ -229,7 +229,7 @@ def _cmd_demo(args) -> int:
     demo = build(_resolve_seed(args.seed))
     cd = extract_class(demo.obf)
     print(f"demo | {demo.name}")
-    print(f"class_size | {cd.class_size}")
+    print(f"class_size | {format_count(cd.class_size)}")
     for path in emit_artifacts(demo, args.out):
         print(f"wrote | {path}")
     return 0

@@ -6,6 +6,21 @@ line layer can map domain failures to a single exit code.
 
 from __future__ import annotations
 
+import math
+
+
+def format_count(n: int) -> str:
+    """n in decimal, or "~d.dddddde<exp>" where CPython refuses the exact
+    digits (its int-to-str conversion limit, 4,300 digits by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        exp = math.floor(math.log10(n))
+        mantissa = round(10 ** (math.log10(n) - exp), 6)
+        if mantissa >= 10:
+            mantissa, exp = mantissa / 10, exp + 1
+        return f"~{mantissa:.6f}e{exp}"
+
 
 class SelectcError(Exception):
     """Base class for all domain errors."""
@@ -70,7 +85,8 @@ class EnumerationCapError(SelectcError):
 
     def __init__(self, class_size: int, cap: int):
         super().__init__(
-            f"program class has {class_size} members, enumeration cap is {cap}"
+            f"program class has {format_count(class_size)} members, "
+            f"enumeration cap is {format_count(cap)}"
         )
         self.class_size = class_size
         self.cap = cap

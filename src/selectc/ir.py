@@ -269,6 +269,8 @@ class FoldPlan:
     can change: every combining statement, and every assignment that
     reads a combining statement's target. All other assignments come
     through fold unchanged, as the same (frozen) statement objects.
+    Raises FormatError if some selection of a final combining statement
+    cannot be folded.
     """
 
     def __init__(self, program: Program):
@@ -283,6 +285,13 @@ class FoldPlan:
                 defs[st.target] = st
         # an option defined by an assignment it alone reads is inlined
         self._inline = {v: d for v, d in defs.items() if use_count.get(v, 0) == 1}
+        # the output has no downstream reader to substitute into, so every
+        # option of a final combining statement must be inlinable
+        last = stmts[-1] if stmts else None
+        if isinstance(last, Combine):
+            for _, src in last.options:
+                if src not in self._inline:
+                    raise FormatError(_unfoldable(len(stmts), last, src))
         # substitution keys are combining targets, so only their readers move
         combined = {st.target for st in stmts if isinstance(st, Combine)}
         self._steps = [
@@ -321,9 +330,8 @@ class FoldPlan:
             if definition is not None:
                 stmts[idx] = Assign(st.target, _resolved(definition.expr, subst))
             elif idx == last:
-                raise ValueError(
-                    "cannot fold a final combining statement whose option is a shared variable"
-                )
+                # reached only by a program that reassigns a variable
+                raise FormatError(_unfoldable(idx + 1, st, src))
             else:
                 subst[st.target] = src
                 stmts[idx] = None
@@ -333,6 +341,13 @@ class FoldPlan:
             consts=dict(program.consts),
             prime=program.prime,
         )
+
+
+def _unfoldable(number: int, st: Combine, src: str) -> str:
+    return (
+        f"statement {number} `{st.render()}` cannot be folded: it is the output, so each "
+        f"option must be an assignment only it reads, and {src!r} is not"
+    )
 
 
 def _resolved(expr: SimpleExpression, subst: dict[str, str]) -> SimpleExpression:

@@ -146,30 +146,53 @@ def _distinct_expressions(
     forbidden: set[tuple[str, str, str]],
     op_weights: list[int] | None = None,
 ) -> list[SimpleExpression]:
-    """Draw `count` pairwise-distinct expressions avoiding `forbidden`."""
-    space = len(op_choices) * len(var_choices) ** 2
-    usable = space - sum(
-        1
-        for key in forbidden
-        if any(o.value == key[0] for o in op_choices)
-        and key[1] in var_choices
-        and key[2] in var_choices
-    )
-    if usable < count:
-        raise PoolExhaustedError(
-            f"need {count} distinct statements but the pool only offers {usable}"
+    """Draw `count` pairwise-distinct expressions avoiding `forbidden`.
+
+    Works in O(count) whatever the pool size: the expression space is
+    never built, and the pool is scanned only where the whole space has
+    at most _ENUMERATE_LIMIT expressions.
+    """
+    n = len(var_choices)
+    space = len(op_choices) * n * n
+    # each forbidden key removes at most one expression, so the exact count
+    # (a scan of the pool) is needed only where the space is this small
+    if space - len(forbidden) < count:
+        usable = space - sum(
+            1
+            for key in forbidden
+            if any(o.value == key[0] for o in op_choices)
+            and key[1] in var_choices
+            and key[2] in var_choices
         )
+        if usable < count:
+            raise PoolExhaustedError(
+                f"need {count} distinct statements but the pool only offers {usable}"
+            )
     picked: list[SimpleExpression] = []
-    seen = set(forbidden)
     if space <= _ENUMERATE_LIMIT and op_weights is None:
-        universe = [
-            SimpleExpression(op, a, b)
-            for op in op_choices
-            for a in var_choices
-            for b in var_choices
-            if (op.value, a, b) not in seen
-        ]
-        return rng.sample(universe, count)
+        # the space in (op, in1, in2) product order without the forbidden
+        # keys; rng.sample reads only its population's length and items,
+        # so sampling indices draws what sampling the built list would
+        skip = sorted(
+            (o * n + a) * n + b
+            for op_name, x, y in forbidden
+            for o, op in enumerate(op_choices)
+            if op.value == op_name
+            for a, v in enumerate(var_choices)
+            if v == x
+            for b, w in enumerate(var_choices)
+            if w == y
+        )
+        for i in rng.sample(range(space - len(skip)), count):
+            for s in skip:
+                if s > i:
+                    break
+                i += 1
+            o, ab = divmod(i, n * n)
+            a, b = divmod(ab, n)
+            picked.append(SimpleExpression(op_choices[o], var_choices[a], var_choices[b]))
+        return picked
+    seen = set(forbidden)
     while len(picked) < count:
         if op_weights is None:
             op = rng.choice(op_choices)
@@ -339,8 +362,8 @@ def obfuscate_statement_level(
     real_groups: list[list[Statement]] = []
 
     for st in program.statements:
-        pool = list(defined)
-        ms = gen_misleading(st, cfg, rng_opts, pool, fresh, sel)
+        # the draw only reads the pool, so it needs no copy
+        ms = gen_misleading(st, cfg, rng_opts, defined, fresh, sel)
         bits.update(ms.prelude_bits)
         exprs = [ms.confidential] + ms.options
         order = list(range(k))

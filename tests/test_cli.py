@@ -6,6 +6,7 @@ import pytest
 
 from selectc.cli import dispatch
 from selectc.crypto import read_key_file, write_key_file
+from selectc.errors import format_count
 from selectc.ir import parse_program, render_program
 from selectc.lower import lower
 from selectc.obfuscate import read_obf_program
@@ -123,13 +124,44 @@ def test_deep_nesting_is_domain_error(tmp_path, capsys, text):
     assert "nesting deeper than" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("terms", [1000, 2000])
+def chain(terms):
+    return "r := " + " + ".join(["x"] * terms) + "\n"
+
+
+@pytest.mark.parametrize("terms", [1000, 2000, 20000])
 def test_long_flat_operator_chain_obfuscates(tmp_path, capsys, terms):
-    """A chain parses left-deep; the expression walkers loop over it."""
-    _, obf, key = obfuscate(tmp_path, "r := " + " + ".join(["x"] * terms) + "\n")
-    capsys.readouterr()
+    """A chain parses left-deep; the expression walkers loop over it.
+
+    At 20,000 terms the class size 2^19,999 has more digits than CPython
+    converts to text, so it prints in an approximate form.
+    """
+    _, obf, key = obfuscate(tmp_path, chain(terms))
+    class_size = capsys.readouterr().out.splitlines()[1]
+    if terms < 10000:
+        assert class_size == f"class_size | {2 ** (terms - 1)}"
+    else:
+        assert class_size == "class_size | ~1.990138e6020"
     assert dispatch(["run", obf, "--key", key, "--inputs", "x=3"]) == 0
     assert capsys.readouterr().out == f"{3 * terms}\n"
+
+
+def test_format_count_is_exact_up_to_the_digit_limit():
+    assert format_count(12500) == "12500"
+    assert format_count(10**4000 + 7) == str(10**4000 + 7)
+    assert format_count(3 * 10**6000 + 1) == "~3.000000e6000"
+    # rounds up into the next power of ten
+    assert format_count(10**5000 - 1) == "~1.000000e5000"
+
+
+def test_attack_on_a_class_too_large_to_print_is_a_cap_refusal(tmp_path, capsys):
+    _, obf, _ = obfuscate(tmp_path, chain(20000))
+    capsys.readouterr()
+    assert dispatch(["attack", obf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: program class has ~1.990138e6020 members, enumeration cap is 1000000\n"
+    )
 
 
 def test_deep_tree_file_is_domain_error(tmp_path, capsys):
@@ -347,6 +379,40 @@ def test_attack_rejects_a_reassigned_variable(tmp_path, capsys, pairs):
         argv += ["--pairs", str(tmp_path / "runs.txt")]
     assert dispatch(argv) == 2
     assert "statement 3 assigns 't0' again" in capsys.readouterr().err
+
+
+UNFOLDABLE = """input a
+input b
+t0 := MUL a b
+c := COMBINE (s0,t0) (s1,a)
+"""
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [None, "a=2,b=3 => 6\n", "a=2,b=3 => 2\n", "a=2,b=3 => 7\n"],
+    ids=["rank", "kpa-t0-survives", "kpa-a-survives", "kpa-none-survive"],
+)
+def test_attack_rejects_an_unfoldable_output(tmp_path, capsys, pairs):
+    """Folding c to the input a would leave no statement for the output."""
+    obf = write(tmp_path / "unf.obf", UNFOLDABLE)
+    argv = ["attack", obf]
+    if pairs is not None:
+        argv += ["--pairs", write(tmp_path / "runs.txt", pairs)]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "statement 2 `c := COMBINE (s0,t0) (s1,a)` cannot be folded" in captured.err
+
+
+@pytest.mark.parametrize("hot", ["s0", "s1"])
+def test_deobfuscate_rejects_an_unfoldable_output(tmp_path, capsys, hot):
+    obf = write(tmp_path / "unf.obf", UNFOLDABLE)
+    key = write(tmp_path / "unf.key", f"seed 1\nsel s0 = {int(hot == 's0')}\nsel s1 = {int(hot == 's1')}\n")
+    assert dispatch(["deobfuscate", obf, "--key", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "option must be an assignment only it reads, and 'a' is not" in captured.err
 
 
 def test_game_command_prints_exact_and_simulated(capsys):

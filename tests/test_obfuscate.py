@@ -1,15 +1,18 @@
 """Combining-statement obfuscation: structure, evaluation, round trips."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from selectc import obfuscate
 from selectc.attack import extract_class
 from selectc.crypto import SelectorKey, dec, enc, keygen
-from selectc.errors import ConfigError, KeyMismatchError, PoolExhaustedError
-from selectc.field import ARITH_OPS, FIELD_PRIME, Op
+from selectc.demos import build_l0, build_l1
+from selectc.errors import ConfigError, KeyMismatchError, PoolExhaustedError, SelectcError
+from selectc.field import ALL_OPS, ARITH_OPS, FIELD_PRIME, Op
 from selectc.generate import random_inputs, random_linear_program
 from selectc.ir import (
     Assign,
@@ -22,8 +25,10 @@ from selectc.ir import (
     render_program,
 )
 from selectc.obfuscate import (
+    _ENUMERATE_LIMIT,
     STRATEGIES,
     ObfuscationConfig,
+    _distinct_expressions,
     checked_key,
     deobfuscate,
     eval_encrypted,
@@ -345,6 +350,242 @@ def test_pattern_aware_prefers_frequent_operations():
         ms = gen_misleading(stmt, cfg, rng=rng)
         hits += sum(e.op is Op.MUL for e in ms.options)
     assert hits / trials > 0.5, "mined frequencies should steer decoy operations"
+
+
+# ------------------------------------------- misleading-statement sampler
+
+def reference_distinct_expressions(
+    rng, count, op_choices, var_choices, forbidden, op_weights=None
+):
+    """The sampler as it was before drawing by index: it built the whole
+    expression space of up to _ENUMERATE_LIMIT expressions per draw."""
+    space = len(op_choices) * len(var_choices) ** 2
+    usable = space - sum(
+        1
+        for key in forbidden
+        if any(o.value == key[0] for o in op_choices)
+        and key[1] in var_choices
+        and key[2] in var_choices
+    )
+    if usable < count:
+        raise PoolExhaustedError(
+            f"need {count} distinct statements but the pool only offers {usable}"
+        )
+    picked = []
+    seen = set(forbidden)
+    if space <= _ENUMERATE_LIMIT and op_weights is None:
+        universe = [
+            SimpleExpression(op, a, b)
+            for op in op_choices
+            for a in var_choices
+            for b in var_choices
+            if (op.value, a, b) not in seen
+        ]
+        return rng.sample(universe, count)
+    while len(picked) < count:
+        if op_weights is None:
+            op = rng.choice(op_choices)
+        else:
+            op = rng.choices(op_choices, weights=op_weights, k=1)[0]
+        expr = SimpleExpression(op, rng.choice(var_choices), rng.choice(var_choices))
+        key = (expr.op.value, expr.in1, expr.in2)
+        if key in seen:
+            continue
+        seen.add(key)
+        picked.append(expr)
+    return picked
+
+
+def _draw_outcome(sampler, seed, *args, **kwargs):
+    """(picks or the exception raised, RNG state afterwards)."""
+    rng = random.Random(seed)
+    try:
+        result = sampler(rng, *args, **kwargs)
+    except (SelectcError, ValueError) as exc:
+        result = (type(exc), str(exc))
+    return result, rng.getstate()
+
+
+@hst.composite
+def sampler_cases(draw):
+    """Op subsets, pools on both sides of _ENUMERATE_LIMIT, forbidden sets
+    (empty, one key, keys outside the pool) and counts up to the boundary."""
+    ops = draw(hst.lists(hst.sampled_from(ALL_OPS), min_size=1, max_size=10, unique=True))
+    names = [f"v{i}" for i in range(draw(hst.integers(1, 80)))]
+    if draw(hst.booleans()):
+        names = draw(hst.permutations(names))
+    outside = hst.tuples(
+        hst.sampled_from([op.value for op in ALL_OPS]),
+        hst.sampled_from(names + ["w0", "w1"]),
+        hst.sampled_from(names + ["w0"]),
+    )
+    inside = hst.tuples(
+        hst.sampled_from([op.value for op in ops]),
+        hst.sampled_from(names),
+        hst.sampled_from(names),
+    )
+    forbidden = draw(
+        hst.one_of(
+            hst.just(set()),
+            inside.map(lambda key: {key}),
+            hst.sets(hst.one_of(inside, outside), max_size=4),
+        )
+    )
+    weights = draw(
+        hst.one_of(hst.none(), hst.lists(hst.integers(1, 5), min_size=len(ops), max_size=len(ops)))
+    )
+    space = len(ops) * len(names) ** 2
+    usable = space - sum(
+        1
+        for op, a, b in forbidden
+        if op in {o.value for o in ops} and a in names and b in names
+    )
+    counts = hst.integers(0, min(usable + 1, 8))
+    if usable <= 64:
+        counts = hst.one_of(counts, hst.sampled_from([usable, usable + 1]))
+    return ops, names, forbidden, weights, draw(counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler_cases(), hst.integers(0, 2**32 - 1))
+def test_sampler_draws_what_the_reference_draws(case, seed):
+    """Same picks (or error) and the same RNG state afterwards."""
+    ops, names, forbidden, weights, count = case
+    args = (count, ops, names, forbidden, weights)
+    assert _draw_outcome(_distinct_expressions, seed, *args) == _draw_outcome(
+        reference_distinct_expressions, seed, *args
+    )
+
+
+def test_sampler_draws_from_pools_with_repeated_names():
+    """A config may repeat a fake variable or an operation; the space then
+    holds an expression more than once, as the built list did."""
+    ops = [Op.ADD, Op.MUL, Op.ADD]
+    names = ["x", "f0", "x", "f0", "y"]
+    for seed in range(200):
+        for forbidden in (set(), {("ADD", "x", "f0")}, {("MUL", "y", "y"), ("ADD", "x", "x")}):
+            for count in (1, 4, 60):
+                args = (count, ops, names, forbidden)
+                assert _draw_outcome(_distinct_expressions, seed, *args) == _draw_outcome(
+                    reference_distinct_expressions, seed, *args
+                )
+
+
+# Digest of _golden_obfuscations, captured with the universe-building
+# sampler (reference_distinct_expressions above) before drawing by index.
+GOLDEN_DIGEST = "09e06100f861c3f2ee1bae3396f2932eebf91f4ba5e5334d12ec3d751daffb79"
+
+
+def _golden_obfuscations():
+    """Rendered obfuscations plus key bits and bindings (or the error) for
+    seeded configs in all five strategies, with and without fake combining
+    statements, k = 2..4, then build_l0/build_l1 at two seeds."""
+    table = PatternTable()
+    table.operator_counts.update({"times": 7, "plus": 3, "minus": 2})
+    h = hashlib.sha256()
+
+    def put(obf, sel_key):
+        h.update(render_program(obf.program).encode())
+        h.update(repr(list(sel_key.bits.items())).encode())
+        h.update(repr(list(sel_key.bindings.items())).encode())
+
+    for seed in range(48):
+        rng = random.Random(seed)
+        # every eighth program outgrows _ENUMERATE_LIMIT as its pool grows
+        n = 70 if seed % 8 == 7 else 1 + seed % 6
+        program = random_linear_program(
+            rng, n_statements=n, n_inputs=1 + seed % 3, n_consts=seed % 2
+        )
+        for strategy in STRATEGIES:
+            for fakes in (0, 2):
+                cfg = ObfuscationConfig(
+                    mislead_factor=2 + seed % 3,
+                    strategy=strategy,
+                    pattern_table=table,
+                    fake_vars=("f0", "f1")[: seed % 3],
+                    fake_combining=fakes if seed % 3 else 0,
+                    seed=seed,
+                )
+                try:
+                    put(*obfuscate_statement_level(program, cfg))
+                except SelectcError as exc:
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+    for seed_args in ((), (7,)):
+        for build in (build_l0, build_l1):
+            demo = build(*seed_args)
+            put(demo.obf, demo.sel_key)
+    return h.hexdigest()
+
+
+def test_obfuscation_output_matches_the_golden_digest():
+    assert _golden_obfuscations() == GOLDEN_DIGEST
+
+
+def test_index_path_builds_only_the_picked_expressions(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return SimpleExpression(*args)
+
+    monkeypatch.setattr(obfuscate, "SimpleExpression", counting)
+    names = [f"v{i}" for i in range(32)]
+    assert len(ARITH_OPS) * len(names) ** 2 == _ENUMERATE_LIMIT
+    picks = _distinct_expressions(random.Random(1), 5, list(ARITH_OPS), names, {("ADD", "v0", "v1")})
+    assert len(built) == 5
+    assert len(set(picks)) == 5
+
+
+class _UnscannablePool(list):
+    """A pool that may be indexed and measured, but not walked or searched."""
+
+    def __iter__(self):
+        raise AssertionError("the sampler iterated the pool")
+
+    def __contains__(self, item):
+        raise AssertionError("the sampler searched the pool")
+
+
+@pytest.mark.parametrize("weights", [None, [1, 2, 3, 4]], ids=["uniform", "weighted"])
+def test_large_pool_is_never_scanned(weights):
+    pool = _UnscannablePool(f"v{i}" for i in range(65))
+    ops = list(ARITH_OPS) if weights else [Op.MUL]
+    assert len(ops) * len(pool) ** 2 > _ENUMERATE_LIMIT
+    picks = _distinct_expressions(random.Random(3), 4, ops, pool, {("MUL", "v0", "v1")}, weights)
+    assert len(set(picks)) == 4
+
+
+def test_statement_level_passes_one_pool_without_copying(monkeypatch):
+    pools = []
+    real = obfuscate.gen_misleading
+
+    def spy(stmt, cfg, rng, var_pool, *rest):
+        pools.append((var_pool, len(var_pool)))
+        return real(stmt, cfg, rng, var_pool, *rest)
+
+    monkeypatch.setattr(obfuscate, "gen_misleading", spy)
+    program = random_linear_program(random.Random(4), n_statements=5)
+    obfuscate_statement_level(program, ObfuscationConfig(fake_vars=("f0",)))
+    assert len({id(pool) for pool, _ in pools}) == 1
+    # the pool grows by each statement's target after its draw
+    assert [size for _, size in pools] == list(range(4, 9))
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "operand-only", "pattern-aware"])
+def test_pool_exhausted_exactly_when_usable_falls_below_count(strategy):
+    """One op and two names make four expressions, three usable."""
+    stmt = Assign("r", SimpleExpression(Op.MUL, "x", "y"))
+    table = PatternTable()
+
+    def options(k):
+        cfg = ObfuscationConfig(
+            mislead_factor=k, strategy=strategy, op_pool=(Op.MUL,), pattern_table=table
+        )
+        return gen_misleading(stmt, cfg, random.Random(0), ["x", "y"]).options
+
+    assert {(e.in1, e.in2) for e in options(4)} == {("x", "x"), ("y", "x"), ("y", "y")}
+    with pytest.raises(PoolExhaustedError, match="need 4 distinct statements but the pool only offers 3"):
+        options(5)
 
 
 # ------------------------------------------------------------- validation
