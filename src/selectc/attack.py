@@ -33,9 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
-
-import numpy as np
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError, EnumerationCapError
 from .field import Op, apply_op
@@ -136,9 +134,74 @@ def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Progra
     return dead_code_eliminate(cd.fold_plan.fold(choice))
 
 
+def _live_signature(cd: ClassDescriptor) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The class's map from a selection to its live signature.
+
+    A slot (live combining statement) is live under a selection if the
+    output reads it through assignments alone, or the chosen option of
+    a later live slot does. The signature keeps the choices at live
+    slots and puts -1 at dead ones: selections with one signature fold
+    to the same program, since a choice at a dead slot is dropped by
+    dead-code elimination, whatever it substitutes or inlines.
+
+    The slots each option reads are found in one forward pass over the
+    live statements, as bit masks over slot positions.
+    """
+    program = cd.obf.program
+    reach: dict[str, int] = {}  # variable -> slots it reads through assignments
+    cones: list[list[int]] = []  # slot -> option -> slots its source reads
+    for idx in cd.live_indices:
+        st = program.statements[idx]
+        if isinstance(st, Combine):
+            cones.append([reach.get(src, 0) for _, src in st.options])
+            reach[st.target] = 1 << (len(cones) - 1)
+        else:
+            reach[st.target] = reach.get(st.expr.in1, 0) | reach.get(st.expr.in2, 0)
+    out = reach.get(program.output, 0)
+    last = len(cones) - 1
+
+    def signature(selection: tuple[int, ...]) -> tuple[int, ...]:
+        live = out
+        sig = [-1] * len(cones)
+        for j in range(last, -1, -1):
+            if live >> j & 1:
+                choice = sig[j] = selection[j]
+                live |= cones[j][choice]
+        return tuple(sig)
+
+    return signature
+
+
+def _members(
+    cd: ClassDescriptor, candidates: Iterable[Candidate] | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Program]]:
+    """(selection, live signature, program) for each candidate, in order.
+
+    Without candidates, the whole class in product order. A program is
+    folded once per live signature: the first candidate's program, or a
+    fresh fold of its selection, serves every later one with the same
+    signature.
+    """
+    if candidates is None:
+        given = ((s, None) for s in itertools.product(*map(range, cd.option_counts())))
+    else:
+        given = ((c.selection, c.program) for c in candidates)
+    signature = _live_signature(cd)
+    programs: dict[tuple[int, ...], Program] = {}
+    for selection, program in given:
+        sig = signature(selection)
+        shared = programs.get(sig)
+        if shared is None:
+            if program is None:
+                program = realize_candidate(cd, selection)
+            shared = programs[sig] = program
+        yield selection, sig, shared
+
+
 def enumerate_candidates(cd: ClassDescriptor) -> Iterator[Candidate]:
-    for selection in itertools.product(*(range(n) for n in cd.option_counts())):
-        yield Candidate(selection=selection, program=realize_candidate(cd, selection))
+    """Every member in product order; members with one live signature share a Program."""
+    for selection, _, program in _members(cd):
+        yield Candidate(selection=selection, program=program)
 
 
 def kpa_filter(
@@ -250,32 +313,24 @@ def rank_candidates(
     p(candidate) is proportional to the product of smoothed relative
     frequencies of its statement operations; probabilities are
     normalized over the enumerated candidates. Ties are broken by
-    canonical serialization so the order is reproducible. The
-    canonical key is computed once per distinct program: candidates
-    of one class share inputs and consts, so their statements identify
-    the program.
+    canonical serialization so the order is reproducible. Without
+    candidates the whole class is ranked. Each live signature (see
+    _live_signature) is folded, scored and keyed once, for its first
+    member; the members that share it share its Program.
     """
-    if candidates is None:
-        if cd.class_size > cap:
-            raise EnumerationCapError(cd.class_size, cap)
-        candidates = list(enumerate_candidates(cd))
+    if candidates is None and cd.class_size > cap:
+        raise EnumerationCapError(cd.class_size, cap)
     scores, default = _statement_log_scores(table)
-    keys: dict[tuple, str] = {}
+    graded: dict[tuple[int, ...], tuple[float, str]] = {}
     ranked: list[RankedCandidate] = []
-    for cand in candidates:
-        stmts = tuple(cand.program.statements)
-        key = keys.get(stmts)
-        if key is None:
-            key = keys[stmts] = canonical_key(cand.program, False)
-        logs = sorted(
-            scores.get(st.expr.op.value, -default) for st in cand.program.statements
-        )
+    for selection, sig, program in _members(cd, candidates):
+        entry = graded.get(sig)
+        if entry is None:
+            logs = sorted(scores.get(st.expr.op.value, -default) for st in program.statements)
+            entry = graded[sig] = (math.fsum(logs), canonical_key(program, False))
         ranked.append(
             RankedCandidate(
-                selection=cand.selection,
-                program=cand.program,
-                log_score=math.fsum(logs),
-                key=key,
+                selection=selection, program=program, log_score=entry[0], key=entry[1]
             )
         )
     ranked.sort(key=lambda rc: (-rc.log_score, rc.key))
@@ -422,6 +477,8 @@ def game_simulate(
         raise ConfigError(f"unknown obfuscator strategy {obf_strategy!r}")
     if att_strategy not in ATT_STRATEGIES:
         raise ConfigError(f"unknown attacker strategy {att_strategy!r}")
+    import numpy as np  # only the simulation needs it; keep it off `import selectc`
+
     rng = np.random.default_rng(derive_seed(seed, "guessing-game"))
     is_f = rng.random(trials) < p_l
     confidential = np.where(is_f, 0, rng.integers(1, n, size=trials))

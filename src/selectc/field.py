@@ -96,7 +96,7 @@ def apply_op(op: Op, a: int, b: int, prime: int = FIELD_PRIME) -> int:
     if op is Op.DIV:
         if b == 0:
             return 0
-        return (a * pow(b, prime - 2, prime)) % prime
+        return (a * pow(b, -1, prime)) % prime
     sa = signed(a, prime)
     sb = signed(b, prime)
     if op is Op.EQ:

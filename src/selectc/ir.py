@@ -29,7 +29,7 @@ from .errors import FormatError, UnboundVariableError
 from .field import FIELD_PRIME, Op, apply_op, is_prime, op_from_name, signed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleExpression:
     """One operation applied to two input variables."""
 
@@ -41,7 +41,7 @@ class SimpleExpression:
         return f"{self.op} {self.in1} {self.in2}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     target: str
     expr: SimpleExpression
@@ -50,7 +50,7 @@ class Assign:
         return f"{self.target} := {self.expr.render()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Combine:
     """target := sum over options of selector * source.
 
@@ -237,13 +237,18 @@ def live_statement_indices(program: Program) -> list[int]:
     """Indices of statements whose targets reach the output, in order."""
     if not program.statements:
         return []
+    stmts = program.statements
     live = {program.output}
     keep: list[int] = []
-    for idx in range(len(program.statements) - 1, -1, -1):
-        st = program.statements[idx]
+    for idx in range(len(stmts) - 1, -1, -1):
+        st = stmts[idx]
         if st.target in live:
             keep.append(idx)
-            live.update(statement_operands(st))
+            if isinstance(st, Assign):
+                live.add(st.expr.in1)
+                live.add(st.expr.in2)
+            else:
+                live.update(src for _, src in st.options)
     keep.reverse()
     return keep or [len(program.statements) - 1]
 
@@ -364,6 +369,23 @@ def fold_combines(program: Program, selection: dict[int, int]) -> Program:
     return FoldPlan(program).fold(selection)
 
 
+def _temporary_names(statements: list[Statement], fixed: set[str]) -> dict[str, str]:
+    """Rename map t0, t1, ... for the targets outside fixed, in statement order.
+
+    A name already in fixed is skipped, so no temporary collides with an
+    input or const.
+    """
+    rename: dict[str, str] = {}
+    counter = 0
+    for st in statements:
+        if st.target not in fixed and st.target not in rename:
+            while f"t{counter}" in fixed:
+                counter += 1
+            rename[st.target] = f"t{counter}"
+            counter += 1
+    return rename
+
+
 def normalize(program: Program) -> Program:
     """Canonical form: dead code removed, temporaries renumbered t0, t1, ...
 
@@ -372,15 +394,7 @@ def normalize(program: Program) -> Program:
     dead statements normalize to equal values.
     """
     p = dead_code_eliminate(program)
-    fixed = set(p.inputs) | set(p.consts)
-    rename: dict[str, str] = {}
-    counter = 0
-    for st in p.statements:
-        if st.target not in fixed and st.target not in rename:
-            while f"t{counter}" in fixed:
-                counter += 1
-            rename[st.target] = f"t{counter}"
-            counter += 1
+    rename = _temporary_names(p.statements, set(p.inputs) | set(p.consts))
 
     def rn(v: str) -> str:
         return rename.get(v, v)
@@ -393,9 +407,7 @@ def normalize(program: Program) -> Program:
             )
         else:
             stmts.append(Combine(rn(st.target), tuple((s, rn(v)) for s, v in st.options)))
-    refs = set()
-    for st in stmts:
-        refs.update(statement_operands(st))
+    refs = referenced_vars(p)
     consts = {v: val for v, val in p.consts.items() if v in refs}
     return Program(inputs=list(p.inputs), statements=stmts, consts=consts, prime=p.prime)
 
@@ -403,24 +415,43 @@ def normalize(program: Program) -> Program:
 def canonical_key(program: Program, with_const_values: bool = True) -> str:
     """Stable identity string for program comparisons.
 
-    Normalizes first, then renders referenced terminals and statements.
-    With with_const_values=False, const variables count as opaque named
+    Renders normalize(program): its referenced terminals, then its
+    statements. It is rendered from one liveness pass and one rename
+    map, without building the normalized program. With
+    with_const_values=False, const variables count as opaque named
     inputs and their values are dropped; that is the right identity for
     class membership, where one side holds the bindings and the other
     side sees the same variables as plain inputs.
     """
-    p = normalize(program)
-    refs = referenced_vars(p)
-    parts: list[str] = []
+    stmts = [program.statements[i] for i in live_statement_indices(program)]
+    fixed = set(program.inputs) | set(program.consts)
+    rename = _temporary_names(stmts, fixed)
+    get = rename.get
+    refs: set[str] = set()
+    body: list[str] = []
+    for st in stmts:
+        target = get(st.target, st.target)
+        if isinstance(st, Assign):
+            in1, in2 = st.expr.in1, st.expr.in2
+            refs.add(in1)
+            refs.add(in2)
+            body.append(f"{target} := {st.expr.op.value} {get(in1, in1)} {get(in2, in2)}")
+        else:
+            refs.update(src for _, src in st.options)
+            opts = " ".join(f"({s},{get(v, v)})" for s, v in st.options)
+            body.append(f"{target} := COMBINE {opts}")
+    # renaming never maps onto an input or const, so the terminals are
+    # the original reads that are inputs or consts
     if with_const_values:
-        ins = sorted(v for v in p.inputs if v in refs)
-        parts.append("in " + ",".join(ins))
-        parts.extend(f"const {v}={signed(p.consts[v], p.prime)}" for v in sorted(p.consts))
+        parts = ["in " + ",".join(sorted(v for v in program.inputs if v in refs))]
+        parts.extend(
+            f"const {v}={signed(program.consts[v], program.prime)}"
+            for v in sorted(program.consts)
+            if v in refs
+        )
     else:
-        ins = sorted((set(p.inputs) | set(p.consts)) & refs)
-        parts.append("in " + ",".join(ins))
-    parts.extend(st.render() for st in p.statements)
-    return " ; ".join(parts)
+        parts = ["in " + ",".join(sorted(fixed & refs))]
+    return " ; ".join(parts + body)
 
 
 _COMBINE_OPT = re.compile(r"^\(([^\s,()]+),([^\s,()]+)\)$")

@@ -41,6 +41,12 @@ _KEYWORDS = {"if", "else", "then", "for", "bound", "array", "not"}
 # (see left_spine) instead of recursing once per operator.
 MAX_NESTING = 100
 
+# Largest array the parser accepts, in cells. Lowering names every cell,
+# and an index that is not a literal scans every cell with three
+# statements, so a larger array could be read that way only a few times
+# before lowering's statement cap.
+MAX_ARRAY_SIZE = 10_000
+
 
 @dataclass(frozen=True)
 class Lit:
@@ -205,6 +211,12 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def int_value(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise self.fail(f"integer literal of {len(tok.text)} digits is too long", tok) from None
+
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
@@ -241,9 +253,11 @@ class _Parser:
         if size_tok.kind != "int":
             raise self.fail("expected array size literal", size_tok)
         self.expect("]")
-        size = int(size_tok.text)
+        size = self.int_value(size_tok)
         if size < 1:
             raise self.fail("array size must be positive", size_tok)
+        if size > MAX_ARRAY_SIZE:
+            raise self.fail(f"array size above {MAX_ARRAY_SIZE} cells", size_tok)
         if name_tok.text in self.arrays:
             raise self.fail(f"array {name_tok.text!r} declared twice", name_tok)
         self.arrays[name_tok.text] = size
@@ -319,7 +333,7 @@ class _Parser:
         bound_tok = self.next()
         if bound_tok.kind != "int":
             raise self.fail("expected loop bound literal", bound_tok)
-        bound = int(bound_tok.text)
+        bound = self.int_value(bound_tok)
         if bound < 1:
             raise self.fail("loop bound must be positive", bound_tok)
         body = self.parse_block()
@@ -378,7 +392,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "int":
-            return Lit(int(tok.text))
+            return Lit(self.int_value(tok))
         if tok.text == "(":
             inner = self.parse_expr()
             self.expect(")")

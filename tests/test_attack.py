@@ -1,10 +1,16 @@
 """Attacker harness: class extraction, KPA filtering, ranking, the game."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
+
+import selectc
 
 from selectc.attack import (
     extract_class,
@@ -370,3 +376,16 @@ def test_game_strategy_validation():
         game_simulate(0.5, 11, trials=10, obf_strategy="nope")
     with pytest.raises(ConfigError):
         game_simulate(0.5, 11, trials=10, att_strategy="nope")
+
+
+def test_importing_selectc_leaves_numpy_unloaded():
+    """Only the guessing-game simulation needs numpy; it imports it itself."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(selectc.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, selectc; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"

@@ -124,6 +124,17 @@ def test_deep_nesting_is_domain_error(tmp_path, capsys, text):
     assert "nesting deeper than" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["99999999999999999999", "9" * 5000])
+def test_oversized_array_is_domain_error(tmp_path, capsys, size):
+    """Refused by the parser, before lowering names a single cell."""
+    src = write(tmp_path / "big.src", f"array a[{size}]\nr := a[0] + x\n")
+    argv = ["obfuscate", src, "-o", str(tmp_path / "o.obf"), "--key", str(tmp_path / "o.key")]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1, col 9:")
+
+
 def chain(terms):
     return "r := " + " + ".join(["x"] * terms) + "\n"
 

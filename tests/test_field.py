@@ -1,6 +1,8 @@
 """Field arithmetic over Z_p with comparisons on signed representatives."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from selectc.field import (
     ALL_OPS,
@@ -75,6 +77,16 @@ def test_division_is_field_inverse():
 def test_division_by_zero_yields_zero():
     assert apply_op(Op.DIV, 17, 0) == 0
     assert apply_op(Op.DIV, 0, 0) == 0
+
+
+@given(
+    hst.sampled_from([P, 2, 3, 5, 7, 13, 251, 65521]),
+    hst.integers(-(2**70), 2**70),
+    hst.integers(-(2**70), 2**70),
+)
+def test_division_agrees_with_the_fermat_inverse(prime, a, b):
+    want = 0 if b % prime == 0 else a * pow(b % prime, prime - 2, prime) % prime
+    assert apply_op(Op.DIV, a, b, prime) == want
 
 
 def test_comparisons_use_signed_order():

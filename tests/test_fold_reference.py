@@ -2,11 +2,13 @@
 
 The reference functions below are the straightforward versions that
 rebuild every piece of fold metadata for each candidate, compute
-canonical keys and ranks naively, and filter on known pairs by folding
+canonical keys by building the normalized program and rendering it,
+rank every selection on its own, and filter on known pairs by folding
 and evaluating every candidate. The library folds through a plan built
-once per program, keys each distinct program once, finds ranks by
-bisection and filters by walking the obfuscated program; it must agree
-with these references exactly.
+once per program, folds, scores and keys each live signature once,
+renders keys from one liveness pass, finds ranks by bisection and
+filters by walking the obfuscated program; it must agree with these
+references exactly.
 """
 
 import functools
@@ -24,20 +26,23 @@ from selectc.attack import (
     DEFAULT_CAP,
     extract_class,
     kpa_filter,
+    rank_candidates,
     realize_candidate,
     run_attack,
 )
 from selectc.demos import build_l0, build_l1
 from selectc.errors import EnumerationCapError, UnboundVariableError
-from selectc.field import Op
+from selectc.field import FIELD_PRIME, Op, signed
 from selectc.generate import random_inputs, random_linear_program
 from selectc.ir import (
     Assign,
+    Combine,
     Program,
     SimpleExpression,
     canonical_key,
     eval_plain,
     fold_combines,
+    normalize,
     render_program,
     statement_operands,
 )
@@ -131,8 +136,50 @@ def reference_realize(cd, selection):
     return reference_dce(reference_fold(cd.obf.program, choice))
 
 
-def reference_ranking(members, table, truth):
-    """(selection, log_score, prob) best first, and the naive min rank.
+def reference_normalize(program):
+    p = reference_dce(program)
+    fixed = set(p.inputs) | set(p.consts)
+    rename = {}
+    counter = 0
+    for st in p.statements:
+        if st.target not in fixed and st.target not in rename:
+            while f"t{counter}" in fixed:
+                counter += 1
+            rename[st.target] = f"t{counter}"
+            counter += 1
+
+    def rn(v):
+        return rename.get(v, v)
+
+    stmts = []
+    for st in p.statements:
+        if isinstance(st, Assign):
+            stmts.append(
+                Assign(rn(st.target), SimpleExpression(st.expr.op, rn(st.expr.in1), rn(st.expr.in2)))
+            )
+        else:
+            stmts.append(Combine(rn(st.target), tuple((s, rn(v)) for s, v in st.options)))
+    refs = {v for st in stmts for v in statement_operands(st)}
+    consts = {v: val for v, val in p.consts.items() if v in refs}
+    return Program(inputs=list(p.inputs), statements=stmts, consts=consts, prime=p.prime)
+
+
+def reference_canonical_key(program, with_const_values=True):
+    """Normalize, then render the referenced terminals and the statements."""
+    p = reference_normalize(program)
+    refs = {v for st in p.statements for v in statement_operands(st)}
+    if with_const_values:
+        parts = ["in " + ",".join(sorted(v for v in p.inputs if v in refs))]
+        parts.extend(f"const {v}={signed(p.consts[v], p.prime)}" for v in sorted(p.consts))
+    else:
+        parts = ["in " + ",".join(sorted((set(p.inputs) | set(p.consts)) & refs))]
+    parts.extend(st.render() for st in p.statements)
+    return " ; ".join(parts)
+
+
+def reference_ranking(members, table, truth=None):
+    """(selection, log_score, prob, key, rendered program) best first, and
+    the naive min rank of truth.
 
     members lists (selection, reference program) for the whole class.
     """
@@ -146,17 +193,25 @@ def reference_ranking(members, table, truth):
             math.log1p(counts.get(s.expr.op.value, 0) / total) - denom
             for s in program.statements
         )
-        rows.append([selection, math.fsum(logs), canonical_key(program, False)])
+        rows.append([selection, math.fsum(logs), reference_canonical_key(program, False), program])
     rows.sort(key=lambda row: (-row[1], row[2]))
     peak = max(row[1] for row in rows)
     weights = [math.exp(row[1] - peak) for row in rows]
     norm = math.fsum(weights)
-    truth_key = canonical_key(truth, False)
+    truth_key = reference_canonical_key(truth, False) if truth is not None else None
     ranks = [
         sum(1 for other in rows if other[1] >= row[1]) for row in rows if row[2] == truth_key
     ]
-    ranked = [(row[0], row[1], w / norm) for row, w in zip(rows, weights)]
+    ranked = [
+        (row[0], row[1], w / norm, row[2], render_program(row[3])) for row, w in zip(rows, weights)
+    ]
     return ranked, min(ranks) if ranks else None
+
+
+def ranked_rows(ranked):
+    return [
+        (rc.selection, rc.log_score, rc.prob, rc.key, render_program(rc.program)) for rc in ranked
+    ]
 
 
 def reference_kpa_filter(cd, pairs, cap=DEFAULT_CAP, members=None):
@@ -192,7 +247,7 @@ def assert_class_matches_reference(obf, truth):
         members.append((selection, want))
     report = run_attack(obf, table=TABLE, truth=[truth])
     ranked, min_rank = reference_ranking(members, TABLE, truth)
-    assert [(rc.selection, rc.log_score, rc.prob) for rc in report.ranked] == ranked
+    assert ranked_rows(report.ranked) == ranked
     assert report.min_rank == min_rank
 
 
@@ -246,6 +301,47 @@ def test_random_class_folds_like_the_reference(case):
             )
 
 
+# ------------------------------------------------------- canonical keys
+
+NAMES = ("x", "y", "k0", "t0", "t1", "t2", "u", "v")
+
+
+@hst.composite
+def loose_programs(draw):
+    """Programs over a small name pool, checked by no one.
+
+    Inputs, consts and targets may be named t0, t1, ...; consts may be
+    unused or also listed as inputs; targets may repeat or shadow an
+    input; statements may be dead or combining.
+    """
+    name = hst.sampled_from(NAMES)
+    prime = draw(hst.sampled_from([FIELD_PRIME, 7]))
+    inputs = draw(hst.lists(name, max_size=4))
+    consts = draw(hst.dictionaries(name, hst.integers(0, prime - 1), max_size=3))
+    statements = []
+    for _ in range(draw(hst.integers(1, 8))):
+        target = draw(name)
+        if draw(hst.integers(0, 3)) == 0:
+            sources = draw(hst.lists(name, min_size=2, max_size=3))
+            statements.append(
+                Combine(target, tuple((f"s{i}", v) for i, v in enumerate(sources)))
+            )
+        else:
+            op = draw(hst.sampled_from(list(Op)))
+            statements.append(Assign(target, SimpleExpression(op, draw(name), draw(name))))
+    return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_programs())
+def test_canonical_key_renders_what_the_reference_renders(program):
+    assert normalize(program) == reference_normalize(program)
+    for with_const_values in (True, False):
+        assert canonical_key(program, with_const_values) == reference_canonical_key(
+            program, with_const_values
+        )
+
+
 # ------------------------------------------------------------------- KPA
 
 def seeded_pairs(cd, count, seed):
@@ -264,10 +360,14 @@ def seeded_pairs(cd, count, seed):
 
 
 def assert_kpa_matches_reference(cd, pairs, members=None):
+    """The survivors, and their ranking, are the reference's."""
     want = reference_kpa_filter(cd, pairs, members=members)
     got = kpa_filter(cd, pairs)
     assert [c.selection for c in got] == [sel for sel, _ in want]
     assert [render_program(c.program) for c in got] == [render_program(p) for _, p in want]
+    if want:
+        ranked = rank_candidates(cd, table=TABLE, candidates=got)
+        assert ranked_rows(ranked) == reference_ranking(want, TABLE)[0]
 
 
 @functools.cache
@@ -345,3 +445,27 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     survivors = kpa_filter(cd, pairs)
     assert len(folded) == first
     assert 1 <= len(survivors) <= first < cd.class_size // 100
+
+
+@pytest.mark.parametrize("level, folds", [("l0", 12_500), ("l1", 1_861)])
+def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
+    """The work-shape guard: one fold per live signature, not per selection.
+
+    In l1 a choice in a slot that later choices leave dead changes
+    nothing, so its 15,625 selections have 1,861 live signatures; in l0
+    every selection has its own. On both, signatures and distinct
+    programs coincide.
+    """
+    demo, cd, _ = demo_class(level)
+    folded = []
+
+    def counting(cd, selection):
+        folded.append(selection)
+        return realize_candidate(cd, selection)
+
+    monkeypatch.setattr(attack, "realize_candidate", counting)
+    report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
+    assert len(folded) == folds
+    assert report.enumerated == cd.class_size
+    assert len({rc.key for rc in report.ranked}) == folds
+    assert len({id(rc.program) for rc in report.ranked}) == folds

@@ -274,3 +274,9 @@ def test_strip_const_values_moves_consts_to_inputs():
              inputs=["x"], consts={"k": 3})
     s = strip_const_values(p)
     assert s.consts == {} and set(s.inputs) == {"x", "k"}
+
+
+def test_statement_nodes_have_no_instance_dict():
+    expr = SimpleExpression(Op.ADD, "x", "y")
+    for node in (expr, Assign("r", expr), Combine("r", (("s0", "x"), ("s1", "y")))):
+        assert not hasattr(node, "__dict__")

@@ -4,6 +4,7 @@ import pytest
 
 from selectc.errors import ParseError, UnboundVariableError
 from selectc.surface import (
+    MAX_ARRAY_SIZE,
     AssignStmt,
     Binary,
     ForStmt,
@@ -93,6 +94,27 @@ def test_array_declaration_and_indexing():
     assert sp.arrays == {"a": 4}
     first = sp.statements[0]
     assert first.value == Index("a", Lit(0))
+
+
+def test_array_size_is_capped():
+    assert parse_surface(f"array a[{MAX_ARRAY_SIZE}]\nr := a[0]\n").arrays == {"a": MAX_ARRAY_SIZE}
+    for size in (MAX_ARRAY_SIZE + 1, 10**20):
+        with pytest.raises(ParseError, match="array size above"):
+            parse_surface(f"array a[{size}]\nr := a[0]\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "array a[{n}]\nr := a[0]\n",
+        "r := {n} + x\n",
+        "for (i := 0; i < x; i := i + 1) bound {n} {{ r := i }}\n",
+    ],
+    ids=["array", "literal", "bound"],
+)
+def test_integer_literal_beyond_int_conversion_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="5000 digits is too long"):
+        parse_surface(text.format(n="9" * 5000))
 
 
 def test_array_use_without_index_rejected():
