@@ -32,21 +32,25 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import ConfigError, EnumerationCapError
-from .field import Op, apply_op
+from .field import OP_NAMES, Op
 from .ir import (
+    Assign,
     Combine,
     FoldPlan,
     Program,
+    SimpleExpression,
+    Statement,
     canonical_key,
     check_single_assignment,
-    dead_code_eliminate,
     eval_plain,
+    field_apply,
     field_env,
     live_statement_indices,
+    render_key,
     require_inputs,
     run_statements,
 )
@@ -69,6 +73,11 @@ class ClassDescriptor:
 
     def option_counts(self) -> list[int]:
         return [len(opts) for opts in self.options]
+
+    @cached_property
+    def cones(self) -> "_MemberCones":
+        """Built on the first fold or signature, after any cap check."""
+        return _MemberCones(self)
 
 
 @dataclass
@@ -129,47 +138,152 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
 
 
 def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Program:
-    """Fold the obfuscated program to one member of its class."""
-    choice = dict(zip(cd.combine_indices, selection))
-    return dead_code_eliminate(cd.fold_plan.fold(choice))
+    """Fold the obfuscated program to one member of its class.
 
-
-def _live_signature(cd: ClassDescriptor) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The class's map from a selection to its live signature.
-
-    A slot (live combining statement) is live under a selection if the
-    output reads it through assignments alone, or the chosen option of
-    a later live slot does. The signature keeps the choices at live
-    slots and puts -1 at dead ones: selections with one signature fold
-    to the same program, since a choice at a dead slot is dropped by
-    dead-code elimination, whatever it substitutes or inlines.
-
-    The slots each option reads are found in one forward pass over the
-    live statements, as bit masks over slot positions.
+    Emits the member's live statements only (see _MemberCones.fold), so
+    the result equals dead_code_eliminate of the full fold under the
+    same choices, without building that fold.
     """
     program = cd.obf.program
-    reach: dict[str, int] = {}  # variable -> slots it reads through assignments
-    cones: list[list[int]] = []  # slot -> option -> slots its source reads
-    for idx in cd.live_indices:
-        st = program.statements[idx]
-        if isinstance(st, Combine):
-            cones.append([reach.get(src, 0) for _, src in st.options])
-            reach[st.target] = 1 << (len(cones) - 1)
-        else:
-            reach[st.target] = reach.get(st.expr.in1, 0) | reach.get(st.expr.in2, 0)
-    out = reach.get(program.output, 0)
-    last = len(cones) - 1
+    return Program(
+        inputs=list(program.inputs),
+        statements=cd.cones.fold(selection),
+        consts=dict(program.consts),
+        prime=program.prime,
+    )
 
-    def signature(selection: tuple[int, ...]) -> tuple[int, ...]:
-        live = out
-        sig = [-1] * len(cones)
-        for j in range(last, -1, -1):
+
+class _MemberCones:
+    """What each choice keeps live, built once per class on first use.
+
+    A slot is a live combining statement. For the output, and for every
+    option of every slot, it records two things:
+
+      * reach: the slots read through assignments alone, as a bit mask
+        over slot positions;
+      * cone: the indices of the statements that stay live, found by
+        walking definitions from the option and stopping at slot targets
+        and terminals. An option fold inlines keeps its slot's position
+        (there it becomes target := definition) and its definition's
+        operand cones; the definition, which only the slot reads, goes.
+
+    extract_class has checked single assignment, so a variable's
+    definition comes before its readers and the masks of a slot's
+    options name earlier slots only. Each walk costs its cone, and there
+    are no more options than class members, so building never costs
+    more than enumerating the class.
+    """
+
+    def __init__(self, cd: ClassDescriptor):
+        program = cd.obf.program
+        stmts = self.statements = program.statements
+        defs: dict[str, int] = {}  # assignment target -> its index
+        reach: dict[str, int] = {}  # variable -> slots it reads through assignments
+        slots: list[int] = []
+        self.reach: list[list[int]] = []  # slot -> option -> slots its source reads
+        for idx in cd.live_indices:
+            st = stmts[idx]
+            if isinstance(st, Combine):
+                self.reach.append([reach.get(src, 0) for _, src in st.options])
+                reach[st.target] = 1 << len(slots)
+                slots.append(idx)
+            else:
+                defs[st.target] = idx
+                reach[st.target] = reach.get(st.expr.in1, 0) | reach.get(st.expr.in2, 0)
+
+        def cone(*roots: str) -> set[int]:
+            keep: set[int] = set()
+            stack = list(roots)
+            while stack:
+                idx = defs.get(stack.pop())
+                if idx is not None and idx not in keep:
+                    keep.add(idx)
+                    expr = stmts[idx].expr
+                    stack += (expr.in1, expr.in2)
+            return keep
+
+        self.out = reach.get(program.output, 0)
+        self.out_cone = cone(program.output)
+        # slot -> option -> (cone, slot index, source, inlined definition)
+        self.options: list[list[tuple[set[int], int, str, Assign | None]]] = []
+        for idx in slots:
+            row = []
+            for _, src in stmts[idx].options:
+                definition = cd.fold_plan.inlined(src)
+                if definition is None:
+                    row.append((cone(src), idx, src, None))
+                else:
+                    expr = definition.expr
+                    row.append((cone(expr.in1, expr.in2) | {idx}, idx, src, definition))
+            self.options.append(row)
+
+    def signature(self, selection: tuple[int, ...]) -> tuple[int, ...]:
+        """The selection's live signature.
+
+        A slot is live under a selection if the output reads it through
+        assignments alone, or the chosen option of a later live slot
+        does. The signature keeps the choices at live slots and puts -1
+        at dead ones: selections with one signature fold to the same
+        program, since a choice at a dead slot keeps nothing live,
+        whatever it substitutes or inlines.
+        """
+        live = self.out
+        reach = self.reach
+        sig = [-1] * len(reach)
+        for j in range(len(reach) - 1, -1, -1):
             if live >> j & 1:
                 choice = sig[j] = selection[j]
-                live |= cones[j][choice]
+                live |= reach[j][choice]
         return tuple(sig)
 
-    return signature
+    def fold(self, selection: tuple[int, ...]) -> list[Statement]:
+        """The member's live statements, in program order.
+
+        The union of the output's cone and the chosen options' cones at
+        live slots, walked from the last slot to the first as signature
+        does. A slot whose option is inlined becomes target := its
+        definition; any other chosen source substitutes for the slot's
+        target in the statements that read it. Untouched assignments
+        are the obfuscated program's own statement objects.
+        """
+        live = self.out
+        keep = set(self.out_cone)
+        chosen = []
+        reach = self.reach
+        options = self.options
+        for j in range(len(reach) - 1, -1, -1):
+            if live >> j & 1:
+                choice = selection[j]
+                if not 0 <= choice < len(reach[j]):
+                    idx = options[j][0][1]
+                    raise ValueError(f"option index {choice} out of range at statement {idx}")
+                live |= reach[j][choice]
+                option = options[j][choice]
+                keep.update(option[0])
+                chosen.append(option)
+        stmts = self.statements
+        subst: dict[str, str] = {}
+        inlined: dict[int, Assign] = {}
+        for _, idx, src, definition in reversed(chosen):  # in program order, as fold resolves
+            if definition is None:
+                subst[stmts[idx].target] = subst.get(src, src)
+            else:
+                inlined[idx] = definition
+        get = subst.get
+        out: list[Statement] = []
+        for idx in sorted(keep):
+            st = stmts[idx]
+            definition = inlined.get(idx)
+            expr = st.expr if definition is None else definition.expr
+            in1, in2 = expr.in1, expr.in2
+            new1, new2 = get(in1, in1), get(in2, in2)
+            if new1 is not in1 or new2 is not in2:
+                out.append(Assign(st.target, SimpleExpression(expr.op, new1, new2)))
+            elif definition is not None:
+                out.append(Assign(st.target, expr))
+            else:
+                out.append(st)
+        return out
 
 
 def _members(
@@ -186,7 +300,7 @@ def _members(
         given = ((s, None) for s in itertools.product(*map(range, cd.option_counts())))
     else:
         given = ((c.selection, c.program) for c in candidates)
-    signature = _live_signature(cd)
+    signature = cd.cones.signature
     programs: dict[tuple[int, ...], Program] = {}
     for selection, program in given:
         sig = signature(selection)
@@ -263,7 +377,7 @@ def _first_pair_selections(
         else:
             segments[-1].append(st)
     runs = [Program(inputs=[], statements=seg, prime=program.prime) for seg in segments]
-    apply = partial(apply_op, prime=program.prime)
+    apply = field_apply(program.prime)
     want = output % program.prime
     run_statements(runs[0], env, {}, apply)
     choice = [-1] * len(slots)
@@ -315,19 +429,23 @@ def rank_candidates(
     normalized over the enumerated candidates. Ties are broken by
     canonical serialization so the order is reproducible. Without
     candidates the whole class is ranked. Each live signature (see
-    _live_signature) is folded, scored and keyed once, for its first
-    member; the members that share it share its Program.
+    _MemberCones.signature) is folded, scored and keyed once, for its
+    first member; the members that share it share its Program. A
+    member holds its live statements only, so its key is rendered
+    without a liveness pass.
     """
     if candidates is None and cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
-    scores, default = _statement_log_scores(table)
+    scores, _ = _statement_log_scores(table)
+    op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     graded: dict[tuple[int, ...], tuple[float, str]] = {}
     ranked: list[RankedCandidate] = []
     for selection, sig, program in _members(cd, candidates):
         entry = graded.get(sig)
         if entry is None:
-            logs = sorted(scores.get(st.expr.op.value, -default) for st in program.statements)
-            entry = graded[sig] = (math.fsum(logs), canonical_key(program, False))
+            stmts = program.statements
+            logs = sorted(op_scores[st.expr.op] for st in stmts)
+            entry = graded[sig] = (math.fsum(logs), render_key(program, stmts, False))
         ranked.append(
             RankedCandidate(
                 selection=selection, program=program, log_score=entry[0], key=entry[1]

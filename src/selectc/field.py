@@ -27,6 +27,10 @@ class Op(Enum):
     GT = "GT"
     GE = "GE"
 
+    # Members are singletons compared by identity. Enum's own __hash__ is a
+    # Python call on every Op-keyed lookup; the identity hash is not.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -36,6 +40,8 @@ COMPARISON_OPS = (Op.EQ, Op.NEQ, Op.LT, Op.LE, Op.GT, Op.GE)
 ALL_OPS = tuple(Op)
 
 _OP_BY_NAME = {op.value: op for op in Op}
+# for per-statement paths: a dict lookup, where Op.value is a property call
+OP_NAMES = {op: op.value for op in Op}
 
 
 def op_from_name(name: str) -> Op:

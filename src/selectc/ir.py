@@ -22,11 +22,10 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any
 
 from .errors import FormatError, UnboundVariableError
-from .field import FIELD_PRIME, Op, apply_op, is_prime, op_from_name, signed
+from .field import FIELD_PRIME, OP_NAMES, Op, apply_op, is_prime, op_from_name, signed
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +179,19 @@ def field_env(program: Program, inputs: dict[str, int]) -> dict[str, int]:
     return env
 
 
+def field_apply(prime: int) -> Callable[[Op, int, int], int]:
+    """apply_op at prime, for run_statements.
+
+    A closure, not partial(apply_op, prime=prime): CPython copies a
+    partial's keyword arguments on every call.
+    """
+
+    def apply(op: Op, a: int, b: int) -> int:
+        return apply_op(op, a, b, prime)
+
+    return apply
+
+
 def eval_env(
     program: Program,
     inputs: dict[str, int],
@@ -192,9 +204,7 @@ def eval_env(
     """
     prime = program.prime
     sel = {s: bit % prime for s, bit in selectors.items()} if selectors else {}
-    return run_statements(
-        program, field_env(program, inputs), sel, partial(apply_op, prime=prime)
-    )
+    return run_statements(program, field_env(program, inputs), sel, field_apply(prime))
 
 
 def eval_plain(
@@ -304,6 +314,11 @@ class FoldPlan:
             for idx, st in enumerate(stmts)
             if isinstance(st, Combine) or st.expr.in1 in combined or st.expr.in2 in combined
         ]
+
+    def inlined(self, var: str) -> Assign | None:
+        """The assignment fold inlines for a combining statement that picks
+        var, or None where var substitutes for its target downstream."""
+        return self._inline.get(var)
 
     def fold(self, selection: dict[int, int]) -> Program:
         """Resolve every combining statement to one chosen option.
@@ -423,7 +438,18 @@ def canonical_key(program: Program, with_const_values: bool = True) -> str:
     class membership, where one side holds the bindings and the other
     side sees the same variables as plain inputs.
     """
-    stmts = [program.statements[i] for i in live_statement_indices(program)]
+    live = [program.statements[i] for i in live_statement_indices(program)]
+    return render_key(program, live, with_const_values)
+
+
+def render_key(
+    program: Program, stmts: list[Statement], with_const_values: bool = True
+) -> str:
+    """canonical_key of program, given its live statements in order.
+
+    A program whose statements are all live, such as a folded class
+    member, passes its own statements and needs no liveness pass.
+    """
     fixed = set(program.inputs) | set(program.consts)
     rename = _temporary_names(stmts, fixed)
     get = rename.get
@@ -435,7 +461,7 @@ def canonical_key(program: Program, with_const_values: bool = True) -> str:
             in1, in2 = st.expr.in1, st.expr.in2
             refs.add(in1)
             refs.add(in2)
-            body.append(f"{target} := {st.expr.op.value} {get(in1, in1)} {get(in2, in2)}")
+            body.append(f"{target} := {OP_NAMES[st.expr.op]} {get(in1, in1)} {get(in2, in2)}")
         else:
             refs.update(src for _, src in st.options)
             opts = " ".join(f"({s},{get(v, v)})" for s, v in st.options)

@@ -24,6 +24,7 @@ result, so the attacker faces a 1-in-k guess at linear cost.
 
 from __future__ import annotations
 
+import itertools
 import typing
 from dataclasses import dataclass, field
 from functools import partial
@@ -193,11 +194,13 @@ def _distinct_expressions(
             picked.append(SimpleExpression(op_choices[o], var_choices[a], var_choices[b]))
         return picked
     seen = set(forbidden)
+    # choices accumulates weights on every call; handing it the sums draws the same
+    cum_weights = None if op_weights is None else list(itertools.accumulate(op_weights))
     while len(picked) < count:
-        if op_weights is None:
+        if cum_weights is None:
             op = rng.choice(op_choices)
         else:
-            op = rng.choices(op_choices, weights=op_weights, k=1)[0]
+            op = rng.choices(op_choices, cum_weights=cum_weights, k=1)[0]
         expr = SimpleExpression(op, rng.choice(var_choices), rng.choice(var_choices))
         key = _expr_key(expr)
         if key in seen:
@@ -214,13 +217,17 @@ def gen_misleading(
     var_pool: list[str] | None = None,
     fresh: "_Namer | None" = None,
     sel: "_Namer | None" = None,
+    positions: dict[str, list[int]] | None = None,
+    op_weights: list[int] | None = None,
 ) -> MisleadingSet:
     """Generate the k - 1 misleading expressions for one statement.
 
     Every result is type-correct and executable, distinct from the
     confidential statement and from its siblings. The variable pool
     defaults to the statement's own operands plus the configured fake
-    variables.
+    variables. A caller that draws for many statements passes what does
+    not change between them: positions, each pool name's indices in
+    var_pool (see _positions), and op_weights, _op_weights(cfg).
     """
     cfg.validate()
     if rng is None:
@@ -254,16 +261,32 @@ def gen_misleading(
         return MisleadingSet(options=exprs, confidential=stmt.expr)
 
     if cfg.strategy == "combined-temporaries":
-        return _gen_combined(stmt, cfg, rng, var_pool, fresh, sel)
+        if positions is None:
+            positions = _positions(var_pool)
+        return _gen_combined(stmt, cfg, rng, var_pool, positions, fresh, sel)
 
-    weights = None
-    if cfg.strategy == "pattern-aware":
-        counts = cfg.pattern_table.ir_operator_counts()
-        weights = [counts.get(op.value, 0) + 1 for op in ops]
+    if op_weights is None:
+        op_weights = _op_weights(cfg)
     exprs = _distinct_expressions(
-        rng, k - 1, ops, var_pool, forbidden={true_key}, op_weights=weights
+        rng, k - 1, ops, var_pool, forbidden={true_key}, op_weights=op_weights
     )
     return MisleadingSet(options=exprs, confidential=stmt.expr)
+
+
+def _op_weights(cfg: ObfuscationConfig) -> list[int] | None:
+    """Add-one smoothed table counts for cfg.op_pool under pattern-aware, else None."""
+    if cfg.strategy != "pattern-aware":
+        return None
+    counts = cfg.pattern_table.ir_operator_counts()
+    return [counts.get(op.value, 0) + 1 for op in cfg.op_pool]
+
+
+def _positions(var_pool: list[str]) -> dict[str, list[int]]:
+    """Each name's indices in var_pool, ascending."""
+    positions: dict[str, list[int]] = {}
+    for i, v in enumerate(var_pool):
+        positions.setdefault(v, []).append(i)
+    return positions
 
 
 def _gen_combined(
@@ -271,6 +294,7 @@ def _gen_combined(
     cfg: ObfuscationConfig,
     rng,
     var_pool: list[str],
+    positions: dict[str, list[int]],
     fresh: _Namer,
     sel: _Namer,
 ) -> MisleadingSet:
@@ -280,18 +304,31 @@ def _gen_combined(
     (the true operand among them), and the option statements apply k
     different operations to the temporaries. The statement's share of
     the program class is k * k * k this way.
+
+    The decoys are k - 1 draws from the pool without the true operand,
+    taken by index in O(k) whatever the pool size: rng.sample reads only
+    its population's length and items, so sampling the range of that
+    length and stepping each index past the true operand's positions
+    draws what sampling the pool's copy without it would.
     """
     k = cfg.mislead_factor
     prelude: list[Statement] = []
     bits: dict[str, int] = {}
     temp_for: list[str] = []
     for true_var in (stmt.expr.in1, stmt.expr.in2):
-        others = [v for v in var_pool if v != true_var]
-        if len(others) < k - 1:
+        skip = positions.get(true_var, ())
+        others = len(var_pool) - len(skip)
+        if others < k - 1:
             raise PoolExhaustedError(
-                f"operand slot needs {k - 1} decoy variables but only {len(others)} exist"
+                f"operand slot needs {k - 1} decoy variables but only {others} exist"
             )
-        candidates = [true_var] + rng.sample(others, k - 1)
+        candidates = [true_var]
+        for i in rng.sample(range(others), k - 1):
+            for s in skip:
+                if s > i:
+                    break
+                i += 1
+            candidates.append(var_pool[i])
         rng.shuffle(candidates)
         sels = [sel() for _ in candidates]
         # exactly one candidate equals true_var, so this stays one-hot
@@ -359,11 +396,13 @@ def obfuscate_statement_level(
 
     bits: dict[str, int] = {}
     defined = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
+    positions = _positions(defined)
+    weights = _op_weights(cfg)
     real_groups: list[list[Statement]] = []
 
     for st in program.statements:
         # the draw only reads the pool, so it needs no copy
-        ms = gen_misleading(st, cfg, rng_opts, defined, fresh, sel)
+        ms = gen_misleading(st, cfg, rng_opts, defined, fresh, sel, positions, weights)
         bits.update(ms.prelude_bits)
         exprs = [ms.confidential] + ms.options
         order = list(range(k))
@@ -374,6 +413,7 @@ def obfuscate_statement_level(
             bits[s] = int(which == 0)
         combine = Combine(st.target, tuple(zip(sels, (a.target for a in assigns))))
         real_groups.append(list(ms.prelude) + assigns + [combine])
+        positions.setdefault(st.target, []).append(len(defined))
         defined.append(st.target)
 
     fakes: list[tuple[int, list[Statement]]] = []

@@ -1,14 +1,15 @@
 """Differential checks of folding, ranking and KPA against reference copies.
 
 The reference functions below are the straightforward versions that
-rebuild every piece of fold metadata for each candidate, compute
-canonical keys by building the normalized program and rendering it,
-rank every selection on its own, and filter on known pairs by folding
-and evaluating every candidate. The library folds through a plan built
-once per program, folds, scores and keys each live signature once,
-renders keys from one liveness pass, finds ranks by bisection and
-filters by walking the obfuscated program; it must agree with these
-references exactly.
+rebuild every piece of fold metadata for each candidate, fold the whole
+program and then drop its dead code, compute canonical keys by building
+the normalized program and rendering it, rank every selection on its
+own, and filter on known pairs by folding and evaluating every
+candidate. The library folds each member straight to its live
+statements from cones built once per class, folds, scores and keys
+each live signature once, keys members without a liveness pass, finds
+ranks by bisection and filters by walking the obfuscated program; it
+must agree with these references exactly.
 """
 
 import functools
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from selectc import attack
+from selectc import attack, ir
 from selectc.attack import (
     DEFAULT_CAP,
     extract_class,
@@ -40,6 +41,7 @@ from selectc.ir import (
     Program,
     SimpleExpression,
     canonical_key,
+    dead_code_eliminate,
     eval_plain,
     fold_combines,
     normalize,
@@ -47,6 +49,7 @@ from selectc.ir import (
     statement_operands,
 )
 from selectc.obfuscate import (
+    ObfProgram,
     ObfuscationConfig,
     obfuscate_program_level,
     obfuscate_statement_level,
@@ -286,6 +289,105 @@ def linear_classes(draw):
     return obf, program
 
 
+def assert_members_are_live_folds(obf):
+    """Each member is the full fold without its dead code, and its rank
+    key is the canonical key that a liveness pass would give."""
+    cd = extract_class(obf)
+    for rc in rank_candidates(cd, table=TABLE):
+        choice = dict(zip(cd.combine_indices, rc.selection))
+        assert realize_candidate(cd, rc.selection) == dead_code_eliminate(
+            cd.fold_plan.fold(choice)
+        )
+        assert rc.key == canonical_key(rc.program, False)
+
+
+def hand_built(statements, inputs=("x", "y")):
+    program = Program(inputs=list(inputs), statements=statements)
+    return ObfProgram(program=program, selector_ids=program.selector_ids())
+
+
+def mul(a, b):
+    return SimpleExpression(Op.MUL, a, b)
+
+
+def add(a, b):
+    return SimpleExpression(Op.ADD, a, b)
+
+
+def sub(a, b):
+    return SimpleExpression(Op.SUB, a, b)
+
+
+OVERLAPPING_CONES = {
+    # a is read by the output and by option 0, which substitutes it
+    "output-and-option": [
+        Assign("a", mul("x", "y")),
+        Assign("o1", sub("x", "y")),
+        Combine("c", (("s0", "a"), ("s1", "o1"))),
+        Assign("r", add("c", "a")),
+    ],
+    # a is read by inlined options of two live slots
+    "two-slots": [
+        Assign("a", mul("x", "y")),
+        Assign("o0", add("a", "x")),
+        Assign("o1", sub("x", "y")),
+        Combine("c0", (("s0", "o0"), ("s1", "o1"))),
+        Assign("p0", mul("a", "y")),
+        Assign("p1", add("y", "y")),
+        Combine("c1", (("s2", "p0"), ("s3", "p1"), ("s4", "a"))),
+        Assign("r", add("c0", "c1")),
+    ],
+    # the inlined options' definitions read other slots' targets, one
+    # substituted (c0 picks an input) and one inlined (c1)
+    "inlined-reads-slot": [
+        Combine("c0", (("s0", "x"), ("s1", "y"))),
+        Assign("q0", mul("x", "x")),
+        Assign("q1", sub("y", "x")),
+        Combine("c1", (("s2", "q0"), ("s3", "q1"))),
+        Assign("o0", mul("c0", "c1")),
+        Assign("o1", add("x", "y")),
+        Combine("c2", (("s4", "o0"), ("s5", "o1"))),
+        Assign("m", sub("c2", "y")),
+        Assign("n0", add("m", "c0")),
+        Assign("n1", mul("m", "m")),
+        Combine("r", (("s6", "n0"), ("s7", "n1"))),
+    ],
+    # c1 may pick c0's target, so its substitute is whatever c0 picked
+    "slot-reads-slot": [
+        Combine("c0", (("s0", "x"), ("s1", "y"))),
+        Assign("o1", mul("x", "y")),
+        Combine("c1", (("s2", "c0"), ("s3", "x"), ("s4", "o1"))),
+        Assign("r", mul("c1", "y")),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAPPING_CONES))
+def test_overlapping_cones_fold_like_the_reference(name):
+    obf = hand_built(OVERLAPPING_CONES[name])
+    cd = extract_class(obf)
+    truth = reference_realize(cd, (0,) * len(cd.options))
+    assert_class_matches_reference(obf, truth)
+    assert_members_are_live_folds(obf)
+
+
+@pytest.mark.parametrize("choice", [-1, 5])
+def test_out_of_range_choice_at_a_live_slot_is_refused_like_the_full_fold(choice):
+    _, cd, _ = demo_class("l0")
+    selection = (0,) * (len(cd.options) - 1) + (choice,)
+    with pytest.raises(ValueError) as want:
+        cd.fold_plan.fold(dict(zip(cd.combine_indices, selection)))
+    with pytest.raises(ValueError) as got:
+        realize_candidate(cd, selection)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(linear_classes())
+def test_random_class_members_are_live_folds(case):
+    assert_members_are_live_folds(case[0])
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(linear_classes())
 def test_random_class_folds_like_the_reference(case):
@@ -469,3 +571,21 @@ def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     assert report.enumerated == cd.class_size
     assert len({rc.key for rc in report.ranked}) == folds
     assert len({id(rc.program) for rc in report.ranked}) == folds
+
+
+def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
+    """The work-shape guard: liveness runs for extract_class and the truth
+    key only; members are folded to live statements and keyed as they are."""
+    demo, cd, _ = demo_class("l0")
+    passes = []
+    real = ir.live_statement_indices
+
+    def counting(program):
+        passes.append(len(program.statements))
+        return real(program)
+
+    monkeypatch.setattr(ir, "live_statement_indices", counting)
+    monkeypatch.setattr(attack, "live_statement_indices", counting)
+    report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
+    assert report.enumerated == cd.class_size == 12_500
+    assert passes == [len(demo.obf.program.statements), len(demo.program.statements)]

@@ -471,6 +471,114 @@ def test_sampler_draws_from_pools_with_repeated_names():
                 )
 
 
+def reference_gen_combined(stmt, cfg, rng, var_pool, fresh, sel):
+    """The combined-temporaries draw that copies the pool for every operand slot."""
+    k = cfg.mislead_factor
+    prelude = []
+    bits = {}
+    temp_for = []
+    for true_var in (stmt.expr.in1, stmt.expr.in2):
+        others = [v for v in var_pool if v != true_var]
+        if len(others) < k - 1:
+            raise PoolExhaustedError(
+                f"operand slot needs {k - 1} decoy variables but only {len(others)} exist"
+            )
+        candidates = [true_var] + rng.sample(others, k - 1)
+        rng.shuffle(candidates)
+        sels = [sel() for _ in candidates]
+        bits.update({s: int(v == true_var) for s, v in zip(sels, candidates)})
+        temp = fresh()
+        prelude.append(Combine(temp, tuple(zip(sels, candidates))))
+        temp_for.append(temp)
+    others_ops = [op for op in cfg.op_pool if op is not stmt.expr.op]
+    if len(others_ops) < k - 1:
+        raise PoolExhaustedError(
+            f"operation slot needs {k - 1} decoy operations but only {len(others_ops)} exist"
+        )
+    chosen_ops = rng.sample(others_ops, k - 1)
+    t1, t2 = temp_for
+    return obfuscate.MisleadingSet(
+        options=[SimpleExpression(op, t1, t2) for op in chosen_ops],
+        confidential=SimpleExpression(stmt.expr.op, t1, t2),
+        prelude=prelude,
+        prelude_bits=bits,
+    )
+
+
+def _combined_outcome(draw, seed, stmt, k, pool):
+    """(the MisleadingSet's parts or the error raised, RNG state afterwards)."""
+    cfg = ObfuscationConfig(mislead_factor=k, strategy="combined-temporaries")
+    rng = random.Random(seed)
+    fresh = obfuscate._Namer("t", set(pool) | {stmt.target})
+    try:
+        ms = draw(stmt, cfg, rng, pool, fresh, obfuscate._Namer("s", set()))
+        result = (ms.options, ms.confidential, ms.prelude, list(ms.prelude_bits.items()))
+    except SelectcError as exc:
+        result = (type(exc), str(exc))
+    return result, rng.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hst.lists(hst.sampled_from(["x", "y", "z", "f0", "f1", "t0"]), min_size=1, max_size=12),
+    hst.sampled_from(["x", "y", "w"]),
+    hst.sampled_from(["x", "z", "w"]),
+    hst.integers(2, 7),
+    hst.integers(0, 2**32 - 1),
+)
+def test_combined_draws_what_the_reference_draws(pool, in1, in2, k, seed):
+    """Pools with repeated names, operands in the pool (once or more) or
+    not, and k up to past the PoolExhaustedError boundary: same parts,
+    same error and the same RNG state afterwards."""
+    stmt = Assign("r", SimpleExpression(Op.MUL, in1, in2))
+
+    def library(stmt, cfg, rng, pool, fresh, sel):
+        return gen_misleading(stmt, cfg, rng, pool, fresh, sel)
+
+    assert _combined_outcome(library, seed, stmt, k, pool) == _combined_outcome(
+        reference_gen_combined, seed, stmt, k, pool
+    )
+
+
+def test_combined_statement_level_matches_the_reference(monkeypatch):
+    """Over a growing pool with the positions map kept beside it."""
+    program = random_linear_program(random.Random(5), n_statements=40, n_consts=2)
+    for k in (2, 3):
+        cfg = ObfuscationConfig(
+            mislead_factor=k, strategy="combined-temporaries", fake_vars=("f0", "f1"), seed=k
+        )
+        got = obfuscate_statement_level(program, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(
+                obfuscate,
+                "_gen_combined",
+                lambda stmt, cfg, rng, pool, positions, fresh, sel: reference_gen_combined(
+                    stmt, cfg, rng, pool, fresh, sel
+                ),
+            )
+            want = obfuscate_statement_level(program, cfg)
+        assert render_program(got[0].program) == render_program(want[0].program)
+        assert list(got[1].bits.items()) == list(want[1].bits.items())
+        assert got[1].bindings == want[1].bindings
+
+
+def test_pattern_aware_reads_the_table_once(monkeypatch):
+    calls = []
+    table = PatternTable()
+    table.operator_counts.update({"times": 7, "plus": 3})
+    real = PatternTable.ir_operator_counts
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PatternTable, "ir_operator_counts", counting)
+    program = random_linear_program(random.Random(6), n_statements=30)
+    cfg = ObfuscationConfig(mislead_factor=3, strategy="pattern-aware", pattern_table=table)
+    obfuscate_statement_level(program, cfg)
+    assert calls == [table]
+
+
 # Digest of _golden_obfuscations, captured with the universe-building
 # sampler (reference_distinct_expressions above) before drawing by index.
 GOLDEN_DIGEST = "09e06100f861c3f2ee1bae3396f2932eebf91f4ba5e5334d12ec3d751daffb79"
