@@ -87,7 +87,6 @@ from .patterns import (
     mine,
     read_table,
     read_trees,
-    write_table,
     write_trees,
 )
 from .rewrite import BUILTIN_RULES, PatStmt, RewriteRule, uniformize

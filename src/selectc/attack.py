@@ -9,8 +9,8 @@ output) are excluded, since an attacker discards them the same way.
 Three attacks are modeled:
 
   * known-plaintext filtering: keep the candidates that agree with
-    observed input/output pairs. The first pair is checked by walking
-    the obfuscated program over the selection space, so only its
+    observed input/output pairs. Every pair is checked by walking the
+    obfuscated program over the selection space, so only the final
     survivors are folded. The confidential program always survives;
     the attack refuses classes larger than an enumeration cap rather
     than silently truncating.
@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, EnumerationCapError
-from .field import OP_NAMES, Op
+from .field import OP_NAMES, Op, field_ops
 from .ir import (
     Assign,
     Combine,
@@ -46,12 +46,10 @@ from .ir import (
     Statement,
     canonical_key,
     check_single_assignment,
-    eval_plain,
-    field_apply,
+    eval_plain,  # not called here; bench/spans.py wraps attack.eval_plain in traced runs
     field_env,
     live_statement_indices,
     render_key,
-    require_inputs,
     run_statements,
 )
 from .obfuscate import ObfProgram
@@ -329,72 +327,108 @@ def kpa_filter(
     (candidates may read any of them) and gives the observed output.
     Raises EnumerationCapError instead of enumerating a class larger
     than cap. Survivors come in product order, as enumerate_candidates
-    yields them. Only the first pair's survivors are folded: they are
-    found by walking the obfuscated program itself (see
-    _first_pair_selections) and checked on the other pairs one by one.
+    yields them. Every pair is checked by walking the obfuscated
+    program itself (see _consistent_selections), so only the final
+    survivors are folded.
     """
     if cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
-    obf_program = cd.obf.program
-    # check every pair's inputs before walking (field_env checks the first's),
-    # so a missing input fails before any evaluation
-    for inputs, _ in pairs[1:]:
-        require_inputs(obf_program, inputs.keys() | obf_program.consts.keys())
+    # every pair's inputs are checked here, so a missing one fails before any evaluation
+    envs = [field_env(cd.obf.program, inputs) for inputs, _ in pairs]
     if not pairs:
         return list(enumerate_candidates(cd))
-    survivors = []
-    env = field_env(obf_program, pairs[0][0])
-    for selection in _first_pair_selections(cd, env, pairs[0][1]):
-        program = realize_candidate(cd, selection)
-        if all(
-            eval_plain(program, inputs) == output % program.prime
-            for inputs, output in pairs[1:]
-        ):
-            survivors.append(Candidate(selection=selection, program=program))
-    return survivors
+    return [
+        Candidate(selection=selection, program=realize_candidate(cd, selection))
+        for selection in _consistent_selections(cd, envs, [output for _, output in pairs])
+    ]
 
 
-def _first_pair_selections(
-    cd: ClassDescriptor, env: dict[str, int], output: int
+def _consistent_selections(
+    cd: ClassDescriptor, envs: list[dict[str, int]], outputs: list[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the selections whose program maps env to output, in product order.
+    """Yield the selections whose program maps each envs[j] to outputs[j], in product order.
 
     A depth-first walk over the live combining statements (slots) of
-    the obfuscated program, in env itself: choosing an option is a
+    the obfuscated program, in envs[0] itself: choosing an option is a
     gather, target := source, after which the live statements up to the
-    next slot run through run_statements. extract_class has checked
-    that every variable is assigned once, after what it reads, so a
-    path overwrites everything it reads that an earlier path set.
+    next slot (a segment) run through run_statements. extract_class has
+    checked that every variable is assigned once, after what it reads,
+    so a path overwrites everything it reads that an earlier path set.
+
+    A leaf that passes the first pair is checked on the later pairs in
+    turn, each in its own env. A later env holds the current choices at
+    the slots before its depth. The walk notes the first slot it changes
+    between two leaves that pass the first pair, and the second leaf
+    lowers every depth to it. Catching a pair up gathers and runs from
+    its depth to the last slot, after running segment 0 the first time
+    a leaf reaches that pair. Consecutive leaves share long prefixes,
+    so a later pair never costs more than the walk itself.
     """
     program = cd.obf.program
-    slots: list[Combine] = []
+    targets: list[str] = []
+    sources: list[list[str]] = []  # slot -> option -> source variable
     segments: list[list] = [[]]
     for idx in cd.live_indices:
         st = program.statements[idx]
         if isinstance(st, Combine):
-            slots.append(st)
+            targets.append(st.target)
+            sources.append([src for _, src in st.options])
             segments.append([])
         else:
             segments[-1].append(st)
-    runs = [Program(inputs=[], statements=seg, prime=program.prime) for seg in segments]
-    apply = field_apply(program.prime)
-    want = output % program.prime
-    run_statements(runs[0], env, {}, apply)
-    choice = [-1] * len(slots)
+    # None for an empty segment, which the walk skips
+    runs = [
+        Program(inputs=[], statements=seg, prime=program.prime) if seg else None
+        for seg in segments
+    ]
+    ops = field_ops(program.prime)
+    out = program.output
+    last = len(targets)
+    env, *later = envs
+    want, *later_wants = (output % program.prime for output in outputs)
+    depth = [-1] * len(later)  # -1: segment 0 has not run in that env yet
+    low = last  # the first slot changed since a leaf last passed the first pair
+    choice = [-1] * last
+
+    def agrees(j: int) -> bool:
+        """Catch pair j + 1 up to the current choices and check its output."""
+        later_env = later[j]
+        d = depth[j]
+        if d < 0:
+            if runs[0]:
+                run_statements(runs[0], later_env, {}, ops)
+            d = 0
+        for k in range(d, last):
+            later_env[targets[k]] = later_env[sources[k][choice[k]]]
+            if runs[k + 1]:
+                run_statements(runs[k + 1], later_env, {}, ops)
+        depth[j] = last
+        return later_env[out] == later_wants[j]
+
+    if runs[0]:
+        run_statements(runs[0], env, {}, ops)
     i = 0  # the slot whose next option the walk takes
     while i >= 0:
-        if i == len(slots):
-            if env[program.output] == want:
-                yield tuple(choice)
+        if i == last:
+            if env[out] == want:
+                for j, d in enumerate(depth):
+                    if d > low:
+                        depth[j] = low
+                low = last
+                if all(map(agrees, range(len(later)))):
+                    yield tuple(choice)
             i -= 1
             continue
         choice[i] += 1
-        if choice[i] == len(slots[i].options):
+        if choice[i] == len(sources[i]):
             choice[i] = -1
             i -= 1
             continue
-        env[slots[i].target] = env[slots[i].options[choice[i]][1]]
-        run_statements(runs[i + 1], env, {}, apply)
+        if i < low:
+            low = i
+        env[targets[i]] = env[sources[i][choice[i]]]
+        if runs[i + 1]:
+            run_statements(runs[i + 1], env, {}, ops)
         i += 1
 
 

@@ -16,10 +16,12 @@ obfuscated file lists as plain inputs.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ForeignCiphertextError, FormatError
-from .field import FIELD_PRIME, Op, apply_op, signed
+from .field import FIELD_PRIME, Op, field_ops, signed
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,18 @@ def dec(key: SecretKey, ct: Ciphertext) -> int:
 
 
 def he_op(key: SecretKey, op: Op, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
+    # the store holds reduced values, as the field table expects
     a = key._get(c1)
     b = key._get(c2)
-    return key._put(apply_op(op, a, b, key.prime))
+    return key._put(field_ops(key.prime)[op](a, b))
+
+
+def he_ops(key: SecretKey) -> dict[Op, Callable[[Ciphertext, Ciphertext], Ciphertext]]:
+    """The ops table of an encrypted run under key, for ir.run_statements.
+
+    Each entry is he_op, so every operation mints one handle.
+    """
+    return {op: partial(he_op, key, op) for op in Op}
 
 
 @dataclass

@@ -10,7 +10,10 @@ operation total.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Mapping
 from enum import Enum
+from types import MappingProxyType
 
 FIELD_PRIME = (1 << 61) - 1
 
@@ -90,31 +93,34 @@ def signed(x: int, prime: int = FIELD_PRIME) -> int:
     return x - prime if x > (prime - 1) // 2 else x
 
 
+@functools.lru_cache(maxsize=8)
+def field_ops(prime: int) -> Mapping[Op, Callable[[int, int], int]]:
+    """The ten operations at prime, as functions of two reduced field elements.
+
+    A read-only table, built once per prime and shared by every caller;
+    the tables of the last few primes used are kept. Operands must
+    already lie in [0, p); apply_op reduces them first. Comparisons
+    read each operand as signed does.
+    """
+    p = prime
+    half = (p - 1) // 2
+    return MappingProxyType({
+        Op.ADD: lambda a, b: (a + b) % p,
+        Op.SUB: lambda a, b: (a - b) % p,
+        Op.MUL: lambda a, b: a * b % p,
+        Op.DIV: lambda a, b: a * pow(b, -1, p) % p if b else 0,
+        Op.EQ: lambda a, b: int(a == b),
+        Op.NEQ: lambda a, b: int(a != b),
+        Op.LT: lambda a, b: int((a - p if a > half else a) < (b - p if b > half else b)),
+        Op.LE: lambda a, b: int((a - p if a > half else a) <= (b - p if b > half else b)),
+        Op.GT: lambda a, b: int((a - p if a > half else a) > (b - p if b > half else b)),
+        Op.GE: lambda a, b: int((a - p if a > half else a) >= (b - p if b > half else b)),
+    })
+
+
 def apply_op(op: Op, a: int, b: int, prime: int = FIELD_PRIME) -> int:
-    a %= prime
-    b %= prime
-    if op is Op.ADD:
-        return (a + b) % prime
-    if op is Op.SUB:
-        return (a - b) % prime
-    if op is Op.MUL:
-        return (a * b) % prime
-    if op is Op.DIV:
-        if b == 0:
-            return 0
-        return (a * pow(b, -1, prime)) % prime
-    sa = signed(a, prime)
-    sb = signed(b, prime)
-    if op is Op.EQ:
-        return int(sa == sb)
-    if op is Op.NEQ:
-        return int(sa != sb)
-    if op is Op.LT:
-        return int(sa < sb)
-    if op is Op.LE:
-        return int(sa <= sb)
-    if op is Op.GT:
-        return int(sa > sb)
-    if op is Op.GE:
-        return int(sa >= sb)
-    raise ValueError(f"unknown operation {op!r}")
+    try:
+        fn = field_ops(prime)[op]
+    except KeyError:
+        raise ValueError(f"unknown operation {op!r}") from None
+    return fn(a % prime, b % prime)

@@ -20,12 +20,12 @@ statement stream itself is uniform: every operand is a variable.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .errors import FormatError, UnboundVariableError
-from .field import FIELD_PRIME, OP_NAMES, Op, apply_op, is_prime, op_from_name, signed
+from .field import FIELD_PRIME, OP_NAMES, Op, field_ops, is_prime, op_from_name, signed
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,26 +126,30 @@ def run_statements(
     program: Program,
     env: dict[str, Any],
     selectors: dict[str, Any],
-    apply: Callable[[Op, Any, Any], Any],
+    ops: Mapping[Op, Callable[[Any, Any], Any]],
 ) -> dict[str, Any]:
     """Run every statement in order over env and return it, extended.
 
-    Values are whatever apply(op, a, b) computes on: field elements for
-    a plain run, ciphertexts for an encrypted one. A combining statement
-    is the ADD-fold of MUL(selector, source) over all of its options,
-    with no short-circuit of any kind. A selector is looked up in
-    selectors first, then among the program's variables.
+    Values are whatever the ops table computes on: field elements for a
+    plain run (field.field_ops), ciphertexts for an encrypted one. An
+    assignment is ops[op](a, b). A combining statement is the ADD-fold
+    of MUL(selector, source) over all of its options, with no
+    short-circuit of any kind. A selector is looked up in selectors
+    first, then among the program's variables.
     """
-    require_inputs(program, env)
+    if program.inputs:
+        require_inputs(program, env)
     for st in program.statements:
         if isinstance(st, Assign):
+            expr = st.expr
             try:
-                a = env[st.expr.in1]
-                b = env[st.expr.in2]
+                a = env[expr.in1]
+                b = env[expr.in2]
             except KeyError as exc:
                 raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-            env[st.target] = apply(st.expr.op, a, b)
+            env[st.target] = ops[expr.op](a, b)
         else:
+            mul, add = ops[Op.MUL], ops[Op.ADD]
             acc = None
             for sel, src in st.options:
                 bit = selectors[sel] if sel in selectors else env.get(sel)
@@ -153,8 +157,8 @@ def run_statements(
                     raise UnboundVariableError(f"unbound selector {sel!r}")
                 if src not in env:
                     raise UnboundVariableError(f"unbound variable {src!r}")
-                term = apply(Op.MUL, bit, env[src])
-                acc = term if acc is None else apply(Op.ADD, acc, term)
+                term = mul(bit, env[src])
+                acc = term if acc is None else add(acc, term)
             env[st.target] = acc
     return env
 
@@ -179,19 +183,6 @@ def field_env(program: Program, inputs: dict[str, int]) -> dict[str, int]:
     return env
 
 
-def field_apply(prime: int) -> Callable[[Op, int, int], int]:
-    """apply_op at prime, for run_statements.
-
-    A closure, not partial(apply_op, prime=prime): CPython copies a
-    partial's keyword arguments on every call.
-    """
-
-    def apply(op: Op, a: int, b: int) -> int:
-        return apply_op(op, a, b, prime)
-
-    return apply
-
-
 def eval_env(
     program: Program,
     inputs: dict[str, int],
@@ -204,7 +195,7 @@ def eval_env(
     """
     prime = program.prime
     sel = {s: bit % prime for s, bit in selectors.items()} if selectors else {}
-    return run_statements(program, field_env(program, inputs), sel, field_apply(prime))
+    return run_statements(program, field_env(program, inputs), sel, field_ops(prime))
 
 
 def eval_plain(

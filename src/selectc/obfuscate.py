@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 import typing
 from dataclasses import dataclass, field
-from functools import partial
 
-from .crypto import Ciphertext, SecretKey, SelectorKey, enc, he_op
+from .crypto import Ciphertext, SecretKey, SelectorKey, enc, he_ops
 from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError
 from .field import ARITH_OPS, Op, op_from_name
 from .ir import (
@@ -541,7 +540,7 @@ def eval_encrypted(
     env = {v: enc(key, val) for v, val in sel_key.bindings.items()}
     env.update(enc_inputs)
     sel_ct = {s: enc(key, bit) for s, bit in sel_key.bits.items()}
-    out = run_statements(obf.program, env, sel_ct, partial(he_op, key))[obf.program.output]
+    out = run_statements(obf.program, env, sel_ct, he_ops(key))[obf.program.output]
     key.release_since(mark, out)
     return out
 

@@ -290,11 +290,6 @@ def parse_table(text: str) -> PatternTable:
     return pt
 
 
-def write_table(path: str, pt: PatternTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_table(pt))
-
-
 def read_table(path: str) -> PatternTable:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_table(fh.read())

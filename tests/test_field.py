@@ -11,6 +11,7 @@ from selectc.field import (
     FIELD_PRIME,
     Op,
     apply_op,
+    field_ops,
     is_prime,
     norm,
     op_from_name,
@@ -120,3 +121,76 @@ def test_op_from_name():
     assert op_from_name("NEQ") is Op.NEQ
     with pytest.raises(ValueError):
         op_from_name("XOR")
+
+
+def reference_apply_op(op, a, b, prime=P):
+    """The if-chain apply_op that the per-op table replaced."""
+    a %= prime
+    b %= prime
+    if op is Op.ADD:
+        return (a + b) % prime
+    if op is Op.SUB:
+        return (a - b) % prime
+    if op is Op.MUL:
+        return (a * b) % prime
+    if op is Op.DIV:
+        if b == 0:
+            return 0
+        return (a * pow(b, -1, prime)) % prime
+    sa = signed(a, prime)
+    sb = signed(b, prime)
+    if op is Op.EQ:
+        return int(sa == sb)
+    if op is Op.NEQ:
+        return int(sa != sb)
+    if op is Op.LT:
+        return int(sa < sb)
+    if op is Op.LE:
+        return int(sa <= sb)
+    if op is Op.GT:
+        return int(sa > sb)
+    if op is Op.GE:
+        return int(sa >= sb)
+    raise ValueError(f"unknown operation {op!r}")
+
+
+def boundary_grid(prime):
+    """Reduced values where the field and the signed reading turn over."""
+    half = (prime - 1) // 2
+    small_negatives = [(-v) % prime for v in (1, 2, 3, 7)]
+    grid = {0, 1, 2, 3, prime - 1, half, half + 1, (prime + 1) // 2, *small_negatives}
+    return sorted({v % prime for v in grid})
+
+
+@pytest.mark.parametrize("prime", [P, 101, 2])
+def test_op_table_agrees_with_the_if_chain(prime):
+    """Every op of the table, and apply_op through it, on the boundary grid.
+
+    The grid holds 0 (DIV by 0), 1, 2, p - 1, (p - 1)/2 and (p + 1)/2
+    (the last non-negative and the first negative signed values) and
+    small negatives; apply_op also gets unreduced operands.
+    """
+    table = field_ops(prime)
+    assert set(table) == set(ALL_OPS)
+    grid = boundary_grid(prime)
+    raw = grid + [prime, prime + 1, -1, -2, -prime - 3, 2 * prime - 1]
+    for op in ALL_OPS:
+        for a in grid:
+            for b in grid:
+                assert table[op](a, b) == reference_apply_op(op, a, b, prime), (op, a, b)
+        for a in raw:
+            for b in raw:
+                assert apply_op(op, a, b, prime) == reference_apply_op(op, a, b, prime), (op, a, b)
+
+
+def test_op_table_is_built_once_per_prime_and_read_only():
+    assert field_ops(101) is field_ops(101)
+    assert field_ops(P) is field_ops(P)
+    assert field_ops(101) is not field_ops(P)
+    with pytest.raises(TypeError):
+        field_ops(101)[Op.ADD] = field_ops(101)[Op.SUB]
+
+
+def test_apply_op_refuses_an_unknown_operation():
+    with pytest.raises(ValueError, match="unknown operation"):
+        apply_op("XOR", 1, 2)

@@ -8,8 +8,9 @@ own, and filter on known pairs by folding and evaluating every
 candidate. The library folds each member straight to its live
 statements from cones built once per class, folds, scores and keys
 each live signature once, keys members without a liveness pass, finds
-ranks by bisection and filters by walking the obfuscated program; it
-must agree with these references exactly.
+ranks by bisection and filters by walking the obfuscated program once
+per pair, sharing prefixes between leaves; it must agree with these
+references exactly.
 """
 
 import functools
@@ -461,6 +462,21 @@ def seeded_pairs(cd, count, seed):
     return pairs
 
 
+def mixed_pairs(cd, count, seed):
+    """count pairs on small random inputs, each answered by its own random member.
+
+    Later pairs then disagree with the first pair's survivors at
+    different slots, so the walk rejects them at different depths.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        member = realize_candidate(cd, tuple(rng.randrange(n) for n in cd.option_counts()))
+        inputs = random_inputs(cd.obf.program, rng, small=True)
+        pairs.append((inputs, eval_plain(member, inputs)))
+    return pairs
+
+
 def assert_kpa_matches_reference(cd, pairs, members=None):
     """The survivors, and their ranking, are the reference's."""
     want = reference_kpa_filter(cd, pairs, members=members)
@@ -486,6 +502,8 @@ def test_demo_kpa_matches_the_reference(level):
     demo, cd, members = demo_class(level)
     for count in (1, 2, 3):
         assert_kpa_matches_reference(cd, seeded_pairs(cd, count, 100 * count), members)
+    for count in (2, 3, 4):
+        assert_kpa_matches_reference(cd, mixed_pairs(cd, count, 100 * count + 1), members)
     # the confidential program's own runs, as an attacker observes them
     rng = random.Random(len(members))
     pairs = []
@@ -497,18 +515,25 @@ def test_demo_kpa_matches_the_reference(level):
 
 @pytest.mark.parametrize(
     "pairs",
-    [[], [({"a": 2}, 4)], [({"a": 2}, 4), ({"a": 3}, 9)], [({"a": 3}, 6), ({"a": 2}, 4)]],
-    ids=["none", "non-separating", "non-separating-first", "separating-first"],
+    [
+        [],
+        [({"a": 2}, 4)],
+        [({"a": 2}, 4), ({"a": 3}, 9)],
+        [({"a": 3}, 6), ({"a": 2}, 4)],
+        [({"a": 2}, 4), ({"a": 3}, 6), ({"a": 3}, 9)],
+    ],
+    ids=["none", "non-separating", "non-separating-first", "separating-first", "contradictory"],
 )
 def test_two_option_kpa_matches_the_reference(two_option_class, pairs):
     assert_kpa_matches_reference(extract_class(two_option_class[0]), pairs)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(linear_classes(), hst.integers(0, 3), hst.integers(0, 2**32 - 1))
-def test_random_class_kpa_matches_the_reference(case, count, seed):
+@given(linear_classes(), hst.integers(0, 4), hst.booleans(), hst.integers(0, 2**32 - 1))
+def test_random_class_kpa_matches_the_reference(case, count, mixed, seed):
     cd = extract_class(case[0])
-    assert_kpa_matches_reference(cd, seeded_pairs(cd, count, seed))
+    pairs = (mixed_pairs if mixed else seeded_pairs)(cd, count, seed)
+    assert_kpa_matches_reference(cd, pairs)
 
 
 def test_kpa_checks_every_pair_before_walking(two_option_class):
@@ -524,6 +549,20 @@ def test_kpa_checks_every_pair_before_walking(two_option_class):
         assert str(got.value) == str(want.value) == "unbound input variable(s): a"
 
 
+def test_kpa_reports_the_first_pair_that_misses_an_input():
+    """Pairs are checked in order, as the reference evaluates them."""
+    _, cd, members = demo_class("l0")
+    bound = {v: 1 for v in cd.obf.program.inputs}
+    no_y = {v: val for v, val in bound.items() if v != "y"}
+    no_x = {v: val for v, val in bound.items() if v != "x"}
+    pairs = [(no_y, 0), (no_x, 0)]
+    with pytest.raises(UnboundVariableError) as want:
+        reference_kpa_filter(cd, pairs, members=members)
+    with pytest.raises(UnboundVariableError) as got:
+        kpa_filter(cd, pairs)
+    assert str(got.value) == str(want.value) == "unbound input variable(s): y"
+
+
 def test_kpa_refuses_an_oversized_class_before_evaluating(monkeypatch):
     _, cd, _ = demo_class("l1")
     monkeypatch.setattr(attack, "run_statements", None)
@@ -533,10 +572,22 @@ def test_kpa_refuses_an_oversized_class_before_evaluating(monkeypatch):
 
 
 def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
-    """The work-shape guard: no fold per candidate, only per first-pair survivor."""
-    _, cd, _ = demo_class("l1")
-    pairs = seeded_pairs(cd, 3, seed=7)
-    first = len(kpa_filter(cd, pairs[:1]))
+    """The work-shape guard: the walk checks every pair, so only the final
+    survivors are folded, once each and in order.
+
+    On l1, three pairs from one member. On l0, three small-input runs of
+    the confidential program with x = 0, 1, 2: thousands of selections
+    pass the first pair and about a hundred pass all three.
+    """
+    _, l1, _ = demo_class("l1")
+    l1_pairs = seeded_pairs(l1, 3, seed=7)
+    demo, l0, _ = demo_class("l0")
+    rng = random.Random(11)
+    l0_pairs = []
+    for x in (0, 1, 2):
+        env = {**random_inputs(demo.program, rng, small=True), "x": x}
+        l0_pairs.append(({**env, **demo.sel_key.bindings}, eval_plain(demo.program, env)))
+    firsts = [len(kpa_filter(cd, pairs[:1])) for cd, pairs in ((l1, l1_pairs), (l0, l0_pairs))]
     folded = []
 
     def counting(cd, selection):
@@ -544,9 +595,16 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
         return realize_candidate(cd, selection)
 
     monkeypatch.setattr(attack, "realize_candidate", counting)
-    survivors = kpa_filter(cd, pairs)
-    assert len(folded) == first
-    assert 1 <= len(survivors) <= first < cd.class_size // 100
+    survivors = kpa_filter(l1, l1_pairs)
+    assert folded == [c.selection for c in survivors]
+    assert 1 <= len(survivors) <= firsts[0] < l1.class_size // 100
+
+    folded.clear()
+    survivors = kpa_filter(l0, l0_pairs)
+    assert folded == [c.selection for c in survivors]
+    assert 50 <= len(survivors) <= 300 and firsts[1] >= 1_000
+    truth = canonical_key(demo.program, False)
+    assert truth in {canonical_key(c.program, False) for c in survivors}
 
 
 @pytest.mark.parametrize("level, folds", [("l0", 12_500), ("l1", 1_861)])
