@@ -33,6 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, EnumerationCapError
@@ -78,13 +79,13 @@ class ClassDescriptor:
         return _MemberCones(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     selection: tuple[int, ...]
     program: Program
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedCandidate(Candidate):
     log_score: float = 0.0
     prob: float = 0.0
@@ -214,6 +215,8 @@ class _MemberCones:
                     expr = definition.expr
                     row.append((cone(expr.in1, expr.in2) | {idx}, idx, src, definition))
             self.options.append(row)
+        # (target, op, in1, in2) -> the one Assign fold emits for it
+        self.resolved: dict[tuple[str, Op, str, str], Assign] = {}
 
     def signature(self, selection: tuple[int, ...]) -> tuple[int, ...]:
         """The selection's live signature.
@@ -242,7 +245,10 @@ class _MemberCones:
         does. A slot whose option is inlined becomes target := its
         definition; any other chosen source substitutes for the slot's
         target in the statements that read it. Untouched assignments
-        are the obfuscated program's own statement objects.
+        are the obfuscated program's own statement objects. A resolved
+        one is interned per class by (target, op, operands), so each
+        distinct resolved statement is built once, whichever members
+        share it.
         """
         live = self.out
         keep = set(self.out_cone)
@@ -268,6 +274,7 @@ class _MemberCones:
             else:
                 inlined[idx] = definition
         get = subst.get
+        resolved = self.resolved
         out: list[Statement] = []
         for idx in sorted(keep):
             st = stmts[idx]
@@ -275,12 +282,14 @@ class _MemberCones:
             expr = st.expr if definition is None else definition.expr
             in1, in2 = expr.in1, expr.in2
             new1, new2 = get(in1, in1), get(in2, in2)
-            if new1 is not in1 or new2 is not in2:
-                out.append(Assign(st.target, SimpleExpression(expr.op, new1, new2)))
-            elif definition is not None:
-                out.append(Assign(st.target, expr))
-            else:
+            if definition is None and new1 is in1 and new2 is in2:
                 out.append(st)
+                continue
+            key = (st.target, expr.op, new1, new2)
+            assign = resolved.get(key)
+            if assign is None:
+                assign = resolved[key] = Assign(st.target, SimpleExpression(expr.op, new1, new2))
+            out.append(assign)
         return out
 
 
@@ -295,7 +304,7 @@ def _members(
     signature.
     """
     if candidates is None:
-        given = ((s, None) for s in itertools.product(*map(range, cd.option_counts())))
+        given = zip(itertools.product(*map(range, cd.option_counts())), itertools.repeat(None))
     else:
         given = ((c.selection, c.program) for c in candidates)
     signature = cd.cones.signature
@@ -351,9 +360,13 @@ def _consistent_selections(
     A depth-first walk over the live combining statements (slots) of
     the obfuscated program, in envs[0] itself: choosing an option is a
     gather, target := source, after which the live statements up to the
-    next slot (a segment) run through run_statements. extract_class has
-    checked that every variable is assigned once, after what it reads,
-    so a path overwrites everything it reads that an earlier path set.
+    next slot that read a slot target, directly or through other
+    assignments, run through run_statements (a segment). Every other
+    live assignment computes the same value on every path, so it runs
+    once per env, in segment 0, before the first slot. extract_class
+    has checked that every variable is assigned once, after what it
+    reads, so a path overwrites everything it reads that an earlier
+    path set.
 
     A leaf that passes the first pair is checked on the later pairs in
     turn, each in its own env. A later env holds the current choices at
@@ -368,14 +381,19 @@ def _consistent_selections(
     targets: list[str] = []
     sources: list[list[str]] = []  # slot -> option -> source variable
     segments: list[list] = [[]]
+    moving: set[str] = set()  # slot targets, and what reads them
     for idx in cd.live_indices:
         st = program.statements[idx]
         if isinstance(st, Combine):
             targets.append(st.target)
             sources.append([src for _, src in st.options])
             segments.append([])
-        else:
+            moving.add(st.target)
+        elif st.expr.in1 in moving or st.expr.in2 in moving:
+            moving.add(st.target)
             segments[-1].append(st)
+        else:
+            segments[0].append(st)
     # None for an empty segment, which the walk skips
     runs = [
         Program(inputs=[], statements=seg, prime=program.prime) if seg else None
@@ -461,38 +479,53 @@ def rank_candidates(
     p(candidate) is proportional to the product of smoothed relative
     frequencies of its statement operations; probabilities are
     normalized over the enumerated candidates. Ties are broken by
-    canonical serialization so the order is reproducible. Without
-    candidates the whole class is ranked. Each live signature (see
-    _MemberCones.signature) is folded, scored and keyed once, for its
-    first member; the members that share it share its Program. A
-    member holds its live statements only, so its key is rendered
-    without a liveness pass.
+    canonical serialization, then by the given order (product order
+    without candidates), so the order is reproducible.
+
+    The unit of work is the distinct member, not the selection. Each
+    live signature (see _MemberCones.signature) is folded, scored and
+    keyed once, for its first selection; the selections that share it
+    share its Program. A member holds its live statements only, so its
+    key is rendered without a liveness pass, and members with one
+    target order share one rename map. The score is an fsum, which is
+    correctly rounded, so it depends on the member's operations only;
+    signatures that fold to one key therefore tie on (score, key) and
+    form one group, whose selections stay in the given order. Groups
+    are sorted, and each one's weight is computed once and counted
+    once per selection in the normalizing sum.
     """
     if candidates is None and cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
     scores, _ = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
-    graded: dict[tuple[int, ...], tuple[float, str]] = {}
-    ranked: list[RankedCandidate] = []
+    renames: dict[tuple[str, ...], dict[str, str]] = {}  # target order -> rename map
+    groups: dict[str, tuple[float, str, list]] = {}  # key -> (score, key, [(selection, program)])
+    graded: dict[tuple[int, ...], list] = {}  # live signature -> its group's members
     for selection, sig, program in _members(cd, candidates):
-        entry = graded.get(sig)
-        if entry is None:
+        members = graded.get(sig)
+        if members is None:
             stmts = program.statements
-            logs = sorted(op_scores[st.expr.op] for st in stmts)
-            entry = graded[sig] = (math.fsum(logs), render_key(program, stmts, False))
-        ranked.append(
-            RankedCandidate(
-                selection=selection, program=program, log_score=entry[0], key=entry[1]
-            )
-        )
-    ranked.sort(key=lambda rc: (-rc.log_score, rc.key))
-    if ranked:
-        peak = max(rc.log_score for rc in ranked)
-        weights = [math.exp(rc.log_score - peak) for rc in ranked]
-        total = math.fsum(weights)
-        for rc, w in zip(ranked, weights):
-            rc.prob = w / total
-    return ranked
+            key = render_key(program, stmts, False, renames)
+            group = groups.get(key)
+            if group is None:
+                score = math.fsum([op_scores[st.expr.op] for st in stmts])
+                group = groups[key] = (score, key, [])
+            members = graded[sig] = group[2]
+        members.append((selection, program))
+    # keys are unique, so by key, then stably by descending score, is by (-score, key)
+    order = sorted(groups.values(), key=itemgetter(1))
+    order.sort(key=itemgetter(0), reverse=True)
+    if not order:
+        return []
+    peak = order[0][0]
+    weights = [math.exp(score - peak) for score, _, _ in order]
+    # one term per selection, the multiset a per-selection sum adds, so the same fsum
+    total = math.fsum([w for (_, _, members), w in zip(order, weights) for _ in members])
+    return [
+        RankedCandidate(selection, program, score, w / total, key)
+        for (score, key, members), w in zip(order, weights)
+        for selection, program in members
+    ]
 
 
 def _grade(ranked: list[RankedCandidate], truth: list[Program]) -> tuple[int, float] | None:

@@ -75,7 +75,7 @@ class Combine:
 Statement = Assign | Combine
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     """Ordered statements plus the interface they run against.
 
@@ -434,25 +434,38 @@ def canonical_key(program: Program, with_const_values: bool = True) -> str:
 
 
 def render_key(
-    program: Program, stmts: list[Statement], with_const_values: bool = True
+    program: Program,
+    stmts: list[Statement],
+    with_const_values: bool = True,
+    renames: dict[tuple[str, ...], dict[str, str]] | None = None,
 ) -> str:
     """canonical_key of program, given its live statements in order.
 
     A program whose statements are all live, such as a folded class
     member, passes its own statements and needs no liveness pass.
+    renames, if given, caches the rename map by target order. Share one
+    cache only among programs with the same inputs and consts, such as
+    the members of one class.
     """
-    fixed = set(program.inputs) | set(program.consts)
-    rename = _temporary_names(stmts, fixed)
+    fixed = {*program.inputs, *program.consts}
+    if renames is None:
+        rename = _temporary_names(stmts, fixed)
+    else:
+        order = tuple([st.target for st in stmts])
+        rename = renames.get(order)
+        if rename is None:
+            rename = renames[order] = _temporary_names(stmts, fixed)
     get = rename.get
     refs: set[str] = set()
     body: list[str] = []
     for st in stmts:
         target = get(st.target, st.target)
         if isinstance(st, Assign):
-            in1, in2 = st.expr.in1, st.expr.in2
+            expr = st.expr
+            in1, in2 = expr.in1, expr.in2
             refs.add(in1)
             refs.add(in2)
-            body.append(f"{target} := {OP_NAMES[st.expr.op]} {get(in1, in1)} {get(in2, in2)}")
+            body.append(f"{target} := {OP_NAMES[expr.op]} {get(in1, in1)} {get(in2, in2)}")
         else:
             refs.update(src for _, src in st.options)
             opts = " ".join(f"({s},{get(v, v)})" for s, v in st.options)

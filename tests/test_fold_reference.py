@@ -6,11 +6,12 @@ program and then drop its dead code, compute canonical keys by building
 the normalized program and rendering it, rank every selection on its
 own, and filter on known pairs by folding and evaluating every
 candidate. The library folds each member straight to its live
-statements from cones built once per class, folds, scores and keys
-each live signature once, keys members without a liveness pass, finds
-ranks by bisection and filters by walking the obfuscated program once
-per pair, sharing prefixes between leaves; it must agree with these
-references exactly.
+statements from cones built once per class, interns the statements
+it rewrites, folds, scores and keys each live signature once, keys
+members without a liveness pass, sorts and weights each distinct
+member once, finds ranks by bisection and filters by walking the
+obfuscated program once per pair, sharing prefixes between leaves; it
+must agree with these references exactly.
 """
 
 import functools
@@ -647,3 +648,97 @@ def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert report.enumerated == cd.class_size == 12_500
     assert passes == [len(demo.obf.program.statements), len(demo.program.statements)]
+
+
+def test_rank_only_builds_each_resolved_statement_once(monkeypatch):
+    """The work-shape guard: a member reuses the obfuscated program's
+    untouched statements and the class's interned resolved ones, so a
+    rank-only l0 attack builds each distinct resolved statement once:
+    105 in all, where building one per rewritten statement of every
+    member would make 37,500."""
+    demo, cd, members = demo_class("l0")
+    own = set(cd.obf.program.statements)
+    resolved = {st for _, program in members for st in program.statements} - own
+    built = []
+    real = attack.Assign
+
+    def counting(target, expr):
+        built.append(target)
+        return real(target, expr)
+
+    monkeypatch.setattr(attack, "Assign", counting)
+    report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
+    assert report.enumerated == cd.class_size == 12_500
+    assert len(built) == len(resolved) == 105
+
+
+def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
+    """The work-shape guard: a live assignment that reads no slot target,
+    directly or through other assignments, runs once per pair, before the
+    first slot, not again on every path prefix.
+
+    On l1, 4,832 of the 19,530 statement runs of a one-pair walk would
+    repeat such a value.
+    """
+    _, cd, _ = demo_class("l1")
+    ran = []
+    real = attack.run_statements
+
+    def counting(program, env, selectors, ops):
+        ran.append(len(program.statements))
+        return real(program, env, selectors, ops)
+
+    monkeypatch.setattr(attack, "run_statements", counting)
+    for count, runs in ((1, 14_698), (3, 15_134)):
+        ran.clear()
+        survivors = kpa_filter(cd, seeded_pairs(cd, count, seed=7))
+        assert len(survivors) == 25
+        assert sum(ran) == runs
+
+
+# a slot whose two options are one shared variable: its choice changes
+# the live signature but not the program, so two signatures share a
+# key. Slot 0 is live only when slot 1 picks o0, and slot 2 varies
+# fastest, so those signatures' selections interleave in product order.
+SHARED_SOURCE = [
+    Combine("c1", (("s0", "x"), ("s1", "y"))),
+    Assign("o0", add("c1", "x")),
+    Assign("o1", sub("x", "y")),
+    Combine("c2", (("s2", "o0"), ("s3", "o1"))),
+    Assign("a", mul("x", "y")),
+    Combine("c0", (("s4", "a"), ("s5", "a"))),
+    Assign("r", mul("c2", "c0")),
+]
+
+
+def test_signatures_that_fold_to_one_program_rank_in_product_order():
+    obf = hand_built(SHARED_SOURCE)
+    cd = extract_class(obf)
+    truth = reference_realize(cd, (0, 0, 0))
+    assert_class_matches_reference(obf, truth)
+    ranked = rank_candidates(cd, table=TABLE)
+    shared = [rc.selection for rc in ranked if rc.selection[1] == 1]
+    assert shared == [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+    assert len({rc.key for rc in ranked}) == 3
+    assert len({id(rc.program) for rc in ranked}) == 6
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAPPING_CONES) + ["shared-source", "l1"])
+def test_shuffled_candidates_rank_like_the_reference(name):
+    """Ties keep the given order, whatever it is."""
+    if name == "l1":
+        _, cd, members = demo_class("l1")
+        members = random.Random(5).sample(members, 3_000)
+    else:
+        cd = extract_class(hand_built(OVERLAPPING_CONES.get(name, SHARED_SOURCE)))
+        members = [
+            (selection, reference_realize(cd, selection))
+            for selection in itertools.product(*(range(n) for n in cd.option_counts()))
+        ]
+        random.Random(len(members)).shuffle(members)
+    candidates = [
+        attack.Candidate(selection=selection, program=realize_candidate(cd, selection))
+        for selection, _ in members
+    ]
+    ranked = rank_candidates(cd, table=TABLE, candidates=candidates)
+    assert ranked_rows(ranked) == reference_ranking(members, TABLE)[0]
