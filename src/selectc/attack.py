@@ -16,7 +16,9 @@ Three attacks are modeled:
     than silently truncating.
   * likelihood ranking: score candidates by how typical their
     statements look against a mined pattern table (smoothed relative
-    operator frequencies), and rank the class by that score.
+    operator frequencies), and rank the class by that score. The
+    result is a Ranking with one record per distinct program; the
+    selections behind it are built only when read.
   * the selection guessing game, exact and simulated, for the
     two-statement combining setting with one conspicuous statement.
 
@@ -28,13 +30,15 @@ pessimistically. Q = 0 means the attacker's first pick is right.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Iterator
+from operator import attrgetter, itemgetter
+from typing import Iterator
 
 from .errors import ConfigError, EnumerationCapError
 from .field import OP_NAMES, Op, field_ops
@@ -52,6 +56,7 @@ from .ir import (
     live_statement_indices,
     render_key,
     run_statements,
+    statement_operands,
 )
 from .obfuscate import ObfProgram
 from .rng import DEFAULT_SEED, derive_seed
@@ -92,15 +97,117 @@ class RankedCandidate(Candidate):
     key: str = ""  # canonical_key(program, False)
 
 
+@dataclass(slots=True)
+class RankedMember:
+    """One distinct program of a ranked class, and the selections that fold to it.
+
+    signatures are the member's live signatures (see
+    _MemberCones.signature); each stands for the selections it expands
+    to over its dead slots, count in all. A class ranked from given
+    candidates lists their selections instead, in the given order.
+    programs is None while every signature folds to program's very
+    statements; otherwise it holds each signature's own fold, which
+    names some statement apart.
+    """
+
+    key: str  # canonical_key(program, False)
+    program: Program
+    log_score: float
+    count: int  # selections
+    signatures: list[tuple[int, ...]]
+    programs: list[Program] | None = None
+    prob: float = 0.0  # per selection
+
+    def join(self, signature: tuple[int, ...], count: int, program: Program) -> None:
+        """Add a signature that folds to this member's key."""
+        if self.programs is None and program is not self.program and (
+            program.statements != self.program.statements
+        ):
+            self.programs = [self.program] * len(self.signatures)
+        if self.programs is not None:
+            self.programs.append(program)
+        self.signatures.append(signature)
+        self.count += count
+
+
+class Ranking:
+    """A ranked class, best first, as rank_candidates returns it.
+
+    members holds one RankedMember per distinct program, sorted. As a
+    read-only sequence (len, iteration, indexing, slicing) it is the
+    selections, one RankedCandidate each, built on demand: a member's
+    signatures expanded over their dead slots and merged in product
+    order, or its given candidates in the given order.
+    """
+
+    __slots__ = ("members", "_ranges", "_ends", "_explicit")
+
+    def __init__(self, members: list[RankedMember], option_counts: list[int], explicit: bool):
+        self.members = members
+        self._ranges = [range(n) for n in option_counts]
+        self._ends = list(itertools.accumulate(m.count for m in members))  # selections so far
+        self._explicit = explicit
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[RankedCandidate]:
+        return self._rows(0)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return list(itertools.islice(self._rows(start), max(stop - start, 0)))
+            return [self[i] for i in range(start, stop, step)]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("ranking index out of range")
+        return next(self._rows(i))
+
+    def _selections(self, member: RankedMember) -> Iterator[tuple[tuple[int, ...], Program]]:
+        """(selection, program) for each of member's selections, in order."""
+        ranges = self._ranges
+        programs = member.programs or itertools.repeat(member.program)
+        runs = [
+            zip(
+                itertools.product(*[(c,) if c >= 0 else r for c, r in zip(sig, ranges)]),
+                itertools.repeat(program),
+            )
+            for sig, program in zip(member.signatures, programs)
+        ]
+        if len(runs) == 1:
+            return runs[0]
+        if self._explicit:
+            return itertools.chain(*runs)
+        return heapq.merge(*runs, key=itemgetter(0))
+
+    def _rows(self, start: int) -> Iterator[RankedCandidate]:
+        """The ranked selections from position start on."""
+        first = bisect.bisect_right(self._ends, start)
+        skip = start - (self._ends[first - 1] if first else 0)
+        for member in itertools.islice(self.members, first, None):
+            rows = self._selections(member)
+            if skip:
+                rows = itertools.islice(rows, skip, None)
+                skip = 0
+            score, prob, key = member.log_score, member.prob, member.key
+            for selection, program in rows:
+                yield RankedCandidate(selection, program, score, prob, key)
+
+
 @dataclass
 class AttackReport:
     class_size: int
-    enumerated: int
-    ranked: list[RankedCandidate]
+    enumerated: int  # selections ranked
+    ranked: Ranking
     survivors: int | None = None
     min_rank: int | None = None
     quality: float | None = None
     elapsed: float = 0.0
+    distinct_programs: int = 0  # members ranked
 
 
 def extract_class(obf: ObfProgram) -> ClassDescriptor:
@@ -141,14 +248,18 @@ def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Progra
 
     Emits the member's live statements only (see _MemberCones.fold), so
     the result equals dead_code_eliminate of the full fold under the
-    same choices, without building that fold.
+    same choices, without building that fold. The choices at dead slots
+    are never read, so selection may be a live signature, with -1 at
+    those slots (see _MemberCones.signature). The members of a class
+    share one copy of its inputs list and consts dict; copy a member
+    (Program.copy) before changing them.
     """
-    program = cd.obf.program
+    cones = cd.cones
     return Program(
-        inputs=list(program.inputs),
-        statements=cd.cones.fold(selection),
-        consts=dict(program.consts),
-        prime=program.prime,
+        inputs=cones.inputs,
+        statements=cones.fold(selection),
+        consts=cones.consts,
+        prime=cd.obf.program.prime,
     )
 
 
@@ -176,6 +287,9 @@ class _MemberCones:
     def __init__(self, cd: ClassDescriptor):
         program = cd.obf.program
         stmts = self.statements = program.statements
+        # the interface every member shares, apart from the obfuscated program's own
+        self.inputs = list(program.inputs)
+        self.consts = dict(program.consts)
         defs: dict[str, int] = {}  # assignment target -> its index
         reach: dict[str, int] = {}  # variable -> slots it reads through assignments
         slots: list[int] = []
@@ -237,6 +351,42 @@ class _MemberCones:
                 live |= reach[j][choice]
         return tuple(sig)
 
+    def signatures(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every live signature of the class, with how many selections share it.
+
+        A depth-first walk from the last slot: a live slot takes each of
+        its options in turn, adding the slots that option reads, and a
+        dead one takes -1 and multiplies the count by its option count.
+        So the class is covered without visiting one selection.
+        """
+        reach = self.reach
+        last = len(reach)
+        sig = [-1] * last
+        live = [0] * last + [self.out]  # live[j + 1]: the slots live above slot j
+        count = [1] * (last + 1)  # count[j + 1]: the selections per choice above slot j
+        j = last - 1
+        while True:
+            while j >= 0:  # descend, taking the first option at live slots
+                above = live[j + 1]
+                if above >> j & 1:
+                    sig[j] = 0
+                    live[j] = above | reach[j][0]
+                    count[j] = count[j + 1]
+                else:
+                    sig[j] = -1
+                    live[j] = above
+                    count[j] = count[j + 1] * len(reach[j])
+                j -= 1
+            yield tuple(sig), count[0]
+            j = 0  # back up to the first live slot with an option left
+            while j < last and (sig[j] < 0 or sig[j] + 1 == len(reach[j])):
+                j += 1
+            if j == last:
+                return
+            choice = sig[j] = sig[j] + 1
+            live[j] = live[j + 1] | reach[j][choice]
+            j -= 1
+
     def fold(self, selection: tuple[int, ...]) -> list[Statement]:
         """The member's live statements, in program order.
 
@@ -293,35 +443,15 @@ class _MemberCones:
         return out
 
 
-def _members(
-    cd: ClassDescriptor, candidates: Iterable[Candidate] | None = None
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Program]]:
-    """(selection, live signature, program) for each candidate, in order.
-
-    Without candidates, the whole class in product order. A program is
-    folded once per live signature: the first candidate's program, or a
-    fresh fold of its selection, serves every later one with the same
-    signature.
-    """
-    if candidates is None:
-        given = zip(itertools.product(*map(range, cd.option_counts())), itertools.repeat(None))
-    else:
-        given = ((c.selection, c.program) for c in candidates)
-    signature = cd.cones.signature
-    programs: dict[tuple[int, ...], Program] = {}
-    for selection, program in given:
-        sig = signature(selection)
-        shared = programs.get(sig)
-        if shared is None:
-            if program is None:
-                program = realize_candidate(cd, selection)
-            shared = programs[sig] = program
-        yield selection, sig, shared
-
-
 def enumerate_candidates(cd: ClassDescriptor) -> Iterator[Candidate]:
     """Every member in product order; members with one live signature share a Program."""
-    for selection, _, program in _members(cd):
+    signature = cd.cones.signature
+    programs: dict[tuple[int, ...], Program] = {}
+    for selection in itertools.product(*map(range, cd.option_counts())):
+        sig = signature(selection)
+        program = programs.get(sig)
+        if program is None:
+            program = programs[sig] = realize_candidate(cd, selection)
         yield Candidate(selection=selection, program=program)
 
 
@@ -473,7 +603,7 @@ def rank_candidates(
     table=None,
     cap: int = DEFAULT_CAP,
     candidates: list[Candidate] | None = None,
-) -> list[RankedCandidate]:
+) -> Ranking:
     """Order the class by statement-pattern likelihood, best first.
 
     p(candidate) is proportional to the product of smoothed relative
@@ -482,67 +612,87 @@ def rank_candidates(
     canonical serialization, then by the given order (product order
     without candidates), so the order is reproducible.
 
-    The unit of work is the distinct member, not the selection. Each
-    live signature (see _MemberCones.signature) is folded, scored and
-    keyed once, for its first selection; the selections that share it
-    share its Program. A member holds its live statements only, so its
-    key is rendered without a liveness pass, and members with one
-    target order share one rename map. The score is an fsum, which is
-    correctly rounded, so it depends on the member's operations only;
-    signatures that fold to one key therefore tie on (score, key) and
-    form one group, whose selections stay in the given order. Groups
-    are sorted, and each one's weight is computed once and counted
-    once per selection in the normalizing sum.
+    The unit of work is the distinct member, not the selection, and the
+    result is a Ranking of RankedMembers whose selections are built
+    only when read. Without candidates the selections stay implicit:
+    the live signatures (see _MemberCones.signatures) are walked, each
+    folded through realize_candidate, keyed and scored once. With
+    candidates, the first one of each signature is keyed and scored.
+    A member holds its live statements only, so its key is rendered
+    without a liveness pass, and members with one target order share
+    one rename map. The score is an fsum, which is correctly rounded,
+    so it depends on the member's operations only; signatures that fold
+    to one key therefore tie on (score, key) and form one member.
+    Members are sorted, and each one's weight is computed once and
+    counted once per selection in the normalizing sum.
     """
     if candidates is None and cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
     scores, _ = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     renames: dict[tuple[str, ...], dict[str, str]] = {}  # target order -> rename map
-    groups: dict[str, tuple[float, str, list]] = {}  # key -> (score, key, [(selection, program)])
-    graded: dict[tuple[int, ...], list] = {}  # live signature -> its group's members
-    for selection, sig, program in _members(cd, candidates):
-        members = graded.get(sig)
-        if members is None:
+    members: dict[str, RankedMember] = {}  # key -> member
+    if candidates is None:
+        for sig, count in cd.cones.signatures():
+            program = realize_candidate(cd, sig)
             stmts = program.statements
             key = render_key(program, stmts, False, renames)
-            group = groups.get(key)
-            if group is None:
+            member = members.get(key)
+            if member is None:
                 score = math.fsum([op_scores[st.expr.op] for st in stmts])
-                group = groups[key] = (score, key, [])
-            members = graded[sig] = group[2]
-        members.append((selection, program))
+                members[key] = RankedMember(key, program, score, count, [sig])
+            else:
+                member.join(sig, count, program)
+    else:
+        signature = cd.cones.signature
+        # live signature -> (its member, the program its selections share)
+        graded: dict[tuple[int, ...], tuple[RankedMember, Program]] = {}
+        for cand in candidates:
+            sig = signature(cand.selection)
+            hit = graded.get(sig)
+            if hit is None:
+                program = cand.program
+                stmts = program.statements
+                key = render_key(program, stmts, False, renames)
+                member = members.get(key)
+                if member is None:
+                    score = math.fsum([op_scores[st.expr.op] for st in stmts])
+                    member = members[key] = RankedMember(key, program, score, 0, [])
+                hit = graded[sig] = (member, program)
+            member, program = hit
+            member.join(cand.selection, 1, program)
     # keys are unique, so by key, then stably by descending score, is by (-score, key)
-    order = sorted(groups.values(), key=itemgetter(1))
-    order.sort(key=itemgetter(0), reverse=True)
-    if not order:
-        return []
-    peak = order[0][0]
-    weights = [math.exp(score - peak) for score, _, _ in order]
-    # one term per selection, the multiset a per-selection sum adds, so the same fsum
-    total = math.fsum([w for (_, _, members), w in zip(order, weights) for _ in members])
-    return [
-        RankedCandidate(selection, program, score, w / total, key)
-        for (score, key, members), w in zip(order, weights)
-        for selection, program in members
-    ]
+    order = sorted(members.values(), key=attrgetter("key"))
+    order.sort(key=attrgetter("log_score"), reverse=True)
+    if order:
+        peak = order[0].log_score
+        weights = [math.exp(m.log_score - peak) for m in order]
+        # one term per selection, the multiset a per-selection sum adds, so the same fsum
+        total = math.fsum(
+            itertools.chain.from_iterable(map(itertools.repeat, weights, [m.count for m in order]))
+        )
+        for m, w in zip(order, weights):
+            m.prob = w / total
+    return Ranking(order, cd.option_counts(), explicit=candidates is not None)
 
 
-def _grade(ranked: list[RankedCandidate], truth: list[Program]) -> tuple[int, float] | None:
+def _grade(ranked: Ranking, truth: list[Program]) -> tuple[int, float] | None:
     """(r, Q) for the best-ranked truth program, or None if none is ranked.
 
-    ranked is best first, as rank_candidates returns it. r counts every
-    candidate scoring at least as high, ties included; Q = 1 - 1/r.
+    r counts every selection scoring at least as high, ties included:
+    the selections of every member that does. Q = 1 - 1/r.
     """
     wanted = {canonical_key(p, False) for p in truth}
-    best = max((rc.log_score for rc in ranked if rc.key in wanted), default=None)
+    members = ranked.members
+    best = max((m.log_score for m in members if m.key in wanted), default=None)
     if best is None:
         return None
-    rank = bisect.bisect_right(ranked, -best, key=lambda rc: -rc.log_score)
+    last = bisect.bisect_right(members, -best, key=lambda m: -m.log_score) - 1
+    rank = ranked._ends[last]
     return rank, 1.0 - 1.0 / rank
 
 
-def class_quality(ranked: list[RankedCandidate], confidential: list[Program]) -> float:
+def class_quality(ranked: Ranking, confidential: list[Program]) -> float:
     """Q = 1 - 1/r for the best-ranked confidential program.
 
     r counts every candidate scoring at least as high, ties included,
@@ -555,6 +705,32 @@ def class_quality(ranked: list[RankedCandidate], confidential: list[Program]) ->
     return graded[1]
 
 
+def _unmatched_truth(cd: ClassDescriptor, truth: list[Program], filtered: bool) -> str:
+    """Why no ranked member is a truth program, as run_attack reports it.
+
+    Terminals (inputs and consts) match by name: a truth that reads one
+    the class lacks matches no member, even up to renaming.
+    """
+    program = cd.obf.program
+    have = {*program.inputs, *program.consts}
+    reads: set[str] = set()
+    for p in truth:
+        terminals = {*p.inputs, *p.consts}
+        for idx in live_statement_indices(p):
+            reads.update(v for v in statement_operands(p.statements[idx]) if v in terminals)
+    missing = sorted(reads - have)
+    if missing:
+        extra = sorted(have - reads)
+        instead = f" (it has {', '.join(extra)} instead)" if extra else ""
+        return (
+            f"the truth reads {', '.join(missing)}, which the class lacks{instead}; "
+            "terminals match by name, not up to renaming"
+        )
+    if filtered:
+        return "no survivor of the known pairs matches the truth"
+    return "no member of the ranked class matches the truth"
+
+
 def run_attack(
     obf: ObfProgram,
     pairs: list[tuple[dict[str, int], int]] | None = None,
@@ -562,7 +738,11 @@ def run_attack(
     truth: list[Program] | None = None,
     cap: int = DEFAULT_CAP,
 ) -> AttackReport:
-    """Full pipeline: extract, optionally filter, rank, and grade."""
+    """Full pipeline: extract, optionally filter, rank, and grade.
+
+    Raises ConfigError when truth is given but no ranked member is one
+    of its programs, rather than leaving the class ungraded.
+    """
     start = time.perf_counter()
     cd = extract_class(obf)
     survivors = None
@@ -571,8 +751,12 @@ def run_attack(
         candidates = kpa_filter(cd, pairs, cap=cap)
         survivors = len(candidates)
     ranked = rank_candidates(cd, table=table, cap=cap, candidates=candidates)
-    graded = _grade(ranked, truth) if truth else None
-    min_rank, quality = graded or (None, None)
+    min_rank = quality = None
+    if truth:
+        graded = _grade(ranked, truth)
+        if graded is None:
+            raise ConfigError(_unmatched_truth(cd, truth, pairs is not None))
+        min_rank, quality = graded
     return AttackReport(
         class_size=cd.class_size,
         enumerated=len(ranked),
@@ -581,6 +765,7 @@ def run_attack(
         min_rank=min_rank,
         quality=quality,
         elapsed=time.perf_counter() - start,
+        distinct_programs=len(ranked.members),
     )
 
 

@@ -322,6 +322,36 @@ def test_run_attack_without_extras(two_option_class):
     assert len(report.ranked) == 2
 
 
+@pytest.mark.parametrize(
+    "op, pairs, message",
+    [
+        (Op.DIV, None, "no member of the ranked class matches the truth"),
+        (Op.ADD, [({"a": 3}, 9)], "no survivor of the known pairs matches the truth"),
+    ],
+    ids=["rank", "kpa"],
+)
+def test_run_attack_refuses_a_truth_it_cannot_grade(two_option_class, op, pairs, message):
+    obf, _ = two_option_class
+    truth = Program(
+        inputs=["a"], statements=[Assign("c", SimpleExpression(op, "a", "a"))], consts={}, prime=P
+    )
+    with pytest.raises(ConfigError, match=message):
+        run_attack(obf, pairs=pairs, truth=[truth])
+
+
+def test_run_attack_names_the_terminals_a_truth_reads_and_the_class_lacks(two_option_class):
+    obf, _ = two_option_class
+    truth = Program(
+        inputs=["a"],
+        statements=[Assign("c", SimpleExpression(Op.MUL, "a", "k0"))],
+        consts={"k0": 2},
+        prime=P,
+    )
+    message = "the truth reads k0, which the class lacks; terminals match by name"
+    with pytest.raises(ConfigError, match=message):
+        run_attack(obf, truth=[truth])
+
+
 # ------------------------------------------------------- the guessing game
 
 def test_game_exact_printed_values():

@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through dispatch()."""
 
+import hashlib
+import pathlib
 import time
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from selectc.cli import dispatch
 from selectc.crypto import read_key_file, write_key_file
 from selectc.errors import format_count
-from selectc.ir import parse_program, render_program
+from selectc.ir import eval_plain, parse_program, render_program
 from selectc.lower import lower
 from selectc.obfuscate import read_obf_program
 from selectc.patterns import read_table
@@ -494,3 +496,79 @@ def test_demo_l0_deobfuscates_to_shipped_truth(tmp_path, capsys):
     with open(rec, encoding="utf-8") as fh:
         recovered = fh.read()
     assert recovered == (out_dir / "task1.l0.tac").read_text(encoding="utf-8")
+
+
+# ----------------------------------------------- golden attack output
+
+# sha256 of `selectc attack` stdout on the default-seed demo artifacts
+ATTACK_GOLDEN = {
+    ("l0", "rank"): "8ca2dfd15c765c29a907fa690cfae82d6313ab3785e713d36119cbc1ab8640bd",
+    ("l0", "pairs"): "14ee91374cc8f1cb19ddb73b5d3861cd262b5c1a4a1e76085d33070268816a16",
+    ("l0", "truth"): "70f8ccd98f99d34c9d98bed44e1d95f68e9b1f058c77b19b9a9c244a2f117cff",
+    ("l1", "rank"): "4e7509f78946b3021ae96f9b372d1b6856cca750b5bf1b368b09d86c2feb658d",
+    ("l1", "pairs"): "24fad983c7bd2a6d1ae60b64d8dcee70a67f7b689c662e6b80c461b8617089b3",
+    ("l1", "truth"): "64109a74519e66de283619b2e9d896189131ee18296ee88bcc6c2de739ebf86f",
+}
+
+
+@pytest.fixture(scope="module")
+def demo_dirs(tmp_path_factory):
+    """The default-seed demo artifacts per level, with a table mined
+    from the test corpora and a pairs file of one known run, x = y = 1,
+    which thousands of l0 members also pass."""
+    root = tmp_path_factory.mktemp("demos")
+    data = pathlib.Path(__file__).parent / "data"
+    table = str(root / "table.txt")
+    trees = sorted(str(path) for path in data.glob("corpus_*.trees"))
+    assert dispatch(["mine", *trees, "-o", table]) == 0
+    dirs = {}
+    for level in ("l0", "l1"):
+        out = root / level
+        assert dispatch(["demo", level, "--out", str(out)]) == 0
+        truth = parse_program((out / f"task1.{level}.tac").read_text(encoding="utf-8"))
+        _, key = read_key_file(str(out / f"task1.{level}.key"))
+        inputs = {"x": 1, "y": 1}
+        lhs = ",".join(f"{name}={value}" for name, value in {**key.bindings, **inputs}.items())
+        write(out / "pairs.txt", f"{lhs} => {eval_plain(truth, inputs)}\n")
+        dirs[level] = out
+    return dirs, table
+
+
+def attack_argv(out, level, table, form):
+    argv = ["attack", str(out / f"task1.{level}.obf"), "--table", table]
+    if form == "pairs":
+        argv += ["--pairs", str(out / "pairs.txt")]
+    elif form == "truth":
+        truth = "task1.l0.tac" if level == "l0" else "task1.src"
+        argv += ["--truth", str(out / truth)]
+    return argv
+
+
+@pytest.mark.parametrize("form", ["rank", "pairs", "truth"])
+@pytest.mark.parametrize("level", ["l0", "l1"])
+def test_attack_output_on_the_demos_is_pinned(demo_dirs, capsys, level, form):
+    dirs, table = demo_dirs
+    capsys.readouterr()
+    assert dispatch(attack_argv(dirs[level], level, table, form)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ATTACK_GOLDEN[level, form], out
+
+
+def test_attack_truth_graded_by_the_names_the_class_uses(demo_dirs, capsys):
+    dirs, _ = demo_dirs
+    obf = str(dirs["l0"] / "task1.l0.obf")
+    capsys.readouterr()
+    assert dispatch(["attack", obf, "--truth", str(dirs["l0"] / "task1.l0.tac")]) == 0
+    assert "min_rank | 12500\n" in capsys.readouterr().out
+
+
+def test_attack_truth_that_grades_nothing_is_domain_error(demo_dirs, capsys):
+    """task1.src lowers its constants to k0, k1, k2; the l0 class names them one, u, v."""
+    dirs, _ = demo_dirs
+    obf = str(dirs["l0"] / "task1.l0.obf")
+    capsys.readouterr()
+    assert dispatch(["attack", obf, "--truth", str(dirs["l0"] / "task1.src")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lacks = "the truth reads k0, k1, k2, which the class lacks (it has one, u, v, w, z instead)"
+    assert lacks in captured.err

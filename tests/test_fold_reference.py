@@ -31,10 +31,11 @@ from selectc.attack import (
     kpa_filter,
     rank_candidates,
     realize_candidate,
+    render_attack_report,
     run_attack,
 )
 from selectc.demos import build_l0, build_l1
-from selectc.errors import EnumerationCapError, UnboundVariableError
+from selectc.errors import ConfigError, EnumerationCapError, UnboundVariableError
 from selectc.field import FIELD_PRIME, Op, signed
 from selectc.generate import random_inputs, random_linear_program
 from selectc.ir import (
@@ -250,8 +251,14 @@ def assert_class_matches_reference(obf, truth):
         got = realize_candidate(cd, selection)
         assert render_program(got) == render_program(want), selection
         members.append((selection, want))
-    report = run_attack(obf, table=TABLE, truth=[truth])
     ranked, min_rank = reference_ranking(members, TABLE, truth)
+    if min_rank is None:
+        # program-level obfuscation renames consts, so a truth may match no member by name
+        with pytest.raises(ConfigError, match="matches the truth"):
+            run_attack(obf, table=TABLE, truth=[truth])
+        report = run_attack(obf, table=TABLE)
+    else:
+        report = run_attack(obf, table=TABLE, truth=[truth])
     assert ranked_rows(report.ranked) == ranked
     assert report.min_rank == min_rank
 
@@ -572,6 +579,13 @@ def test_kpa_refuses_an_oversized_class_before_evaluating(monkeypatch):
     assert (e.value.class_size, e.value.cap) == (15_625, 15_624)
 
 
+def test_rank_refuses_an_oversized_class_before_folding(monkeypatch):
+    _, cd, _ = demo_class("l1")
+    monkeypatch.setattr(attack, "realize_candidate", None)
+    with pytest.raises(EnumerationCapError):
+        rank_candidates(cd, cap=cd.class_size - 1)
+
+
 def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     """The work-shape guard: the walk checks every pair, so only the final
     survivors are folded, once each and in order.
@@ -628,8 +642,37 @@ def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert len(folded) == folds
     assert report.enumerated == cd.class_size
+    assert report.distinct_programs == folds
     assert len({rc.key for rc in report.ranked}) == folds
     assert len({id(rc.program) for rc in report.ranked}) == folds
+
+
+def test_rank_only_builds_nothing_per_selection(monkeypatch):
+    """The work-shape guard: rank-only ranking walks live signatures, so
+    l1's 15,625 selections cost 1,861 folds, one member each, and no
+    RankedCandidate until the ranking is read."""
+    demo, cd, _ = demo_class("l1")
+    folded = []
+    built = []
+    real_fold = attack.realize_candidate
+    real_candidate = attack.RankedCandidate
+
+    def counting_fold(cd, selection):
+        folded.append(selection)
+        return real_fold(cd, selection)
+
+    def counting_candidate(*args):
+        built.append(args[0])
+        return real_candidate(*args)
+
+    monkeypatch.setattr(attack, "realize_candidate", counting_fold)
+    monkeypatch.setattr(attack, "RankedCandidate", counting_candidate)
+    report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
+    assert built == []
+    assert len(folded) == 1_861
+    assert sum(m.count for m in report.ranked.members) == report.enumerated == 15_625
+    render_attack_report(report, top=10)
+    assert len(built) == 10
 
 
 def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
@@ -720,7 +763,57 @@ def test_signatures_that_fold_to_one_program_rank_in_product_order():
     shared = [rc.selection for rc in ranked if rc.selection[1] == 1]
     assert shared == [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
     assert len({rc.key for rc in ranked}) == 3
-    assert len({id(rc.program) for rc in ranked}) == 6
+    assert len({id(rc.program) for rc in ranked}) == 3  # one Program per distinct member
+    assert run_attack(obf).distinct_programs == 3
+
+
+# two copies of one program under other temporaries: both options fold
+# to one key, and each keeps its own statements
+TWIN_PROGRAMS = [
+    Assign("t0", add("x", "y")),
+    Assign("t1", mul("t0", "x")),
+    Assign("t2", add("x", "y")),
+    Assign("t3", mul("t2", "x")),
+    Combine("c", (("s0", "t1"), ("s1", "t3"))),
+]
+
+
+def test_signatures_that_fold_to_one_key_keep_their_own_programs():
+    obf = hand_built(TWIN_PROGRAMS)
+    cd = extract_class(obf)
+    assert_class_matches_reference(obf, reference_realize(cd, (1,)))
+    ranked = rank_candidates(cd, table=TABLE)
+    [member] = ranked.members
+    assert member.count == 2
+    folds = [realize_candidate(cd, (i,)) for i in (0, 1)]
+    assert folds[0] != folds[1]
+    assert [rc.program for rc in ranked] == folds
+    candidates = [attack.Candidate((i,), folds[i]) for i in (1, 0)]
+    ranked = rank_candidates(cd, table=TABLE, candidates=candidates)
+    assert [(rc.selection, rc.program) for rc in ranked] == [((1,), folds[1]), ((0,), folds[0])]
+
+
+@pytest.mark.parametrize("name", ["shared-source", "l1-kpa", "l1"])
+def test_ranking_indexes_and_slices_like_its_list(name):
+    """A Ranking reads as the list of its selections, whichever way it is read."""
+    if name == "shared-source":
+        ranking = rank_candidates(extract_class(hand_built(SHARED_SOURCE)), table=TABLE)
+    else:
+        _, cd, _ = demo_class("l1")
+        pairs = seeded_pairs(cd, 1, seed=7) if name == "l1-kpa" else None
+        candidates = kpa_filter(cd, pairs) if pairs else None
+        ranking = rank_candidates(cd, table=TABLE, candidates=candidates)
+    rows = list(ranking)
+    n = len(rows)
+    assert len(ranking) == n == sum(m.count for m in ranking.members)
+    for i in {0, 1, n // 3, n // 2, n - 2, n - 1, -1, -n}:
+        assert ranking[i] == rows[i]
+    for cut in (slice(None, 10), slice(5, None), slice(n // 2, n // 2 + 7), slice(1, None, 3),
+                slice(None, None, -5), slice(-4, None), slice(n + 5, None)):
+        assert ranking[cut] == rows[cut]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ranking[i]
 
 
 @pytest.mark.parametrize("name", sorted(OVERLAPPING_CONES) + ["shared-source", "l1"])
