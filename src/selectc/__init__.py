@@ -30,6 +30,7 @@ from .crypto import (
     SelectorKey,
     dec,
     enc,
+    enc_many,
     he_op,
     keygen,
     read_key_file,

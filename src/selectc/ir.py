@@ -28,6 +28,10 @@ from .errors import FormatError, UnboundVariableError
 from .field import FIELD_PRIME, OP_NAMES, Op, field_ops, is_prime, op_from_name, signed
 
 
+# Op.X reads go through EnumType.__getattr__; a module global does not
+_MUL, _ADD = Op.MUL, Op.ADD
+
+
 @dataclass(frozen=True, slots=True)
 class SimpleExpression:
     """One operation applied to two input variables."""
@@ -149,7 +153,7 @@ def run_statements(
                 raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
             env[st.target] = ops[expr.op](a, b)
         else:
-            mul, add = ops[Op.MUL], ops[Op.ADD]
+            mul, add = ops[_MUL], ops[_ADD]
             acc = None
             for sel, src in st.options:
                 bit = selectors[sel] if sel in selectors else env.get(sel)

@@ -28,7 +28,7 @@ import itertools
 import typing
 from dataclasses import dataclass, field
 
-from .crypto import Ciphertext, SecretKey, SelectorKey, enc, he_ops
+from .crypto import Ciphertext, SecretKey, SelectorKey, enc_many, he_ops
 from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError
 from .field import ARITH_OPS, Op, op_from_name
 from .ir import (
@@ -456,6 +456,13 @@ def obfuscate_program_level(
     """Run equivalent-cost programs in seeded random order and combine
     their results; the selector key marks program i_star as the one
     whose output is real.
+
+    Each program's consts are renamed to fresh k names (their values
+    move into the key's bindings), so two programs may both use k0.
+    The class therefore need not contain program i_star under its own
+    const names, and run_attack(obf, truth=[programs[i_star]]) can
+    raise ConfigError. Grade against deobfuscate(obf, sel_key), which
+    is program i_star under the renamed consts.
     """
     if len(programs) < 2:
         raise ConfigError("program-level obfuscation needs at least two programs")
@@ -530,18 +537,25 @@ def eval_encrypted(
     """Execute the obfuscated program over ciphertexts.
 
     Every statement runs; combining statements compute the full
-    selector-weighted sum homomorphically. Bound variables from the
-    selector key are encrypted on the fly; callers supply ciphertexts
-    for the true inputs. The key must pass checked_key. Every handle
-    minted here except the output is freed before returning.
+    selector-weighted sum homomorphically. The key must pass
+    checked_key. The bound variables, then the selector bits, are
+    encrypted under key in one batch each; callers supply ciphertexts
+    for the true inputs. The run goes through he_ops(key), so each
+    operation mints exactly one handle. Every handle minted here except
+    the output is freed on every exit path, a raised error included.
     """
     checked_key(obf, sel_key)
     mark = len(key)
-    env = {v: enc(key, val) for v, val in sel_key.bindings.items()}
-    env.update(enc_inputs)
-    sel_ct = {s: enc(key, bit) for s, bit in sel_key.bits.items()}
-    out = run_statements(obf.program, env, sel_ct, he_ops(key))[obf.program.output]
-    key.release_since(mark, out)
+    out = None
+    try:
+        bindings = sel_key.bindings
+        env = dict(zip(bindings, enc_many(key, bindings.values())))
+        env.update(enc_inputs)
+        bits = sel_key.bits
+        sel_ct = dict(zip(bits, enc_many(key, bits.values())))
+        out = run_statements(obf.program, env, sel_ct, he_ops(key))[obf.program.output]
+    finally:
+        key.release_since(mark, out)
     return out
 
 
@@ -553,25 +567,25 @@ def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
     selector.
     """
     bits = sel_key.bits
-    for sel, bit in bits.items():
-        if bit not in (0, 1):
-            raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
+    values = list(bits.values())
+    if values.count(0) + values.count(1) != len(values):
+        sel, bit = next((s, b) for s, b in bits.items() if b not in (0, 1))
+        raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
     selection: dict[int, int] = {}
     for idx, st in enumerate(obf.program.statements):
         if isinstance(st, Assign):
             continue
-        hot = 0
-        for i, (sel, _) in enumerate(st.options):
-            bit = bits.get(sel)
-            if bit is None:
-                missing = [s for s, _ in st.options if s not in bits]
-                raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}")
-            if bit:
-                hot += 1
-                selection[idx] = i
+        try:
+            picks = [bits[sel] for sel, _ in st.options]
+        except KeyError:
+            missing = [s for s, _ in st.options if s not in bits]
+            raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}") from None
+        # every bit is 0 or 1, so the 1s are the hot selectors
+        hot = picks.count(1)
         if hot != 1:
             group = ", ".join(s for s, _ in st.options)
             raise KeyMismatchError(f"combining statement over ({group}) has {hot} hot selectors")
+        selection[idx] = picks.index(1)
     return selection
 
 

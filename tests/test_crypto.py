@@ -5,10 +5,13 @@ import itertools
 import pytest
 
 from selectc.crypto import (
+    Ciphertext,
     SelectorKey,
     dec,
     enc,
+    enc_many,
     he_op,
+    he_ops,
     keygen,
     read_key_file,
     write_key_file,
@@ -55,23 +58,73 @@ def test_foreign_handle_rejected():
         dec(b, ct)
 
 
+def test_foreign_handle_rejected_by_every_op():
+    """Each ops-table entry rejects a foreign operand in either position
+    and mints nothing."""
+    a, b = keygen(1), keygen(2)
+    foreign, own = enc(a, 5), enc(b, 6)
+    for op, fn in he_ops(b).items():
+        for args in ((foreign, own), (own, foreign)):
+            with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
+                fn(*args)
+            with pytest.raises(ForeignCiphertextError):
+                he_op(b, op, *args)
+    assert len(b) == 1
+
+
 def test_handles_never_collide():
     key = keygen(3)
     handles = {enc(key, i).handle for i in range(100_000)}
     assert len(handles) == 100_000
 
 
+HALF = (P - 1) // 2
+GRID = [0, 1, 2, 3, 7, 10, HALF, HALF + 1, P - 2, P - 1,
+        norm(-3), norm(-10), 99991, 2**32, 2**60]
+
+
 def test_homomorphism_grid():
     """dec(he_op(op, enc a, enc b)) == apply_op(op, a, b) across a value grid."""
     key = keygen(11)
-    half = (P - 1) // 2
-    values = [0, 1, 2, 3, 7, 10, half, half + 1, P - 2, P - 1,
-              norm(-3), norm(-10), 99991, 2**32, 2**60]
-    cts = {v: enc(key, v) for v in values}
-    for a, b in itertools.product(values, repeat=2):
+    cts = {v: enc(key, v) for v in GRID}
+    for a, b in itertools.product(GRID, repeat=2):
         for op in ALL_OPS:
             got = dec(key, he_op(key, op, cts[a], cts[b]))
             assert got == apply_op(op, a, b), (op, a, b)
+
+
+def test_ops_table_agrees_with_he_op():
+    """he_ops(key)[op] mints the same handles and values as he_op, in turn."""
+    keys = keygen(11), keygen(11)
+    cts = [{v: ct for v, ct in zip(GRID, enc_many(key, GRID))} for key in keys]
+    table = he_ops(keys[1])
+    assert set(table) == set(ALL_OPS)
+    for a, b in itertools.product(GRID, repeat=2):
+        for op in ALL_OPS:
+            want = he_op(keys[0], op, cts[0][a], cts[0][b])
+            got = table[op](cts[1][a], cts[1][b])
+            assert got == want and dec(keys[1], got) == dec(keys[0], want), (op, a, b)
+
+
+def test_enc_many_matches_enc_in_turn():
+    values = [5, -1, P + 3, 0]
+    one_by_one = keygen(4)
+    singles = [enc(one_by_one, v) for v in values]
+    batch_key = keygen(4)
+    batch = enc_many(batch_key, values)
+    assert batch == singles
+    assert [dec(batch_key, ct) for ct in batch] == [5, P - 1, 3, 0]
+
+
+def test_ciphertext_equality_and_hash_follow_the_handle():
+    a, b, c = Ciphertext(5), Ciphertext(5), Ciphertext(6)
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert len({a, b, c}) == 2
+    assert a != 5 and a != (5,)
+    key = keygen(0)
+    ct = enc(key, 9)
+    assert Ciphertext(ct.handle) == ct and dec(key, Ciphertext(ct.handle)) == 9
 
 
 def checked(bits, groups):

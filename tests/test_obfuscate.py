@@ -11,7 +11,14 @@ from selectc import obfuscate
 from selectc.attack import extract_class
 from selectc.crypto import SelectorKey, dec, enc, keygen
 from selectc.demos import build_l0, build_l1
-from selectc.errors import ConfigError, KeyMismatchError, PoolExhaustedError, SelectcError
+from selectc.errors import (
+    ConfigError,
+    ForeignCiphertextError,
+    KeyMismatchError,
+    PoolExhaustedError,
+    SelectcError,
+    UnboundVariableError,
+)
 from selectc.field import ALL_OPS, ARITH_OPS, FIELD_PRIME, Op
 from selectc.generate import random_inputs, random_linear_program
 from selectc.ir import (
@@ -229,6 +236,57 @@ def test_eval_encrypted_frees_its_intermediates():
         assert len(key) == before + 1, run
         assert dec(key, out) == 13
     assert [dec(key, cts[v]) for v in ("x", "y")] == [3, 4]
+
+
+def late_input_program():
+    """A 30-statement chain over x whose last statement alone reads the input z."""
+    statements = [Assign("t0", SimpleExpression(Op.MUL, "x", "x"))]
+    for i in range(1, 29):
+        statements.append(Assign(f"t{i}", SimpleExpression(ALL_OPS[i % 10], f"t{i - 1}", "x")))
+    statements.append(Assign("r", SimpleExpression(Op.ADD, "t28", "z")))
+    return Program(inputs=["x", "z"], statements=statements, consts={"k": 5}, prime=P)
+
+
+@pytest.mark.parametrize("case", ["foreign", "unbound"])
+def test_eval_encrypted_frees_its_intermediates_on_error(case):
+    """Handles minted before a ForeignCiphertextError or an
+    UnboundVariableError are freed as on a normal return."""
+    cfg = ObfuscationConfig(mislead_factor=2, fake_vars=("f0",), fake_combining=1)
+    obf, sel_key = obfuscate_statement_level(late_input_program(), cfg)
+    key = keygen(0)
+    cts = {"x": enc(key, 3)}
+    if case == "foreign":
+        cts["z"] = enc(keygen(1), 4)
+        error = ForeignCiphertextError
+    else:
+        error = UnboundVariableError
+    before = len(key)
+    with pytest.raises(error):
+        eval_encrypted(obf, key, sel_key, cts)
+    assert len(key) == before
+    assert dec(key, cts["x"]) == 3
+
+
+# sha256 of the output handle and the key's store after each of three runs
+# of the program below under keygen(7): the handle stream of eval_encrypted
+HANDLE_STREAM_SHA256 = "ae58af651ce21a1476b5fc1978a5c1a6d4b062d01392959ab0d7ce1d1ead2802"
+
+
+def test_eval_encrypted_handle_stream_is_pinned():
+    """The handles eval_encrypted mints depend only on the key's seed, in
+    the order bindings, selectors, then one per operation."""
+    program = random_linear_program(random.Random(12), n_statements=6)
+    cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0", "f1"), fake_combining=2, seed=12)
+    obf, sel_key = obfuscate_statement_level(program, cfg)
+    key = keygen(7)
+    digest = hashlib.sha256()
+    for run in range(3):
+        cts = {v: enc(key, 10 * run + i) for i, v in enumerate(program.inputs)}
+        out = eval_encrypted(obf, key, sel_key, cts)
+        digest.update(f"{out.handle:x}|".encode())
+        digest.update(repr(list(key._store.items())).encode())
+    assert len(key) == 9
+    assert digest.hexdigest() == HANDLE_STREAM_SHA256
 
 
 @hst.composite
