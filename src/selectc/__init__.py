@@ -56,9 +56,7 @@ from .ir import (
     Program,
     SimpleExpression,
     canonical_key,
-    dead_code_eliminate,
     eval_plain,
-    fold_combines,
     normalize,
     parse_program,
     render_program,

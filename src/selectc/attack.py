@@ -45,14 +45,14 @@ from .field import OP_NAMES, Op, field_ops
 from .ir import (
     Assign,
     Combine,
-    FoldPlan,
     Program,
-    SimpleExpression,
     Statement,
     canonical_key,
     check_single_assignment,
+    emit_fold,
     eval_plain,  # not called here; bench/spans.py wraps attack.eval_plain in traced runs
     field_env,
+    inline_map,
     live_statement_indices,
     render_key,
     run_statements,
@@ -73,7 +73,7 @@ class ClassDescriptor:
     options: list[tuple[tuple[str, str], ...]]
     class_size: int
     live_indices: list[int]
-    fold_plan: FoldPlan  # fold metadata shared by every candidate
+    inline: dict[str, Assign]  # ir.inline_map of the obfuscated program
 
     def option_counts(self) -> list[int]:
         return [len(opts) for opts in self.options]
@@ -218,10 +218,11 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
     Raises FormatError unless every variable is assigned once, after
     what it reads: folding (target := chosen source by substitution)
     and evaluation agree only on such programs. Also raises it when a
-    member cannot be folded (see FoldPlan), whichever members an
+    member cannot be folded (see ir.inline_map), whichever members an
     attack goes on to fold.
     """
     check_single_assignment(obf.program)
+    inline = inline_map(obf.program)
     live_indices = live_statement_indices(obf.program)
     live = set(live_indices)
     combine_indices: list[int] = []
@@ -239,20 +240,20 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
         options=options,
         class_size=size,
         live_indices=live_indices,
-        fold_plan=FoldPlan(obf.program),
+        inline=inline,
     )
 
 
 def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Program:
     """Fold the obfuscated program to one member of its class.
 
-    Emits the member's live statements only (see _MemberCones.fold), so
-    the result equals dead_code_eliminate of the full fold under the
-    same choices, without building that fold. The choices at dead slots
-    are never read, so selection may be a live signature, with -1 at
-    those slots (see _MemberCones.signature). The members of a class
-    share one copy of its inputs list and consts dict; copy a member
-    (Program.copy) before changing them.
+    Emits the member's live statements only (see _MemberCones.fold), as
+    ir.fold_selection does for the same choices, through the same
+    emitter (ir.emit_fold). The choices at dead slots are never read,
+    so selection may be a live signature, with -1 at those slots (see
+    _MemberCones.signature). The members of a class share one copy of
+    its inputs list and consts dict; copy a member (Program.copy)
+    before changing them.
     """
     cones = cd.cones
     return Program(
@@ -273,9 +274,10 @@ class _MemberCones:
         over slot positions;
       * cone: the indices of the statements that stay live, found by
         walking definitions from the option and stopping at slot targets
-        and terminals. An option fold inlines keeps its slot's position
-        (there it becomes target := definition) and its definition's
-        operand cones; the definition, which only the slot reads, goes.
+        and terminals. An option in the class's inline map (ir.inline_map)
+        keeps its slot's position (there it becomes target := definition)
+        and its definition's operand cones; the definition, which only
+        the slot reads, goes.
 
     extract_class has checked single assignment, so a variable's
     definition comes before its readers and the masks of a slot's
@@ -317,19 +319,19 @@ class _MemberCones:
 
         self.out = reach.get(program.output, 0)
         self.out_cone = cone(program.output)
-        # slot -> option -> (cone, slot index, source, inlined definition)
-        self.options: list[list[tuple[set[int], int, str, Assign | None]]] = []
+        # slot -> option -> (cone, (slot index, source, inlined definition))
+        self.options: list[list[tuple[set[int], tuple[int, str, Assign | None]]]] = []
         for idx in slots:
             row = []
             for _, src in stmts[idx].options:
-                definition = cd.fold_plan.inlined(src)
+                definition = cd.inline.get(src)
                 if definition is None:
-                    row.append((cone(src), idx, src, None))
+                    row.append((cone(src), (idx, src, None)))
                 else:
                     expr = definition.expr
-                    row.append((cone(expr.in1, expr.in2) | {idx}, idx, src, definition))
+                    row.append((cone(expr.in1, expr.in2) | {idx}, (idx, src, definition)))
             self.options.append(row)
-        # (target, op, in1, in2) -> the one Assign fold emits for it
+        # (target, op, in1, in2) -> the one Assign emit_fold builds for it
         self.resolved: dict[tuple[str, Op, str, str], Assign] = {}
 
     def signature(self, selection: tuple[int, ...]) -> tuple[int, ...]:
@@ -392,13 +394,9 @@ class _MemberCones:
 
         The union of the output's cone and the chosen options' cones at
         live slots, walked from the last slot to the first as signature
-        does. A slot whose option is inlined becomes target := its
-        definition; any other chosen source substitutes for the slot's
-        target in the statements that read it. Untouched assignments
-        are the obfuscated program's own statement objects. A resolved
-        one is interned per class by (target, op, operands), so each
-        distinct resolved statement is built once, whichever members
-        share it.
+        does, then resolved by ir.emit_fold. Every member interns into
+        the class's one dict (resolved), so each distinct resolved
+        statement is built once, whichever members share it.
         """
         live = self.out
         keep = set(self.out_cone)
@@ -409,38 +407,13 @@ class _MemberCones:
             if live >> j & 1:
                 choice = selection[j]
                 if not 0 <= choice < len(reach[j]):
-                    idx = options[j][0][1]
+                    idx = options[j][0][1][0]
                     raise ValueError(f"option index {choice} out of range at statement {idx}")
                 live |= reach[j][choice]
                 option = options[j][choice]
                 keep.update(option[0])
-                chosen.append(option)
-        stmts = self.statements
-        subst: dict[str, str] = {}
-        inlined: dict[int, Assign] = {}
-        for _, idx, src, definition in reversed(chosen):  # in program order, as fold resolves
-            if definition is None:
-                subst[stmts[idx].target] = subst.get(src, src)
-            else:
-                inlined[idx] = definition
-        get = subst.get
-        resolved = self.resolved
-        out: list[Statement] = []
-        for idx in sorted(keep):
-            st = stmts[idx]
-            definition = inlined.get(idx)
-            expr = st.expr if definition is None else definition.expr
-            in1, in2 = expr.in1, expr.in2
-            new1, new2 = get(in1, in1), get(in2, in2)
-            if definition is None and new1 is in1 and new2 is in2:
-                out.append(st)
-                continue
-            key = (st.target, expr.op, new1, new2)
-            assign = resolved.get(key)
-            if assign is None:
-                assign = resolved[key] = Assign(st.target, SimpleExpression(expr.op, new1, new2))
-            out.append(assign)
-        return out
+                chosen.append(option[1])
+        return emit_fold(self.statements, sorted(keep), reversed(chosen), self.resolved)
 
 
 def enumerate_candidates(cd: ClassDescriptor) -> Iterator[Candidate]:

@@ -20,8 +20,9 @@ statement stream itself is uniform: every operand is a variable.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import FormatError, UnboundVariableError
@@ -117,13 +118,6 @@ class Program:
             consts=dict(self.consts),
             prime=self.prime,
         )
-
-
-def count_expressions(num_vars: int, num_ops: int, arity: int = 2) -> int:
-    """Size of the simple-expression space: num_ops * num_vars ** arity."""
-    if num_vars < 1 or num_ops < 1 or arity < 1:
-        raise ValueError("expression space needs at least one op and one variable")
-    return num_ops * num_vars**arity
 
 
 def run_statements(
@@ -222,18 +216,22 @@ def check_single_assignment(program: Program) -> None:
     and earlier targets, and assigns a name nothing else assigns."""
     defined = {*program.inputs, *program.consts}
     for number, st in enumerate(program.statements, start=1):
-        reads = statement_operands(st)
-        if not defined.issuperset(reads):
-            v = next(v for v in reads if v not in defined)
+        if isinstance(st, Assign):
+            expr = st.expr
+            unread = expr.in1 not in defined or expr.in2 not in defined
+        else:
+            unread = not defined.issuperset([src for _, src in st.options])
+        if unread:
+            v = next(v for v in statement_operands(st) if v not in defined)
             raise FormatError(f"statement {number} reads {v!r} before it is assigned")
         if st.target in defined:
             raise FormatError(f"statement {number} assigns {st.target!r} again")
         defined.add(st.target)
 
 
-def referenced_vars(program: Program) -> set[str]:
+def referenced_vars(statements: list[Statement]) -> set[str]:
     refs: set[str] = set()
-    for st in program.statements:
+    for st in statements:
         refs.update(statement_operands(st))
     return refs
 
@@ -258,125 +256,124 @@ def live_statement_indices(program: Program) -> list[int]:
     return keep or [len(program.statements) - 1]
 
 
-def dead_code_eliminate(program: Program) -> Program:
-    """Drop statements whose targets never reach the output."""
-    if not program.statements:
-        return program.copy()
-    keep = [program.statements[i] for i in live_statement_indices(program)]
-    return Program(
-        inputs=list(program.inputs),
-        statements=keep,
-        consts=dict(program.consts),
-        prime=program.prime,
-    )
+def inline_map(program: Program) -> dict[str, Assign]:
+    """The assignments a fold inlines, by target: those read exactly once.
 
-
-class FoldPlan:
-    """The selection-independent part of fold_combines, built once per program.
-
-    Holds the use counts and definitions fold needs to decide between
-    inlining and substitution, and the statement positions a selection
-    can change: every combining statement, and every assignment that
-    reads a combining statement's target. All other assignments come
-    through fold unchanged, as the same (frozen) statement objects.
-    Raises FormatError if some selection of a final combining statement
-    cannot be folded.
+    A combining statement whose chosen option is one of these becomes
+    target := that definition, and the definition goes; any other
+    chosen source substitutes for the statement's target in what reads
+    it. Raises FormatError unless every option of a final combining
+    statement is in the map: the output has no reader to substitute
+    into. Folds check single assignment first, so a target names one
+    definition.
     """
+    stmts = program.statements
+    reads: list[str] = []
+    for st in stmts:
+        if isinstance(st, Assign):
+            reads.append(st.expr.in1)
+            reads.append(st.expr.in2)
+        else:
+            reads.extend([src for _, src in st.options])
+    use_count = Counter(reads)
+    inline = {st.target: st for st in stmts if isinstance(st, Assign) and use_count[st.target] == 1}
+    last = stmts[-1] if stmts else None
+    if isinstance(last, Combine):
+        for _, src in last.options:
+            if src not in inline:
+                raise FormatError(
+                    f"statement {len(stmts)} `{last.render()}` cannot be folded: it is the "
+                    f"output, so each option must be an assignment only it reads, and "
+                    f"{src!r} is not"
+                )
+    return inline
 
-    def __init__(self, program: Program):
-        self.program = program
-        stmts = program.statements
-        use_count: dict[str, int] = {}
-        defs: dict[str, Assign] = {}
-        for st in stmts:
-            for v in statement_operands(st):
-                use_count[v] = use_count.get(v, 0) + 1
-            if isinstance(st, Assign):
-                defs[st.target] = st
-        # an option defined by an assignment it alone reads is inlined
-        self._inline = {v: d for v, d in defs.items() if use_count.get(v, 0) == 1}
-        # the output has no downstream reader to substitute into, so every
-        # option of a final combining statement must be inlinable
-        last = stmts[-1] if stmts else None
-        if isinstance(last, Combine):
-            for _, src in last.options:
-                if src not in self._inline:
-                    raise FormatError(_unfoldable(len(stmts), last, src))
-        # substitution keys are combining targets, so only their readers move
-        combined = {st.target for st in stmts if isinstance(st, Combine)}
-        self._steps = [
-            (idx, st)
-            for idx, st in enumerate(stmts)
-            if isinstance(st, Combine) or st.expr.in1 in combined or st.expr.in2 in combined
-        ]
 
-    def inlined(self, var: str) -> Assign | None:
-        """The assignment fold inlines for a combining statement that picks
-        var, or None where var substitutes for its target downstream."""
-        return self._inline.get(var)
+def emit_fold(
+    statements: list[Statement],
+    live: Iterable[int],
+    chosen: Iterable[tuple[int, str, Assign | None]],
+    interned: dict[tuple[str, Op, str, str], Assign],
+) -> list[Statement]:
+    """The statements at the live indices, in that order, with the choices applied.
 
-    def fold(self, selection: dict[int, int]) -> Program:
-        """Resolve every combining statement to one chosen option.
+    chosen holds, in program order, (combining statement index, chosen
+    source, its inline_map definition or None) for each live combining
+    statement. One with a definition becomes target := definition; any
+    other chosen source substitutes for the statement's target in the
+    statements that read it. Untouched assignments are the program's
+    own statement objects. A rewritten one is interned by (target, op,
+    operands), so each distinct rewritten statement is built once per
+    interned dict, whichever folds share it.
+    """
+    subst: dict[str, str] = {}
+    inlined: dict[int, Assign] = {}
+    for idx, src, definition in chosen:
+        if definition is None:
+            subst[statements[idx].target] = subst.get(src, src)
+        else:
+            inlined[idx] = definition
+    get = subst.get
+    out: list[Statement] = []
+    for idx in live:
+        st = statements[idx]
+        definition = inlined.get(idx)
+        expr = st.expr if definition is None else definition.expr
+        in1, in2 = expr.in1, expr.in2
+        new1, new2 = get(in1, in1), get(in2, in2)
+        if definition is None and new1 is in1 and new2 is in2:
+            out.append(st)
+            continue
+        key = (st.target, expr.op, new1, new2)
+        assign = interned.get(key)
+        if assign is None:
+            assign = interned[key] = Assign(st.target, SimpleExpression(expr.op, new1, new2))
+        out.append(assign)
+    return out
 
-        selection maps statement index to option index; unlisted
-        combining statements fold to option 0 (they are dead wherever
-        that matters). An option defined by a single-use assignment is
-        inlined in place of the combining statement; any other option
-        variable substitutes for the statement's target downstream.
-        Fold output contains assignments only; callers usually run
-        dead_code_eliminate on it afterwards.
-        """
-        program = self.program
-        stmts: list[Statement | None] = list(program.statements)
-        last = len(stmts) - 1
-        subst: dict[str, str] = {}
-        for idx, st in self._steps:
-            if isinstance(st, Assign):
-                expr = _resolved(st.expr, subst)
-                if expr is not st.expr:
-                    stmts[idx] = Assign(st.target, expr)
-                continue
-            choice = selection.get(idx, 0)
+
+def fold_selection(program: Program, selection: Mapping[int, int]) -> list[Statement]:
+    """The live statements of program with each combining statement resolved.
+
+    selection maps the index of each combining statement to the index
+    of its chosen option; only live ones are read. One backward walk
+    from the output takes selection[idx] at each live combining
+    statement: an option in inline_map keeps the statement live and
+    reads its definition's operands, any other reads the chosen source.
+    emit_fold then resolves the live statements. Raises FormatError
+    unless program passes check_single_assignment and inline_map, and
+    ValueError for an out-of-range choice at a live combining statement.
+    """
+    check_single_assignment(program)
+    inline = inline_map(program)
+    stmts = program.statements
+    live = {program.output}
+    keep: list[int] = []
+    chosen: list[tuple[int, str, Assign | None]] = []
+    for idx in range(len(stmts) - 1, -1, -1):
+        st = stmts[idx]
+        if st.target not in live:
+            continue
+        if isinstance(st, Assign):
+            keep.append(idx)
+            expr = st.expr
+        else:
+            choice = selection[idx]
             if not 0 <= choice < len(st.options):
                 raise ValueError(f"option index {choice} out of range at statement {idx}")
             src = st.options[choice][1]
-            src = subst.get(src, src)
-            definition = self._inline.get(src)
-            if definition is not None:
-                stmts[idx] = Assign(st.target, _resolved(definition.expr, subst))
-            elif idx == last:
-                # reached only by a program that reassigns a variable
-                raise FormatError(_unfoldable(idx + 1, st, src))
-            else:
-                subst[st.target] = src
-                stmts[idx] = None
-        return Program(
-            inputs=list(program.inputs),
-            statements=[st for st in stmts if st is not None],
-            consts=dict(program.consts),
-            prime=program.prime,
-        )
-
-
-def _unfoldable(number: int, st: Combine, src: str) -> str:
-    return (
-        f"statement {number} `{st.render()}` cannot be folded: it is the output, so each "
-        f"option must be an assignment only it reads, and {src!r} is not"
-    )
-
-
-def _resolved(expr: SimpleExpression, subst: dict[str, str]) -> SimpleExpression:
-    """expr with substituted operands; expr itself when none applies."""
-    in1 = subst.get(expr.in1, expr.in1)
-    in2 = subst.get(expr.in2, expr.in2)
-    if in1 is expr.in1 and in2 is expr.in2:
-        return expr
-    return SimpleExpression(expr.op, in1, in2)
-
-
-def fold_combines(program: Program, selection: dict[int, int]) -> Program:
-    """Resolve every combining statement to one chosen option (see FoldPlan.fold)."""
-    return FoldPlan(program).fold(selection)
+            definition = inline.get(src)
+            chosen.append((idx, src, definition))
+            if definition is None:
+                live.add(src)
+                continue
+            keep.append(idx)
+            expr = definition.expr
+        live.add(expr.in1)
+        live.add(expr.in2)
+    keep.reverse()
+    chosen.reverse()
+    return emit_fold(stmts, keep, chosen, {})
 
 
 def _temporary_names(statements: list[Statement], fixed: set[str]) -> dict[str, str]:
@@ -403,23 +400,25 @@ def normalize(program: Program) -> Program:
     are dropped. Two programs that differ only in temporary naming and
     dead statements normalize to equal values.
     """
-    p = dead_code_eliminate(program)
-    rename = _temporary_names(p.statements, set(p.inputs) | set(p.consts))
+    live = [program.statements[i] for i in live_statement_indices(program)]
+    rename = _temporary_names(live, {*program.inputs, *program.consts})
 
     def rn(v: str) -> str:
         return rename.get(v, v)
 
     stmts: list[Statement] = []
-    for st in p.statements:
+    for st in live:
         if isinstance(st, Assign):
             stmts.append(
                 Assign(rn(st.target), SimpleExpression(st.expr.op, rn(st.expr.in1), rn(st.expr.in2)))
             )
         else:
             stmts.append(Combine(rn(st.target), tuple((s, rn(v)) for s, v in st.options)))
-    refs = referenced_vars(p)
-    consts = {v: val for v, val in p.consts.items() if v in refs}
-    return Program(inputs=list(p.inputs), statements=stmts, consts=consts, prime=p.prime)
+    refs = referenced_vars(live)
+    consts = {v: val for v, val in program.consts.items() if v in refs}
+    return Program(
+        inputs=list(program.inputs), statements=stmts, consts=consts, prime=program.prime
+    )
 
 
 def canonical_key(program: Program, with_const_values: bool = True) -> str:
@@ -560,14 +559,3 @@ def parse_program(text: str) -> Program:
     if not statements:
         raise FormatError("program has no statements")
     return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)
-
-
-def strip_const_values(program: Program) -> Program:
-    """Turn const bindings into plain inputs (values dropped)."""
-    extra = [v for v in program.consts if v not in program.inputs]
-    return replace(
-        program,
-        inputs=list(program.inputs) + extra,
-        consts={},
-        statements=list(program.statements),
-    )

@@ -45,7 +45,7 @@ class MetricsReport:
 
 
 def _variable_count(p: Program) -> int:
-    return len(referenced_vars(p) | {st.target for st in p.statements})
+    return len(referenced_vars(p.statements) | {st.target for st in p.statements})
 
 
 def _op_distribution(ops: Counter) -> dict[str, float]:

@@ -37,8 +37,7 @@ from .ir import (
     Program,
     SimpleExpression,
     Statement,
-    dead_code_eliminate,
-    fold_combines,
+    fold_selection,
     referenced_vars,
     run_statements,
 )
@@ -592,20 +591,22 @@ def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
 def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
     """Recover the source program using the selector key.
 
-    Each combining statement folds to the option its hot selector
-    marks, fake chains disappear as dead code, and bound variables
-    return to const bindings. With the authentic key the result is the
-    pre-obfuscation program up to normalization; a different one-hot
-    key folds to some other member of the program class.
+    Each live combining statement folds to the option its hot selector
+    marks (ir.fold_selection), so fake chains and other dead code never
+    appear, and bound variables return to const bindings. With the
+    authentic key the result is the pre-obfuscation program up to
+    normalization; a different one-hot key folds to some other member
+    of the program class. Raises FormatError, as the attack does, unless
+    every variable is assigned once, after what it reads.
     """
     program = obf.program
-    folded = dead_code_eliminate(fold_combines(program, checked_key(obf, sel_key)))
-    refs = referenced_vars(folded)
+    statements = fold_selection(program, checked_key(obf, sel_key))
+    refs = referenced_vars(statements)
     consts = {v: val for v, val in sel_key.bindings.items() if v in refs}
     inputs = [v for v in program.inputs if v not in sel_key.bindings]
     return Program(
         inputs=inputs,
-        statements=folded.statements,
+        statements=statements,
         consts=consts,
         prime=program.prime,
     )

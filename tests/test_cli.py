@@ -394,6 +394,28 @@ def test_attack_rejects_a_reassigned_variable(tmp_path, capsys, pairs):
     assert "statement 3 assigns 't0' again" in capsys.readouterr().err
 
 
+# run reads v = x + y at c, so r = x + y - y = x; inlining v's last
+# definition would give x * x - y instead
+REASSIGNED_OPTION = """input x
+input y
+v := ADD x y
+c := COMBINE (s0,v) (s1,x)
+v := MUL x x
+r := SUB c y
+"""
+
+
+def test_deobfuscate_rejects_a_reassigned_variable_that_run_reads(tmp_path, capsys):
+    obf = write(tmp_path / "re.obf", REASSIGNED_OPTION)
+    key = write(tmp_path / "re.key", "seed 1\nsel s0 = 1\nsel s1 = 0\n")
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=5,y=7"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert dispatch(["deobfuscate", obf, "--key", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "statement 3 assigns 'v' again" in captured.err
+
+
 UNFOLDABLE = """input a
 input b
 t0 := MUL a b

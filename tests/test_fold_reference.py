@@ -5,13 +5,15 @@ rebuild every piece of fold metadata for each candidate, fold the whole
 program and then drop its dead code, compute canonical keys by building
 the normalized program and rendering it, rank every selection on its
 own, and filter on known pairs by folding and evaluating every
-candidate. The library folds each member straight to its live
-statements from cones built once per class, interns the statements
-it rewrites, folds, scores and keys each live signature once, keys
-members without a liveness pass, sorts and weights each distinct
-member once, finds ranks by bisection and filters by walking the
-obfuscated program once per pair, sharing prefixes between leaves; it
-must agree with these references exactly.
+candidate. The library has one fold rule (ir.inline_map and
+ir.emit_fold) and never folds a dead statement: deobfuscate folds one
+selection with one backward liveness walk (ir.fold_selection), and the
+attack folds each member from cones built once per class, interns the
+statements it rewrites, folds, scores and keys each live signature
+once, keys members without a liveness pass, sorts and weights each
+distinct member once, finds ranks by bisection and filters by walking
+the obfuscated program once per pair, sharing prefixes between leaves;
+it must agree with these references exactly.
 """
 
 import functools
@@ -34,6 +36,7 @@ from selectc.attack import (
     render_attack_report,
     run_attack,
 )
+from selectc.crypto import SelectorKey
 from selectc.demos import build_l0, build_l1
 from selectc.errors import ConfigError, EnumerationCapError, UnboundVariableError
 from selectc.field import FIELD_PRIME, Op, signed
@@ -44,9 +47,8 @@ from selectc.ir import (
     Program,
     SimpleExpression,
     canonical_key,
-    dead_code_eliminate,
     eval_plain,
-    fold_combines,
+    fold_selection,
     normalize,
     render_program,
     statement_operands,
@@ -54,6 +56,7 @@ from selectc.ir import (
 from selectc.obfuscate import (
     ObfProgram,
     ObfuscationConfig,
+    deobfuscate,
     obfuscate_program_level,
     obfuscate_statement_level,
 )
@@ -299,14 +302,15 @@ def linear_classes(draw):
 
 
 def assert_members_are_live_folds(obf):
-    """Each member is the full fold without its dead code, and its rank
-    key is the canonical key that a liveness pass would give."""
+    """Each member is the reference fold without its dead code, whether
+    the attack or fold_selection folds it, and its rank key is the
+    canonical key that a liveness pass would give."""
     cd = extract_class(obf)
     for rc in rank_candidates(cd, table=TABLE):
+        want = reference_realize(cd, rc.selection)
+        assert realize_candidate(cd, rc.selection) == want
         choice = dict(zip(cd.combine_indices, rc.selection))
-        assert realize_candidate(cd, rc.selection) == dead_code_eliminate(
-            cd.fold_plan.fold(choice)
-        )
+        assert fold_selection(obf.program, choice) == want.statements
         assert rc.key == canonical_key(rc.program, False)
 
 
@@ -384,10 +388,14 @@ def test_overlapping_cones_fold_like_the_reference(name):
 def test_out_of_range_choice_at_a_live_slot_is_refused_like_the_full_fold(choice):
     _, cd, _ = demo_class("l0")
     selection = (0,) * (len(cd.options) - 1) + (choice,)
+    by_index = dict(zip(cd.combine_indices, selection))
     with pytest.raises(ValueError) as want:
-        cd.fold_plan.fold(dict(zip(cd.combine_indices, selection)))
+        reference_fold(cd.obf.program, by_index)
     with pytest.raises(ValueError) as got:
         realize_candidate(cd, selection)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as got:
+        fold_selection(cd.obf.program, by_index)
     assert str(got.value) == str(want.value)
 
 
@@ -397,19 +405,43 @@ def test_random_class_members_are_live_folds(case):
     assert_members_are_live_folds(case[0])
 
 
+def random_selection(obf, rng):
+    """One option index per combining statement, dead ones included."""
+    return {idx: rng.randrange(len(comb.options)) for idx, comb in obf.combines()}
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(linear_classes())
-def test_random_class_folds_like_the_reference(case):
+@given(linear_classes(), hst.randoms(use_true_random=False))
+def test_random_class_folds_like_the_reference(case, rng):
     obf, truth = case
     assert_class_matches_reference(obf, truth)
-    # fold_combines without dead-code elimination, dead fake chains included
+    # fold_selection on random selections, dead combining statements included
     program = obf.program
-    for idx, comb in obf.combines():
-        for choice in range(len(comb.options)):
-            selection = {idx: choice}
-            assert render_program(fold_combines(program, selection)) == render_program(
-                reference_fold(program, selection)
-            )
+    for _ in range(5):
+        selection = random_selection(obf, rng)
+        want = reference_dce(reference_fold(program, selection))
+        assert fold_selection(program, selection) == want.statements
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(linear_classes(), hst.randoms(use_true_random=False))
+def test_any_one_hot_key_deobfuscates_to_what_the_obfuscated_program_computes(case, rng):
+    """Not only the authentic key: deobfuscate under any one-hot key is the
+    member that key selects, so it computes what the obfuscated program
+    computes under that key, on every input."""
+    obf = case[0]
+    prime = obf.program.prime
+    bindings = {v: rng.randrange(prime) for v in obf.program.inputs if rng.random() < 0.5}
+    bits = {}
+    for idx, hot in random_selection(obf, rng).items():
+        for i, (sel, _) in enumerate(obf.program.statements[idx].options):
+            bits[sel] = int(i == hot)
+    key = SelectorKey(bits=bits, bindings=bindings)
+    program = deobfuscate(obf, key)
+    for _ in range(3):
+        inputs = random_inputs(program, rng, small=rng.random() < 0.5)
+        want = eval_plain(obf.program, {**inputs, **key.bindings}, key.bits)
+        assert eval_plain(program, inputs) == want
 
 
 # ------------------------------------------------------- canonical keys
@@ -703,13 +735,13 @@ def test_rank_only_builds_each_resolved_statement_once(monkeypatch):
     own = set(cd.obf.program.statements)
     resolved = {st for _, program in members for st in program.statements} - own
     built = []
-    real = attack.Assign
+    real = Assign.__init__
 
-    def counting(target, expr):
+    def counting(self, target, expr):
         built.append(target)
-        return real(target, expr)
+        real(self, target, expr)
 
-    monkeypatch.setattr(attack, "Assign", counting)
+    monkeypatch.setattr(Assign, "__init__", counting)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert report.enumerated == cd.class_size == 12_500
     assert len(built) == len(resolved) == 105

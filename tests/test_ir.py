@@ -13,18 +13,16 @@ from selectc.ir import (
     Program,
     SimpleExpression,
     canonical_key,
-    count_expressions,
-    dead_code_eliminate,
     eval_env,
     eval_plain,
-    fold_combines,
+    fold_selection,
     live_statement_indices,
     normalize,
     parse_program,
     render_program,
-    strip_const_values,
 )
 from selectc.obfuscate import ObfuscationConfig, obfuscate_statement_level
+from test_fold_reference import reference_dce, reference_fold
 
 P = FIELD_PRIME
 
@@ -124,13 +122,6 @@ def test_selector_ids_keep_first_use_order():
     assert len(seen) == 3 * (6 + 2)  # six real and two fake groups of k = 3
 
 
-def test_count_expressions():
-    assert count_expressions(6, 6) == 216
-    assert count_expressions(3, 4, arity=2) == 36
-    with pytest.raises(ValueError):
-        count_expressions(0, 4)
-
-
 def test_render_parse_round_trip():
     p = prog(
         [
@@ -184,6 +175,14 @@ def test_live_statement_indices_drops_dead_code():
     assert live_statement_indices(p) == [1, 2]
 
 
+def folded(p, selection):
+    """fold_selection as a program, checked against the reference fold and dead-code pass."""
+    stmts = fold_selection(p, selection)
+    want = reference_dce(reference_fold(p, selection))
+    assert stmts == want.statements
+    return Program(inputs=p.inputs, statements=stmts, consts=p.consts, prime=p.prime)
+
+
 def test_dead_code_eliminate_keeps_semantics():
     p = prog(
         [
@@ -191,7 +190,7 @@ def test_dead_code_eliminate_keeps_semantics():
             Assign("r", SimpleExpression(Op.ADD, "x", "y")),
         ]
     )
-    d = dead_code_eliminate(p)
+    d = folded(p, {})
     assert len(d.statements) == 1
     assert eval_plain(d, {"x": 2, "y": 3}) == eval_plain(p, {"x": 2, "y": 3})
 
@@ -204,8 +203,7 @@ def test_fold_combines_picks_one_option():
             Combine("c", (("s0", "o0"), ("s1", "o1"))),
         ]
     )
-    f = fold_combines(p, {2: 1})
-    f = dead_code_eliminate(f)
+    f = folded(p, {2: 1})
     assert [st.expr.op for st in f.statements] == [Op.MUL]
     assert eval_plain(f, {"x": 3, "y": 5}) == 15
 
@@ -220,7 +218,7 @@ def test_fold_inlines_single_use_option_targets():
             Assign("r", SimpleExpression(Op.SUB, "c", "x")),
         ]
     )
-    f = dead_code_eliminate(fold_combines(p, {2: 0}))
+    f = folded(p, {2: 0})
     assert f.statements[0].target == "c"
     assert eval_plain(f, {"x": 3, "y": 5}) == 5
 
@@ -235,7 +233,7 @@ def test_fold_shared_source_substitutes_instead():
             Assign("r", SimpleExpression(Op.ADD, "c", "keep")),
         ]
     )
-    f = dead_code_eliminate(fold_combines(p, {2: 0}))
+    f = folded(p, {2: 0})
     want = (3 + 5) + (3 + 5) ** 2
     assert eval_plain(f, {"x": 3, "y": 5}) == want
 
@@ -267,13 +265,6 @@ def test_canonical_key_ignores_temp_names():
     a = prog([Assign("foo", SimpleExpression(Op.ADD, "x", "y"))])
     b = prog([Assign("bar", SimpleExpression(Op.ADD, "x", "y"))])
     assert canonical_key(a) == canonical_key(b)
-
-
-def test_strip_const_values_moves_consts_to_inputs():
-    p = prog([Assign("r", SimpleExpression(Op.ADD, "x", "k"))],
-             inputs=["x"], consts={"k": 3})
-    s = strip_const_values(p)
-    assert s.consts == {} and set(s.inputs) == {"x", "k"}
 
 
 def test_statement_nodes_have_no_instance_dict():

@@ -14,6 +14,7 @@ from selectc.demos import build_l0, build_l1
 from selectc.errors import (
     ConfigError,
     ForeignCiphertextError,
+    FormatError,
     KeyMismatchError,
     PoolExhaustedError,
     SelectcError,
@@ -29,11 +30,13 @@ from selectc.ir import (
     eval_env,
     eval_plain,
     normalize,
+    parse_program,
     render_program,
 )
 from selectc.obfuscate import (
     _ENUMERATE_LIMIT,
     STRATEGIES,
+    ObfProgram,
     ObfuscationConfig,
     _distinct_expressions,
     checked_key,
@@ -92,6 +95,17 @@ def test_two_option_demo_deobfuscates_to_mul(two_option_class):
     (st,) = p.statements
     assert st.expr.op is Op.MUL
     assert p.inputs == ["a"]
+
+
+def test_deobfuscate_refuses_a_reassigned_variable():
+    """The fold would inline v's second definition where evaluation reads its first."""
+    program = parse_program(
+        "input x\ninput y\nv := ADD x y\nc := COMBINE (s0,v) (s1,x)\n"
+        "v := MUL x x\nr := SUB c y\n"
+    )
+    obf = ObfProgram(program=program, selector_ids=program.selector_ids())
+    with pytest.raises(FormatError, match="statement 3 assigns 'v' again"):
+        deobfuscate(obf, SelectorKey(bits={"s0": 1, "s1": 0}))
 
 
 def test_flipped_key_folds_to_the_decoy(two_option_class):
