@@ -152,6 +152,11 @@ def _cmd_run(args) -> int:
     prime = obf.program.prime
     seed, sel_key = read_key_file(args.key, prime)
     bindings = _parse_bindings(args.inputs)
+    for name in bindings:
+        if name in sel_key.bindings:
+            raise FormatError(f"{name!r} is bound by the key, not an input to give")
+        if name not in obf.program.inputs:
+            raise FormatError(f"{name!r} is not an input of {args.obf}")
     key = keygen(seed, prime)
     enc_inputs = {v: enc(key, val) for v, val in bindings.items()}
     ct = eval_encrypted(obf, key, sel_key, enc_inputs)

@@ -7,11 +7,13 @@ and homomorphic evaluation supports every statement operation. This
 models the interface of an FHE scheme without its cost, so outputs stay
 exact and experiments over thousands of runs stay cheap.
 
-Each key builds its mint path once: one mint function and an ops
-table whose entries close over the key's store, its handle stream and
-the field table of its prime. enc, enc_many, he_op and he_ops all mint
-through it, so every encryption and every homomorphic operation costs
-one draw, one store insert and one Ciphertext, and an encrypted run
+Each key builds its mint path once: one mint function and one plan
+runner, both closing over the key's store and handle stream; the runner
+also holds the field table of the key's prime. enc, enc_many and he_op
+mint through mint. run_plan runs an ir.SlotPlan (a program compiled to
+register slots) in one loop that computes each operation and mints its
+result inline. Either way every encryption and every homomorphic
+operation costs one draw and one store insert, and an encrypted run
 mints one handle per operation. Handles are drawn from the key's
 seeded stream in call order, re-drawn on the (negligible) chance of
 colliding with a live handle, so the handles a key mints depend only
@@ -26,12 +28,13 @@ obfuscated file lists as plain inputs.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import ForeignCiphertextError, FormatError
+from .errors import ForeignCiphertextError, FormatError, UnboundVariableError
 from .field import FIELD_PRIME, Op, field_ops, signed
+from .ir import SlotPlan
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -51,14 +54,18 @@ def _foreign(ct: Ciphertext) -> ForeignCiphertextError:
 
 def _mint_path(
     store: dict[int, int], draw: Callable[[int], int], prime: int
-) -> tuple[Callable[[int], Ciphertext], dict[Op, Callable[[Ciphertext, Ciphertext], Ciphertext]]]:
-    """The mint and the ops table of one key.
+) -> tuple[Callable[[int], Ciphertext], Callable[..., Ciphertext]]:
+    """The mint and the plan runner of one key.
 
     mint(value) draws a handle, re-draws while it is live, stores value
-    (a reduced field element) under it and wraps it. Each op entry
-    reads its operands' values and mints the field table's result.
+    (a reduced field element) under it and wraps it. run(plan, env,
+    selectors) runs an ir.SlotPlan in one loop: per operation it reads
+    both operands' values, computes at prime, and mints the result the
+    way mint does; registers hold bare handles, and only the output is
+    wrapped.
     """
     new = object.__new__
+    fns = dict(field_ops(prime))
 
     def mint(value: int) -> Ciphertext:
         h = draw(128)
@@ -69,18 +76,33 @@ def _mint_path(
         ct.handle = h
         return ct
 
-    def entry(fn: Callable[[int, int], int]) -> Callable[[Ciphertext, Ciphertext], Ciphertext]:
-        def he(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-            try:
-                a = store[c1.handle]
-                b = store[c2.handle]
-            except KeyError:
-                raise _foreign(c2 if c1.handle in store else c1) from None
-            return mint(fn(a, b))
+    def run(plan: SlotPlan, env: Mapping[str, Ciphertext], selectors: list[Ciphertext]) -> Ciphertext:
+        regs = [ct.handle for ct in selectors]
+        regs += [None] * (len(plan.names) - len(regs))
+        registers = plan.registers
+        for name, ct in env.items():
+            r = registers.get(name)
+            if r is not None:
+                regs[r] = ct.handle
+        try:
+            for op, i, j, t in plan.ops:
+                value = fns[op](store[regs[i]], store[regs[j]])
+                h = draw(128)
+                while h in store:
+                    h = draw(128)
+                store[h] = value
+                regs[t] = h
+        except KeyError:
+            a, b = regs[i], regs[j]
+            if a is None or b is None:
+                unbound = plan.names[i if a is None else j]
+                raise UnboundVariableError(f"unbound variable {unbound!r}") from None
+            raise _foreign(Ciphertext(b if a in store else a)) from None
+        ct = new(Ciphertext)
+        ct.handle = regs[plan.output]
+        return ct
 
-        return he
-
-    return mint, {op: entry(fn) for op, fn in field_ops(prime).items()}
+    return mint, run
 
 
 class SecretKey:
@@ -91,7 +113,7 @@ class SecretKey:
         self.prime = prime
         self._store: dict[int, int] = {}
         self._rng = random.Random(seed)
-        self._mint, self._ops = _mint_path(self._store, self._rng.getrandbits, prime)
+        self._mint, self._run = _mint_path(self._store, self._rng.getrandbits, prime)
 
     def __len__(self) -> int:
         """Number of live handles."""
@@ -134,18 +156,30 @@ def dec(key: SecretKey, ct: Ciphertext) -> int:
 
 
 def he_op(key: SecretKey, op: Op, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    return key._ops[op](c1, c2)
+    """Ciphertext of op applied to c1 and c2; minted like enc."""
+    store = key._store
+    try:
+        a = store[c1.handle]
+        b = store[c2.handle]
+    except KeyError:
+        raise _foreign(c2 if c1.handle in store else c1) from None
+    return key._mint(field_ops(key.prime)[op](a, b))
 
 
-def he_ops(key: SecretKey) -> dict[Op, Callable[[Ciphertext, Ciphertext], Ciphertext]]:
-    """The ops table of an encrypted run under key, for ir.run_statements.
+def run_plan(
+    key: SecretKey, plan: SlotPlan, env: Mapping[str, Ciphertext], selectors: list[Ciphertext]
+) -> Ciphertext:
+    """Run plan under key and return its output ciphertext.
 
-    Each entry is he_op for its operation: it checks that both operands
-    were minted under key and mints one handle for the result. The
-    entries are built once per key; each call returns a fresh dict of
-    them, so a caller may wrap or count entries without touching the key.
+    selectors fills the plan's selector registers in order, and env
+    (variable name -> ciphertext) the registers of the variables it
+    names. Each operation does what he_op does, in plan order: an
+    operand no earlier operation or env set raises UnboundVariableError
+    naming its variable, one minted under another key raises
+    ForeignCiphertextError naming its handle, and each result mints one
+    handle. Handles minted before an error stay in the store.
     """
-    return dict(key._ops)
+    return key._run(plan, env, selectors)
 
 
 @dataclass

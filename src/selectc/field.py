@@ -59,8 +59,13 @@ def op_from_name(name: str) -> Op:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=8)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for n < 2**64."""
+    """Miller-Rabin primality test, deterministic for n < 2**64.
+
+    The results for the last few moduli are kept: every parse_program
+    call proves its modulus.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -42,7 +42,7 @@ class SimpleExpression:
     in2: str
 
     def render(self) -> str:
-        return f"{self.op} {self.in1} {self.in2}"
+        return f"{OP_NAMES[self.op]} {self.in1} {self.in2}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,12 +128,11 @@ def run_statements(
 ) -> dict[str, Any]:
     """Run every statement in order over env and return it, extended.
 
-    Values are whatever the ops table computes on: field elements for a
-    plain run (field.field_ops), ciphertexts for an encrypted one. An
-    assignment is ops[op](a, b). A combining statement is the ADD-fold
-    of MUL(selector, source) over all of its options, with no
-    short-circuit of any kind. A selector is looked up in selectors
-    first, then among the program's variables.
+    Values are field elements and ops is the field table of their prime
+    (field.field_ops). An assignment is ops[op](a, b). A combining
+    statement is the ADD-fold of MUL(selector, source) over all of its
+    options, with no short-circuit of any kind. A selector is looked up
+    in selectors first, then among the program's variables.
     """
     if program.inputs:
         require_inputs(program, env)
@@ -159,6 +158,78 @@ def run_statements(
                 acc = term if acc is None else add(acc, term)
             env[st.target] = acc
     return env
+
+
+@dataclass(frozen=True, slots=True)
+class SlotPlan:
+    """A program compiled once into register slots, for runs that repeat it.
+
+    Registers: the selectors first, in the order compile_plan was given
+    them, then two scratch registers, then one per variable, the
+    program's inputs first. ops is the run in order, one (op, in1, in2,
+    target) register tuple per operation: an assignment is one entry,
+    and a k-way combining statement is its 2k - 1 entries MUL, MUL, ADD,
+    MUL, ADD, ... (run_statements' ADD-fold) through the scratch
+    registers, the last writing its target. registers maps each variable
+    to its register, so a run can fill them from its environment; names
+    maps every register back to its selector or variable name (None for
+    scratch), for error messages only.
+    """
+
+    registers: dict[str, int]
+    names: tuple[str | None, ...]
+    ops: tuple[tuple[Op, int, int, int], ...]
+    output: int
+
+
+class _Registers(dict):
+    """Variable -> register, numbering each new variable on first lookup."""
+
+    __slots__ = ("base",)
+
+    def __missing__(self, v: str) -> int:
+        r = self[v] = self.base + len(self)
+        return r
+
+
+def compile_plan(program: Program, selectors: Iterable[str]) -> SlotPlan:
+    """program as a SlotPlan whose selector registers follow selectors' order.
+
+    One pass over the statements. Raises UnboundVariableError for a
+    combining statement's selector that selectors lacks.
+    """
+    sel_reg = {s: i for i, s in enumerate(selectors)}
+    acc = len(sel_reg)
+    term = acc + 1
+    reg = _Registers()
+    reg.base = term + 1
+    for v in program.inputs:  # the first variable registers
+        reg[v]
+    ops: list[tuple[Op, int, int, int]] = []
+    append = ops.append
+    try:
+        for st in program.statements:
+            if isinstance(st, Assign):
+                expr = st.expr
+                append((expr.op, reg[expr.in1], reg[expr.in2], reg[st.target]))
+                continue
+            (s0, v0), (s1, v1), *more = st.options
+            append((_MUL, sel_reg[s0], reg[v0], acc))
+            append((_MUL, sel_reg[s1], reg[v1], term))
+            for s, v in more:
+                append((_ADD, acc, term, acc))
+                append((_MUL, sel_reg[s], reg[v], term))
+            append((_ADD, acc, term, reg[st.target]))
+    except KeyError as exc:
+        raise UnboundVariableError(f"unbound selector {exc.args[0]!r}") from None
+    if not ops:
+        raise ValueError("empty program has no output")
+    return SlotPlan(
+        registers=dict(reg),
+        names=(*sel_reg, None, None, *reg),
+        ops=tuple(ops),
+        output=ops[-1][3],
+    )
 
 
 def require_inputs(program: Program, bound) -> None:

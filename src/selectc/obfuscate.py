@@ -28,7 +28,7 @@ import itertools
 import typing
 from dataclasses import dataclass, field
 
-from .crypto import Ciphertext, SecretKey, SelectorKey, enc_many, he_ops
+from .crypto import Ciphertext, SecretKey, SelectorKey, enc_many, run_plan
 from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError
 from .field import ARITH_OPS, Op, op_from_name
 from .ir import (
@@ -36,10 +36,12 @@ from .ir import (
     Combine,
     Program,
     SimpleExpression,
+    SlotPlan,
     Statement,
+    compile_plan,
     fold_selection,
     referenced_vars,
-    run_statements,
+    require_inputs,
 )
 from .rng import DEFAULT_SEED, spawn
 
@@ -87,10 +89,15 @@ class ObfuscationConfig:
 
 @dataclass
 class ObfProgram:
-    """An obfuscated program plus the public structure of its class."""
+    """An obfuscated program plus the public structure of its class.
+
+    prepared is eval_encrypted's cache: the compiled plan of the last
+    (program, selector key) it checked, with a snapshot of both.
+    """
 
     program: Program
     selector_ids: list[str] = field(default_factory=list)
+    prepared: tuple[tuple, SlotPlan] | None = field(default=None, init=False, repr=False, compare=False)
 
     def combines(self) -> list[tuple[int, Combine]]:
         return [
@@ -527,6 +534,28 @@ def obfuscate_program_level(
     return obf, sel_key
 
 
+def _prepared_plan(obf: ObfProgram, sel_key: SelectorKey) -> SlotPlan:
+    """obf's plan for sel_key's bits, checked and compiled once per change.
+
+    obf.prepared keeps the plan with a snapshot of what it was built
+    from: the statements, and the bit names (the plan's selector
+    registers follow their order) and values. Each call takes the
+    snapshot again and reuses the plan if the two compare equal, which
+    CPython does in C, element by element, identity first. Neither the
+    inputs nor the prime are part of it: every run checks the inputs
+    (require_inputs) and fills registers by name, and run_plan computes
+    at the key's prime.
+    """
+    program, bits = obf.program, sel_key.bits
+    snapshot = (list(program.statements), list(bits), list(bits.values()))
+    if obf.prepared is not None and obf.prepared[0] == snapshot:
+        return obf.prepared[1]
+    checked_key(obf, sel_key)
+    plan = compile_plan(program, bits)
+    obf.prepared = (snapshot, plan)
+    return plan
+
+
 def eval_encrypted(
     obf: ObfProgram,
     key: SecretKey,
@@ -537,22 +566,25 @@ def eval_encrypted(
 
     Every statement runs; combining statements compute the full
     selector-weighted sum homomorphically. The key must pass
-    checked_key. The bound variables, then the selector bits, are
+    checked_key. Both the check and the program's SlotPlan are made
+    once and kept in obf.prepared while neither the statements nor the
+    selector bits change (see _prepared_plan); a one-off run pays for
+    both. Per run, the bound variables, then the selector bits, are
     encrypted under key in one batch each; callers supply ciphertexts
-    for the true inputs. The run goes through he_ops(key), so each
-    operation mints exactly one handle. Every handle minted here except
-    the output is freed on every exit path, a raised error included.
+    for the true inputs. crypto.run_plan then mints exactly one handle
+    per operation. Every handle minted here except the output is freed
+    on every exit path, a raised error included.
     """
-    checked_key(obf, sel_key)
+    plan = _prepared_plan(obf, sel_key)
     mark = len(key)
     out = None
     try:
         bindings = sel_key.bindings
         env = dict(zip(bindings, enc_many(key, bindings.values())))
         env.update(enc_inputs)
-        bits = sel_key.bits
-        sel_ct = dict(zip(bits, enc_many(key, bits.values())))
-        out = run_statements(obf.program, env, sel_ct, he_ops(key))[obf.program.output]
+        selectors = enc_many(key, sel_key.bits.values())
+        require_inputs(obf.program, env)
+        out = run_plan(key, plan, env, selectors)
     finally:
         key.release_since(mark, out)
     return out

@@ -366,6 +366,22 @@ def test_run_rejects_malformed_inputs(tmp_path, capsys, inputs, message):
     assert message in captured.err
 
 
+def test_run_rejects_inputs_the_key_binds_or_the_program_lacks(tmp_path, capsys):
+    """A name the key binds would override the key's value, and an unknown
+    name would be ignored; both exit 2 and name the binding."""
+    _, obf, key = obfuscate(tmp_path, TASK1)
+    bound = next(iter(read_key_file(key)[1].bindings))
+    capsys.readouterr()
+    for extra, message in ((f"{bound}=7", f"{bound!r} is bound by the key"),
+                           ("bogus=1", "'bogus' is not an input of")):
+        assert dispatch(["run", obf, "--key", key, "--inputs", f"x=12,y=4,{extra}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=12,y=4"]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
 def test_attack_cap_refusal_is_domain_error(tmp_path, capsys):
     _, obf, _ = obfuscate(tmp_path, SQUARE)
     capsys.readouterr()

@@ -11,14 +11,14 @@ from selectc.crypto import (
     enc,
     enc_many,
     he_op,
-    he_ops,
     keygen,
     read_key_file,
+    run_plan,
     write_key_file,
 )
 from selectc.errors import ForeignCiphertextError, FormatError, KeyMismatchError
-from selectc.field import ALL_OPS, FIELD_PRIME, apply_op, norm
-from selectc.ir import Combine, Program
+from selectc.field import ALL_OPS, FIELD_PRIME, Op, apply_op, norm
+from selectc.ir import Assign, Combine, Program, SimpleExpression, compile_plan
 from selectc.obfuscate import ObfProgram, checked_key
 
 P = FIELD_PRIME
@@ -58,18 +58,36 @@ def test_foreign_handle_rejected():
         dec(b, ct)
 
 
+def one_op_plan(op):
+    return compile_plan(Program(inputs=["x", "y"], statements=[Assign("r", SimpleExpression(op, "x", "y"))]), [])
+
+
 def test_foreign_handle_rejected_by_every_op():
-    """Each ops-table entry rejects a foreign operand in either position
-    and mints nothing."""
+    """he_op and the plan runner reject a foreign operand of every
+    operation in either position, name its handle and mint nothing."""
     a, b = keygen(1), keygen(2)
     foreign, own = enc(a, 5), enc(b, 6)
-    for op, fn in he_ops(b).items():
-        for args in ((foreign, own), (own, foreign)):
+    for op in ALL_OPS:
+        plan = one_op_plan(op)
+        for c1, c2 in ((foreign, own), (own, foreign)):
             with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
-                fn(*args)
-            with pytest.raises(ForeignCiphertextError):
-                he_op(b, op, *args)
+                he_op(b, op, c1, c2)
+            with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
+                run_plan(b, plan, {"x": c1, "y": c2}, [])
     assert len(b) == 1
+
+
+def test_foreign_handle_rejected_inside_a_combine():
+    """A foreign source of a combining statement's later option is named
+    after the runner minted the earlier options' handles."""
+    a, b = keygen(1), keygen(2)
+    program = Program(inputs=["x", "y"], statements=[Combine("c", (("s0", "x"), ("s1", "y")))])
+    plan = compile_plan(program, ["s0", "s1"])
+    foreign = enc(a, 5)
+    cts = enc_many(b, [6, 1, 0])
+    with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
+        run_plan(b, plan, {"x": cts[0], "y": foreign}, cts[1:])
+    assert len(b) == 4
 
 
 def test_handles_never_collide():
@@ -93,17 +111,29 @@ def test_homomorphism_grid():
             assert got == apply_op(op, a, b), (op, a, b)
 
 
-def test_ops_table_agrees_with_he_op():
-    """he_ops(key)[op] mints the same handles and values as he_op, in turn."""
+def test_runner_agrees_with_he_op():
+    """A plan run mints the handles and values he_op mints in turn: one
+    per assignment, and MUL, MUL, ADD, MUL, ADD for a 3-way combine."""
+    names = [f"v{i}" for i in range(len(GRID))]
+    statements = [
+        Assign(f"r{n}", SimpleExpression(op, names[i], names[j]))
+        for n, (i, j, op) in enumerate(itertools.product(range(len(GRID)), range(len(GRID)), ALL_OPS))
+    ]
+    statements.append(Combine("c", (("s0", "r0"), ("s1", "v3"), ("s2", "r5"))))
+    plan = compile_plan(Program(inputs=names, statements=statements), ["s0", "s1", "s2"])
     keys = keygen(11), keygen(11)
-    cts = [{v: ct for v, ct in zip(GRID, enc_many(key, GRID))} for key in keys]
-    table = he_ops(keys[1])
-    assert set(table) == set(ALL_OPS)
-    for a, b in itertools.product(GRID, repeat=2):
-        for op in ALL_OPS:
-            want = he_op(keys[0], op, cts[0][a], cts[0][b])
-            got = table[op](cts[1][a], cts[1][b])
-            assert got == want and dec(keys[1], got) == dec(keys[0], want), (op, a, b)
+    inputs = [dict(zip(names, enc_many(key, GRID))) for key in keys]
+    sels = [enc_many(key, [0, 1, 0]) for key in keys]
+    env, want = inputs[0], None
+    for st in statements[:-1]:
+        env[st.target] = want = he_op(keys[0], st.expr.op, env[st.expr.in1], env[st.expr.in2])
+    for n, (_, src) in enumerate(statements[-1].options):
+        term = he_op(keys[0], Op.MUL, sels[0][n], env[src])
+        want = term if n == 0 else he_op(keys[0], Op.ADD, want, term)
+    got = run_plan(keys[1], plan, inputs[1], sels[1])
+    assert got == want and dec(keys[1], got) == dec(keys[0], want) == GRID[3]
+    assert list(keys[1]._store.items()) == list(keys[0]._store.items())
+    assert len(keys[1]) == len(GRID) + 3 + len(statements) - 1 + 5
 
 
 def test_enc_many_matches_enc_in_turn():

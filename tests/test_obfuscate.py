@@ -1,7 +1,9 @@
 """Combining-statement obfuscation: structure, evaluation, round trips."""
 
+import functools
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as hst
 
 from selectc import obfuscate
 from selectc.attack import extract_class
-from selectc.crypto import SelectorKey, dec, enc, keygen
+from selectc.crypto import SelectorKey, dec, enc, enc_many, he_op, keygen
 from selectc.demos import build_l0, build_l1
 from selectc.errors import (
     ConfigError,
@@ -32,6 +34,7 @@ from selectc.ir import (
     normalize,
     parse_program,
     render_program,
+    run_statements,
 )
 from selectc.obfuscate import (
     _ENUMERATE_LIMIT,
@@ -301,6 +304,183 @@ def test_eval_encrypted_handle_stream_is_pinned():
         digest.update(repr(list(key._store.items())).encode())
     assert len(key) == 9
     assert digest.hexdigest() == HANDLE_STREAM_SHA256
+
+
+def reference_eval_encrypted(obf, key, sel_key, enc_inputs):
+    """eval_encrypted as a statement walk: ir.run_statements over he_op."""
+    checked_key(obf, sel_key)
+    mark = len(key)
+    out = None
+    try:
+        bindings = sel_key.bindings
+        env = dict(zip(bindings, enc_many(key, bindings.values())))
+        env.update(enc_inputs)
+        sel_ct = dict(zip(sel_key.bits, enc_many(key, sel_key.bits.values())))
+        ops = {op: functools.partial(he_op, key, op) for op in ALL_OPS}
+        out = run_statements(obf.program, env, sel_ct, ops)[obf.program.output]
+    finally:
+        key.release_since(mark, out)
+    return out
+
+
+def test_eval_encrypted_mints_what_the_statement_walk_mints():
+    """Run after run on one key, the plan runner leaves the output handle
+    and the key's store the statement walk leaves."""
+    cases = [(d.obf, d.sel_key) for d in (build_l0(), build_l1())]
+    for seed in range(4):
+        program = random_linear_program(random.Random(seed), n_statements=5, n_consts=1)
+        cfg = ObfuscationConfig(
+            mislead_factor=3, strategy=STRATEGIES[seed], fake_vars=("f0", "f1"),
+            fake_combining=seed % 2, seed=seed, pattern_table=PatternTable(),
+        )
+        cases.append(obfuscate_statement_level(program, cfg))
+    for obf, sel_key in cases:
+        inputs = [v for v in obf.program.inputs if v not in sel_key.bindings]
+        keys = keygen(5), keygen(5)
+        for run in range(3):
+            outs = [
+                fn(obf, key, sel_key, dict(zip(inputs, enc_many(key, range(run, run + len(inputs))))))
+                for fn, key in zip((eval_encrypted, reference_eval_encrypted), keys)
+            ]
+            assert outs[0] == outs[1]
+            assert list(keys[0]._store.items()) == list(keys[1]._store.items())
+
+
+READ_BEFORE_ASSIGNED = """input x
+t := ADD x u
+u := MUL x x
+c := COMBINE (s0,t) (s1,u)
+"""
+READ_BEFORE_ASSIGNED_IN_COMBINE = """input x
+c := COMBINE (s0,x) (s1,u)
+u := MUL x x
+"""
+REASSIGNED = """input x
+input y
+v := ADD x y
+c := COMBINE (s0,v) (s1,x)
+v := MUL x x
+r := SUB c y
+"""
+FOREIGN_SOURCE = """input x
+input y
+a := ADD x x
+c := COMBINE (s0,a) (s1,y)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, inputs, foreign",
+    [
+        (REASSIGNED, ["x"], None),
+        (READ_BEFORE_ASSIGNED, ["x"], None),
+        (READ_BEFORE_ASSIGNED_IN_COMBINE, ["x"], None),
+        (REASSIGNED, ["x", "y"], "x"),
+        (REASSIGNED, ["x", "y"], "y"),
+        (FOREIGN_SOURCE, ["x", "y"], "y"),
+        (REASSIGNED, ["x", "y"], None),
+    ],
+    ids=["unbound-input", "read-before-assigned", "read-before-assigned-in-combine",
+         "foreign-first-operand", "foreign-second-operand", "foreign-in-combine", "reassigned"],
+)
+def test_eval_encrypted_fails_as_the_statement_walk_fails(text, inputs, foreign):
+    """Same error class and message as the walk, the store as it was, and
+    the same next handle; a reassigned variable reads its value at the
+    time, as the walk does."""
+    program = parse_program(text)
+    obf = ObfProgram(program=program, selector_ids=program.selector_ids())
+    sel_key = SelectorKey(bits={"s0": 1, "s1": 0})
+    results = []
+    for fn in (eval_encrypted, reference_eval_encrypted):
+        key = keygen(3)
+        cts = dict(zip(inputs, enc_many(key, [5, 7])))
+        if foreign is not None:
+            cts[foreign] = enc(keygen(4), 9)
+        before = list(key._store.items())
+        try:
+            results.append(dec(key, fn(obf, key, sel_key, cts)))
+        except SelectcError as exc:
+            results.append((type(exc), str(exc)))
+            assert list(key._store.items()) == before
+        results.append(enc(key, 1).handle)
+    assert results[:2] == results[2:]
+    if text == REASSIGNED and len(inputs) == 2 and foreign is None:
+        assert results[0] == 5
+    else:
+        assert issubclass(results[0][0], SelectcError)
+
+
+def test_eval_encrypted_notices_changes_made_in_place():
+    """The cached check and plan follow edits to the statements, the
+    inputs, the bits and their order; each run equals the deobfuscated
+    program's."""
+    source = random_linear_program(random.Random(8), n_statements=4, n_consts=1)
+    cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0",), fake_combining=1, seed=8)
+    obf, sel_key = obfuscate_statement_level(source, cfg)
+    program = obf.program
+    inputs = random_inputs(source, random.Random(8))
+
+    def run_matches_fold(given):
+        got = run_encrypted(obf, sel_key, given)
+        assert got == eval_plain(deobfuscate(obf, sel_key), given)
+        return got
+
+    first = run_matches_fold(inputs)
+    # swap the operation of the output combine's hot option
+    _, st = obf.combines()[-1]
+    hot = next(src for s, src in st.options if sel_key.bits[s])
+    at = next(i for i, s in enumerate(program.statements) if s.target == hot)
+    old = program.statements[at]
+    new_op = Op.SUB if old.expr.op is not Op.SUB else Op.ADD
+    program.statements[at] = Assign(hot, SimpleExpression(new_op, old.expr.in1, old.expr.in2))
+    assert run_matches_fold(inputs) != first
+    # a new input, read by the hot option
+    program.inputs.append("w")
+    with pytest.raises(UnboundVariableError, match=r"input variable\(s\): w"):
+        run_encrypted(obf, sel_key, inputs)
+    program.statements[at] = Assign(hot, SimpleExpression(Op.MUL, old.expr.in1, "w"))
+    run_matches_fold({**inputs, "w": 3})
+    inputs["w"] = 3
+    # move the hot selector of that combine to another option
+    sels = [s for s, _ in st.options]
+    on = next(s for s in sels if sel_key.bits[s])
+    off = next(s for s in sels if not sel_key.bits[s])
+    sel_key.bits[on], sel_key.bits[off] = 0, 1
+    run_matches_fold(inputs)
+    # the same bits in another order: selectors are encrypted in bit order
+    first = next(iter(sel_key.bits))
+    sel_key.bits[first] = sel_key.bits.pop(first)
+    run_matches_fold(inputs)
+    # rebind a key-bound value
+    bound = next(iter(sel_key.bindings))
+    sel_key.bindings[bound] += 11
+    run_matches_fold(inputs)
+    # a second hot selector breaks the key
+    sel_key.bits[on] = 1
+    with pytest.raises(KeyMismatchError):
+        run_encrypted(obf, sel_key, inputs)
+
+
+def test_repeated_runs_check_and_compile_once(monkeypatch):
+    """100 runs of one (obfuscation, selector key), a fresh key each, check
+    the key and compile the plan once."""
+    source = random_linear_program(random.Random(9), n_statements=3, n_consts=1)
+    obf, sel_key = obfuscate_statement_level(source, ObfuscationConfig(mislead_factor=3, seed=9))
+    calls = Counter()
+
+    def counting(fn):
+        def counted(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(obfuscate, "checked_key", counting(obfuscate.checked_key))
+    monkeypatch.setattr(obfuscate, "compile_plan", counting(obfuscate.compile_plan))
+    rng = random.Random(9)
+    for seed in range(100):
+        inputs = random_inputs(source, rng)
+        assert run_encrypted(obf, sel_key, inputs, seed) == eval_plain(source, inputs)
+    assert calls == {"checked_key": 1, "compile_plan": 1}
 
 
 @hst.composite
