@@ -88,7 +88,6 @@ from .patterns import (
     read_trees,
     write_trees,
 )
-from .rewrite import BUILTIN_RULES, PatStmt, RewriteRule, uniformize
 from .rng import DEFAULT_SEED
 from .surface import SurfaceProgram, interpret, parse_surface, render_surface
 

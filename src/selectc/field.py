@@ -39,7 +39,6 @@ class Op(Enum):
 
 
 ARITH_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
-COMPARISON_OPS = (Op.EQ, Op.NEQ, Op.LT, Op.LE, Op.GT, Op.GE)
 ALL_OPS = tuple(Op)
 
 _OP_BY_NAME = {op.value: op for op in Op}
@@ -86,10 +85,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def norm(x: int, prime: int = FIELD_PRIME) -> int:
-    return x % prime
 
 
 def signed(x: int, prime: int = FIELD_PRIME) -> int:

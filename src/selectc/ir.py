@@ -573,8 +573,12 @@ def render_program(program: Program) -> str:
 
 
 def parse_program(text: str) -> Program:
-    """Parse the format produced by render_program."""
-    prime = FIELD_PRIME
+    """Parse the format produced by render_program.
+
+    The header lines may come in any order; const values are reduced by
+    the program's prime once all lines are read. At most one prime line.
+    """
+    prime = None
     inputs: list[str] = []
     consts: dict[str, int] = {}
     statements: list[Statement] = []
@@ -584,6 +588,8 @@ def parse_program(text: str) -> Program:
             continue
         tokens = line.split()
         if tokens[0] == "prime":
+            if prime is not None:
+                raise FormatError(f"line {lineno}: second prime line")
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise FormatError(f"line {lineno}: malformed prime line")
             prime = int(tokens[1])
@@ -599,7 +605,7 @@ def parse_program(text: str) -> Program:
             if len(tokens) != 4 or tokens[2] != "=":
                 raise FormatError(f"line {lineno}: malformed const line")
             try:
-                consts[tokens[1]] = int(tokens[3]) % prime
+                consts[tokens[1]] = int(tokens[3])
             except ValueError:
                 raise FormatError(f"line {lineno}: const value is not an integer") from None
             continue
@@ -629,4 +635,7 @@ def parse_program(text: str) -> Program:
         statements.append(Assign(target, SimpleExpression(op, tokens[3], tokens[4])))
     if not statements:
         raise FormatError("program has no statements")
+    if prime is None:
+        prime = FIELD_PRIME
+    consts = {v: val % prime for v, val in consts.items()}
     return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)

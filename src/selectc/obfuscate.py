@@ -573,14 +573,16 @@ def eval_encrypted(
     encrypted under key in one batch each; callers supply ciphertexts
     for the true inputs. crypto.run_plan then mints exactly one handle
     per operation. Every handle minted here except the output is freed
-    on every exit path, a raised error included.
+    on every exit path, a raised error included. The program's consts
+    are bound as ir.field_env binds them: key bindings and inputs
+    override them.
     """
     plan = _prepared_plan(obf, sel_key)
     mark = len(key)
     out = None
     try:
-        bindings = sel_key.bindings
-        env = dict(zip(bindings, enc_many(key, bindings.values())))
+        bound = {**obf.program.consts, **sel_key.bindings}
+        env = dict(zip(bound, enc_many(key, bound.values())))
         env.update(enc_inputs)
         selectors = enc_many(key, sel_key.bits.values())
         require_inputs(obf.program, env)
@@ -628,13 +630,15 @@ def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
     appear, and bound variables return to const bindings. With the
     authentic key the result is the pre-obfuscation program up to
     normalization; a different one-hot key folds to some other member
-    of the program class. Raises FormatError, as the attack does, unless
-    every variable is assigned once, after what it reads.
+    of the program class. The program's own consts stay, a key binding
+    of the same name overriding one. Raises FormatError, as the attack
+    does, unless every variable is assigned once, after what it reads.
     """
     program = obf.program
     statements = fold_selection(program, checked_key(obf, sel_key))
     refs = referenced_vars(statements)
-    consts = {v: val for v, val in sel_key.bindings.items() if v in refs}
+    bound = {**program.consts, **sel_key.bindings}
+    consts = {v: val for v, val in bound.items() if v in refs}
     inputs = [v for v in program.inputs if v not in sel_key.bindings]
     return Program(
         inputs=inputs,

@@ -382,6 +382,34 @@ def test_run_rejects_inputs_the_key_binds_or_the_program_lacks(tmp_path, capsys)
     assert capsys.readouterr().out == "3\n"
 
 
+def test_obf_consts_bind_in_run_and_deobfuscate(tmp_path, capsys):
+    """An .obf const binds in run and deobfuscate as it does in eval_plain;
+    a key binding of the same name overrides it."""
+    text = (
+        "prime 101\ninput x\nconst k = -1\n"
+        "t := ADD x k\nu := MUL x x\nr := COMBINE (s0,t) (s1,u)\n"
+    )
+    obf = write(tmp_path / "c.obf", text)
+    key = write(tmp_path / "c.key", "seed 1\nsel s0 = 1\nsel s1 = 0\n")
+    assert eval_plain(parse_program(text), {"x": 5, "s0": 1, "s1": 0}) == 4
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=5"]) == 0
+    assert capsys.readouterr().out == "4\n"
+    assert dispatch(["deobfuscate", obf, "--key", key]) == 0
+    assert capsys.readouterr().out == "prime 101\ninput x\nconst k = -1\nr := ADD x k\n"
+    write(tmp_path / "c.key", "seed 1\nsel s0 = 1\nsel s1 = 0\nconst k = 2\n")
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=5"]) == 0
+    assert capsys.readouterr().out == "7\n"
+
+
+def test_second_prime_line_is_domain_error(tmp_path, capsys):
+    obf = write(tmp_path / "p.obf", "prime 101\ninput x\nprime 103\nr := ADD x x\n")
+    key = write(tmp_path / "p.key", "seed 1\n")
+    assert dispatch(["run", obf, "--key", key, "--inputs", "x=5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: second prime line" in captured.err
+
+
 def test_attack_cap_refusal_is_domain_error(tmp_path, capsys):
     _, obf, _ = obfuscate(tmp_path, SQUARE)
     capsys.readouterr()

@@ -17,7 +17,7 @@ from selectc.crypto import (
     write_key_file,
 )
 from selectc.errors import ForeignCiphertextError, FormatError, KeyMismatchError
-from selectc.field import ALL_OPS, FIELD_PRIME, Op, apply_op, norm
+from selectc.field import ALL_OPS, FIELD_PRIME, Op, apply_op
 from selectc.ir import Assign, Combine, Program, SimpleExpression, compile_plan
 from selectc.obfuscate import ObfProgram, checked_key
 
@@ -98,7 +98,7 @@ def test_handles_never_collide():
 
 HALF = (P - 1) // 2
 GRID = [0, 1, 2, 3, 7, 10, HALF, HALF + 1, P - 2, P - 1,
-        norm(-3), norm(-10), 99991, 2**32, 2**60]
+        -3 % P, -10 % P, 99991, 2**32, 2**60]
 
 
 def test_homomorphism_grid():
@@ -192,7 +192,7 @@ def test_selector_key_rejects_missing_bit():
 
 
 def test_key_file_round_trip(tmp_path):
-    sk = SelectorKey(bits={"s0": 1, "s1": 0}, bindings={"k0": 7, "k1": norm(-9999)})
+    sk = SelectorKey(bits={"s0": 1, "s1": 0}, bindings={"k0": 7, "k1": -9999 % P})
     path = tmp_path / "demo.key"
     write_key_file(str(path), 1729, sk)
     seed, loaded = read_key_file(str(path))
@@ -202,7 +202,7 @@ def test_key_file_round_trip(tmp_path):
 
 
 def test_key_file_writes_signed_consts(tmp_path):
-    sk = SelectorKey(bits={"s0": 1}, bindings={"v": norm(-9999)})
+    sk = SelectorKey(bits={"s0": 1}, bindings={"v": -9999 % P})
     path = tmp_path / "k"
     write_key_file(str(path), 0, sk)
     assert "const v = -9999" in path.read_text()

@@ -7,13 +7,11 @@ from hypothesis import strategies as hst
 from selectc.field import (
     ALL_OPS,
     ARITH_OPS,
-    COMPARISON_OPS,
     FIELD_PRIME,
     Op,
     apply_op,
     field_ops,
     is_prime,
-    norm,
     op_from_name,
     signed,
 )
@@ -45,12 +43,6 @@ def test_is_prime_on_64_bit_moduli():
     assert not is_prime(561)  # Carmichael
 
 
-def test_norm_wraps_negatives():
-    assert norm(-1) == P - 1
-    assert norm(P) == 0
-    assert norm(P + 5) == 5
-
-
 def test_signed_centers_representatives():
     assert signed(P - 1) == -1
     assert signed(1) == 1
@@ -61,7 +53,7 @@ def test_signed_centers_representatives():
 
 def test_signed_norm_round_trip():
     for v in (-9999, -1, 0, 1, 12345):
-        assert signed(norm(v)) == v
+        assert signed(v % P) == v
 
 
 def test_arithmetic_mod_p():
@@ -91,11 +83,11 @@ def test_division_agrees_with_the_fermat_inverse(prime, a, b):
 
 
 def test_comparisons_use_signed_order():
-    # norm(-3) is a huge residue but compares as -3
-    assert apply_op(Op.LT, norm(-3), 2) == 1
-    assert apply_op(Op.GT, norm(-3), 2) == 0
-    assert apply_op(Op.LE, norm(-3), norm(-3)) == 1
-    assert apply_op(Op.GE, 5, norm(-5)) == 1
+    # -3 % P is a huge residue but compares as -3
+    assert apply_op(Op.LT, -3 % P, 2) == 1
+    assert apply_op(Op.GT, -3 % P, 2) == 0
+    assert apply_op(Op.LE, -3 % P, -3 % P) == 1
+    assert apply_op(Op.GE, 5, -5 % P) == 1
 
 
 def test_equality_ops_are_boolean():
@@ -107,12 +99,12 @@ def test_equality_ops_are_boolean():
 
 def test_all_ops_return_canonical_residues():
     for op in ALL_OPS:
-        r = apply_op(op, norm(-7), norm(13))
+        r = apply_op(op, -7 % P, 13 % P)
         assert 0 <= r < P
 
 
 def test_op_groups_cover_the_enum():
-    assert set(ARITH_OPS) | set(COMPARISON_OPS) == set(ALL_OPS)
+    assert set(ALL_OPS) - set(ARITH_OPS) == {Op.EQ, Op.NEQ, Op.LT, Op.LE, Op.GT, Op.GE}
     assert len(ALL_OPS) == 10
 
 

@@ -576,6 +576,37 @@ def test_random_class_kpa_matches_the_reference(case, count, mixed, seed):
     assert_kpa_matches_reference(cd, pairs)
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    linear_classes(),
+    hst.sampled_from(["member", "source", "unrelated"]),
+    hst.sampled_from([None, 1, 2]),
+    hst.integers(0, 2**32 - 1),
+)
+def test_truth_is_graded_or_refused(case, kind, count, seed):
+    """run_attack with a truth either sets min_rank and quality or raises
+    ConfigError; it never returns a class left ungraded. A member is
+    always graded when no pairs filter the class."""
+    obf, source = case
+    cd = extract_class(obf)
+    rng = random.Random(seed)
+    if kind == "member":
+        truth = realize_candidate(cd, tuple(rng.randrange(n) for n in cd.option_counts()))
+    elif kind == "source":
+        truth = source
+    else:
+        truth = random_linear_program(rng, n_statements=rng.randint(1, 3))
+    pairs = None if count is None else seeded_pairs(cd, count, seed)
+    try:
+        report = run_attack(obf, pairs=pairs, table=TABLE, truth=[truth])
+    except ConfigError as exc:
+        assert "matches the truth" in str(exc) or "the class lacks" in str(exc)
+        assert not (kind == "member" and pairs is None)
+        return
+    assert report.min_rank is not None and report.quality is not None
+    assert 1 <= report.min_rank <= cd.class_size
+
+
 def test_kpa_checks_every_pair_before_walking(two_option_class):
     """A pair missing an input fails with the reference's message, wherever it sits."""
     cd = extract_class(two_option_class[0])

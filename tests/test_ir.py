@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from selectc.errors import FormatError, UnboundVariableError
 from selectc.field import FIELD_PRIME, Op
@@ -122,16 +124,40 @@ def test_selector_ids_keep_first_use_order():
     assert len(seen) == 3 * (6 + 2)  # six real and two fake groups of k = 3
 
 
-def test_render_parse_round_trip():
-    p = prog(
-        [
-            Assign("t0", SimpleExpression(Op.DIV, "x", "k0")),
-            Combine("c", (("s0", "t0"), ("s1", "x"))),
-        ],
-        inputs=["x"],
-        consts={"k0": -2 % P},
-    )
-    assert parse_program(render_program(p)) == p
+@settings(max_examples=60, deadline=None)
+@given(
+    prime=hst.sampled_from([P, 101]),
+    values=hst.lists(hst.integers(-(2**70), 2**70), min_size=1, max_size=3),
+    shuffle=hst.randoms(use_true_random=False),
+)
+def test_render_parse_round_trip(prime, values, shuffle):
+    """parse_program inverts render_program whatever the header order."""
+    consts = {f"k{i}": v % prime for i, v in enumerate(values)}
+    statements = [Assign("t0", SimpleExpression(Op.DIV, "x", "k0"))]
+    for i in range(1, len(consts)):
+        statements.append(Assign(f"t{i}", SimpleExpression(Op.SUB, f"t{i - 1}", f"k{i}")))
+    statements.append(Combine("c", (("s0", f"t{len(consts) - 1}"), ("s1", "y"))))
+    p = Program(inputs=["x", "y"], statements=statements, consts=consts, prime=prime)
+    lines = render_program(p).splitlines()
+    n_header = 1 + len(p.inputs) + len(consts)
+    header = lines[:n_header]
+    shuffle.shuffle(header)
+    # input order is part of the program; permute only how the lines interleave
+    inputs = iter(line for line in lines[:n_header] if line.startswith("input "))
+    header = [next(inputs) if line.startswith("input ") else line for line in header]
+    assert parse_program("\n".join(header + lines[n_header:])) == p
+
+
+def test_const_before_the_prime_line_is_reduced_by_that_prime():
+    p = parse_program("input x\nconst k = -1\nprime 101\nr := ADD x k\n")
+    assert p.consts == {"k": 100}
+    assert eval_plain(p, {"x": 5}) == 4
+    assert "const k = -1" in render_program(p)
+
+
+def test_parse_rejects_a_second_prime_line():
+    with pytest.raises(FormatError, match="line 2: second prime line"):
+        parse_program("prime 101\nprime 101\ninput x\nr := ADD x x\n")
 
 
 def test_render_uses_signed_const_values():
