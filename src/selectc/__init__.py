@@ -12,8 +12,6 @@ from .attack import (
     AttackReport,
     ClassDescriptor,
     GameAccuracy,
-    class_quality,
-    enumerate_candidates,
     extract_class,
     game_exact,
     game_simulate,
@@ -86,7 +84,6 @@ from .patterns import (
     mine,
     read_table,
     read_trees,
-    write_trees,
 )
 from .rng import DEFAULT_SEED
 from .surface import SurfaceProgram, interpret, parse_surface, render_surface

@@ -10,10 +10,11 @@ Three attacks are modeled:
 
   * known-plaintext filtering: keep the candidates that agree with
     observed input/output pairs. Every pair is checked by walking the
-    obfuscated program over the selection space, so only the final
-    survivors are folded. The confidential program always survives;
-    the attack refuses classes larger than an enumeration cap rather
-    than silently truncating.
+    obfuscated program over the selection space, and the survivors are
+    kept as live signatures, so each surviving signature is folded once,
+    when it is ranked. The confidential program always survives; the
+    attack refuses classes larger than an enumeration cap rather than
+    silently truncating.
   * likelihood ranking: score candidates by how typical their
     statements look against a mined pattern table (smoothed relative
     operator frequencies), and rank the class by that score. The
@@ -33,8 +34,8 @@ import bisect
 import heapq
 import itertools
 import math
-import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -84,14 +85,14 @@ class ClassDescriptor:
         return _MemberCones(self)
 
 
+# a live signature (see _MemberCones.signature) and how many selections share it
+CountedSignature = tuple[tuple[int, ...], int]
+
+
 @dataclass(slots=True)
-class Candidate:
+class RankedCandidate:
     selection: tuple[int, ...]
     program: Program
-
-
-@dataclass(slots=True)
-class RankedCandidate(Candidate):
     log_score: float = 0.0
     prob: float = 0.0
     key: str = ""  # canonical_key(program, False)
@@ -103,11 +104,9 @@ class RankedMember:
 
     signatures are the member's live signatures (see
     _MemberCones.signature); each stands for the selections it expands
-    to over its dead slots, count in all. A class ranked from given
-    candidates lists their selections instead, in the given order.
-    programs is None while every signature folds to program's very
-    statements; otherwise it holds each signature's own fold, which
-    names some statement apart.
+    to over its dead slots, count in all. programs is None while every
+    signature folds to program's very statements; otherwise it holds
+    each signature's own fold, which names some statement apart.
     """
 
     key: str  # canonical_key(program, False)
@@ -133,42 +132,30 @@ class RankedMember:
 class Ranking:
     """A ranked class, best first, as rank_candidates returns it.
 
-    members holds one RankedMember per distinct program, sorted. As a
-    read-only sequence (len, iteration, indexing, slicing) it is the
-    selections, one RankedCandidate each, built on demand: a member's
-    signatures expanded over their dead slots and merged in product
-    order, or its given candidates in the given order.
+    members holds one RankedMember per distinct program, sorted. As an
+    iterable with a length it is the selections, one RankedCandidate
+    each, built on demand: a member's signatures expanded over their
+    dead slots and merged in product order.
     """
 
-    __slots__ = ("members", "_ranges", "_ends", "_explicit")
+    __slots__ = ("members", "_ranges", "_ends")
 
-    def __init__(self, members: list[RankedMember], option_counts: list[int], explicit: bool):
+    def __init__(self, members: list[RankedMember], option_counts: list[int]):
         self.members = members
         self._ranges = [range(n) for n in option_counts]
         self._ends = list(itertools.accumulate(m.count for m in members))  # selections so far
-        self._explicit = explicit
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self) -> Iterator[RankedCandidate]:
-        return self._rows(0)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step == 1:
-                return list(itertools.islice(self._rows(start), max(stop - start, 0)))
-            return [self[i] for i in range(start, stop, step)]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("ranking index out of range")
-        return next(self._rows(i))
+        for member in self.members:
+            score, prob, key = member.log_score, member.prob, member.key
+            for selection, program in self._selections(member):
+                yield RankedCandidate(selection, program, score, prob, key)
 
     def _selections(self, member: RankedMember) -> Iterator[tuple[tuple[int, ...], Program]]:
-        """(selection, program) for each of member's selections, in order."""
+        """(selection, program) for each of member's selections, in product order."""
         ranges = self._ranges
         programs = member.programs or itertools.repeat(member.program)
         runs = [
@@ -180,22 +167,7 @@ class Ranking:
         ]
         if len(runs) == 1:
             return runs[0]
-        if self._explicit:
-            return itertools.chain(*runs)
         return heapq.merge(*runs, key=itemgetter(0))
-
-    def _rows(self, start: int) -> Iterator[RankedCandidate]:
-        """The ranked selections from position start on."""
-        first = bisect.bisect_right(self._ends, start)
-        skip = start - (self._ends[first - 1] if first else 0)
-        for member in itertools.islice(self.members, first, None):
-            rows = self._selections(member)
-            if skip:
-                rows = itertools.islice(rows, skip, None)
-                skip = 0
-            score, prob, key = member.log_score, member.prob, member.key
-            for selection, program in rows:
-                yield RankedCandidate(selection, program, score, prob, key)
 
 
 @dataclass
@@ -353,7 +325,7 @@ class _MemberCones:
                 live |= reach[j][choice]
         return tuple(sig)
 
-    def signatures(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def signatures(self) -> Iterator[CountedSignature]:
         """Every live signature of the class, with how many selections share it.
 
         A depth-first walk from the last slot: a live slot takes each of
@@ -416,43 +388,31 @@ class _MemberCones:
         return emit_fold(self.statements, sorted(keep), reversed(chosen), self.resolved)
 
 
-def enumerate_candidates(cd: ClassDescriptor) -> Iterator[Candidate]:
-    """Every member in product order; members with one live signature share a Program."""
-    signature = cd.cones.signature
-    programs: dict[tuple[int, ...], Program] = {}
-    for selection in itertools.product(*map(range, cd.option_counts())):
-        sig = signature(selection)
-        program = programs.get(sig)
-        if program is None:
-            program = programs[sig] = realize_candidate(cd, selection)
-        yield Candidate(selection=selection, program=program)
-
-
 def kpa_filter(
     cd: ClassDescriptor,
     pairs: list[tuple[dict[str, int], int]],
     cap: int = DEFAULT_CAP,
-) -> list[Candidate]:
-    """Keep the candidates consistent with known input/output pairs.
+) -> list[CountedSignature]:
+    """Keep the live signatures consistent with known input/output pairs.
 
     Each pair binds every input variable of the obfuscated program
     (candidates may read any of them) and gives the observed output.
     Raises EnumerationCapError instead of enumerating a class larger
-    than cap. Survivors come in product order, as enumerate_candidates
-    yields them. Every pair is checked by walking the obfuscated
-    program itself (see _consistent_selections), so only the final
-    survivors are folded.
+    than cap. Every pair is checked by walking the obfuscated program
+    itself (see _consistent_selections), and nothing is folded. Each
+    surviving signature comes once, with the number of surviving
+    selections that share it, in the shape _MemberCones.signatures
+    yields: a choice at a dead slot cannot change the output, so a
+    signature survives with all its selections or with none.
     """
     if cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
     # every pair's inputs are checked here, so a missing one fails before any evaluation
     envs = [field_env(cd.obf.program, inputs) for inputs, _ in pairs]
     if not pairs:
-        return list(enumerate_candidates(cd))
-    return [
-        Candidate(selection=selection, program=realize_candidate(cd, selection))
-        for selection in _consistent_selections(cd, envs, [output for _, output in pairs])
-    ]
+        return list(cd.cones.signatures())
+    selections = _consistent_selections(cd, envs, [output for _, output in pairs])
+    return list(Counter(map(cd.cones.signature, selections)).items())
 
 
 def _consistent_selections(
@@ -575,65 +535,47 @@ def rank_candidates(
     cd: ClassDescriptor,
     table=None,
     cap: int = DEFAULT_CAP,
-    candidates: list[Candidate] | None = None,
+    survivors: list[CountedSignature] | None = None,
 ) -> Ranking:
-    """Order the class by statement-pattern likelihood, best first.
+    """Order the class, or the survivors kpa_filter kept, by
+    statement-pattern likelihood, best first.
 
     p(candidate) is proportional to the product of smoothed relative
     frequencies of its statement operations; probabilities are
-    normalized over the enumerated candidates. Ties are broken by
-    canonical serialization, then by the given order (product order
-    without candidates), so the order is reproducible.
+    normalized over the ranked selections. Ties are broken by canonical
+    serialization, then by product order, so the order is reproducible.
 
     The unit of work is the distinct member, not the selection, and the
     result is a Ranking of RankedMembers whose selections are built
-    only when read. Without candidates the selections stay implicit:
-    the live signatures (see _MemberCones.signatures) are walked, each
-    folded through realize_candidate, keyed and scored once. With
-    candidates, the first one of each signature is keyed and scored.
-    A member holds its live statements only, so its key is rendered
-    without a liveness pass, and members with one target order share
-    one rename map. The score is an fsum, which is correctly rounded,
-    so it depends on the member's operations only; signatures that fold
-    to one key therefore tie on (score, key) and form one member.
-    Members are sorted, and each one's weight is computed once and
-    counted once per selection in the normalizing sum.
+    only when read. Each live signature, the class's (see
+    _MemberCones.signatures) or the survivors', is folded through
+    realize_candidate, keyed and scored once. A member holds its live
+    statements only, so its key is rendered without a liveness pass,
+    and members with one target order share one rename map. The score
+    is an fsum, which is correctly rounded, so it depends on the
+    member's operations only; signatures that fold to one key therefore
+    tie on (score, key) and form one member. Members are sorted, and
+    each one's weight is computed once and counted once per selection
+    in the normalizing sum.
     """
-    if candidates is None and cd.class_size > cap:
-        raise EnumerationCapError(cd.class_size, cap)
+    if survivors is None:
+        if cd.class_size > cap:
+            raise EnumerationCapError(cd.class_size, cap)
+        survivors = cd.cones.signatures()
     scores, _ = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     renames: dict[tuple[str, ...], dict[str, str]] = {}  # target order -> rename map
     members: dict[str, RankedMember] = {}  # key -> member
-    if candidates is None:
-        for sig, count in cd.cones.signatures():
-            program = realize_candidate(cd, sig)
-            stmts = program.statements
-            key = render_key(program, stmts, False, renames)
-            member = members.get(key)
-            if member is None:
-                score = math.fsum([op_scores[st.expr.op] for st in stmts])
-                members[key] = RankedMember(key, program, score, count, [sig])
-            else:
-                member.join(sig, count, program)
-    else:
-        signature = cd.cones.signature
-        # live signature -> (its member, the program its selections share)
-        graded: dict[tuple[int, ...], tuple[RankedMember, Program]] = {}
-        for cand in candidates:
-            sig = signature(cand.selection)
-            hit = graded.get(sig)
-            if hit is None:
-                program = cand.program
-                stmts = program.statements
-                key = render_key(program, stmts, False, renames)
-                member = members.get(key)
-                if member is None:
-                    score = math.fsum([op_scores[st.expr.op] for st in stmts])
-                    member = members[key] = RankedMember(key, program, score, 0, [])
-                hit = graded[sig] = (member, program)
-            member, program = hit
-            member.join(cand.selection, 1, program)
+    for sig, count in survivors:
+        program = realize_candidate(cd, sig)
+        stmts = program.statements
+        key = render_key(program, stmts, False, renames)
+        member = members.get(key)
+        if member is None:
+            score = math.fsum([op_scores[st.expr.op] for st in stmts])
+            members[key] = RankedMember(key, program, score, count, [sig])
+        else:
+            member.join(sig, count, program)
     # keys are unique, so by key, then stably by descending score, is by (-score, key)
     order = sorted(members.values(), key=attrgetter("key"))
     order.sort(key=attrgetter("log_score"), reverse=True)
@@ -646,7 +588,7 @@ def rank_candidates(
         )
         for m, w in zip(order, weights):
             m.prob = w / total
-    return Ranking(order, cd.option_counts(), explicit=candidates is not None)
+    return Ranking(order, cd.option_counts())
 
 
 def _grade(ranked: Ranking, truth: list[Program]) -> tuple[int, float] | None:
@@ -663,19 +605,6 @@ def _grade(ranked: Ranking, truth: list[Program]) -> tuple[int, float] | None:
     last = bisect.bisect_right(members, -best, key=lambda m: -m.log_score) - 1
     rank = ranked._ends[last]
     return rank, 1.0 - 1.0 / rank
-
-
-def class_quality(ranked: Ranking, confidential: list[Program]) -> float:
-    """Q = 1 - 1/r for the best-ranked confidential program.
-
-    r counts every candidate scoring at least as high, ties included,
-    so equal scores never flatter the obfuscation. Q = 0 when some
-    confidential program is the attacker's unique top pick.
-    """
-    graded = _grade(ranked, confidential)
-    if graded is None:
-        raise ConfigError("no confidential program appears in the ranked class")
-    return graded[1]
 
 
 def _unmatched_truth(cd: ClassDescriptor, truth: list[Program], filtered: bool) -> str:
@@ -718,12 +647,8 @@ def run_attack(
     """
     start = time.perf_counter()
     cd = extract_class(obf)
-    survivors = None
-    candidates = None
-    if pairs is not None:
-        candidates = kpa_filter(cd, pairs, cap=cap)
-        survivors = len(candidates)
-    ranked = rank_candidates(cd, table=table, cap=cap, candidates=candidates)
+    survivors = None if pairs is None else kpa_filter(cd, pairs, cap=cap)
+    ranked = rank_candidates(cd, table=table, cap=cap, survivors=survivors)
     min_rank = quality = None
     if truth:
         graded = _grade(ranked, truth)
@@ -734,7 +659,7 @@ def run_attack(
         class_size=cd.class_size,
         enumerated=len(ranked),
         ranked=ranked,
-        survivors=survivors,
+        survivors=None if pairs is None else len(ranked),
         min_rank=min_rank,
         quality=quality,
         elapsed=time.perf_counter() - start,
@@ -750,16 +675,23 @@ def render_attack_report(report: AttackReport, top: int = 10) -> str:
         lines.append(f"min_rank | {report.min_rank}")
     if report.quality is not None:
         lines.append(f"quality | {report.quality:.6g}")
-    for i, rc in enumerate(report.ranked[:top], start=1):
+    for i, rc in enumerate(itertools.islice(report.ranked, top), start=1):
         lines.append(f"top | {i} | {rc.prob:.6g} | {rc.key}")
     return "\n".join(lines) + "\n"
 
 
-def surviving_option_counts(cd: ClassDescriptor, survivors: list[Candidate]) -> list[int]:
-    """How many options of each combining statement some survivor uses."""
+def surviving_option_counts(
+    cd: ClassDescriptor, survivors: list[CountedSignature]
+) -> list[int]:
+    """How many options of each combining statement some surviving selection uses.
+
+    survivors are live signatures, as kpa_filter returns them. A slot
+    that is dead (-1) in one of them counts all of its options.
+    """
     counts = []
-    for slot in range(len(cd.options)):
-        counts.append(len({cand.selection[slot] for cand in survivors}))
+    for slot, opts in enumerate(cd.options):
+        used = {sig[slot] for sig, _ in survivors}
+        counts.append(len(opts) if -1 in used else len(used))
     return counts
 
 

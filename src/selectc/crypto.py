@@ -207,9 +207,14 @@ def write_key_file(path: str, seed: int, sel_key: SelectorKey, prime: int = FIEL
 
 
 def read_key_file(path: str, prime: int = FIELD_PRIME) -> tuple[int, SelectorKey]:
+    """Read a key file as write_key_file writes it.
+
+    One seed line, and each selector and each const at most once.
+    """
     seed: int | None = None
     bits: dict[str, int] = {}
     bindings: dict[str, int] = {}
+    seen: dict[tuple[str, str], int] = {}  # (sel or const, name) -> its line
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -217,19 +222,28 @@ def read_key_file(path: str, prime: int = FIELD_PRIME) -> tuple[int, SelectorKey
                 continue
             tokens = line.split()
             if tokens[0] == "seed" and len(tokens) == 2:
+                if seed is not None:
+                    raise FormatError(f"line {lineno}: second seed line")
                 try:
                     seed = int(tokens[1])
                 except ValueError:
                     raise FormatError(f"line {lineno}: malformed seed") from None
-            elif tokens[0] == "sel" and len(tokens) == 4 and tokens[2] == "=":
-                if tokens[3] not in ("0", "1"):
-                    raise FormatError(f"line {lineno}: selector bit must be 0 or 1")
-                bits[tokens[1]] = int(tokens[3])
-            elif tokens[0] == "const" and len(tokens) == 4 and tokens[2] == "=":
-                try:
-                    bindings[tokens[1]] = int(tokens[3]) % prime
-                except ValueError:
-                    raise FormatError(f"line {lineno}: malformed const value") from None
+            elif tokens[0] in ("sel", "const") and len(tokens) == 4 and tokens[2] == "=":
+                kind, name, value = tokens[0], tokens[1], tokens[3]
+                first = seen.setdefault((kind, name), lineno)
+                if first != lineno:
+                    raise FormatError(
+                        f"line {lineno}: {kind} {name!r} is given twice (first on line {first})"
+                    )
+                if kind == "sel":
+                    if value not in ("0", "1"):
+                        raise FormatError(f"line {lineno}: selector bit must be 0 or 1")
+                    bits[name] = int(value)
+                else:
+                    try:
+                        bindings[name] = int(value) % prime
+                    except ValueError:
+                        raise FormatError(f"line {lineno}: malformed const value") from None
             else:
                 raise FormatError(f"line {lineno}: unrecognized key line {line!r}")
     if seed is None:

@@ -576,11 +576,13 @@ def parse_program(text: str) -> Program:
     """Parse the format produced by render_program.
 
     The header lines may come in any order; const values are reduced by
-    the program's prime once all lines are read. At most one prime line.
+    the program's prime once all lines are read. At most one prime line,
+    and each name is declared once, as an input or as a const.
     """
     prime = None
     inputs: list[str] = []
     consts: dict[str, int] = {}
+    declared: dict[str, int] = {}  # input or const name -> its line
     statements: list[Statement] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -599,11 +601,13 @@ def parse_program(text: str) -> Program:
         if tokens[0] == "input":
             if len(tokens) != 2:
                 raise FormatError(f"line {lineno}: malformed input line")
+            _declare(declared, tokens[1], lineno)
             inputs.append(tokens[1])
             continue
         if tokens[0] == "const":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise FormatError(f"line {lineno}: malformed const line")
+            _declare(declared, tokens[1], lineno)
             try:
                 consts[tokens[1]] = int(tokens[3])
             except ValueError:
@@ -639,3 +643,10 @@ def parse_program(text: str) -> Program:
         prime = FIELD_PRIME
     consts = {v: val % prime for v, val in consts.items()}
     return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)
+
+
+def _declare(declared: dict[str, int], name: str, lineno: int) -> None:
+    """Note that line lineno declares name; a second declaration is a FormatError."""
+    first = declared.setdefault(name, lineno)
+    if first != lineno:
+        raise FormatError(f"line {lineno}: {name!r} is declared twice (first on line {first})")

@@ -362,11 +362,6 @@ def parse_trees(text: str) -> list[ExprTree]:
     return [build(r) for r in roots]
 
 
-def write_trees(path: str, trees: Iterable[ExprTree]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_trees(trees))
-
-
 def read_trees(path: str) -> list[ExprTree]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trees(fh.read())

@@ -13,13 +13,12 @@ from collections import Counter
 import pytest
 
 from selectc.attack import (
-    class_quality,
-    enumerate_candidates,
     extract_class,
     game_exact,
     game_simulate,
     kpa_filter,
     rank_candidates,
+    realize_candidate,
     run_attack,
 )
 from selectc.cli import dispatch
@@ -129,7 +128,7 @@ def test_criterion_03_cost_security_tradeoff(announce):
                 p, ObfuscationConfig(mislead_factor=k, seed=0)
             )
             cd = extract_class(obf)
-            enumerated = sum(1 for _ in enumerate_candidates(cd))
+            enumerated = sum(1 for _ in rank_candidates(cd))
             if len(obf.program.statements) > (k + 1) * n:
                 bad.append((n, k, "statements"))
             if not (cd.class_size == enumerated == k**n):
@@ -187,17 +186,18 @@ def test_criterion_05_kpa_resilience(announce, two_option_class):
         for _ in range(2):
             env = random_inputs(p, gen)
             pairs.append(({**env, **key.bindings}, eval_plain(p, env)))
-        survivors = kpa_filter(extract_class(obf), pairs)
-        keys = {canonical_key(c.program, False) for c in survivors}
+        cd = extract_class(obf)
+        survivors = kpa_filter(cd, pairs)
+        keys = {canonical_key(realize_candidate(cd, sig), False) for sig, _ in survivors}
         if canonical_key(p, False) not in keys:
             failures += 1
 
     # two-option class: the pair a=3 -> 9 kills the addition candidate
     obf, _ = two_option_class
     cd = extract_class(obf)
-    all_ops = [c.program.statements[0].expr.op for c in enumerate_candidates(cd)]
+    all_ops = [rc.program.statements[0].expr.op for rc in rank_candidates(cd)]
     survivors = kpa_filter(cd, [({"a": 3}, 9)])
-    left = [c.program.statements[0].expr.op for c in survivors]
+    left = [realize_candidate(cd, sig).statements[0].expr.op for sig, _ in survivors]
     pair_ok = sorted(all_ops, key=str) == [Op.ADD, Op.MUL] and left == [Op.MUL]
     announce(
         5,
@@ -227,19 +227,16 @@ def test_criterion_06_quality_metric(announce):
         inputs=["a", "b"], statements=[Assign("r", se(Op.ADD, "a", "a"))],
         consts={}, prime=FIELD_PRIME,
     )
-    top = rank_candidates(extract_class(_five_option_class(Op.MUL, Op.ADD)), table=table)
-    bottom = rank_candidates(extract_class(_five_option_class(Op.ADD, Op.MUL)), table=table)
-    q_top = class_quality(top, [truth_mul])
-    q_bottom = class_quality(bottom, [truth_add])
+    q_top = run_attack(_five_option_class(Op.MUL, Op.ADD), table=table, truth=[truth_mul]).quality
+    bottom = run_attack(_five_option_class(Op.ADD, Op.MUL), table=table, truth=[truth_add])
+    q_bottom = bottom.quality
 
     scaled = PatternTable(operator_counts=Counter({"times": 80 * 37, "plus": 20 * 37}))
-    rescaled = rank_candidates(
-        extract_class(_five_option_class(Op.ADD, Op.MUL)), table=scaled
-    )
+    rescaled = run_attack(_five_option_class(Op.ADD, Op.MUL), table=scaled, truth=[truth_add])
     invariant = (
-        [r.selection for r in bottom] == [r.selection for r in rescaled]
-        and [r.log_score for r in bottom] == [r.log_score for r in rescaled]
-        and class_quality(rescaled, [truth_add]) == q_bottom
+        [r.selection for r in bottom.ranked] == [r.selection for r in rescaled.ranked]
+        and [r.log_score for r in bottom.ranked] == [r.log_score for r in rescaled.ranked]
+        and rescaled.quality == q_bottom
     )
     ok = q_top == 0.0 and q_bottom == 1.0 - 1.0 / 5 and invariant
     announce(

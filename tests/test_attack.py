@@ -14,8 +14,6 @@ import selectc
 
 from selectc.attack import (
     extract_class,
-    class_quality,
-    enumerate_candidates,
     game_exact,
     game_simulate,
     kpa_filter,
@@ -115,10 +113,11 @@ def test_realize_candidate_folds_each_option(two_option_class):
     assert [st.expr.op for st in add.statements] == [Op.ADD]
 
 
-def test_enumerate_candidates_covers_the_class(two_option_class):
+def test_live_signatures_cover_the_class(two_option_class):
     obf, _ = two_option_class
-    cands = list(enumerate_candidates(extract_class(obf)))
-    assert [c.selection for c in cands] == [(0,), (1,)]
+    cd = extract_class(obf)
+    assert kpa_filter(cd, []) == [((0,), 1), ((1,), 1)]
+    assert sorted(rc.selection for rc in rank_candidates(cd)) == [(0,), (1,)]
 
 
 # --------------------------------------------------------------- the KPA
@@ -128,21 +127,37 @@ def test_kpa_pair_eliminates_the_add_decoy(two_option_class):
     obf, _ = two_option_class
     cd = extract_class(obf)
     survivors = kpa_filter(cd, [({"a": 3}, 9)])
-    assert [c.selection for c in survivors] == [(0,)]
+    assert survivors == [((0,), 1)]
     assert surviving_option_counts(cd, survivors) == [1]
+
+
+def test_a_slot_dead_in_a_survivor_keeps_all_its_options():
+    """c1 is dead once c2 picks o1: the pair keeps one signature, which
+    stands for both choices at c1."""
+    statements = [
+        Combine("c1", (("s0", "x"), ("s1", "y"))),
+        Assign("o0", SimpleExpression(Op.ADD, "c1", "x")),
+        Assign("o1", SimpleExpression(Op.SUB, "x", "y")),
+        Combine("c2", (("s2", "o0"), ("s3", "o1"))),
+    ]
+    program = Program(inputs=["x", "y"], statements=statements)
+    cd = extract_class(ObfProgram(program=program, selector_ids=program.selector_ids()))
+    survivors = kpa_filter(cd, [({"x": 5, "y": 2}, 3)])
+    assert survivors == [((-1, 1), 2)]
+    assert surviving_option_counts(cd, survivors) == [2, 1]
 
 
 def test_kpa_keeps_everything_without_pairs(two_option_class):
     obf, _ = two_option_class
     cd = extract_class(obf)
-    assert len(kpa_filter(cd, [])) == 2
+    assert kpa_filter(cd, []) == [((0,), 1), ((1,), 1)]
 
 
 def test_kpa_pair_on_agreeing_input_keeps_both(two_option_class):
     # 2*2 == 2+2, so a=2 separates nothing
     obf, _ = two_option_class
     cd = extract_class(obf)
-    assert len(kpa_filter(cd, [({"a": 2}, 4)])) == 2
+    assert kpa_filter(cd, [({"a": 2}, 4)]) == [((0,), 1), ((1,), 1)]
 
 
 def test_kpa_accepts_signed_outputs():
@@ -155,7 +170,7 @@ def test_kpa_accepts_signed_outputs():
     obf, _ = obfuscate_statement_level(p, ObfuscationConfig(seed=4))
     cd = extract_class(obf)
     survivors = kpa_filter(cd, [({"a": 1, "b": 5}, -4)])
-    keys = {canonical_key(c.program, False) for c in survivors}
+    keys = {canonical_key(realize_candidate(cd, sig), False) for sig, _ in survivors}
     assert canonical_key(p, False) in keys
 
 
@@ -173,7 +188,7 @@ def test_kpa_confidential_always_survives():
             # the captured inputs include the lifted constant bindings
             pairs.append(({**env, **key.bindings}, eval_plain(p, env)))
         survivors = kpa_filter(cd, pairs)
-        keys = {canonical_key(c.program, False) for c in survivors}
+        keys = {canonical_key(realize_candidate(cd, sig), False) for sig, _ in survivors}
         assert canonical_key(p, False) in keys, case
 
 
@@ -196,7 +211,7 @@ def mul_heavy_table():
 def test_rank_prefers_frequent_operations(two_option_class):
     obf, _ = two_option_class
     cd = extract_class(obf)
-    ranked = rank_candidates(cd, table=mul_heavy_table())
+    ranked = list(rank_candidates(cd, table=mul_heavy_table()))
     assert ranked[0].program.statements[0].expr.op is Op.MUL
     assert ranked[0].prob > ranked[1].prob
     assert math.isclose(sum(rc.prob for rc in ranked), 1.0)
@@ -204,7 +219,7 @@ def test_rank_prefers_frequent_operations(two_option_class):
 
 def test_rank_without_table_is_a_uniform_tie(two_option_class):
     obf, _ = two_option_class
-    ranked = rank_candidates(extract_class(obf))
+    ranked = list(rank_candidates(extract_class(obf)))
     assert ranked[0].log_score == ranked[1].log_score
     assert ranked[0].prob == pytest.approx(0.5)
     # tie order is the canonical serialization, so it is reproducible
@@ -218,7 +233,7 @@ def test_rank_matches_brute_force_scoring():
     obf, _ = obfuscate_statement_level(p, ObfuscationConfig(mislead_factor=3, seed=5))
     cd = extract_class(obf)
     table = mul_heavy_table()
-    ranked = rank_candidates(cd, table=table)
+    ranked = list(rank_candidates(cd, table=table))
 
     counts = table.ir_operator_counts()
     universe = sorted({op.value for op in Op} | set(counts))
@@ -260,35 +275,31 @@ def test_rank_respects_cap():
 
 def test_quality_zero_when_confidential_is_top(two_option_class):
     obf, _ = two_option_class
-    ranked = rank_candidates(extract_class(obf), table=mul_heavy_table())
-    assert class_quality(ranked, [mul_program()]) == 0.0
+    assert run_attack(obf, table=mul_heavy_table(), truth=[mul_program()]).quality == 0.0
 
 
 def test_quality_counts_ties_against_the_obfuscation(two_option_class):
     obf, _ = two_option_class
-    ranked = rank_candidates(extract_class(obf))  # tie
-    assert class_quality(ranked, [mul_program()]) == 0.5
+    assert run_attack(obf, truth=[mul_program()]).quality == 0.5  # tie
 
 
 def test_quality_at_the_bottom_of_the_ranking(two_option_class):
     obf, _ = two_option_class
     # plus-heavy table pushes the squaring candidate to rank N = 2
     table = PatternTable(operator_counts=Counter({"plus": 99, "times": 1}))
-    ranked = rank_candidates(extract_class(obf), table=table)
-    assert class_quality(ranked, [mul_program()]) == 1 - 1 / 2
+    assert run_attack(obf, table=table, truth=[mul_program()]).quality == 1 - 1 / 2
 
 
 def test_quality_requires_a_class_member(two_option_class):
     obf, _ = two_option_class
-    ranked = rank_candidates(extract_class(obf))
     other = Program(
         inputs=["a"],
         statements=[Assign("c", SimpleExpression(Op.DIV, "a", "a"))],
         consts={},
         prime=P,
     )
-    with pytest.raises(ConfigError):
-        class_quality(ranked, [other])
+    with pytest.raises(ConfigError, match="no member of the ranked class matches the truth"):
+        run_attack(obf, truth=[other])
 
 
 # ------------------------------------------------------------ end to end

@@ -401,6 +401,35 @@ def test_obf_consts_bind_in_run_and_deobfuscate(tmp_path, capsys):
     assert capsys.readouterr().out == "7\n"
 
 
+@pytest.mark.parametrize("command", ["run", "deobfuscate"])
+@pytest.mark.parametrize(
+    "obf_text, key_text, message",
+    [
+        (
+            "prime 101\ninput x\nconst k = 1\nconst k = 5\nr := ADD x k\n",
+            "seed 1\n",
+            "line 4: 'k' is declared twice (first on line 3)",
+        ),
+        (
+            "prime 101\ninput x\nt := ADD x x\nu := MUL x x\nr := COMBINE (s0,t) (s1,u)\n",
+            "seed 1\nsel s0 = 1\nsel s1 = 0\nsel s0 = 0\n",
+            "line 4: sel 's0' is given twice (first on line 2)",
+        ),
+    ],
+    ids=["obf", "key"],
+)
+def test_duplicate_declaration_is_domain_error(
+    tmp_path, capsys, command, obf_text, key_text, message
+):
+    obf = write(tmp_path / "d.obf", obf_text)
+    key = write(tmp_path / "d.key", key_text)
+    argv = [command, obf, "--key", key] + (["--inputs", "x=1"] if command == "run" else [])
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_second_prime_line_is_domain_error(tmp_path, capsys):
     obf = write(tmp_path / "p.obf", "prime 101\ninput x\nprime 103\nr := ADD x x\n")
     key = write(tmp_path / "p.key", "seed 1\n")

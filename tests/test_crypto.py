@@ -222,6 +222,26 @@ def test_key_file_rejects_bad_lines(tmp_path):
             read_key_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed 0\nsel s0 = 1\nsel s0 = 0\n", "line 3: sel 's0' is given twice (first on line 2)"),
+        (
+            "seed 0\nconst k = 1\nconst k = 1\n",
+            "line 3: const 'k' is given twice (first on line 2)",
+        ),
+        ("seed 0\nsel s0 = 1\nseed 0\n", "line 3: second seed line"),
+    ],
+    ids=["sel", "const", "seed"],
+)
+def test_key_file_rejects_a_repeated_line(tmp_path, text, message):
+    path = tmp_path / "twice.key"
+    path.write_text(text)
+    with pytest.raises(FormatError) as e:
+        read_key_file(str(path))
+    assert str(e.value) == message
+
+
 def test_key_file_ignores_comments(tmp_path):
     path = tmp_path / "c.key"
     path.write_text("# header\nseed 5\n\nsel s0 = 1\n")

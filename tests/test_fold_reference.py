@@ -12,8 +12,9 @@ attack folds each member from cones built once per class, interns the
 statements it rewrites, folds, scores and keys each live signature
 once, keys members without a liveness pass, sorts and weights each
 distinct member once, finds ranks by bisection and filters by walking
-the obfuscated program once per pair, sharing prefixes between leaves;
-it must agree with these references exactly.
+the obfuscated program once per pair, sharing prefixes between leaves,
+keeping the survivors as live signatures that it folds once each; it
+must agree with these references exactly.
 """
 
 import functools
@@ -518,13 +519,18 @@ def mixed_pairs(cd, count, seed):
 
 
 def assert_kpa_matches_reference(cd, pairs, members=None):
-    """The survivors, and their ranking, are the reference's."""
+    """The surviving signatures expand to the reference's survivors, and
+    rank like them. A signature counts the selections it expands to over
+    its dead slots."""
     want = reference_kpa_filter(cd, pairs, members=members)
     got = kpa_filter(cd, pairs)
-    assert [c.selection for c in got] == [sel for sel, _ in want]
-    assert [render_program(c.program) for c in got] == [render_program(p) for _, p in want]
+    counts = cd.option_counts()
+    for sig, count in got:
+        assert count == math.prod(n for choice, n in zip(sig, counts) if choice < 0), sig
+    ranked = rank_candidates(cd, table=TABLE, survivors=got)
+    rows = sorted((rc.selection, render_program(rc.program)) for rc in ranked)
+    assert rows == [(sel, render_program(program)) for sel, program in want]
     if want:
-        ranked = rank_candidates(cd, table=TABLE, candidates=got)
         assert ranked_rows(ranked) == reference_ranking(want, TABLE)[0]
 
 
@@ -650,8 +656,9 @@ def test_rank_refuses_an_oversized_class_before_folding(monkeypatch):
 
 
 def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
-    """The work-shape guard: the walk checks every pair, so only the final
-    survivors are folded, once each and in order.
+    """The work-shape guard: the walk checks every pair and folds nothing,
+    so ranking folds only the final surviving signatures, once each and
+    in the order kpa_filter keeps them.
 
     On l1, three pairs from one member. On l0, three small-input runs of
     the confidential program with x = 0, 1, 2: thousands of selections
@@ -665,7 +672,10 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     for x in (0, 1, 2):
         env = {**random_inputs(demo.program, rng, small=True), "x": x}
         l0_pairs.append(({**env, **demo.sel_key.bindings}, eval_plain(demo.program, env)))
-    firsts = [len(kpa_filter(cd, pairs[:1])) for cd, pairs in ((l1, l1_pairs), (l0, l0_pairs))]
+    firsts = [
+        sum(n for _, n in kpa_filter(cd, pairs[:1]))
+        for cd, pairs in ((l1, l1_pairs), (l0, l0_pairs))
+    ]
     folded = []
 
     def counting(cd, selection):
@@ -674,15 +684,34 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
 
     monkeypatch.setattr(attack, "realize_candidate", counting)
     survivors = kpa_filter(l1, l1_pairs)
-    assert folded == [c.selection for c in survivors]
-    assert 1 <= len(survivors) <= firsts[0] < l1.class_size // 100
+    assert folded == []
+    rank_candidates(l1, table=TABLE, survivors=survivors)
+    assert folded == [sig for sig, _ in survivors]
+    assert 1 <= sum(n for _, n in survivors) <= firsts[0] < l1.class_size // 100
 
     folded.clear()
     survivors = kpa_filter(l0, l0_pairs)
-    assert folded == [c.selection for c in survivors]
-    assert 50 <= len(survivors) <= 300 and firsts[1] >= 1_000
-    truth = canonical_key(demo.program, False)
-    assert truth in {canonical_key(c.program, False) for c in survivors}
+    ranked = rank_candidates(l0, table=TABLE, survivors=survivors)
+    assert folded == [sig for sig, _ in survivors]
+    assert 50 <= len(ranked) <= 300 and firsts[1] >= 1_000
+    assert canonical_key(demo.program, False) in {m.key for m in ranked.members}
+
+
+def test_kpa_attack_folds_each_surviving_signature_once(monkeypatch):
+    """The work-shape guard: on l1, the 25 selections that pass one pair
+    share one live signature, so the KPA attack folds once, not 25 times."""
+    demo, cd, _ = demo_class("l1")
+    pairs = seeded_pairs(cd, 1, seed=7)
+    folded = []
+
+    def counting(cd, selection):
+        folded.append(selection)
+        return realize_candidate(cd, selection)
+
+    monkeypatch.setattr(attack, "realize_candidate", counting)
+    report = run_attack(demo.obf, pairs=pairs, table=TABLE)
+    assert len(folded) == 1
+    assert report.survivors == report.enumerated == len(report.ranked) == 25
 
 
 @pytest.mark.parametrize("level, folds", [("l0", 12_500), ("l1", 1_861)])
@@ -798,7 +827,7 @@ def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
     for count, runs in ((1, 14_698), (3, 15_134)):
         ran.clear()
         survivors = kpa_filter(cd, seeded_pairs(cd, count, seed=7))
-        assert len(survivors) == 25
+        assert sum(n for _, n in survivors) == 25
         assert sum(ran) == runs
 
 
@@ -851,50 +880,20 @@ def test_signatures_that_fold_to_one_key_keep_their_own_programs():
     folds = [realize_candidate(cd, (i,)) for i in (0, 1)]
     assert folds[0] != folds[1]
     assert [rc.program for rc in ranked] == folds
-    candidates = [attack.Candidate((i,), folds[i]) for i in (1, 0)]
-    ranked = rank_candidates(cd, table=TABLE, candidates=candidates)
-    assert [(rc.selection, rc.program) for rc in ranked] == [((1,), folds[1]), ((0,), folds[0])]
 
 
 @pytest.mark.parametrize("name", ["shared-source", "l1-kpa", "l1"])
 def test_ranking_indexes_and_slices_like_its_list(name):
-    """A Ranking reads as the list of its selections, whichever way it is read."""
+    """A Ranking has the length of its selections, and every read of it,
+    whole or cut short as render_attack_report cuts it, yields the same rows."""
     if name == "shared-source":
         ranking = rank_candidates(extract_class(hand_built(SHARED_SOURCE)), table=TABLE)
     else:
         _, cd, _ = demo_class("l1")
-        pairs = seeded_pairs(cd, 1, seed=7) if name == "l1-kpa" else None
-        candidates = kpa_filter(cd, pairs) if pairs else None
-        ranking = rank_candidates(cd, table=TABLE, candidates=candidates)
+        survivors = kpa_filter(cd, seeded_pairs(cd, 1, seed=7)) if name == "l1-kpa" else None
+        ranking = rank_candidates(cd, table=TABLE, survivors=survivors)
     rows = list(ranking)
-    n = len(rows)
-    assert len(ranking) == n == sum(m.count for m in ranking.members)
-    for i in {0, 1, n // 3, n // 2, n - 2, n - 1, -1, -n}:
-        assert ranking[i] == rows[i]
-    for cut in (slice(None, 10), slice(5, None), slice(n // 2, n // 2 + 7), slice(1, None, 3),
-                slice(None, None, -5), slice(-4, None), slice(n + 5, None)):
-        assert ranking[cut] == rows[cut]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            ranking[i]
-
-
-@pytest.mark.parametrize("name", sorted(OVERLAPPING_CONES) + ["shared-source", "l1"])
-def test_shuffled_candidates_rank_like_the_reference(name):
-    """Ties keep the given order, whatever it is."""
-    if name == "l1":
-        _, cd, members = demo_class("l1")
-        members = random.Random(5).sample(members, 3_000)
-    else:
-        cd = extract_class(hand_built(OVERLAPPING_CONES.get(name, SHARED_SOURCE)))
-        members = [
-            (selection, reference_realize(cd, selection))
-            for selection in itertools.product(*(range(n) for n in cd.option_counts()))
-        ]
-        random.Random(len(members)).shuffle(members)
-    candidates = [
-        attack.Candidate(selection=selection, program=realize_candidate(cd, selection))
-        for selection, _ in members
-    ]
-    ranked = rank_candidates(cd, table=TABLE, candidates=candidates)
-    assert ranked_rows(ranked) == reference_ranking(members, TABLE)[0]
+    assert len(ranking) == len(rows) == sum(m.count for m in ranking.members)
+    assert list(ranking) == rows
+    for stop in (1, 10, len(rows) + 5):
+        assert list(itertools.islice(ranking, stop)) == rows[:stop]

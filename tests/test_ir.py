@@ -160,6 +160,24 @@ def test_parse_rejects_a_second_prime_line():
         parse_program("prime 101\nprime 101\ninput x\nr := ADD x x\n")
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("input x\nconst k = 1\nconst k = 5\n", "line 4: 'k' is declared twice (first on line 3)"),
+        ("input x\ninput x\n", "line 3: 'x' is declared twice (first on line 2)"),
+        ("input x\nconst x = 4\n", "line 3: 'x' is declared twice (first on line 2)"),
+        ("const x = 4\ninput x\n", "line 3: 'x' is declared twice (first on line 2)"),
+    ],
+    ids=["const-twice", "input-twice", "input-then-const", "const-then-input"],
+)
+def test_parse_rejects_a_name_declared_twice(header, message):
+    """Neither declaration may silently win: the last const, a doubled
+    input, or an input shadowing a const would each change the program."""
+    with pytest.raises(FormatError) as e:
+        parse_program(f"prime 101\n{header}r := ADD x x\n")
+    assert str(e.value) == message
+
+
 def test_render_uses_signed_const_values():
     p = prog([Assign("r", SimpleExpression(Op.ADD, "x", "k"))],
              inputs=["x"], consts={"k": -9999 % P})

@@ -21,7 +21,6 @@ from selectc.patterns import (
     read_trees,
     render_table,
     render_trees,
-    write_trees,
 )
 from selectc.surface import parse_surface
 
@@ -213,7 +212,7 @@ def test_trees_parse_rejects_bad_indentation():
 def test_trees_file_round_trip(tmp_path):
     trees = from_surface(parse_surface("r := x * 2 + 1\n"))
     path = tmp_path / "one.trees"
-    write_trees(str(path), trees)
+    path.write_text(render_trees(trees), encoding="utf-8")
     assert read_trees(str(path)) == trees
 
 
