@@ -224,7 +224,7 @@ def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Progra
     emitter (ir.emit_fold). The choices at dead slots are never read,
     so selection may be a live signature, with -1 at those slots (see
     _MemberCones.signature). The members of a class share one copy of
-    its inputs list and consts dict; copy a member (Program.copy)
+    its inputs list and consts dict; give a member its own copies
     before changing them.
     """
     cones = cd.cones
@@ -251,6 +251,11 @@ class _MemberCones:
         and its definition's operand cones; the definition, which only
         the slot reads, goes.
 
+    The same pass records what the KPA walk (_consistent_selections)
+    runs: each slot's target and sources, and the live assignments in
+    segments. An assignment with reach 0 reads no slot target, so it
+    goes to segment 0; any other goes after the latest slot.
+
     extract_class has checked single assignment, so a variable's
     definition comes before its readers and the masks of a slot's
     options name earlier slots only. Each walk costs its cone, and there
@@ -268,15 +273,28 @@ class _MemberCones:
         reach: dict[str, int] = {}  # variable -> slots it reads through assignments
         slots: list[int] = []
         self.reach: list[list[int]] = []  # slot -> option -> slots its source reads
+        self.targets: list[str] = []  # slot -> its target
+        self.sources: list[list[str]] = []  # slot -> option -> source variable
+        segments: list[list[Statement]] = [[]]
         for idx in cd.live_indices:
             st = stmts[idx]
             if isinstance(st, Combine):
-                self.reach.append([reach.get(src, 0) for _, src in st.options])
+                sources = [src for _, src in st.options]
+                self.reach.append([reach.get(src, 0) for src in sources])
                 reach[st.target] = 1 << len(slots)
                 slots.append(idx)
+                self.targets.append(st.target)
+                self.sources.append(sources)
+                segments.append([])
             else:
                 defs[st.target] = idx
-                reach[st.target] = reach.get(st.expr.in1, 0) | reach.get(st.expr.in2, 0)
+                mask = reach[st.target] = reach.get(st.expr.in1, 0) | reach.get(st.expr.in2, 0)
+                segments[-1 if mask else 0].append(st)
+        # the KPA walk's segments, None where empty (see _consistent_selections)
+        self.segments = [
+            Program(inputs=[], statements=seg, prime=program.prime) if seg else None
+            for seg in segments
+        ]
 
         def cone(*roots: str) -> set[int]:
             keep: set[int] = set()
@@ -422,14 +440,14 @@ def _consistent_selections(
 
     A depth-first walk over the live combining statements (slots) of
     the obfuscated program, in envs[0] itself: choosing an option is a
-    gather, target := source, after which the live statements up to the
-    next slot that read a slot target, directly or through other
-    assignments, run through run_statements (a segment). Every other
-    live assignment computes the same value on every path, so it runs
-    once per env, in segment 0, before the first slot. extract_class
-    has checked that every variable is assigned once, after what it
-    reads, so a path overwrites everything it reads that an earlier
-    path set.
+    gather, target := source, after which the slot's segment (see
+    _MemberCones) runs through run_statements: the live statements up to
+    the next slot that read a slot target, directly or through other
+    assignments. Every other live assignment computes the same value on
+    every path, so it runs once per env, in segment 0, before the first
+    slot. extract_class has checked that every variable is assigned
+    once, after what it reads, so a path overwrites everything it reads
+    that an earlier path set.
 
     A leaf that passes the first pair is checked on the later pairs in
     turn, each in its own env. A later env holds the current choices at
@@ -441,27 +459,8 @@ def _consistent_selections(
     so a later pair never costs more than the walk itself.
     """
     program = cd.obf.program
-    targets: list[str] = []
-    sources: list[list[str]] = []  # slot -> option -> source variable
-    segments: list[list] = [[]]
-    moving: set[str] = set()  # slot targets, and what reads them
-    for idx in cd.live_indices:
-        st = program.statements[idx]
-        if isinstance(st, Combine):
-            targets.append(st.target)
-            sources.append([src for _, src in st.options])
-            segments.append([])
-            moving.add(st.target)
-        elif st.expr.in1 in moving or st.expr.in2 in moving:
-            moving.add(st.target)
-            segments[-1].append(st)
-        else:
-            segments[0].append(st)
-    # None for an empty segment, which the walk skips
-    runs = [
-        Program(inputs=[], statements=seg, prime=program.prime) if seg else None
-        for seg in segments
-    ]
+    cones = cd.cones
+    targets, sources, runs = cones.targets, cones.sources, cones.segments
     ops = field_ops(program.prime)
     out = program.output
     last = len(targets)
@@ -513,7 +512,7 @@ def _consistent_selections(
         i += 1
 
 
-def _statement_log_scores(table) -> tuple[dict[str, float], float]:
+def _statement_log_scores(table) -> dict[str, float]:
     """Smoothed per-operation log likelihoods from a pattern table.
 
     Counts are normalized to relative frequencies first and add-one
@@ -528,7 +527,7 @@ def _statement_log_scores(table) -> tuple[dict[str, float], float]:
     for name in universe:
         rel = counts.get(name, 0) / total if total else 0.0
         scores[name] = math.log1p(rel) - denom
-    return scores, denom
+    return scores
 
 
 def rank_candidates(
@@ -562,7 +561,7 @@ def rank_candidates(
         if cd.class_size > cap:
             raise EnumerationCapError(cd.class_size, cap)
         survivors = cd.cones.signatures()
-    scores, _ = _statement_log_scores(table)
+    scores = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     renames: dict[tuple[str, ...], dict[str, str]] = {}  # target order -> rename map
     members: dict[str, RankedMember] = {}  # key -> member

@@ -23,7 +23,7 @@ from .attack import (
 )
 from .crypto import enc, dec, keygen, read_key_file, write_key_file
 from .demos import build_l0, build_l1, emit_artifacts
-from .errors import ConfigError, FormatError, SelectcError, format_count
+from .errors import ConfigError, FormatError, SelectcError, format_count, in_file
 from .field import signed
 from .ir import Program, parse_program, render_program
 from .lower import lower
@@ -70,6 +70,12 @@ def _resolve_seed(flag: int | None, configured: int | None = None) -> int:
         return configured
     env = _env_seed()
     return env if env is not None else DEFAULT_SEED
+
+
+def _read(reader, path: str, *args):
+    """reader(path, *args), naming path in any SelectcError it raises."""
+    with in_file(path):
+        return reader(path, *args)
 
 
 def _load_plain_program(path: str) -> Program:
@@ -126,16 +132,16 @@ def _read_pairs(path: str) -> list[tuple[dict[str, int], int]]:
                 raise FormatError(f"line {lineno}: {exc}") from None
             pairs.append((bindings, output))
     if not pairs:
-        raise FormatError(f"{path}: no input/output pairs")
+        raise FormatError("no input/output pairs")
     return pairs
 
 
 # ------------------------------------------------------------- commands
 
 def _cmd_obfuscate(args) -> int:
-    cfg = read_config(args.config) if args.config else ObfuscationConfig()
+    cfg = _read(read_config, args.config) if args.config else ObfuscationConfig()
     cfg.seed = _resolve_seed(args.seed, cfg.seed if cfg.seed_configured else None)
-    program = _load_plain_program(args.src)
+    program = _read(_load_plain_program, args.src)
     obf, sel_key = obfuscate_statement_level(program, cfg)
     write_obf_program(args.output, obf)
     write_key_file(args.key, cfg.seed, sel_key, program.prime)
@@ -148,9 +154,9 @@ def _cmd_obfuscate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    obf = read_obf_program(args.obf)
+    obf = _read(read_obf_program, args.obf)
     prime = obf.program.prime
-    seed, sel_key = read_key_file(args.key, prime)
+    seed, sel_key = _read(read_key_file, args.key, prime)
     bindings = _parse_bindings(args.inputs)
     for name in bindings:
         if name in sel_key.bindings:
@@ -165,8 +171,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_deobfuscate(args) -> int:
-    obf = read_obf_program(args.obf)
-    _, sel_key = read_key_file(args.key, obf.program.prime)
+    obf = _read(read_obf_program, args.obf)
+    _, sel_key = _read(read_key_file, args.key, obf.program.prime)
     program = deobfuscate(obf, sel_key)
     text = render_program(program)
     if args.output:
@@ -179,8 +185,7 @@ def _cmd_deobfuscate(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    corpora = [read_trees(path) for path in args.trees]
-    tables = [mine(corpus) for corpus in corpora]
+    tables = [_read(lambda p: mine(read_trees(p)), path) for path in args.trees]
     if args.aggregate:
         names = [os.path.basename(path) for path in args.trees]
         text = export_table(aggregate(tables, names=names))
@@ -196,18 +201,18 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    obf = read_obf_program(args.obf)
-    pairs = _read_pairs(args.pairs) if args.pairs else None
-    table = read_table(args.table) if args.table else None
-    truth = [_load_plain_program(args.truth)] if args.truth else None
+    obf = _read(read_obf_program, args.obf)
+    pairs = _read(_read_pairs, args.pairs) if args.pairs else None
+    table = _read(read_table, args.table) if args.table else None
+    truth = [_read(_load_plain_program, args.truth)] if args.truth else None
     report = run_attack(obf, pairs=pairs, table=table, truth=truth, cap=args.cap)
     print(render_attack_report(report), end="")
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    program = _load_plain_program(args.src)
-    obf = read_obf_program(args.obf)
+    program = _read(_load_plain_program, args.src)
+    obf = _read(read_obf_program, args.obf)
     report = measure(program, obf, eval_samples=args.samples, seed=_resolve_seed(args.seed))
     print(render_metrics(report), end="")
     return 0

@@ -123,15 +123,23 @@ class SecretKey:
         """Delete every handle minted since the store held mark, except keep.
 
         Handles are inserted in order, so those minted since mark are
-        the newest entries of the store: the store keeps its first mark
-        entries, then keep.
+        the newest entries of the store, and keep goes back after the
+        first mark entries. The store is rebuilt from its first mark
+        entries when they are fewer than the handles to free; otherwise
+        those are popped, newest first. Either way the cost is
+        proportional to the handles freed, not to the store.
         """
         store = self._store
-        kept = list(islice(store.items(), mark))
+        value = None if keep is None else store[keep.handle]
+        if mark < len(store) - mark:
+            kept = list(islice(store.items(), mark))
+            store.clear()
+            store.update(kept)
+        else:
+            for _ in range(len(store) - mark):
+                store.popitem()
         if keep is not None:
-            kept.append((keep.handle, store[keep.handle]))
-        store.clear()
-        store.update(kept)
+            store[keep.handle] = value
 
 
 def keygen(seed: int, prime: int = FIELD_PRIME) -> SecretKey:

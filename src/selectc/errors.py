@@ -7,6 +7,8 @@ line layer can map domain failures to a single exit code.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 def format_count(n: int) -> str:
@@ -25,16 +27,28 @@ def format_count(n: int) -> str:
 class SelectcError(Exception):
     """Base class for all domain errors."""
 
-    kind = "error"
+    path: str | None = None  # the file the error came from, once in_file names it
 
-    def __str__(self) -> str:
-        return super().__str__()
+
+@contextmanager
+def in_file(path: str) -> Iterator[None]:
+    """Name path after the message of a SelectcError raised inside.
+
+    The innermost in_file names the file, so an error in a file that
+    another file names (a table a config names) names the file it came
+    from.
+    """
+    try:
+        yield
+    except SelectcError as exc:
+        if exc.path is None:
+            exc.path = path
+            exc.args = (f"{exc}, in {path}",)
+        raise
 
 
 class ParseError(SelectcError):
     """Source text violates the surface grammar."""
-
-    kind = "parse"
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -45,43 +59,29 @@ class ParseError(SelectcError):
 class FormatError(SelectcError):
     """A serialized program, key, table, or config file is malformed."""
 
-    kind = "format"
-
 
 class LowerError(SelectcError):
     """Surface construct cannot be lowered to three-address statements."""
-
-    kind = "lower"
 
 
 class UnboundVariableError(SelectcError):
     """Evaluation reached a variable with no binding."""
 
-    kind = "unbound"
-
 
 class ForeignCiphertextError(SelectcError):
     """A ciphertext handle was presented to a key that did not mint it."""
-
-    kind = "foreign-ciphertext"
 
 
 class KeyMismatchError(SelectcError):
     """Selector key does not line up with the combining statements."""
 
-    kind = "key-mismatch"
-
 
 class PoolExhaustedError(SelectcError):
     """The misleading-statement generator ran out of distinct candidates."""
 
-    kind = "pool-exhausted"
-
 
 class EnumerationCapError(SelectcError):
     """Program class is too large to enumerate under the configured cap."""
-
-    kind = "cap-exceeded"
 
     def __init__(self, class_size: int, cap: int):
         super().__init__(
@@ -94,5 +94,3 @@ class EnumerationCapError(SelectcError):
 
 class ConfigError(SelectcError):
     """Obfuscation or attack configuration is invalid."""
-
-    kind = "config"

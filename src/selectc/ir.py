@@ -111,14 +111,6 @@ class Program:
             )
         )
 
-    def copy(self) -> "Program":
-        return Program(
-            inputs=list(self.inputs),
-            statements=list(self.statements),
-            consts=dict(self.consts),
-            prime=self.prime,
-        )
-
 
 def run_statements(
     program: Program,

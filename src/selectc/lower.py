@@ -41,6 +41,7 @@ from .surface import (
     SURFACE_OPS,
     left_spine,
     result_variable,
+    walk_statements,
 )
 
 # Largest lowered program, in statements. Unrolling stops with a
@@ -56,38 +57,26 @@ def _surface_identifiers(sp: SurfaceProgram) -> set[str]:
         names.add(arr)
         names.update(f"{arr}[{i}]" for i in range(size))
 
-    def walk_expr(e: Expr) -> None:
-        stack = [e]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, Name):
-                names.add(e.ident)
-            elif isinstance(e, Index):
-                stack.append(e.index)
-            elif isinstance(e, Unary):
-                stack.append(e.operand)
-            elif isinstance(e, Binary):
-                stack += (e.left, e.right)
-
-    def walk(stmts: list[Stmt]) -> None:
-        for st in stmts:
-            if isinstance(st, AssignStmt):
-                if isinstance(st.target, Name):
-                    names.add(st.target.ident)
-                else:
-                    walk_expr(st.target.index)
-                walk_expr(st.value)
-            elif isinstance(st, IfStmt):
-                walk_expr(st.cond)
-                walk(st.then)
-                walk(st.orelse)
+    exprs: list[Expr] = []
+    for st in walk_statements(sp.statements):
+        if isinstance(st, AssignStmt):
+            if isinstance(st.target, Name):
+                names.add(st.target.ident)
             else:
-                walk([st.init])
-                walk_expr(st.cond)
-                walk([st.step])
-                walk(st.body)
-
-    walk(sp.statements)
+                exprs.append(st.target.index)
+            exprs.append(st.value)
+        else:
+            exprs.append(st.cond)
+    while exprs:
+        e = exprs.pop()
+        if isinstance(e, Name):
+            names.add(e.ident)
+        elif isinstance(e, Index):
+            exprs.append(e.index)
+        elif isinstance(e, Unary):
+            exprs.append(e.operand)
+        elif isinstance(e, Binary):
+            exprs += (e.left, e.right)
     return names
 
 

@@ -29,7 +29,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .crypto import Ciphertext, SecretKey, SelectorKey, enc_many, run_plan
-from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError
+from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError, in_file
 from .field import ARITH_OPS, Op, op_from_name
 from .ir import (
     Assign,
@@ -700,7 +700,8 @@ def read_config(path: str) -> ObfuscationConfig:
                 elif key == "pattern_table":
                     from .patterns import read_table
 
-                    cfg.pattern_table = read_table(value)
+                    with in_file(value):
+                        cfg.pattern_table = read_table(value)
                 elif key == "seed":
                     cfg.seed = int(value)
                     cfg.seed_configured = True

@@ -110,9 +110,6 @@ class PatternTable:
             "structural": self.structural_counts,
         }
 
-    def totals(self) -> dict[str, int]:
-        return {name: sum(c.values()) for name, c in self.families().items()}
-
     def merge(self, other: "PatternTable") -> "PatternTable":
         return PatternTable(
             operator_counts=self.operator_counts + other.operator_counts,

@@ -21,6 +21,7 @@ agrees with the unrolled three-address program on all inputs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dfield
 
 from .errors import ParseError, UnboundVariableError
@@ -287,6 +288,10 @@ class _Parser:
         tok = self.next()
         if tok.kind != "name" or tok.text in _KEYWORDS:
             raise self.fail("expected variable name", tok)
+        return self.name_or_cell(tok)
+
+    def name_or_cell(self, tok: _Token) -> Name | Index:
+        """The variable tok names, or an array cell if '[' follows."""
         if self.at("["):
             if tok.text not in self.arrays:
                 raise self.fail(f"array {tok.text!r} used before declaration", tok)
@@ -398,16 +403,7 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "name" and tok.text not in _KEYWORDS:
-            if self.at("["):
-                if tok.text not in self.arrays:
-                    raise self.fail(f"array {tok.text!r} used before declaration", tok)
-                self.next()
-                idx = self.parse_expr()
-                self.expect("]")
-                return Index(tok.text, idx)
-            if tok.text in self.arrays:
-                raise self.fail(f"array {tok.text!r} used without an index", tok)
-            return Name(tok.text)
+            return self.name_or_cell(tok)
         raise self.fail(f"unexpected token {tok.text or 'end of input'!r}", tok)
 
 
@@ -486,28 +482,30 @@ def render_surface(sp: SurfaceProgram) -> str:
 
 # ----------------------------------------------------------- interpreter
 
+def walk_statements(stmts: list[Stmt]) -> Iterator[Stmt]:
+    """Every statement in stmts and in their blocks, in textual order.
+
+    An if comes before its branches, and a for before its init, step
+    and body, since its header is textually before its body.
+    """
+    stack = list(reversed(stmts))
+    while stack:
+        st = stack.pop()
+        yield st
+        if isinstance(st, IfStmt):
+            stack += reversed(st.orelse)
+            stack += reversed(st.then)
+        elif isinstance(st, ForStmt):
+            stack += reversed(st.body)
+            stack += (st.step, st.init)
+
+
 def result_variable(sp: SurfaceProgram) -> str:
     """Scalar assigned by the textually last assignment in the program."""
     last: str | None = None
-
-    def walk(stmts: list[Stmt]) -> None:
-        nonlocal last
-        for st in stmts:
-            if isinstance(st, AssignStmt):
-                if isinstance(st.target, Name):
-                    last = st.target.ident
-            elif isinstance(st, IfStmt):
-                walk(st.then)
-                walk(st.orelse)
-            else:
-                # header assignments are textually before the body
-                if isinstance(st.init.target, Name):
-                    last = st.init.target.ident
-                if isinstance(st.step.target, Name):
-                    last = st.step.target.ident
-                walk(st.body)
-
-    walk(sp.statements)
+    for st in walk_statements(sp.statements):
+        if isinstance(st, AssignStmt) and isinstance(st.target, Name):
+            last = st.target.ident
     if last is None:
         raise UnboundVariableError("program never assigns a scalar result")
     return last

@@ -1,6 +1,7 @@
 """Mock homomorphic backend and selector keys."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -247,3 +248,27 @@ def test_key_file_ignores_comments(tmp_path):
     path.write_text("# header\nseed 5\n\nsel s0 = 1\n")
     seed, sk = read_key_file(str(path))
     assert seed == 5 and sk.bits == {"s0": 1}
+
+
+@pytest.mark.parametrize("older, newer", [(3, 50), (100_000, 10)], ids=["few-kept", "many-kept"])
+def test_release_since_costs_the_handles_it_frees(older, newer):
+    """The store keeps its older handles, then keep, whichever way it frees.
+
+    Copying the 100,000 older entries on every release, as a run on a
+    long-lived key would, allocates megabytes; freeing ten handles
+    needs next to nothing.
+    """
+    key = keygen(9)
+    enc_many(key, range(older))
+    mark = len(key)
+    out = enc(key, 5)
+    enc_many(key, range(newer))
+    want = list(key._store.items())[:mark] + [(out.handle, 5)]
+    tracemalloc.start()
+    try:
+        key.release_since(mark, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(key._store.items()) == want
+    assert peak < 10_000

@@ -144,3 +144,26 @@ def test_differential_random_programs():
                 case,
                 env,
             )
+
+
+# conditions that are not comparisons lower through NEQ against zero
+NON_COMPARISON_CONDITIONS = [
+    "if (x) then r := 1 else r := 2\n",
+    "if (x - y) { r := x } else { r := y }\n",
+    "r := 5\nif (-x) then r := x + 1\n",
+    "if (not x) then r := 3 else r := x * 2\n",
+    "if (x * y + 1) then r := x else r := y - x\n",
+    "array a[3]\nif (a[x]) then r := 1 else r := a[1]\n",
+    "s := 0\nfor (i := 0; x - i; i := i + 1) bound 5 { s := s + i }\nr := s\n",
+    "r := 0\nfor (i := 0; y - i; i := i + 1) bound 4 { if (i - x) then r := r + i }\n",
+]
+
+
+@pytest.mark.parametrize("src", NON_COMPARISON_CONDITIONS, ids=range(8))
+def test_non_comparison_conditions_agree_with_interpret(src):
+    sp = parse_surface(src)
+    p = lower(sp)
+    for x in range(-3, 4):
+        for y in range(-3, 5):
+            env = {"x": x, "y": y, "a[0]": 0, "a[1]": 7, "a[2]": -2}
+            assert eval_plain(p, env) == interpret(sp, env) % FIELD_PRIME, (x, y)

@@ -1,0 +1,180 @@
+"""Malformed input files, driven through the command line.
+
+Each case writes one bad file next to good ones and runs a command that
+reads it. Every case must exit 2 with nothing on stdout and one stderr
+line: the reader's message, then the path of the file it came from.
+"""
+
+import pytest
+
+from selectc.cli import dispatch
+from selectc.obfuscate import read_config
+
+GOOD = {
+    "obf": "prime 101\ninput x\nt := ADD x x\nu := MUL x x\nr := COMBINE (s0,t) (s1,u)\n",
+    "key": "seed 1\nsel s0 = 1\nsel s1 = 0\n",
+    "src": "r := x * x\n",
+    "table": "operator | times | 80\noperator | plus | 20\n",
+}
+
+# file kind -> a command that reads a file of that kind from {bad}
+COMMANDS = {
+    "obf": ["deobfuscate", "{bad}", "--key", "{key}"],
+    "key": ["run", "{obf}", "--key", "{bad}", "--inputs", "x=1"],
+    "src": ["obfuscate", "{bad}", "-o", "{out}.obf", "--key", "{out}.key"],
+    "config": ["obfuscate", "{src}", "--config", "{bad}", "-o", "{out}.obf", "--key", "{out}.key"],
+    "table": ["attack", "{obf}", "--table", "{bad}"],
+    "truth": ["attack", "{obf}", "--truth", "{bad}"],
+    "pairs": ["attack", "{obf}", "--pairs", "{bad}"],
+    "trees": ["mine", "{bad}"],
+    "metrics-src": ["metrics", "{bad}", "{obf}", "--samples", "1"],
+    "metrics-obf": ["metrics", "{src}", "{bad}", "--samples", "1"],
+}
+
+CASES = {
+    # ir.parse_program
+    "obf-prime-word": ("obf", "prime x\ninput x\nr := ADD x x\n", "line 1: malformed prime line"),
+    "obf-prime-extra": ("obf", "prime 101 7\nr := ADD x x\n", "line 1: malformed prime line"),
+    "obf-input": ("obf", "input\nr := ADD x x\n", "line 1: malformed input line"),
+    "obf-const": ("obf", "input x\nconst k 1\nr := ADD x k\n", "line 2: malformed const line"),
+    "obf-const-value": (
+        "obf", "input x\nconst k = one\nr := ADD x k\n", "line 2: const value is not an integer"
+    ),
+    "obf-combine-option": (
+        "obf",
+        "input x\nt := ADD x x\nr := COMBINE (s0,t) s1\n",
+        "line 3: malformed combine option 's1'",
+    ),
+    "obf-lone-option": (
+        "obf",
+        "input x\nt := ADD x x\nr := COMBINE (s0,t)\n",
+        "line 3: combining statement needs two options",
+    ),
+    "obf-duplicate-selector": (
+        "obf",
+        "input x\nt := ADD x x\nu := MUL x x\nr := COMBINE (s0,t) (s0,u)\n",
+        "line 4: combining statement selectors must be distinct",
+    ),
+    "obf-short-assignment": (
+        "obf", "input x\nr := ADD x\n", "line 2: expected '<target> := OP v1 v2'"
+    ),
+    "obf-no-arrow": ("obf", "input x\nr ADD x x\n", "line 2: expected '<target> := ...'"),
+    "obf-empty": ("obf", "prime 101\ninput x\n", "program has no statements"),
+    "metrics-obf": (
+        "metrics-obf", "input x\nr := ADD x\n", "line 2: expected '<target> := OP v1 v2'"
+    ),
+    # crypto.read_key_file
+    "key-const-value": ("key", "seed 1\nconst k = one\n", "line 2: malformed const value"),
+    "key-no-seed": ("key", "sel s0 = 1\nsel s1 = 0\n", "key file has no seed line"),
+    "key-sel-twice": (
+        "key",
+        "seed 1\nsel s0 = 1\nsel s1 = 0\nsel s0 = 0\n",
+        "line 4: sel 's0' is given twice (first on line 2)",
+    ),
+    # obfuscate.read_config, and the ObfuscationConfig.validate it ends with
+    "config-no-equals": ("config", "k 4\n", "line 1: expected key = value"),
+    "config-unknown-key": ("config", "colour = red\n", "line 1: unknown config key 'colour'"),
+    "config-empty-op-pool": ("config", "ops =\n", "operation pool is empty"),
+    "config-negative-fakes": (
+        "config", "fake_combining = -1\n", "fake combining count must be non-negative"
+    ),
+    # patterns.parse_table
+    "table-two-fields": ("table", "operator | plus\n", "line 1: expected `family | key | count`"),
+    "table-family": ("table", "colour | plus | 3\n", "line 1: unknown pattern family 'colour'"),
+    "table-count": ("table", "operator | plus | many\n", "line 1: count 'many' is not an integer"),
+    "table-negative": ("table", "operator | plus | -1\n", "line 1: bad pattern row"),
+    # patterns.parse_trees, and the node check mine makes
+    "trees-indent": ("trees", " NameE\n", "line 1: indentation must be a multiple of 2"),
+    "trees-literal": ("trees", "IntLiteralE value=x\n", "line 1: bad literal value"),
+    "trees-token": ("trees", "NameE extra\n", "line 1: unexpected token 'extra'"),
+    "trees-kind": ("trees", "op=plus\n", "line 1: node kind missing"),
+    "trees-orphan": ("trees", "    NameE\n", "line 1: node at depth 2 has no parent"),
+    "trees-shape": (
+        "trees",
+        "BinaryE op=plus\n  NameE\n",
+        "BinaryE nodes need an operator and exactly 2 children",
+    ),
+    # surface._tokenize and surface._Parser
+    "src-character": ("src", "r := x $ y\n", "line 1, col 8: unexpected character '$'"),
+    "src-array-name": ("src", "array 1[2]\nr := 1\n", "line 1, col 7: expected array name"),
+    "src-array-size": ("src", "array a[n]\nr := 1\n", "line 1, col 9: expected array size literal"),
+    "src-array-zero": ("src", "array a[0]\nr := 1\n", "line 1, col 9: array size must be positive"),
+    "src-array-twice": (
+        "src", "array a[2]\narray a[2]\nr := 1\n", "line 2, col 7: array 'a' declared twice"
+    ),
+    "src-no-bound": (
+        "src",
+        "for (i := 0; i < 3; i := i + 1) { r := i }\n",
+        "line 1, col 33: for loop requires a 'bound N' annotation",
+    ),
+    "src-bound-word": (
+        "src",
+        "for (i := 0; i < 3; i := i + 1) bound n { r := i }\n",
+        "line 1, col 39: expected loop bound literal",
+    ),
+    "src-bound-zero": (
+        "src",
+        "for (i := 0; i < 3; i := i + 1) bound 0 { r := i }\n",
+        "line 1, col 39: loop bound must be positive",
+    ),
+    "src-unterminated": ("src", "if (x) { r := 1\n", "line 2, col 1: unterminated block"),
+    "src-only-comment": ("src", "# r := 1\n", "line 2, col 1: program has no statements"),
+    "src-and": ("src", "r := x and y\n", "line 1, col 12: expected ':=' in assignment"),
+    # lower
+    "src-literal-write": (
+        "src", "array a[2]\na[5] := 1\nr := a[0]\n", "index 5 out of range for array a[2]"
+    ),
+    "metrics-src": (
+        "metrics-src", "r := (x\n", "line 2, col 1: expected ')', found 'end of input'"
+    ),
+    "truth-truncated": ("truth", "if (x) { r := 1\n", "line 2, col 1: unterminated block"),
+    # cli._read_pairs
+    "pairs-output": ("pairs", "x=3 => nine\n", "line 1: output is not an integer"),
+}
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def run_kind(tmp_path, capsys, kind, text):
+    """Run the command for kind on a file holding text; (exit code, captured, its path)."""
+    paths = {name: write(tmp_path / f"good.{name}", body) for name, body in GOOD.items()}
+    bad = write(tmp_path / f"bad.{kind}", text)
+    argv = [a.format(bad=bad, out=tmp_path / "out", **paths) for a in COMMANDS[kind]]
+    rc = dispatch(argv)
+    return rc, capsys.readouterr(), bad
+
+
+@pytest.mark.parametrize("kind, text, message", CASES.values(), ids=CASES.keys())
+def test_malformed_file_exits_2_naming_the_file(tmp_path, capsys, kind, text, message):
+    rc, captured, bad = run_kind(tmp_path, capsys, kind, text)
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}, in {bad}\n"
+
+
+def test_a_table_a_config_names_is_named_itself(tmp_path, capsys):
+    table = write(tmp_path / "bad.table", "operator | plus\n")
+    rc, captured, _ = run_kind(tmp_path, capsys, "config", f"pattern_table = {table}\n")
+    assert rc == 2
+    assert captured.err == f"error: line 1: expected `family | key | count`, in {table}\n"
+
+
+def test_the_pattern_table_key_loads_the_table(tmp_path, capsys):
+    table = write(tmp_path / "ops.table", GOOD["table"])
+    config = f"strategy = pattern-aware\npattern_table = {table}\n"
+    cfg = read_config(write(tmp_path / "pa.cfg", config))
+    assert cfg.pattern_table.operator_counts == {"times": 80, "plus": 20}
+    rc, captured, _ = run_kind(tmp_path, capsys, "config", config)
+    assert rc == 0
+    assert "class_size | 2" in captured.out
+
+
+def test_a_source_that_assigns_twice_is_refused(tmp_path, capsys):
+    """Single assignment is checked after reading, when obfuscation starts."""
+    src = "prime 101\ninput x\nr := ADD x x\nr := MUL x x\n"
+    rc, captured, _ = run_kind(tmp_path, capsys, "src", src)
+    assert rc == 2
+    assert captured.err == "error: duplicate assignment target 'r'\n"

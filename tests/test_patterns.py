@@ -89,6 +89,32 @@ def test_from_surface_task1_patterns():
     assert pt.int_const_counts["assign -9999"] == 1
 
 
+def test_from_surface_walks_loops_arrays_and_unary_operators():
+    """A loop gives its trees in execution order: init, condition, body, step."""
+    sp = parse_surface(
+        "array a[2]\n"
+        "for (i := 0; i < 2; i := i + 1) bound 2 { a[i] := -x + not y }\n"
+        "r := a[1]\n"
+    )
+
+    def assign(target, value):
+        return ExprTree("AssignE", op="assign", children=(target, value))
+
+    def unary(op, operand):
+        return ExprTree("UnaryE", op=op, children=(operand,))
+
+    def cell(index):
+        return ExprTree("ArrayAccessE", children=(leaf(), index))
+
+    assert from_surface(sp) == [
+        assign(leaf(), lit(0)),
+        binary("less", leaf(), lit(2)),
+        assign(cell(leaf()), binary("plus", unary("minus", leaf()), unary("not", leaf()))),
+        assign(leaf(), binary("plus", leaf(), lit(1))),
+        assign(leaf(), cell(lit(1))),
+    ]
+
+
 def test_ir_operator_counts_bridge():
     pt = PatternTable(operator_counts=Counter({"plus": 3, "divide": 1, "ADD": 2}))
     assert pt.ir_operator_counts() == Counter({"ADD": 5, "DIV": 1})

@@ -17,6 +17,7 @@ from selectc.surface import (
     parse_surface,
     render_surface,
     result_variable,
+    walk_statements,
 )
 
 TASK1 = "if (y != 0) then r := x / y else r := -9999\n"
@@ -170,3 +171,22 @@ def test_interpret_task2_finds_minimum():
 def test_interpret_missing_binding_raises():
     with pytest.raises(UnboundVariableError):
         interpret(parse_surface("r := x + 1\n"), {})
+
+
+def test_comments_run_to_the_end_of_the_line():
+    sp = parse_surface("# header\nr := x # trailing := ; {\n# footer")
+    assert sp.statements == [AssignStmt(Name("r"), Name("x"))]
+
+
+def test_walk_statements_is_textual_order():
+    sp = parse_surface(
+        "a := 1\n"
+        "if (a) { b := 2 } else { c := 3 }\n"
+        "for (i := 0; i < 2; i := i + 1) bound 2 { if (i) then d := 4 }\n"
+        "e := 5\n"
+    )
+    names = []
+    for st in walk_statements(sp.statements):
+        names.append(st.target.ident if isinstance(st, AssignStmt) else type(st).__name__)
+    assert names == ["a", "IfStmt", "b", "c", "ForStmt", "i", "i", "IfStmt", "d", "e"]
+    assert result_variable(sp) == "e"
