@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import ForeignCiphertextError, FormatError, UnboundVariableError
 from .field import FIELD_PRIME, Op, field_ops, signed
@@ -123,21 +122,14 @@ class SecretKey:
         """Delete every handle minted since the store held mark, except keep.
 
         Handles are inserted in order, so those minted since mark are
-        the newest entries of the store, and keep goes back after the
-        first mark entries. The store is rebuilt from its first mark
-        entries when they are fewer than the handles to free; otherwise
-        those are popped, newest first. Either way the cost is
+        the newest entries of the store: they are popped, newest first,
+        and keep goes back after the first mark entries. The cost is
         proportional to the handles freed, not to the store.
         """
         store = self._store
         value = None if keep is None else store[keep.handle]
-        if mark < len(store) - mark:
-            kept = list(islice(store.items(), mark))
-            store.clear()
-            store.update(kept)
-        else:
-            for _ in range(len(store) - mark):
-                store.popitem()
+        for _ in range(len(store) - mark):
+            store.popitem()
         if keep is not None:
             store[keep.handle] = value
 

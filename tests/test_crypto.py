@@ -252,7 +252,7 @@ def test_key_file_ignores_comments(tmp_path):
 
 @pytest.mark.parametrize("older, newer", [(3, 50), (100_000, 10)], ids=["few-kept", "many-kept"])
 def test_release_since_costs_the_handles_it_frees(older, newer):
-    """The store keeps its older handles, then keep, whichever way it frees.
+    """The store keeps its older handles, then keep, however many it frees.
 
     Copying the 100,000 older entries on every release, as a run on a
     long-lived key would, allocates megabytes; freeing ten handles
