@@ -58,6 +58,7 @@ from .ir import (
     render_key,
     run_statements,
     statement_operands,
+    temporary_names,
 )
 from .obfuscate import ObfProgram
 from .rng import DEFAULT_SEED, derive_seed
@@ -117,14 +118,13 @@ class RankedMember:
     programs: list[Program] | None = None
     prob: float = 0.0  # per selection
 
-    def join(self, signature: tuple[int, ...], count: int, program: Program) -> None:
-        """Add a signature that folds to this member's key."""
-        if self.programs is None and program is not self.program and (
-            program.statements != self.program.statements
-        ):
-            self.programs = [self.program] * len(self.signatures)
+    def join(self, signature: tuple[int, ...], count: int, statements: list[Statement]) -> None:
+        """Add a signature whose fold, statements, has this member's key."""
+        own = self.program
+        if self.programs is None and statements != own.statements:
+            self.programs = [own] * len(self.signatures)
         if self.programs is not None:
-            self.programs.append(program)
+            self.programs.append(Program(own.inputs, statements, own.consts, own.prime))
         self.signatures.append(signature)
         self.count += count
 
@@ -225,15 +225,21 @@ def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Progra
     so selection may be a live signature, with -1 at those slots (see
     _MemberCones.signature). The members of a class share one copy of
     its inputs list and consts dict; give a member its own copies
-    before changing them.
+    before changing them. Ranking folds through _MemberCones.fold_key
+    instead, which also keys the member.
     """
     cones = cd.cones
-    return Program(
-        inputs=cones.inputs,
-        statements=cones.fold(selection),
-        consts=cones.consts,
-        prime=cd.obf.program.prime,
-    )
+    statements, _ = cones.fold(cones.signature(selection))
+    return cones.member(statements)
+
+
+@dataclass(slots=True)
+class _Kept:
+    """What the members whose chosen options keep one union of cones share."""
+
+    indices: list[int]  # the live statements, in program order
+    rename: dict[str, str]  # ir.temporary_names of their targets
+    lines: dict[int, str] | None = None  # render_key's line memo, from the second member on
 
 
 class _MemberCones:
@@ -251,6 +257,11 @@ class _MemberCones:
         and its definition's operand cones; the definition, which only
         the slot reads, goes.
 
+    Options with equal cones share one cone id. The members whose
+    chosen options have one tuple of cone ids keep one union of cones,
+    so they share one _Kept: its statement indices, the rename map of
+    their targets and a memo of their key lines (see fold_key).
+
     The same pass records what the KPA walk (_consistent_selections)
     runs: each slot's target and sources, and the live assignments in
     segments. An assignment with reach 0 reads no slot target, so it
@@ -264,7 +275,7 @@ class _MemberCones:
     """
 
     def __init__(self, cd: ClassDescriptor):
-        program = cd.obf.program
+        program = self.program = cd.obf.program
         stmts = self.statements = program.statements
         # the interface every member shares, apart from the obfuscated program's own
         self.inputs = list(program.inputs)
@@ -309,18 +320,24 @@ class _MemberCones:
 
         self.out = reach.get(program.output, 0)
         self.out_cone = cone(program.output)
-        # slot -> option -> (cone, (slot index, source, inlined definition))
-        self.options: list[list[tuple[set[int], tuple[int, str, Assign | None]]]] = []
+        cone_ids: dict[frozenset[int], int] = {}  # cone -> its id, the order of first sight
+        # slot -> option -> (cone id, (slot index, source, inlined definition))
+        self.options: list[list[tuple[int, tuple[int, str, Assign | None]]]] = []
         for idx in slots:
             row = []
             for _, src in stmts[idx].options:
                 definition = cd.inline.get(src)
                 if definition is None:
-                    row.append((cone(src), (idx, src, None)))
+                    keep = cone(src)
                 else:
-                    expr = definition.expr
-                    row.append((cone(expr.in1, expr.in2) | {idx}, (idx, src, definition)))
+                    keep = cone(definition.expr.in1, definition.expr.in2)
+                    keep.add(idx)
+                cone_id = cone_ids.setdefault(frozenset(keep), len(cone_ids))
+                row.append((cone_id, (idx, src, definition)))
             self.options.append(row)
+        self.cones = list(cone_ids)  # cone id -> cone
+        # cone ids of the chosen options at live slots, in slot order -> what they keep
+        self.kept: dict[tuple[int, ...], _Kept] = {}
         # (target, op, in1, in2) -> the one Assign emit_fold builds for it
         self.resolved: dict[tuple[str, Op, str, str], Assign] = {}
 
@@ -332,7 +349,8 @@ class _MemberCones:
         does. The signature keeps the choices at live slots and puts -1
         at dead ones: selections with one signature fold to the same
         program, since a choice at a dead slot keeps nothing live,
-        whatever it substitutes or inlines.
+        whatever it substitutes or inlines. Raises ValueError for a
+        choice out of range at a live slot.
         """
         live = self.out
         reach = self.reach
@@ -340,6 +358,9 @@ class _MemberCones:
         for j in range(len(reach) - 1, -1, -1):
             if live >> j & 1:
                 choice = sig[j] = selection[j]
+                if not 0 <= choice < len(reach[j]):
+                    idx = self.options[j][0][1][0]
+                    raise ValueError(f"option index {choice} out of range at statement {idx}")
                 live |= reach[j][choice]
         return tuple(sig)
 
@@ -379,31 +400,52 @@ class _MemberCones:
             live[j] = live[j + 1] | reach[j][choice]
             j -= 1
 
-    def fold(self, selection: tuple[int, ...]) -> list[Statement]:
-        """The member's live statements, in program order.
+    def fold_key(self, sig: tuple[int, ...]) -> tuple[list[Statement], str]:
+        """A live signature's member statements and canonical_key(member, False).
 
-        The union of the output's cone and the chosen options' cones at
-        live slots, walked from the last slot to the first as signature
-        does, then resolved by ir.emit_fold. Every member interns into
-        the class's one dict (resolved), so each distinct resolved
+        One pass over sig (see fold); the key renders through the
+        _Kept's rename map, and from the second member that shares it on,
+        through its memo of key lines. Every statement of a member is the
+        obfuscated program's own or interned in resolved, so a statement's
+        identity names one line under one rename map.
+        """
+        stmts, kept = self.fold(sig)
+        key = render_key(self.program, stmts, False, kept.rename, kept.lines)
+        if kept.lines is None:
+            kept.lines = {}
+        return stmts, key
+
+    def fold(self, sig: tuple[int, ...]) -> tuple[list[Statement], _Kept]:
+        """The live signature's member: its statements, in program order, and their _Kept.
+
+        The chosen options at the live slots (sig's choices other than
+        -1) name their cone ids and fold choices in one pass. The union
+        of the output's cone and those cones is taken once per tuple of
+        cone ids, then resolved by ir.emit_fold. Every member interns
+        into the class's one dict (resolved), so each distinct resolved
         statement is built once, whichever members share it.
         """
-        live = self.out
-        keep = set(self.out_cone)
+        ids = []
         chosen = []
-        reach = self.reach
-        options = self.options
-        for j in range(len(reach) - 1, -1, -1):
-            if live >> j & 1:
-                choice = selection[j]
-                if not 0 <= choice < len(reach[j]):
-                    idx = options[j][0][1][0]
-                    raise ValueError(f"option index {choice} out of range at statement {idx}")
-                live |= reach[j][choice]
-                option = options[j][choice]
-                keep.update(option[0])
-                chosen.append(option[1])
-        return emit_fold(self.statements, sorted(keep), reversed(chosen), self.resolved)
+        for choice, row in zip(sig, self.options):
+            if choice >= 0:
+                cone, option = row[choice]
+                ids.append(cone)
+                chosen.append(option)
+        key = tuple(ids)
+        kept = self.kept.get(key)
+        if kept is None:
+            indices = sorted(self.out_cone.union(*[self.cones[i] for i in key]))
+            program = self.program
+            rename = temporary_names(
+                [self.statements[i] for i in indices], {*program.inputs, *program.consts}
+            )
+            kept = self.kept[key] = _Kept(indices, rename)
+        return emit_fold(self.statements, kept.indices, chosen, self.resolved), kept
+
+    def member(self, statements: list[Statement]) -> Program:
+        """The class member with these statements and the class's shared interface."""
+        return Program(self.inputs, statements, self.consts, self.program.prime)
 
 
 def kpa_filter(
@@ -547,10 +589,11 @@ def rank_candidates(
     The unit of work is the distinct member, not the selection, and the
     result is a Ranking of RankedMembers whose selections are built
     only when read. Each live signature, the class's (see
-    _MemberCones.signatures) or the survivors', is folded through
-    realize_candidate, keyed and scored once. A member holds its live
-    statements only, so its key is rendered without a liveness pass,
-    and members with one target order share one rename map. The score
+    _MemberCones.signatures) or the survivors' (as kpa_filter returns
+    them), is folded and keyed in one pass (_MemberCones.fold_key) and
+    scored once. A member holds its live statements only, so its key is
+    rendered without a liveness pass, and members that keep one union
+    of cones share one rename map and one memo of key lines. The score
     is an fsum, which is correctly rounded, so it depends on the
     member's operations only; signatures that fold to one key therefore
     tie on (score, key) and form one member. Members are sorted, and
@@ -561,20 +604,18 @@ def rank_candidates(
         if cd.class_size > cap:
             raise EnumerationCapError(cd.class_size, cap)
         survivors = cd.cones.signatures()
+    cones = cd.cones
     scores = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
-    renames: dict[tuple[str, ...], dict[str, str]] = {}  # target order -> rename map
     members: dict[str, RankedMember] = {}  # key -> member
     for sig, count in survivors:
-        program = realize_candidate(cd, sig)
-        stmts = program.statements
-        key = render_key(program, stmts, False, renames)
+        stmts, key = cones.fold_key(sig)
         member = members.get(key)
         if member is None:
             score = math.fsum([op_scores[st.expr.op] for st in stmts])
-            members[key] = RankedMember(key, program, score, count, [sig])
+            members[key] = RankedMember(key, cones.member(stmts), score, count, [sig])
         else:
-            member.join(sig, count, program)
+            member.join(sig, count, stmts)
     # keys are unique, so by key, then stably by descending score, is by (-score, key)
     order = sorted(members.values(), key=attrgetter("key"))
     order.sort(key=attrgetter("log_score"), reverse=True)

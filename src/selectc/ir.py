@@ -439,11 +439,11 @@ def fold_selection(program: Program, selection: Mapping[int, int]) -> list[State
     return emit_fold(stmts, keep, chosen, {})
 
 
-def _temporary_names(statements: list[Statement], fixed: set[str]) -> dict[str, str]:
+def temporary_names(statements: list[Statement], fixed: set[str]) -> dict[str, str]:
     """Rename map t0, t1, ... for the targets outside fixed, in statement order.
 
     A name already in fixed is skipped, so no temporary collides with an
-    input or const.
+    input or const. This is the renaming normalize and render_key apply.
     """
     rename: dict[str, str] = {}
     counter = 0
@@ -464,7 +464,7 @@ def normalize(program: Program) -> Program:
     dead statements normalize to equal values.
     """
     live = [program.statements[i] for i in live_statement_indices(program)]
-    rename = _temporary_names(live, {*program.inputs, *program.consts})
+    rename = temporary_names(live, {*program.inputs, *program.consts})
 
     def rn(v: str) -> str:
         return rename.get(v, v)
@@ -503,39 +503,43 @@ def render_key(
     program: Program,
     stmts: list[Statement],
     with_const_values: bool = True,
-    renames: dict[tuple[str, ...], dict[str, str]] | None = None,
+    rename: dict[str, str] | None = None,
+    lines: dict[int, str] | None = None,
 ) -> str:
     """canonical_key of program, given its live statements in order.
 
     A program whose statements are all live, such as a folded class
     member, passes its own statements and needs no liveness pass.
-    renames, if given, caches the rename map by target order. Share one
-    cache only among programs with the same inputs and consts, such as
-    the members of one class.
+    rename, if given, is temporary_names(stmts, program's inputs and
+    consts), which depends only on the order of stmts' targets. lines,
+    if given, memoizes each assignment's line under that rename, by
+    id(statement): share one memo only among statement lists with one
+    rename map, and only while every statement it names is alive.
     """
     fixed = {*program.inputs, *program.consts}
-    if renames is None:
-        rename = _temporary_names(stmts, fixed)
-    else:
-        order = tuple([st.target for st in stmts])
-        rename = renames.get(order)
-        if rename is None:
-            rename = renames[order] = _temporary_names(stmts, fixed)
+    if rename is None:
+        rename = temporary_names(stmts, fixed)
     get = rename.get
     refs: set[str] = set()
+    add = refs.add
     body: list[str] = []
     for st in stmts:
-        target = get(st.target, st.target)
         if isinstance(st, Assign):
             expr = st.expr
             in1, in2 = expr.in1, expr.in2
-            refs.add(in1)
-            refs.add(in2)
-            body.append(f"{target} := {OP_NAMES[expr.op]} {get(in1, in1)} {get(in2, in2)}")
+            add(in1)
+            add(in2)
+            line = None if lines is None else lines.get(id(st))
+            if line is None:
+                target = get(st.target, st.target)
+                line = f"{target} := {OP_NAMES[expr.op]} {get(in1, in1)} {get(in2, in2)}"
+                if lines is not None:
+                    lines[id(st)] = line
         else:
             refs.update(src for _, src in st.options)
             opts = " ".join(f"({s},{get(v, v)})" for s, v in st.options)
-            body.append(f"{target} := COMBINE {opts}")
+            line = f"{get(st.target, st.target)} := COMBINE {opts}"
+        body.append(line)
     # renaming never maps onto an input or const, so the terminals are
     # the original reads that are inputs or consts
     if with_const_values:

@@ -360,11 +360,11 @@ def _validate_source(program: Program) -> None:
     if not program.statements:
         raise ConfigError("cannot obfuscate an empty program")
     targets = set()
-    for st in program.statements:
+    for number, st in enumerate(program.statements, start=1):
         if not isinstance(st, Assign):
             raise ConfigError("source program must contain only simple assignments")
         if st.target in targets:
-            raise ConfigError(f"duplicate assignment target {st.target!r}")
+            raise ConfigError(f"statement {number} assigns {st.target!r} again")
         targets.add(st.target)
 
 

@@ -450,11 +450,15 @@ def render_expr(e: Expr) -> str:
     return text
 
 
+def _render_assign(st: AssignStmt) -> str:
+    """An assignment's text; its target is a name or an array cell."""
+    return f"{render_expr(st.target)} := {render_expr(st.value)}"
+
+
 def _render_stmt(st: Stmt, indent: int, out: list[str]) -> None:
     pad = "    " * indent
     if isinstance(st, AssignStmt):
-        tgt = st.target.ident if isinstance(st.target, Name) else render_expr(st.target)
-        out.append(f"{pad}{tgt} := {render_expr(st.value)}")
+        out.append(pad + _render_assign(st))
     elif isinstance(st, IfStmt):
         out.append(f"{pad}if ({render_expr(st.cond)}) {{")
         for inner in st.then:
@@ -465,8 +469,7 @@ def _render_stmt(st: Stmt, indent: int, out: list[str]) -> None:
                 _render_stmt(inner, indent + 1, out)
         out.append(f"{pad}}}")
     else:
-        init = f"{st.init.target.ident} := {render_expr(st.init.value)}"
-        step = f"{st.step.target.ident} := {render_expr(st.step.value)}"
+        init, step = _render_assign(st.init), _render_assign(st.step)
         out.append(f"{pad}for ({init}; {render_expr(st.cond)}; {step}) bound {st.bound} {{")
         for inner in st.body:
             _render_stmt(inner, indent + 1, out)

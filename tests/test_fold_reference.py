@@ -9,8 +9,9 @@ candidate. The library has one fold rule (ir.inline_map and
 ir.emit_fold) and never folds a dead statement: deobfuscate folds one
 selection with one backward liveness walk (ir.fold_selection), and the
 attack folds each member from cones built once per class, interns the
-statements it rewrites, folds, scores and keys each live signature
-once, keys members without a liveness pass, sorts and weights each
+statements it rewrites, folds and keys each live signature in one
+pass and scores it once, keys members without a liveness pass and
+through key lines memoized per union of cones, sorts and weights each
 distinct member once, finds ranks by bisection and filters by walking
 the obfuscated program once per pair, sharing prefixes between leaves,
 keeping the survivors as live signatures that it folds once each; it
@@ -64,6 +65,9 @@ from selectc.obfuscate import (
 from selectc.patterns import PatternTable
 
 TABLE = PatternTable(operator_counts=Counter({"MUL": 50, "ADD": 30, "SUB": 15, "DIV": 5}))
+
+# the rank path's one fold and key per live signature, which the work-shape guards count
+real_fold_key = attack._MemberCones.fold_key
 
 
 # ------------------------------------------------------------ references
@@ -650,7 +654,7 @@ def test_kpa_refuses_an_oversized_class_before_evaluating(monkeypatch):
 
 def test_rank_refuses_an_oversized_class_before_folding(monkeypatch):
     _, cd, _ = demo_class("l1")
-    monkeypatch.setattr(attack, "realize_candidate", None)
+    monkeypatch.setattr(attack._MemberCones, "fold_key", None)
     with pytest.raises(EnumerationCapError):
         rank_candidates(cd, cap=cd.class_size - 1)
 
@@ -678,11 +682,11 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     ]
     folded = []
 
-    def counting(cd, selection):
-        folded.append(selection)
-        return realize_candidate(cd, selection)
+    def counting(cones, sig):
+        folded.append(sig)
+        return real_fold_key(cones, sig)
 
-    monkeypatch.setattr(attack, "realize_candidate", counting)
+    monkeypatch.setattr(attack._MemberCones, "fold_key", counting)
     survivors = kpa_filter(l1, l1_pairs)
     assert folded == []
     rank_candidates(l1, table=TABLE, survivors=survivors)
@@ -704,11 +708,11 @@ def test_kpa_attack_folds_each_surviving_signature_once(monkeypatch):
     pairs = seeded_pairs(cd, 1, seed=7)
     folded = []
 
-    def counting(cd, selection):
-        folded.append(selection)
-        return realize_candidate(cd, selection)
+    def counting(cones, sig):
+        folded.append(sig)
+        return real_fold_key(cones, sig)
 
-    monkeypatch.setattr(attack, "realize_candidate", counting)
+    monkeypatch.setattr(attack._MemberCones, "fold_key", counting)
     report = run_attack(demo.obf, pairs=pairs, table=TABLE)
     assert len(folded) == 1
     assert report.survivors == report.enumerated == len(report.ranked) == 25
@@ -726,11 +730,11 @@ def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     demo, cd, _ = demo_class(level)
     folded = []
 
-    def counting(cd, selection):
-        folded.append(selection)
-        return realize_candidate(cd, selection)
+    def counting(cones, sig):
+        folded.append(sig)
+        return real_fold_key(cones, sig)
 
-    monkeypatch.setattr(attack, "realize_candidate", counting)
+    monkeypatch.setattr(attack._MemberCones, "fold_key", counting)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert len(folded) == folds
     assert report.enumerated == cd.class_size
@@ -746,18 +750,17 @@ def test_rank_only_builds_nothing_per_selection(monkeypatch):
     demo, cd, _ = demo_class("l1")
     folded = []
     built = []
-    real_fold = attack.realize_candidate
     real_candidate = attack.RankedCandidate
 
-    def counting_fold(cd, selection):
-        folded.append(selection)
-        return real_fold(cd, selection)
+    def counting_fold(cones, sig):
+        folded.append(sig)
+        return real_fold_key(cones, sig)
 
     def counting_candidate(*args):
         built.append(args[0])
         return real_candidate(*args)
 
-    monkeypatch.setattr(attack, "realize_candidate", counting_fold)
+    monkeypatch.setattr(attack._MemberCones, "fold_key", counting_fold)
     monkeypatch.setattr(attack, "RankedCandidate", counting_candidate)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert built == []
@@ -805,6 +808,31 @@ def test_rank_only_builds_each_resolved_statement_once(monkeypatch):
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert report.enumerated == cd.class_size == 12_500
     assert len(built) == len(resolved) == 105
+
+
+def test_rank_only_formats_each_key_line_once(monkeypatch):
+    """The work-shape guard: the 12,500 members of l0 keep one union of
+    cones, so they share one rename map, and from the second member on
+    their 75,000 key lines come from one memo. Each of the 108 distinct
+    statements is formatted once, and the first member's 6 once more,
+    before the memo exists. Formatting an assignment's line looks its
+    operation up in ir.OP_NAMES, once per line formatted."""
+    demo, _, _ = demo_class("l0")
+    cd = extract_class(demo.obf)
+    formatted = []
+
+    class Counting(dict):
+        def __getitem__(self, op):
+            formatted.append(op)
+            return super().__getitem__(op)
+
+    monkeypatch.setattr(ir, "OP_NAMES", Counting(ir.OP_NAMES))
+    ranked = rank_candidates(cd, table=TABLE)
+    assert len(ranked) == 12_500
+    assert sum(len(m.program.statements) for m in ranked.members) == 75_000
+    [kept] = cd.cones.kept.values()
+    assert len(kept.lines) == 108
+    assert len(formatted) == 108 + 6
 
 
 def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):

@@ -177,4 +177,4 @@ def test_a_source_that_assigns_twice_is_refused(tmp_path, capsys):
     src = "prime 101\ninput x\nr := ADD x x\nr := MUL x x\n"
     rc, captured, _ = run_kind(tmp_path, capsys, "src", src)
     assert rc == 2
-    assert captured.err == "error: duplicate assignment target 'r'\n"
+    assert captured.err == "error: statement 2 assigns 'r' again\n"

@@ -1,8 +1,14 @@
 """Surface language: tokenizer, parser, renderer, reference interpreter."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from selectc.errors import ParseError, UnboundVariableError
+from selectc.generate import random_surface_program
 from selectc.surface import (
     MAX_ARRAY_SIZE,
     AssignStmt,
@@ -134,10 +140,51 @@ def test_parse_error_carries_position():
     assert e.value.line == 1
 
 
+CELL_COUNTER = "array a[2]\nfor (a[0] := 0; a[0] < 2; a[0] := a[0] + 1) bound 2 { r := a[0] }\n"
+
+
 def test_render_parse_round_trip():
-    for src in (TASK1, TASK2, "r := not x\ns := -(a + b) * c\n"):
+    for src in (TASK1, TASK2, "r := not x\ns := -(a + b) * c\n", CELL_COUNTER):
         sp = parse_surface(src)
-        assert parse_surface(render_surface(sp)).statements == sp.statements
+        assert parse_surface(render_surface(sp)) == sp
+
+
+def test_a_loop_counter_may_be_an_array_cell():
+    sp = parse_surface(CELL_COUNTER)
+    assert render_surface(sp) == (
+        "array a[2]\n"
+        "for (a[0] := 0; a[0] < 2; a[0] := a[0] + 1) bound 2 {\n"
+        "    r := a[0]\n"
+        "}\n"
+    )
+    assert interpret(sp, {"a[0]": 5, "a[1]": 0}) == 1
+
+
+def _cell_counters(sp):
+    """sp with each top-level loop counting in an array cell instead of its variable."""
+    arrays = sp.arrays or {"c": 1}
+    cell = Index(next(iter(arrays)), Lit(0))
+    statements = [
+        dataclasses.replace(
+            st,
+            init=AssignStmt(cell, st.init.value),
+            cond=dataclasses.replace(st.cond, left=cell),
+            step=AssignStmt(cell, dataclasses.replace(st.step.value, left=cell)),
+        )
+        if isinstance(st, ForStmt)
+        else st
+        for st in sp.statements
+    ]
+    return dataclasses.replace(sp, arrays=arrays, statements=statements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), cells=hst.booleans())
+def test_render_parse_round_trips_random_programs(seed, cells):
+    sp = random_surface_program(random.Random(seed), max_statements=12)
+    if cells:
+        sp = _cell_counters(sp)
+    assert parse_surface(render_surface(sp)) == sp
 
 
 def test_result_variable_is_last_textual_assign():
