@@ -24,7 +24,7 @@ from .attack import (
 from .crypto import enc, dec, keygen, read_key_file, write_key_file
 from .demos import build_l0, build_l1, emit_artifacts
 from .errors import ConfigError, FormatError, SelectcError, format_count, in_file
-from .field import signed
+from .field import parse_int, signed
 from .ir import Program, parse_program, render_program
 from .lower import lower
 from .metrics import measure, render_metrics
@@ -58,7 +58,7 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        return parse_int(raw)
     except ValueError:
         raise ConfigError(f"SELECTC_SEED must be an integer, got {raw!r}") from None
 
@@ -107,7 +107,7 @@ def _parse_bindings(text: str) -> dict[str, int]:
         if name in bindings:
             raise FormatError(f"{name!r} is bound twice")
         try:
-            bindings[name] = int(value.strip())
+            bindings[name] = parse_int(value.strip())
         except ValueError:
             raise FormatError(f"value for {name!r} is not an integer") from None
     return bindings
@@ -124,7 +124,7 @@ def _read_pairs(path: str) -> list[tuple[dict[str, int], int]]:
                 raise FormatError(f"line {lineno}: expected `name=value,... => output`")
             lhs, _, rhs = line.partition("=>")
             try:
-                output = int(rhs.strip())
+                output = parse_int(rhs.strip())
                 bindings = _parse_bindings(lhs)
             except ValueError:
                 raise FormatError(f"line {lineno}: output is not an integer") from None

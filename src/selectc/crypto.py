@@ -9,15 +9,19 @@ exact and experiments over thousands of runs stay cheap.
 
 Each key builds its mint path once: one mint function and one plan
 runner, both closing over the key's store and handle stream; the runner
-also holds the field table of the key's prime. enc, enc_many and he_op
-mint through mint. run_plan runs an ir.SlotPlan (a program compiled to
-register slots) in one loop that computes each operation and mints its
-result inline. Either way every encryption and every homomorphic
-operation costs one draw and one store insert, and an encrypted run
-mints one handle per operation. Handles are drawn from the key's
-seeded stream in call order, re-drawn on the (negligible) chance of
-colliding with a live handle, so the handles a key mints depend only
-on its seed and the sequence of calls.
+also holds the field table of the key's prime. mint draws a handle per
+value into a table it is given: enc, enc_many and he_op give it the
+store. run_plan runs an ir.SlotPlan, a program compiled to register
+slots whose operations sit in one flat list, against a table local to
+the run: it mints the bound values and the selector bits into that
+table through mint, reads each caller input from the store once, and
+then, in one loop, computes each operation and mints its result into
+the table. Only the output handle goes into the store, so a run
+allocates no object per operation and frees nothing one handle at a
+time. Handles are drawn from the key's seeded stream in call order,
+re-drawn on the (negligible) chance of colliding with a live handle or
+one of the run's, so the handles a key mints depend only on its seed
+and the sequence of calls.
 
 The selector key is the client-side secret for an obfuscated program:
 the 0/1 assignment for every selector variable plus the values of the
@@ -32,8 +36,8 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import ForeignCiphertextError, FormatError, UnboundVariableError
-from .field import FIELD_PRIME, Op, field_ops, signed
-from .ir import SlotPlan
+from .field import FIELD_PRIME, Op, field_ops, parse_int, signed
+from .ir import SlotPlan, unbound_inputs
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -53,53 +57,68 @@ def _foreign(ct: Ciphertext) -> ForeignCiphertextError:
 
 def _mint_path(
     store: dict[int, int], draw: Callable[[int], int], prime: int
-) -> tuple[Callable[[int], Ciphertext], Callable[..., Ciphertext]]:
+) -> tuple[Callable[[Iterable[int], dict[int, int]], list[int]], Callable[..., Ciphertext]]:
     """The mint and the plan runner of one key.
 
-    mint(value) draws a handle, re-draws while it is live, stores value
-    (a reduced field element) under it and wraps it. run(plan, env,
-    selectors) runs an ir.SlotPlan in one loop: per operation it reads
-    both operands' values, computes at prime, and mints the result the
-    way mint does; registers hold bare handles, and only the output is
-    wrapped.
+    mint(values, table) draws a handle per value, in order, re-drawing
+    while it is live in the store or in table, reduces the value at
+    prime, stores it in table under the handle and returns the handles.
+    run(plan, env, bound, bits) runs an ir.SlotPlan against a table of
+    its own (see run_plan); registers hold bare handles, and only the
+    output goes into the store and is wrapped.
     """
-    new = object.__new__
     fns = dict(field_ops(prime))
 
-    def mint(value: int) -> Ciphertext:
-        h = draw(128)
-        while h in store:
+    def mint(values: Iterable[int], table: dict[int, int]) -> list[int]:
+        handles = []
+        append = handles.append
+        for v in values:
             h = draw(128)
-        store[h] = value
-        ct = new(Ciphertext)
-        ct.handle = h
-        return ct
-
-    def run(plan: SlotPlan, env: Mapping[str, Ciphertext], selectors: list[Ciphertext]) -> Ciphertext:
-        regs = [ct.handle for ct in selectors]
-        regs += [None] * (len(plan.names) - len(regs))
-        registers = plan.registers
-        for name, ct in env.items():
-            r = registers.get(name)
-            if r is not None:
-                regs[r] = ct.handle
-        try:
-            for op, i, j, t in plan.ops:
-                value = fns[op](store[regs[i]], store[regs[j]])
+            while h in store or h in table:
                 h = draw(128)
-                while h in store:
+            table[h] = v % prime
+            append(h)
+        return handles
+
+    def run(
+        plan: SlotPlan, env: Mapping[str, Ciphertext], bound: Mapping[str, int], bits: Iterable[int]
+    ) -> Ciphertext:
+        table: dict[int, int] = {}
+        bound_handles = mint(bound.values(), table)
+        regs: list[int | None] = mint(bits, table)
+        regs += [None] * (len(plan.names) - len(regs))
+        register = plan.registers.get
+        for name, h in zip(bound, bound_handles):
+            r = register(name)
+            if r is not None:
+                regs[r] = h
+        for name, ct in env.items():
+            r = register(name)
+            if r is not None:
+                regs[r] = h = ct.handle
+                if h in store:
+                    table[h] = store[h]
+        missing = [plan.names[r] for r in plan.inputs if regs[r] is None]
+        if missing:
+            raise unbound_inputs(missing)
+        it = iter(plan.ops)
+        try:
+            for op, i, j, t in zip(it, it, it, it):
+                value = fns[op](table[regs[i]], table[regs[j]])
+                h = draw(128)
+                while h in store or h in table:
                     h = draw(128)
-                store[h] = value
+                table[h] = value
                 regs[t] = h
         except KeyError:
             a, b = regs[i], regs[j]
             if a is None or b is None:
                 unbound = plan.names[i if a is None else j]
                 raise UnboundVariableError(f"unbound variable {unbound!r}") from None
-            raise _foreign(Ciphertext(b if a in store else a)) from None
-        ct = new(Ciphertext)
-        ct.handle = regs[plan.output]
-        return ct
+            raise _foreign(Ciphertext(b if a in table else a)) from None
+        h = regs[plan.ops[-1]]
+        store[h] = table[h]
+        return Ciphertext(h)
 
     return mint, run
 
@@ -118,34 +137,18 @@ class SecretKey:
         """Number of live handles."""
         return len(self._store)
 
-    def release_since(self, mark: int, keep: Ciphertext | None = None) -> None:
-        """Delete every handle minted since the store held mark, except keep.
-
-        Handles are inserted in order, so those minted since mark are
-        the newest entries of the store: they are popped, newest first,
-        and keep goes back after the first mark entries. The cost is
-        proportional to the handles freed, not to the store.
-        """
-        store = self._store
-        value = None if keep is None else store[keep.handle]
-        for _ in range(len(store) - mark):
-            store.popitem()
-        if keep is not None:
-            store[keep.handle] = value
-
 
 def keygen(seed: int, prime: int = FIELD_PRIME) -> SecretKey:
     return SecretKey(seed, prime)
 
 
 def enc(key: SecretKey, value: int) -> Ciphertext:
-    return key._mint(value % key.prime)
+    return Ciphertext(key._mint((value,), key._store)[0])
 
 
 def enc_many(key: SecretKey, values: Iterable[int]) -> list[Ciphertext]:
     """enc of each value in turn, in one call."""
-    mint, prime = key._mint, key.prime
-    return [mint(v % prime) for v in values]
+    return [Ciphertext(h) for h in key._mint(values, key._store)]
 
 
 def dec(key: SecretKey, ct: Ciphertext) -> int:
@@ -163,23 +166,33 @@ def he_op(key: SecretKey, op: Op, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
         b = store[c2.handle]
     except KeyError:
         raise _foreign(c2 if c1.handle in store else c1) from None
-    return key._mint(field_ops(key.prime)[op](a, b))
+    return enc(key, field_ops(key.prime)[op](a, b))
 
 
 def run_plan(
-    key: SecretKey, plan: SlotPlan, env: Mapping[str, Ciphertext], selectors: list[Ciphertext]
+    key: SecretKey,
+    plan: SlotPlan,
+    env: Mapping[str, Ciphertext],
+    bound: Mapping[str, int],
+    bits: Iterable[int],
 ) -> Ciphertext:
     """Run plan under key and return its output ciphertext.
 
-    selectors fills the plan's selector registers in order, and env
-    (variable name -> ciphertext) the registers of the variables it
-    names. Each operation does what he_op does, in plan order: an
-    operand no earlier operation or env set raises UnboundVariableError
-    naming its variable, one minted under another key raises
-    ForeignCiphertextError naming its handle, and each result mints one
-    handle. Handles minted before an error stay in the store.
+    Every handle of the run is minted into a table local to it, in the
+    key's handle stream: first bound's values, then bits (the selector
+    registers, in order), then one handle per operation; a draw is
+    re-drawn while it is live in the store or in that table. bound
+    (variable name -> plaintext) fills the registers of the variables it
+    names, then env (variable name -> ciphertext) does, each of its
+    handles looked up in the store once; a program input neither names
+    raises UnboundVariableError. Each operation then does what he_op
+    does, in plan order: an operand no earlier operation, bound or env
+    set raises UnboundVariableError naming its variable, and one minted
+    under another key raises ForeignCiphertextError naming its handle.
+    Only the output handle goes into the store; the table, and with it
+    every other handle of the run, is dropped on return or error.
     """
-    return key._run(plan, env, selectors)
+    return key._run(plan, env, bound, bits)
 
 
 @dataclass
@@ -225,7 +238,7 @@ def read_key_file(path: str, prime: int = FIELD_PRIME) -> tuple[int, SelectorKey
                 if seed is not None:
                     raise FormatError(f"line {lineno}: second seed line")
                 try:
-                    seed = int(tokens[1])
+                    seed = parse_int(tokens[1])
                 except ValueError:
                     raise FormatError(f"line {lineno}: malformed seed") from None
             elif tokens[0] in ("sel", "const") and len(tokens) == 4 and tokens[2] == "=":
@@ -241,7 +254,7 @@ def read_key_file(path: str, prime: int = FIELD_PRIME) -> tuple[int, SelectorKey
                     bits[name] = int(value)
                 else:
                     try:
-                        bindings[name] = int(value) % prime
+                        bindings[name] = parse_int(value) % prime
                     except ValueError:
                         raise FormatError(f"line {lineno}: malformed const value") from None
             else:

@@ -118,6 +118,22 @@ def field_ops(prime: int) -> Mapping[Op, Callable[[int, int], int]]:
     })
 
 
+def parse_int(text: str) -> int:
+    """The integer text spells: an optional sign, then ASCII digits only.
+
+    Every integer field of selectc's text formats, --inputs and
+    SELECTC_SEED is read here. int() alone also takes other Unicode
+    digits ('٣', '５'), underscores and surrounding whitespace, and
+    str.isdigit() is true for '²', which int() refuses. Raises
+    ValueError, with int()'s message, for anything else or for more
+    digits than int() converts.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def apply_op(op: Op, a: int, b: int, prime: int = FIELD_PRIME) -> int:
     try:
         fn = field_ops(prime)[op]

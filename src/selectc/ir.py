@@ -25,8 +25,8 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import FormatError, UnboundVariableError
-from .field import FIELD_PRIME, OP_NAMES, Op, field_ops, is_prime, op_from_name, signed
+from .errors import FormatError, KeyMismatchError, UnboundVariableError
+from .field import FIELD_PRIME, OP_NAMES, Op, field_ops, is_prime, op_from_name, parse_int, signed
 
 
 # Op.X reads go through EnumType.__getattr__; a module global does not
@@ -156,22 +156,26 @@ def run_statements(
 class SlotPlan:
     """A program compiled once into register slots, for runs that repeat it.
 
-    Registers: the selectors first, in the order compile_plan was given
-    them, then two scratch registers, then one per variable, the
-    program's inputs first. ops is the run in order, one (op, in1, in2,
-    target) register tuple per operation: an assignment is one entry,
-    and a k-way combining statement is its 2k - 1 entries MUL, MUL, ADD,
-    MUL, ADD, ... (run_statements' ADD-fold) through the scratch
-    registers, the last writing its target. registers maps each variable
-    to its register, so a run can fill them from its environment; names
-    maps every register back to its selector or variable name (None for
-    scratch), for error messages only.
+    Registers: the selectors first, in the order of the bits compile_plan
+    was given, then two scratch registers, then one per variable, the
+    program's inputs first. ops is the run in order as one flat list,
+    four entries per operation: op, in1, in2 and target registers, read
+    back with zip(it, it, it, it) over one iterator. An assignment is one
+    operation, and a k-way combining statement is its 2k - 1 operations
+    MUL, MUL, ADD, MUL, ADD, ... (run_statements' ADD-fold) through the
+    scratch registers, the last writing its target. The program's output
+    is the target of the last operation, ops[-1]. registers maps each
+    variable to its register, so a run can fill them from its
+    environment; inputs holds the register of each program input, in
+    order, so a run can name the ones it left empty; names maps every
+    register back to its selector or variable name (None for scratch),
+    for error messages only.
     """
 
     registers: dict[str, int]
     names: tuple[str | None, ...]
-    ops: tuple[tuple[Op, int, int, int], ...]
-    output: int
+    ops: list[Op | int]
+    inputs: tuple[int, ...]
 
 
 class _Registers(dict):
@@ -184,43 +188,68 @@ class _Registers(dict):
         return r
 
 
-def compile_plan(program: Program, selectors: Iterable[str]) -> SlotPlan:
-    """program as a SlotPlan whose selector registers follow selectors' order.
+def check_bits(bits: Mapping[str, int]) -> None:
+    """Raise KeyMismatchError unless every selector bit is 0 or 1."""
+    values = list(bits.values())
+    if values.count(0) + values.count(1) != len(values):
+        sel, bit = next((s, b) for s, b in bits.items() if b not in (0, 1))
+        raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
 
-    One pass over the statements. Raises UnboundVariableError for a
-    combining statement's selector that selectors lacks.
+
+def hot_option(st: Combine, bits: Mapping[str, int]) -> int:
+    """Index of the option of st that bits select; bits passed check_bits.
+
+    Raises KeyMismatchError unless every selector of st has a bit and
+    exactly one of them is 1.
     """
-    sel_reg = {s: i for i, s in enumerate(selectors)}
+    try:
+        picks = [bits[sel] for sel, _ in st.options]
+    except KeyError:
+        missing = [s for s, _ in st.options if s not in bits]
+        raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}") from None
+    # every bit is 0 or 1, so the 1s are the hot selectors
+    hot = picks.count(1)
+    if hot != 1:
+        group = ", ".join(s for s, _ in st.options)
+        raise KeyMismatchError(f"combining statement over ({group}) has {hot} hot selectors")
+    return picks.index(1)
+
+
+def compile_plan(program: Program, bits: Mapping[str, int]) -> SlotPlan:
+    """program as a SlotPlan whose selector registers follow bits' order.
+
+    One pass over the statements, which also checks the key: it raises
+    KeyMismatchError where obfuscate.checked_key would (check_bits, then
+    hot_option at each combining statement in order), and ValueError
+    for an empty program.
+    """
+    check_bits(bits)
+    sel_reg = {s: i for i, s in enumerate(bits)}
     acc = len(sel_reg)
     term = acc + 1
     reg = _Registers()
     reg.base = term + 1
-    for v in program.inputs:  # the first variable registers
-        reg[v]
-    ops: list[tuple[Op, int, int, int]] = []
-    append = ops.append
-    try:
-        for st in program.statements:
-            if isinstance(st, Assign):
-                expr = st.expr
-                append((expr.op, reg[expr.in1], reg[expr.in2], reg[st.target]))
-                continue
-            (s0, v0), (s1, v1), *more = st.options
-            append((_MUL, sel_reg[s0], reg[v0], acc))
-            append((_MUL, sel_reg[s1], reg[v1], term))
-            for s, v in more:
-                append((_ADD, acc, term, acc))
-                append((_MUL, sel_reg[s], reg[v], term))
-            append((_ADD, acc, term, reg[st.target]))
-    except KeyError as exc:
-        raise UnboundVariableError(f"unbound selector {exc.args[0]!r}") from None
+    inputs = tuple(reg[v] for v in program.inputs)  # the first variable registers
+    ops: list[Op | int] = []
+    extend = ops.extend
+    for st in program.statements:
+        if isinstance(st, Assign):
+            expr = st.expr
+            extend((expr.op, reg[expr.in1], reg[expr.in2], reg[st.target]))
+            continue
+        hot_option(st, bits)  # so sel_reg holds every selector of st
+        (s0, v0), (s1, v1), *more = st.options
+        extend((_MUL, sel_reg[s0], reg[v0], acc, _MUL, sel_reg[s1], reg[v1], term))
+        for s, v in more:
+            extend((_ADD, acc, term, acc, _MUL, sel_reg[s], reg[v], term))
+        extend((_ADD, acc, term, reg[st.target]))
     if not ops:
         raise ValueError("empty program has no output")
     return SlotPlan(
         registers=dict(reg),
         names=(*sel_reg, None, None, *reg),
-        ops=tuple(ops),
-        output=ops[-1][3],
+        ops=ops,
+        inputs=inputs,
     )
 
 
@@ -228,7 +257,12 @@ def require_inputs(program: Program, bound) -> None:
     """Raise UnboundVariableError unless bound holds every program input."""
     missing = [v for v in program.inputs if v not in bound]
     if missing:
-        raise UnboundVariableError(f"unbound input variable(s): {', '.join(missing)}")
+        raise unbound_inputs(missing)
+
+
+def unbound_inputs(missing: list[str]) -> UnboundVariableError:
+    """The error for program inputs a run leaves unbound, in input order."""
+    return UnboundVariableError(f"unbound input variable(s): {', '.join(missing)}")
 
 
 def field_env(program: Program, inputs: dict[str, int]) -> dict[str, int]:
@@ -367,7 +401,8 @@ def emit_fold(
     statements that read it. Untouched assignments are the program's
     own statement objects. A rewritten one is interned by (target, op,
     operands), so each distinct rewritten statement is built once per
-    interned dict, whichever folds share it.
+    interned dict, whichever folds share it; an inlined definition
+    whose operands nothing substitutes keeps its expression object.
     """
     subst: dict[str, str] = {}
     inlined: dict[int, Assign] = {}
@@ -390,7 +425,9 @@ def emit_fold(
         key = (st.target, expr.op, new1, new2)
         assign = interned.get(key)
         if assign is None:
-            assign = interned[key] = Assign(st.target, SimpleExpression(expr.op, new1, new2))
+            if new1 is not in1 or new2 is not in2:
+                expr = SimpleExpression(expr.op, new1, new2)
+            assign = interned[key] = Assign(st.target, expr)
         out.append(assign)
     return out
 
@@ -588,9 +625,10 @@ def parse_program(text: str) -> Program:
         if tokens[0] == "prime":
             if prime is not None:
                 raise FormatError(f"line {lineno}: second prime line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise FormatError(f"line {lineno}: malformed prime line")
-            prime = int(tokens[1])
+            try:
+                (prime,) = map(parse_int, tokens[1:])
+            except ValueError:  # not one token, or not an integer
+                raise FormatError(f"line {lineno}: malformed prime line") from None
             if not is_prime(prime):
                 raise FormatError(f"line {lineno}: field modulus {prime} is not prime")
             continue
@@ -605,7 +643,7 @@ def parse_program(text: str) -> Program:
                 raise FormatError(f"line {lineno}: malformed const line")
             _declare(declared, tokens[1], lineno)
             try:
-                consts[tokens[1]] = int(tokens[3])
+                consts[tokens[1]] = parse_int(tokens[3])
             except ValueError:
                 raise FormatError(f"line {lineno}: const value is not an integer") from None
             continue

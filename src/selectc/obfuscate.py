@@ -28,9 +28,9 @@ import itertools
 import typing
 from dataclasses import dataclass, field
 
-from .crypto import Ciphertext, SecretKey, SelectorKey, enc_many, run_plan
-from .errors import ConfigError, FormatError, KeyMismatchError, PoolExhaustedError, in_file
-from .field import ARITH_OPS, Op, op_from_name
+from .crypto import Ciphertext, SecretKey, SelectorKey, run_plan
+from .errors import ConfigError, FormatError, PoolExhaustedError, in_file
+from .field import ARITH_OPS, Op, op_from_name, parse_int
 from .ir import (
     Assign,
     Combine,
@@ -38,10 +38,11 @@ from .ir import (
     SimpleExpression,
     SlotPlan,
     Statement,
+    check_bits,
     compile_plan,
     fold_selection,
+    hot_option,
     referenced_vars,
-    require_inputs,
 )
 from .rng import DEFAULT_SEED, spawn
 
@@ -537,20 +538,19 @@ def obfuscate_program_level(
 def _prepared_plan(obf: ObfProgram, sel_key: SelectorKey) -> SlotPlan:
     """obf's plan for sel_key's bits, checked and compiled once per change.
 
-    obf.prepared keeps the plan with a snapshot of what it was built
-    from: the statements, and the bit names (the plan's selector
-    registers follow their order) and values. Each call takes the
-    snapshot again and reuses the plan if the two compare equal, which
-    CPython does in C, element by element, identity first. Neither the
-    inputs nor the prime are part of it: every run checks the inputs
-    (require_inputs) and fills registers by name, and run_plan computes
-    at the key's prime.
+    compile_plan checks the key as it compiles, so a changed key or
+    program costs one pass over the statements. obf.prepared keeps the
+    plan with a snapshot of what it was built from: the inputs (the plan
+    holds their registers), the statements, and the bit names (the
+    plan's selector registers follow their order) and values. Each call
+    takes the snapshot again and reuses the plan if the two compare
+    equal, which CPython does in C, element by element, identity first.
+    The prime is not part of it: run_plan computes at the key's prime.
     """
     program, bits = obf.program, sel_key.bits
-    snapshot = (list(program.statements), list(bits), list(bits.values()))
+    snapshot = (list(program.inputs), list(program.statements), list(bits), list(bits.values()))
     if obf.prepared is not None and obf.prepared[0] == snapshot:
         return obf.prepared[1]
-    checked_key(obf, sel_key)
     plan = compile_plan(program, bits)
     obf.prepared = (snapshot, plan)
     return plan
@@ -566,30 +566,20 @@ def eval_encrypted(
 
     Every statement runs; combining statements compute the full
     selector-weighted sum homomorphically. The key must pass
-    checked_key. Both the check and the program's SlotPlan are made
-    once and kept in obf.prepared while neither the statements nor the
-    selector bits change (see _prepared_plan); a one-off run pays for
-    both. Per run, the bound variables, then the selector bits, are
-    encrypted under key in one batch each; callers supply ciphertexts
-    for the true inputs. crypto.run_plan then mints exactly one handle
-    per operation. Every handle minted here except the output is freed
-    on every exit path, a raised error included. The program's consts
+    checked_key. The check and the program's SlotPlan are made in one
+    pass and kept in obf.prepared while neither the inputs, the
+    statements nor the selector bits change (see _prepared_plan); a
+    one-off run pays for that pass. Per run, crypto.run_plan encrypts
+    the bound variables, then the selector bits, into a table of the
+    run's own, and mints one handle per operation there; callers supply
+    ciphertexts for the true inputs. Only the output handle stays in the
+    key's store, on return; on an error none does. The program's consts
     are bound as ir.field_env binds them: key bindings and inputs
     override them.
     """
     plan = _prepared_plan(obf, sel_key)
-    mark = len(key)
-    out = None
-    try:
-        bound = {**obf.program.consts, **sel_key.bindings}
-        env = dict(zip(bound, enc_many(key, bound.values())))
-        env.update(enc_inputs)
-        selectors = enc_many(key, sel_key.bits.values())
-        require_inputs(obf.program, env)
-        out = run_plan(key, plan, env, selectors)
-    finally:
-        key.release_since(mark, out)
-    return out
+    bound = {**obf.program.consts, **sel_key.bindings}
+    return run_plan(key, plan, enc_inputs, bound, sel_key.bits.values())
 
 
 def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
@@ -597,29 +587,16 @@ def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
 
     Raises KeyMismatchError unless every bit is 0 or 1, every selector
     of obf has a bit, and each combining statement has exactly one hot
-    selector.
+    selector (ir.check_bits and ir.hot_option, which compile_plan also
+    applies).
     """
     bits = sel_key.bits
-    values = list(bits.values())
-    if values.count(0) + values.count(1) != len(values):
-        sel, bit = next((s, b) for s, b in bits.items() if b not in (0, 1))
-        raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
-    selection: dict[int, int] = {}
-    for idx, st in enumerate(obf.program.statements):
-        if isinstance(st, Assign):
-            continue
-        try:
-            picks = [bits[sel] for sel, _ in st.options]
-        except KeyError:
-            missing = [s for s, _ in st.options if s not in bits]
-            raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}") from None
-        # every bit is 0 or 1, so the 1s are the hot selectors
-        hot = picks.count(1)
-        if hot != 1:
-            group = ", ".join(s for s, _ in st.options)
-            raise KeyMismatchError(f"combining statement over ({group}) has {hot} hot selectors")
-        selection[idx] = picks.index(1)
-    return selection
+    check_bits(bits)
+    return {
+        idx: hot_option(st, bits)
+        for idx, st in enumerate(obf.program.statements)
+        if isinstance(st, Combine)
+    }
 
 
 def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
@@ -684,7 +661,7 @@ def read_config(path: str) -> ObfuscationConfig:
             value = value.strip()
             try:
                 if key == "k":
-                    cfg.mislead_factor = int(value)
+                    cfg.mislead_factor = parse_int(value)
                 elif key == "fake_vars":
                     cfg.fake_vars = tuple(
                         v.strip() for v in value.split(",") if v.strip()
@@ -694,7 +671,7 @@ def read_config(path: str) -> ObfuscationConfig:
                         op_from_name(v.strip()) for v in value.split(",") if v.strip()
                     )
                 elif key == "fake_combining":
-                    cfg.fake_combining = int(value)
+                    cfg.fake_combining = parse_int(value)
                 elif key == "strategy":
                     cfg.strategy = value
                 elif key == "pattern_table":
@@ -703,7 +680,7 @@ def read_config(path: str) -> ObfuscationConfig:
                     with in_file(value):
                         cfg.pattern_table = read_table(value)
                 elif key == "seed":
-                    cfg.seed = int(value)
+                    cfg.seed = parse_int(value)
                     cfg.seed_configured = True
                 else:
                     raise FormatError(f"line {lineno}: unknown config key {key!r}")

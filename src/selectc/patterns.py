@@ -26,6 +26,7 @@ from typing import Iterable
 
 from . import surface
 from .errors import ConfigError, FormatError
+from .field import parse_int
 
 INT_LITERAL_KIND = "IntegerLiteralE"
 
@@ -278,7 +279,7 @@ def parse_table(text: str) -> PatternTable:
         if tag not in _FAMILY_TAGS:
             raise FormatError(f"line {lineno}: unknown pattern family {tag!r}")
         try:
-            count = int(count_text)
+            count = parse_int(count_text)
         except ValueError:
             raise FormatError(f"line {lineno}: count {count_text!r} is not an integer")
         if count < 0 or not key:
@@ -330,7 +331,7 @@ def parse_trees(text: str) -> list[ExprTree]:
                 op = token[3:]
             elif token.startswith("value="):
                 try:
-                    value = int(token[6:])
+                    value = parse_int(token[6:])
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad literal value")
             elif kind is None:

@@ -165,9 +165,9 @@ def _tokenize(text: str) -> list[_Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit() is also true for '²' and '٣'
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(_Token("int", text[start:i], line, col))
             col += i - start

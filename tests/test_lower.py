@@ -8,6 +8,8 @@ loops unroll to their bound, array accesses become oblivious scans.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from selectc.errors import LowerError
 from selectc.field import FIELD_PRIME, Op
@@ -144,6 +146,18 @@ def test_differential_random_programs():
                 case,
                 env,
             )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1), small=hst.booleans())
+def test_lowering_agrees_with_interpret(seed, small):
+    """eval_plain(lower(sp), env) == interpret(sp, env) mod p, for random
+    programs and inputs drawn from a narrow range or from the whole field."""
+    gen = random.Random(seed)
+    sp = random_surface_program(gen, max_statements=8)
+    p = lower(sp)
+    env = random_inputs(p, gen, small=small)
+    assert eval_plain(p, env) == interpret(sp, env) % FIELD_PRIME
 
 
 # conditions that are not comparisons lower through NEQ against zero

@@ -130,6 +130,21 @@ CASES = {
     "truth-truncated": ("truth", "if (x) { r := 1\n", "line 2, col 1: unterminated block"),
     # cli._read_pairs
     "pairs-output": ("pairs", "x=3 => nine\n", "line 1: output is not an integer"),
+    # integer fields take an optional sign and ASCII digits only (field.parse_int)
+    "obf-prime-superscript": ("obf", "prime \u00b2\ninput x\nr := ADD x x\n", "line 1: malformed prime line"),
+    "obf-prime-arabic-indic": ("obf", "prime \u0663\ninput x\nr := ADD x x\n", "line 1: malformed prime line"),
+    "src-prime-superscript": ("src", "prime \u00b2\ninput x\nr := ADD x x\n", "line 1: malformed prime line"),
+    "obf-const-fullwidth": (
+        "obf", "input x\nconst k = \uff15\nr := ADD x k\n", "line 2: const value is not an integer"
+    ),
+    "key-seed-fullwidth": ("key", "seed \uff15\nsel s0 = 1\nsel s1 = 0\n", "line 1: malformed seed"),
+    "key-const-underscore": ("key", "seed 1\nconst k = 1_0\n", "line 2: malformed const value"),
+    "config-k-fullwidth": ("config", "k = \uff15\n", "line 1: invalid literal for int() with base 10: '\uff15'"),
+    "table-count-underscore": ("table", "operator | plus | 1_0\n", "line 1: count '1_0' is not an integer"),
+    "trees-literal-arabic-indic": ("trees", "IntLiteralE value=\u0663\n", "line 1: bad literal value"),
+    "pairs-input-underscore": ("pairs", "x=1_0 => 3\n", "line 1: value for 'x' is not an integer"),
+    "pairs-output-superscript": ("pairs", "x=3 => \u00b2\n", "line 1: output is not an integer"),
+    "src-digit-superscript": ("src", "r := x * \u00b2\n", "line 1, col 10: unexpected character '\u00b2'"),
 }
 
 
@@ -178,3 +193,19 @@ def test_a_source_that_assigns_twice_is_refused(tmp_path, capsys):
     rc, captured, _ = run_kind(tmp_path, capsys, "src", src)
     assert rc == 2
     assert captured.err == "error: statement 2 assigns 'r' again\n"
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [("x=3,y=1_0", "value for 'y' is not an integer"), ("x=\u0663", "value for 'x' is not an integer")],
+    ids=["underscore", "arabic-indic"],
+)
+def test_an_inputs_flag_takes_ascii_integers_only(tmp_path, capsys, inputs, message):
+    """--inputs reads no file, so its one stderr line names none."""
+    obf = write(tmp_path / "good.obf", GOOD["obf"])
+    key = write(tmp_path / "good.key", GOOD["key"])
+    rc = dispatch(["run", obf, "--key", key, "--inputs", inputs])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """Combining-statement obfuscation: structure, evaluation, round trips."""
 
 import functools
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from selectc.ir import (
     Combine,
     Program,
     SimpleExpression,
+    compile_plan,
     eval_env,
     eval_plain,
     normalize,
@@ -307,9 +309,15 @@ def test_eval_encrypted_handle_stream_is_pinned():
 
 
 def reference_eval_encrypted(obf, key, sel_key, enc_inputs):
-    """eval_encrypted as a statement walk: ir.run_statements over he_op."""
+    """eval_encrypted as a statement walk: ir.run_statements over he_op.
+
+    Every handle the walk mints is freed again, the output's last and
+    only on return: the store's newest entries are popped and the
+    output goes back at its end.
+    """
     checked_key(obf, sel_key)
-    mark = len(key)
+    store = key._store
+    mark = len(store)
     out = None
     try:
         bindings = sel_key.bindings
@@ -319,7 +327,11 @@ def reference_eval_encrypted(obf, key, sel_key, enc_inputs):
         ops = {op: functools.partial(he_op, key, op) for op in ALL_OPS}
         out = run_statements(obf.program, env, sel_ct, ops)[obf.program.output]
     finally:
-        key.release_since(mark, out)
+        value = None if out is None else store[out.handle]
+        for _ in range(len(store) - mark):
+            store.popitem()
+        if out is not None:
+            store[out.handle] = value
     return out
 
 
@@ -463,7 +475,8 @@ def test_eval_encrypted_notices_changes_made_in_place():
 
 def test_repeated_runs_check_and_compile_once(monkeypatch):
     """100 runs of one (obfuscation, selector key), a fresh key each, check
-    the key and compile the plan once."""
+    the key and compile the plan once, in one compile_plan call: no run
+    calls checked_key on its own."""
     source = random_linear_program(random.Random(9), n_statements=3, n_consts=1)
     obf, sel_key = obfuscate_statement_level(source, ObfuscationConfig(mislead_factor=3, seed=9))
     calls = Counter()
@@ -480,7 +493,21 @@ def test_repeated_runs_check_and_compile_once(monkeypatch):
     for seed in range(100):
         inputs = random_inputs(source, rng)
         assert run_encrypted(obf, sel_key, inputs, seed) == eval_plain(source, inputs)
-    assert calls == {"checked_key": 1, "compile_plan": 1}
+    assert calls["checked_key"] == 0 and calls["compile_plan"] == 1
+
+
+def test_compiling_a_plan_tracks_a_handful_of_objects():
+    """A 4,000-statement plan is a few objects, not one per operation:
+    the cyclic collector has nothing new to walk after a compile."""
+    source = random_linear_program(random.Random(10), n_statements=1000)
+    obf, sel_key = obfuscate_statement_level(source, ObfuscationConfig(mislead_factor=3, seed=10))
+    assert len(obf.program.statements) == 4000
+    gc.collect()
+    before = len(gc.get_objects())
+    plan = compile_plan(obf.program, sel_key.bits)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 4
+    assert len(plan.ops) == 4 * 1000 * (3 + 5)  # 3 assignments and a 3-way combine each
 
 
 @hst.composite
