@@ -53,6 +53,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value, read as every integer field is (field.parse_int)."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _env_seed() -> int | None:
     raw = os.environ.get("SELECTC_SEED")
     if raw is None:
@@ -257,7 +265,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_flag, default=None)
     p.set_defaults(func=_cmd_obfuscate)
 
     p = sub.add_parser("run", help="evaluate an obfuscated program under encryption")
@@ -287,29 +295,29 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--pairs", default=None, help="known input/output pairs file")
     p.add_argument("--table", default=None, help="mined pattern table for ranking")
     p.add_argument("--truth", default=None, help="confidential program for quality grading")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_int_flag, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("metrics", help="measure obfuscation overhead and potency")
     p.add_argument("src")
     p.add_argument("obf")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_int_flag, default=50)
+    p.add_argument("--seed", type=_int_flag, default=None)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("game", help="statement guessing game, exact and simulated")
     p.add_argument("--pl", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10**6)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--trials", type=_int_flag, default=10**6)
     p.add_argument("--obf-strategy", default="uniform", choices=("uniform", "f-as-misleading"))
     p.add_argument("--att-strategy", dest="att_strategy", default="f-first", choices=("f-first", "random"))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_flag, default=None)
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("demo", help="build the bundled task-1 obfuscations")
     p.add_argument("level", choices=("l0", "l1"))
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_flag, default=None)
     p.set_defaults(func=_cmd_demo)
 
     return parser

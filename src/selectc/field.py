@@ -41,14 +41,14 @@ class Op(Enum):
 ARITH_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
 ALL_OPS = tuple(Op)
 
-_OP_BY_NAME = {op.value: op for op in Op}
 # for per-statement paths: a dict lookup, where Op.value is a property call
 OP_NAMES = {op: op.value for op in Op}
+OP_BY_NAME = {name: op for op, name in OP_NAMES.items()}
 
 
 def op_from_name(name: str) -> Op:
     try:
-        return _OP_BY_NAME[name]
+        return OP_BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown operation {name!r}") from None
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import FormatError, KeyMismatchError, UnboundVariableError
-from .field import FIELD_PRIME, OP_NAMES, Op, field_ops, is_prime, op_from_name, parse_int, signed
+from .field import FIELD_PRIME, OP_BY_NAME, OP_NAMES, Op, field_ops, is_prime, parse_int, signed
 
 
 # Op.X reads go through EnumType.__getattr__; a module global does not
@@ -68,8 +68,8 @@ class Combine:
     def __post_init__(self) -> None:
         if len(self.options) < 2:
             raise ValueError("combining statement needs at least two options")
-        sels = [s for s, _ in self.options]
-        if len(set(sels)) != len(sels):
+        # a repeated selector collapses into one key
+        if len(dict(self.options)) != len(self.options):
             raise ValueError("combining statement selectors must be distinct")
 
     def render(self) -> str:
@@ -592,6 +592,8 @@ def render_key(
 
 
 _COMBINE_OPT = re.compile(r"^\(([^\s,()]+),([^\s,()]+)\)$")
+# the first words of header lines, which no assignment target may be read as
+_HEADERS = frozenset(("prime", "input", "const"))
 
 
 def render_program(program: Program) -> str:
@@ -601,7 +603,13 @@ def render_program(program: Program) -> str:
     lines.extend(
         f"const {v} = {signed(val, program.prime)}" for v, val in program.consts.items()
     )
-    lines.extend(st.render() for st in program.statements)
+    names = OP_NAMES
+    for st in program.statements:
+        if type(st) is Assign:
+            expr = st.expr
+            lines.append(f"{st.target} := {names[expr.op]} {expr.in1} {expr.in2}")
+        else:
+            lines.append(st.render())
     return "\n".join(lines) + "\n"
 
 
@@ -617,11 +625,19 @@ def parse_program(text: str) -> Program:
     consts: dict[str, int] = {}
     declared: dict[str, int] = {}  # input or const name -> its line
     statements: list[Statement] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    append = statements.append
+    op_named = OP_BY_NAME.get
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
+        # most lines are assignments: take them before any other form
+        if len(tokens) == 5 and tokens[1] == ":=":
+            target = tokens[0]
+            op = op_named(tokens[2])
+            if op is not None and target[0] != "#" and target not in _HEADERS:
+                append(Assign(target, SimpleExpression(op, tokens[3], tokens[4])))
+                continue
+        if not tokens or tokens[0][0] == "#":
+            continue
         if tokens[0] == "prime":
             if prime is not None:
                 raise FormatError(f"line {lineno}: second prime line")
@@ -656,21 +672,18 @@ def parse_program(text: str) -> Program:
                 m = _COMBINE_OPT.match(tok)
                 if not m:
                     raise FormatError(f"line {lineno}: malformed combine option {tok!r}")
-                opts.append((m.group(1), m.group(2)))
+                opts.append(m.groups())
             if len(opts) < 2:
                 raise FormatError(f"line {lineno}: combining statement needs two options")
             try:
-                statements.append(Combine(target, tuple(opts)))
+                append(Combine(target, tuple(opts)))
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
             continue
         if len(tokens) != 5:
             raise FormatError(f"line {lineno}: expected '<target> := OP v1 v2'")
-        try:
-            op = op_from_name(tokens[2])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        statements.append(Assign(target, SimpleExpression(op, tokens[3], tokens[4])))
+        # the assignment branch above took every known operation
+        raise FormatError(f"line {lineno}: unknown operation {tokens[2]!r}")
     if not statements:
         raise FormatError("program has no statements")
     if prime is None:

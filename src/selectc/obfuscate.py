@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .crypto import Ciphertext, SecretKey, SelectorKey, run_plan
 from .errors import ConfigError, FormatError, PoolExhaustedError, in_file
-from .field import ARITH_OPS, Op, op_from_name, parse_int
+from .field import ARITH_OPS, OP_NAMES, Op, op_from_name, parse_int
 from .ir import (
     Assign,
     Combine,
@@ -141,10 +142,6 @@ class _Namer:
                 return name
 
 
-def _expr_key(e: SimpleExpression) -> tuple[str, str, str]:
-    return (e.op.value, e.in1, e.in2)
-
-
 def _distinct_expressions(
     rng,
     count: int,
@@ -167,7 +164,7 @@ def _distinct_expressions(
         usable = space - sum(
             1
             for key in forbidden
-            if any(o.value == key[0] for o in op_choices)
+            if any(OP_NAMES[o] == key[0] for o in op_choices)
             and key[1] in var_choices
             and key[2] in var_choices
         )
@@ -184,7 +181,7 @@ def _distinct_expressions(
             (o * n + a) * n + b
             for op_name, x, y in forbidden
             for o, op in enumerate(op_choices)
-            if op.value == op_name
+            if OP_NAMES[op] == op_name
             for a, v in enumerate(var_choices)
             if v == x
             for b, w in enumerate(var_choices)
@@ -200,19 +197,21 @@ def _distinct_expressions(
             picked.append(SimpleExpression(op_choices[o], var_choices[a], var_choices[b]))
         return picked
     seen = set(forbidden)
+    choice = rng.choice
     # choices accumulates weights on every call; handing it the sums draws the same
     cum_weights = None if op_weights is None else list(itertools.accumulate(op_weights))
     while len(picked) < count:
         if cum_weights is None:
-            op = rng.choice(op_choices)
+            op = choice(op_choices)
         else:
             op = rng.choices(op_choices, cum_weights=cum_weights, k=1)[0]
-        expr = SimpleExpression(op, rng.choice(var_choices), rng.choice(var_choices))
-        key = _expr_key(expr)
+        in1 = choice(var_choices)
+        in2 = choice(var_choices)
+        key = (OP_NAMES[op], in1, in2)
         if key in seen:
             continue
         seen.add(key)
-        picked.append(expr)
+        picked.append(SimpleExpression(op, in1, in2))
     return picked
 
 
@@ -223,17 +222,14 @@ def gen_misleading(
     var_pool: list[str] | None = None,
     fresh: "_Namer | None" = None,
     sel: "_Namer | None" = None,
-    positions: dict[str, list[int]] | None = None,
-    op_weights: list[int] | None = None,
 ) -> MisleadingSet:
     """Generate the k - 1 misleading expressions for one statement.
 
     Every result is type-correct and executable, distinct from the
     confidential statement and from its siblings. The variable pool
     defaults to the statement's own operands plus the configured fake
-    variables. A caller that draws for many statements passes what does
-    not change between them: positions, each pool name's indices in
-    var_pool (see _positions), and op_weights, _op_weights(cfg).
+    variables. This draws what obfuscate_statement_level draws for the
+    statement, which validates cfg and picks the draw once per program.
     """
     cfg.validate()
     if rng is None:
@@ -244,39 +240,50 @@ def gen_misleading(
         fresh = _Namer("t", set(var_pool) | {stmt.target})
     if sel is None:
         sel = _Namer("s", set())
-    k = cfg.mislead_factor
+    draw = _option_draw(cfg, rng, var_pool, _op_weights(cfg))
+    if draw is None:
+        return _gen_combined(stmt, cfg, rng, var_pool, _positions(var_pool), fresh, sel)
+    return MisleadingSet(options=draw(stmt.expr), confidential=stmt.expr)
+
+
+def _option_draw(
+    cfg: ObfuscationConfig, rng, var_pool: list[str], op_weights: list[int] | None
+) -> Callable[[SimpleExpression], list[SimpleExpression]] | None:
+    """cfg's draw of k - 1 misleading options for a confidential expression.
+
+    None under combined-temporaries, whose draw (_gen_combined) also
+    defines temporaries. The draw reads var_pool as it is at each call,
+    so a caller may grow the pool between statements. op_weights is
+    _op_weights(cfg).
+    """
+    if cfg.strategy == "combined-temporaries":
+        return None
+    count = cfg.mislead_factor - 1
     ops = list(cfg.op_pool)
-    true_key = _expr_key(stmt.expr)
 
     if cfg.strategy == "operation-only":
-        others = [op for op in ops if op is not stmt.expr.op]
-        if len(others) < k - 1:
-            raise PoolExhaustedError(
-                f"need {k - 1} alternative operations but the pool offers {len(others)}"
-            )
-        chosen = rng.sample(others, k - 1)
-        return MisleadingSet(
-            options=[SimpleExpression(op, stmt.expr.in1, stmt.expr.in2) for op in chosen],
-            confidential=stmt.expr,
-        )
 
-    if cfg.strategy == "operand-only":
-        exprs = _distinct_expressions(
-            rng, k - 1, [stmt.expr.op], var_pool, forbidden={true_key}
-        )
-        return MisleadingSet(options=exprs, confidential=stmt.expr)
+        def draw(expr: SimpleExpression) -> list[SimpleExpression]:
+            others = [op for op in ops if op is not expr.op]
+            if len(others) < count:
+                raise PoolExhaustedError(
+                    f"need {count} alternative operations but the pool offers {len(others)}"
+                )
+            return [SimpleExpression(op, expr.in1, expr.in2) for op in rng.sample(others, count)]
 
-    if cfg.strategy == "combined-temporaries":
-        if positions is None:
-            positions = _positions(var_pool)
-        return _gen_combined(stmt, cfg, rng, var_pool, positions, fresh, sel)
+    elif cfg.strategy == "operand-only":
 
-    if op_weights is None:
-        op_weights = _op_weights(cfg)
-    exprs = _distinct_expressions(
-        rng, k - 1, ops, var_pool, forbidden={true_key}, op_weights=op_weights
-    )
-    return MisleadingSet(options=exprs, confidential=stmt.expr)
+        def draw(expr: SimpleExpression) -> list[SimpleExpression]:
+            forbidden = {(OP_NAMES[expr.op], expr.in1, expr.in2)}
+            return _distinct_expressions(rng, count, [expr.op], var_pool, forbidden)
+
+    else:
+
+        def draw(expr: SimpleExpression) -> list[SimpleExpression]:
+            forbidden = {(OP_NAMES[expr.op], expr.in1, expr.in2)}
+            return _distinct_expressions(rng, count, ops, var_pool, forbidden, op_weights)
+
+    return draw
 
 
 def _op_weights(cfg: ObfuscationConfig) -> list[int] | None:
@@ -402,24 +409,32 @@ def obfuscate_statement_level(
 
     bits: dict[str, int] = {}
     defined = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
-    positions = _positions(defined)
-    weights = _op_weights(cfg)
-    real_groups: list[list[Statement]] = []
+    # the draw only reads the pool, so it needs no copy
+    draw = _option_draw(cfg, rng_opts, defined, _op_weights(cfg))
+    positions = _positions(defined) if draw is None else None
+    shuffle = rng_opts.shuffle
+    statements: list[Statement] = []
+    emit = statements.append
+    starts: list[int] = []  # each real group's first index in statements
 
     for st in program.statements:
-        # the draw only reads the pool, so it needs no copy
-        ms = gen_misleading(st, cfg, rng_opts, defined, fresh, sel, positions, weights)
-        bits.update(ms.prelude_bits)
-        exprs = [ms.confidential] + ms.options
+        starts.append(len(statements))
+        if draw is None:
+            ms = _gen_combined(st, cfg, rng_opts, defined, positions, fresh, sel)
+            bits.update(ms.prelude_bits)
+            statements.extend(ms.prelude)
+            exprs = [ms.confidential, *ms.options]
+            positions.setdefault(st.target, []).append(len(defined))
+        else:
+            exprs = [st.expr, *draw(st.expr)]
         order = list(range(k))
-        rng_opts.shuffle(order)
-        assigns = [Assign(fresh(), exprs[which]) for which in order]
+        shuffle(order)
+        temps = [fresh() for _ in range(k)]
         sels = [sel() for _ in range(k)]
-        for s, which in zip(sels, order):
+        for s, t, which in zip(sels, temps, order):
             bits[s] = int(which == 0)
-        combine = Combine(st.target, tuple(zip(sels, (a.target for a in assigns))))
-        real_groups.append(list(ms.prelude) + assigns + [combine])
-        positions.setdefault(st.target, []).append(len(defined))
+            emit(Assign(t, exprs[which]))
+        emit(Combine(st.target, tuple(zip(sels, temps))))
         defined.append(st.target)
 
     fakes: list[tuple[int, list[Statement]]] = []
@@ -433,14 +448,19 @@ def obfuscate_statement_level(
             bits[s] = int(i == hot)
         combine = Combine(fresh(), tuple(zip(sels, (a.target for a in assigns))))
         # insert before some real group so the program output stays last
-        fakes.append((rng_fake.randrange(len(real_groups)), assigns + [combine]))
+        fakes.append((starts[rng_fake.randrange(len(starts))], assigns + [combine]))
 
-    statements: list[Statement] = []
-    for i, group in enumerate(real_groups):
-        for pos, fake_group in fakes:
-            if pos == i:
-                statements.extend(fake_group)
-        statements.extend(group)
+    if fakes:
+        # stable: fakes before one group keep the order they were drawn in
+        fakes.sort(key=lambda fake: fake[0])
+        spliced: list[Statement] = []
+        done = 0
+        for start, group in fakes:
+            spliced += statements[done:start]
+            spliced += group
+            done = start
+        spliced += statements[done:]
+        statements = spliced
 
     bindings = dict(program.consts)
     bindings.update({v: rng_vals.randrange(1, program.prime) for v in cfg.fake_vars})

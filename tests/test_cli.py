@@ -289,6 +289,36 @@ def test_configured_default_seed_beats_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["５", "٣", "1_0"], ids=["fullwidth", "arabic-indic", "underscore"])
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, value):
+    """int() would read these as 5, 3 and 10; every integer flag refuses them."""
+    src = write(tmp_path / "p.src", TASK1)
+    obf = tmp_path / "o.obf"
+    rc = dispatch(["obfuscate", src, "-o", str(obf), "--key", str(tmp_path / "o.key"),
+                   "--seed", value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"usage error: argument --seed: invalid int value: {value!r}\n"
+    assert not obf.exists()
+    for argv in (
+        ["attack", "x.obf", "--cap"],
+        ["metrics", "x.src", "x.obf", "--samples"],
+        ["metrics", "x.src", "x.obf", "--seed"],
+        ["game", "--pl", "0.5", "--trials", "10", "--n"],
+        ["game", "--pl", "0.5", "--n", "3", "--trials"],
+        ["game", "--pl", "0.5", "--n", "3", "--seed"],
+        ["demo", "l0", "--seed"],
+    ):
+        assert dispatch([*argv, value]) == 1
+        assert f"invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_still_works(tmp_path, capsys):
+    _, _, key = obfuscate(tmp_path, TASK1, "--seed", "-3")
+    capsys.readouterr()
+    seed, _ = read_key_file(key)
+    assert seed == -3
+
+
 # ----------------------------------------------------- mining commands
 
 def test_mine_writes_readable_table(tmp_path, datadir, capsys):

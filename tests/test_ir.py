@@ -208,6 +208,53 @@ def test_parse_ignores_comments_and_blanks():
     assert p.prime == 7 and p.inputs == ["x"]
 
 
+def test_parse_reads_padding_comments_and_line_ends():
+    """Blank and whitespace-only lines, indented comments, padded lines and
+    CRLF ends; a comment shaped like an assignment stays a comment."""
+    text = (
+        "  \t\r\n"
+        "   # indented comment\r\n"
+        "\tprime 101  \r\n"
+        "\n"
+        "  input x\t\r\n"
+        " const k = 3 \r\n"
+        "#t := ADD x k\r\n"
+        "    # r := MUL x x\n"
+        "\u00a0 t := ADD x k \u00a0\r\n"
+        "\r\n"
+        "r := COMBINE (s0,t) (s1,x)\r\n"
+    )
+    assert parse_program(text) == Program(
+        inputs=["x"],
+        statements=[
+            Assign("t", SimpleExpression(Op.ADD, "x", "k")),
+            Combine("r", (("s0", "t"), ("s1", "x"))),
+        ],
+        consts={"k": 3},
+        prime=101,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("prime := ADD x x", "line 4: malformed prime line"),
+        ("input := ADD x x", "line 4: malformed input line"),
+        ("const := ADD x x", "line 4: malformed const line"),
+        ("  r := BOGUS x x  ", "line 4: unknown operation 'BOGUS'"),
+        ("r := ADD x", "line 4: expected '<target> := OP v1 v2'"),
+        ("r ADD x x y", "line 4: expected '<target> := ...'"),
+    ],
+    ids=["prime-target", "input-target", "const-target", "unknown-op", "four-words", "no-assign"],
+)
+def test_parse_errors_keep_their_line_numbers_across_crlf(line, message):
+    """A line shaped like an assignment whose first word is a header keyword
+    is a malformed header, as it was before assignments were read first."""
+    with pytest.raises(FormatError) as e:
+        parse_program(f"# no prime line\r\n\r\n  input x \r\n{line}\r\nt := ADD x x\r\n")
+    assert str(e.value) == message
+
+
 def test_live_statement_indices_drops_dead_code():
     p = prog(
         [

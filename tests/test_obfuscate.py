@@ -944,18 +944,76 @@ def test_large_pool_is_never_scanned(weights):
 
 def test_statement_level_passes_one_pool_without_copying(monkeypatch):
     pools = []
-    real = obfuscate.gen_misleading
+    real = obfuscate._distinct_expressions
 
-    def spy(stmt, cfg, rng, var_pool, *rest):
+    def spy(rng, count, op_choices, var_pool, *rest, **kw):
         pools.append((var_pool, len(var_pool)))
-        return real(stmt, cfg, rng, var_pool, *rest)
+        return real(rng, count, op_choices, var_pool, *rest, **kw)
 
-    monkeypatch.setattr(obfuscate, "gen_misleading", spy)
+    monkeypatch.setattr(obfuscate, "_distinct_expressions", spy)
     program = random_linear_program(random.Random(4), n_statements=5)
     obfuscate_statement_level(program, ObfuscationConfig(fake_vars=("f0",)))
     assert len({id(pool) for pool, _ in pools}) == 1
     # the pool grows by each statement's target after its draw
     assert [size for _, size in pools] == list(range(4, 9))
+
+
+def test_statement_level_validates_the_config_once(monkeypatch):
+    calls = []
+    real = ObfuscationConfig.validate
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(ObfuscationConfig, "validate", counting)
+    program = random_linear_program(random.Random(8), n_statements=25)
+    table = PatternTable()
+    for strategy in STRATEGIES:
+        cfg = ObfuscationConfig(
+            mislead_factor=3, strategy=strategy, pattern_table=table, fake_vars=("f0", "f1")
+        )
+        calls.clear()
+        obfuscate_statement_level(program, cfg)
+        assert calls == [cfg], strategy
+
+
+@hst.composite
+def statement_level_cases(draw):
+    """(source, obfuscation, key): a random linear program under any of the
+    five strategies, k = 2..4, with or without fake combining statements."""
+    seed = draw(hst.integers(0, 2**32 - 1))
+    source = random_linear_program(
+        random.Random(seed),
+        n_statements=draw(hst.integers(1, 6)),
+        n_inputs=draw(hst.integers(1, 3)),
+        n_consts=draw(hst.integers(0, 2)),
+    )
+    table = PatternTable()
+    table.operator_counts.update({"times": 7, "plus": 3, "minus": 2})
+    cfg = ObfuscationConfig(
+        mislead_factor=draw(hst.integers(2, 4)),
+        strategy=draw(hst.sampled_from(STRATEGIES)),
+        pattern_table=table,
+        fake_vars=("f0", "f1", "f2"),
+        fake_combining=draw(hst.sampled_from([0, 1, 3])),
+        seed=seed,
+    )
+    return (source, *obfuscate_statement_level(source, cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(statement_level_cases())
+def test_deobfuscate_inverts_statement_level_obfuscation(case):
+    source, obf, sel_key = case
+    assert normalize(deobfuscate(obf, sel_key)) == normalize(source)
+
+
+@settings(max_examples=40, deadline=None)
+@given(statement_level_cases())
+def test_obfuscated_program_text_reads_back_to_the_program(case):
+    _, obf, _ = case
+    assert parse_program(render_program(obf.program)) == obf.program
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "operand-only", "pattern-aware"])
