@@ -66,7 +66,6 @@ from .obfuscate import (
     ObfuscationConfig,
     deobfuscate,
     eval_encrypted,
-    gen_misleading,
     obfuscate_program_level,
     obfuscate_statement_level,
     read_config,

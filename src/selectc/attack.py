@@ -322,7 +322,7 @@ class _MemberCones:
         self.out_cone = cone(program.output)
         cone_ids: dict[frozenset[int], int] = {}  # cone -> its id, the order of first sight
         # slot -> option -> (cone id, (slot index, source, inlined definition))
-        self.options: list[list[tuple[int, tuple[int, str, Assign | None]]]] = []
+        self.slot_options: list[list[tuple[int, tuple[int, str, Assign | None]]]] = []
         for idx in slots:
             row = []
             for _, src in stmts[idx].options:
@@ -334,7 +334,7 @@ class _MemberCones:
                     keep.add(idx)
                 cone_id = cone_ids.setdefault(frozenset(keep), len(cone_ids))
                 row.append((cone_id, (idx, src, definition)))
-            self.options.append(row)
+            self.slot_options.append(row)
         self.cones = list(cone_ids)  # cone id -> cone
         # cone ids of the chosen options at live slots, in slot order -> what they keep
         self.kept: dict[tuple[int, ...], _Kept] = {}
@@ -359,7 +359,7 @@ class _MemberCones:
             if live >> j & 1:
                 choice = sig[j] = selection[j]
                 if not 0 <= choice < len(reach[j]):
-                    idx = self.options[j][0][1][0]
+                    idx = self.slot_options[j][0][1][0]
                     raise ValueError(f"option index {choice} out of range at statement {idx}")
                 live |= reach[j][choice]
         return tuple(sig)
@@ -427,7 +427,7 @@ class _MemberCones:
         """
         ids = []
         chosen = []
-        for choice, row in zip(sig, self.options):
+        for choice, row in zip(sig, self.slot_options):
             if choice >= 0:
                 cone, option = row[choice]
                 ids.append(cone)

@@ -215,7 +215,7 @@ def write_key_file(path: str, seed: int, sel_key: SelectorKey, prime: int = FIEL
     lines.extend(
         f"const {v} = {signed(val, prime)}" for v, val in sel_key.bindings.items()
     )
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -228,7 +228,7 @@ def read_key_file(path: str, prime: int = FIELD_PRIME) -> tuple[int, SelectorKey
     bits: dict[str, int] = {}
     bindings: dict[str, int] = {}
     seen: dict[tuple[str, str], int] = {}  # (sel or const, name) -> its line
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

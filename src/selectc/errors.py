@@ -32,7 +32,8 @@ class SelectcError(Exception):
 
 @contextmanager
 def in_file(path: str) -> Iterator[None]:
-    """Name path after the message of a SelectcError raised inside.
+    """Name path after the message of a SelectcError raised inside, and
+    turn a UnicodeDecodeError into a FormatError that names it.
 
     The innermost in_file names the file, so an error in a file that
     another file names (a table a config names) names the file it came
@@ -45,6 +46,10 @@ def in_file(path: str) -> Iterator[None]:
             exc.path = path
             exc.args = (f"{exc}, in {path}",)
         raise
+    except UnicodeDecodeError:
+        error = FormatError(f"not UTF-8 text, in {path}")
+        error.path = path
+        raise error from None
 
 
 class ParseError(SelectcError):

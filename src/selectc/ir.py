@@ -33,7 +33,12 @@ from .field import FIELD_PRIME, OP_BY_NAME, OP_NAMES, Op, field_ops, is_prime, p
 _MUL, _ADD = Op.MUL, Op.ADD
 
 
-@dataclass(frozen=True, slots=True)
+# Statement nodes are slotted values, equal and hashed by their fields.
+# Not frozen: a frozen dataclass sets each field through
+# object.__setattr__, and compiling builds about k + 1 nodes per source
+# statement, twice. emit_fold's interning and the attack's line memos
+# rely on nothing writing a node's fields; tests/test_ir_nodes.py checks.
+@dataclass(slots=True, unsafe_hash=True)
 class SimpleExpression:
     """One operation applied to two input variables."""
 
@@ -45,7 +50,7 @@ class SimpleExpression:
         return f"{OP_NAMES[self.op]} {self.in1} {self.in2}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign:
     target: str
     expr: SimpleExpression
@@ -54,7 +59,7 @@ class Assign:
         return f"{self.target} := {self.expr.render()}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Combine:
     """target := sum over options of selector * source.
 

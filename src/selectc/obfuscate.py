@@ -111,20 +111,18 @@ class ObfProgram:
 
 @dataclass
 class MisleadingSet:
-    """Output of gen_misleading for one confidential statement.
+    """Output of _gen_combined for one confidential statement.
 
-    options is the list of k - 1 misleading expressions. Under the
-    combined-temporaries strategy the operands of every option are
-    fresh temporaries defined by the combining statements in prelude,
-    and confidential is the rewritten expression the real option must
-    use; otherwise prelude is empty and confidential is the original
-    expression.
+    options is the list of k - 1 misleading expressions and confidential
+    the rewritten expression the real option must use. Their operands
+    are fresh temporaries defined by the combining statements in
+    prelude, whose selector bits are prelude_bits.
     """
 
     options: list[SimpleExpression]
     confidential: SimpleExpression
-    prelude: list[Statement] = field(default_factory=list)
-    prelude_bits: dict[str, int] = field(default_factory=dict)
+    prelude: list[Statement]
+    prelude_bits: dict[str, int]
 
 
 class _Namer:
@@ -197,53 +195,35 @@ def _distinct_expressions(
             picked.append(SimpleExpression(op_choices[o], var_choices[a], var_choices[b]))
         return picked
     seen = set(forbidden)
-    choice = rng.choice
+    # each unweighted index is drawn as random.Random.choice draws it in
+    # CPython 3.10 to 3.13: getrandbits of the length's bit count until
+    # the value is below the length
+    getrandbits = rng.getrandbits
+    n_ops = len(op_choices)
+    op_bits, var_bits = n_ops.bit_length(), n.bit_length()
     # choices accumulates weights on every call; handing it the sums draws the same
     cum_weights = None if op_weights is None else list(itertools.accumulate(op_weights))
     while len(picked) < count:
         if cum_weights is None:
-            op = choice(op_choices)
+            o = getrandbits(op_bits)
+            while o >= n_ops:
+                o = getrandbits(op_bits)
+            op = op_choices[o]
         else:
             op = rng.choices(op_choices, cum_weights=cum_weights, k=1)[0]
-        in1 = choice(var_choices)
-        in2 = choice(var_choices)
+        a = getrandbits(var_bits)
+        while a >= n:
+            a = getrandbits(var_bits)
+        b = getrandbits(var_bits)
+        while b >= n:
+            b = getrandbits(var_bits)
+        in1, in2 = var_choices[a], var_choices[b]
         key = (OP_NAMES[op], in1, in2)
         if key in seen:
             continue
         seen.add(key)
         picked.append(SimpleExpression(op, in1, in2))
     return picked
-
-
-def gen_misleading(
-    stmt: Assign,
-    cfg: ObfuscationConfig,
-    rng=None,
-    var_pool: list[str] | None = None,
-    fresh: "_Namer | None" = None,
-    sel: "_Namer | None" = None,
-) -> MisleadingSet:
-    """Generate the k - 1 misleading expressions for one statement.
-
-    Every result is type-correct and executable, distinct from the
-    confidential statement and from its siblings. The variable pool
-    defaults to the statement's own operands plus the configured fake
-    variables. This draws what obfuscate_statement_level draws for the
-    statement, which validates cfg and picks the draw once per program.
-    """
-    cfg.validate()
-    if rng is None:
-        rng = spawn(cfg.seed, "options")
-    if var_pool is None:
-        var_pool = list(dict.fromkeys([stmt.expr.in1, stmt.expr.in2, *cfg.fake_vars]))
-    if fresh is None:
-        fresh = _Namer("t", set(var_pool) | {stmt.target})
-    if sel is None:
-        sel = _Namer("s", set())
-    draw = _option_draw(cfg, rng, var_pool, _op_weights(cfg))
-    if draw is None:
-        return _gen_combined(stmt, cfg, rng, var_pool, _positions(var_pool), fresh, sel)
-    return MisleadingSet(options=draw(stmt.expr), confidential=stmt.expr)
 
 
 def _option_draw(
@@ -650,14 +630,14 @@ def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
 def write_obf_program(path: str, obf: ObfProgram) -> None:
     from .ir import render_program
 
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_program(obf.program))
 
 
 def read_obf_program(path: str) -> ObfProgram:
     from .ir import parse_program
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         program = parse_program(fh.read())
     return ObfProgram(program=program, selector_ids=program.selector_ids())
 
@@ -669,7 +649,7 @@ def read_config(path: str) -> ObfuscationConfig:
     pattern_table (path to a mined counts table), seed.
     """
     cfg = ObfuscationConfig()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -5,7 +5,12 @@ reads it. Every case must exit 2 with nothing on stdout and one stderr
 line: the reader's message, then the path of the file it came from.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from selectc.cli import dispatch
 from selectc.obfuscate import read_config
@@ -170,6 +175,18 @@ def test_malformed_file_exits_2_naming_the_file(tmp_path, capsys, kind, text, me
     assert captured.err == f"error: {message}, in {bad}\n"
 
 
+@pytest.mark.parametrize("kind", COMMANDS)
+def test_a_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, kind):
+    paths = {name: write(tmp_path / f"good.{name}", body) for name, body in GOOD.items()}
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(b"# caf\xe9\n")
+    argv = [a.format(bad=bad, out=tmp_path / "out", **paths) for a in COMMANDS[kind]]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not UTF-8 text, in {bad}\n"
+
+
 def test_a_table_a_config_names_is_named_itself(tmp_path, capsys):
     table = write(tmp_path / "bad.table", "operator | plus\n")
     rc, captured, _ = run_kind(tmp_path, capsys, "config", f"pattern_table = {table}\n")
@@ -209,3 +226,99 @@ def test_an_inputs_flag_takes_ascii_integers_only(tmp_path, capsys, inputs, mess
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# ------------------------------------------------- mutated valid files
+
+VALID_SOURCE = "if (y != 0) then r := x * y + 3 else r := x - 1\n"
+VALID_CONFIG = "k = 2\nstrategy = uniform\nfake_vars = f0, f1\nfake_combining = 1\nseed = 5\n"
+
+# file kind -> the commands that read a file of that kind from {bad}
+READERS = {
+    "src": [
+        ["obfuscate", "{bad}", "-o", "{out}.obf", "--key", "{out}.key"],
+        ["metrics", "{bad}", "{obf}", "--samples", "1"],
+        ["attack", "{obf}", "--truth", "{bad}"],
+    ],
+    "obf": [
+        ["run", "{bad}", "--key", "{key}", "--inputs", "x=3,y=1"],
+        ["deobfuscate", "{bad}", "--key", "{key}"],
+        ["attack", "{bad}"],
+        ["metrics", "{src}", "{bad}", "--samples", "1"],
+    ],
+    "key": [
+        ["run", "{obf}", "--key", "{bad}", "--inputs", "x=3,y=1"],
+        ["deobfuscate", "{obf}", "--key", "{bad}"],
+    ],
+    "config": [
+        ["obfuscate", "{src}", "--config", "{bad}", "-o", "{out}.obf", "--key", "{out}.key"],
+    ],
+}
+READ_CASES = [(kind, argv) for kind, commands in READERS.items() for argv in commands]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A surface source, a config, and the .obf and .key obfuscating it makes."""
+    root = tmp_path_factory.mktemp("valid")
+    paths = {
+        "src": write(root / "good.src", VALID_SOURCE),
+        "config": write(root / "good.cfg", VALID_CONFIG),
+        "obf": str(root / "good.obf"),
+        "key": str(root / "good.key"),
+        "out": str(root / "out"),
+    }
+    with redirect_stdout(io.StringIO()):
+        rc = dispatch(
+            ["obfuscate", paths["src"], "--config", paths["config"], "-o", paths["obf"], "--key", paths["key"]]
+        )
+    assert rc == 0
+    return root, paths
+
+
+@hst.composite
+def mutations(draw):
+    """1 to 3 byte edits, each (where as a fraction of the length, edit, byte)."""
+    edit = hst.tuples(
+        hst.floats(0, 1, exclude_max=True),
+        hst.sampled_from(["replace", "insert", "delete"]),
+        hst.one_of(hst.sampled_from(b"0123456789 \n=:(),-#x"), hst.integers(0, 255)),
+    )
+    return draw(hst.lists(edit, min_size=1, max_size=3))
+
+
+def mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for where, edit, byte in edits:
+        i = int(where * len(buf))
+        if edit == "insert":
+            buf.insert(i, byte)
+        elif not buf:
+            continue
+        elif edit == "replace":
+            buf[i] = byte
+        else:
+            del buf[i]
+    return bytes(buf)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hst.sampled_from(READ_CASES), mutations())
+def test_a_mutated_input_file_exits_0_or_2(valid_files, case, edits):
+    """Every command that reads a source, .obf, .key or config file ends
+    with exit 0, or with exit 2 and one error line, whatever few bytes
+    of a valid file change: no traceback and no usage error."""
+    root, paths = valid_files
+    kind, template = case
+    with open(paths[kind], "rb") as fh:
+        data = mutate(fh.read(), edits)
+    bad = root / f"bad.{kind}"
+    bad.write_bytes(data)
+    argv = [a.format(bad=bad, **paths) for a in template]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = dispatch(argv)
+    assert rc in (0, 2), (rc, err.getvalue())
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

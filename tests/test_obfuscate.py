@@ -47,7 +47,6 @@ from selectc.obfuscate import (
     checked_key,
     deobfuscate,
     eval_encrypted,
-    gen_misleading,
     obfuscate_program_level,
     obfuscate_statement_level,
     read_config,
@@ -559,31 +558,42 @@ def test_plain_and_encrypted_runs_agree(case, data):
 
 # ------------------------------------------------------ misleading options
 
-def test_gen_misleading_options_are_distinct():
+def misleading_options(stmt, cfg, rng=None, var_pool=None):
+    """The k - 1 options obfuscate_statement_level draws for stmt under
+    cfg's strategy (not combined-temporaries). The pool defaults to the
+    statement's operands plus cfg's fake variables."""
+    if rng is None:
+        rng = random.Random(cfg.seed)
+    if var_pool is None:
+        var_pool = list(dict.fromkeys([stmt.expr.in1, stmt.expr.in2, *cfg.fake_vars]))
+    cfg.validate()
+    draw = obfuscate._option_draw(cfg, rng, var_pool, obfuscate._op_weights(cfg))
+    return draw(stmt.expr)
+
+
+def test_misleading_options_are_distinct():
     stmt = Assign("r", SimpleExpression(Op.ADD, "x", "y"))
     cfg = ObfuscationConfig(mislead_factor=6, fake_vars=("w", "z"))
-    ms = gen_misleading(stmt, cfg)
-    keys = {(e.op, e.in1, e.in2) for e in ms.options}
+    options = misleading_options(stmt, cfg)
+    keys = {(e.op, e.in1, e.in2) for e in options}
     assert len(keys) == 5
     assert (stmt.expr.op, "x", "y") not in keys
-    assert ms.confidential == stmt.expr
-    assert not ms.prelude
 
 
 def test_operation_only_keeps_operands():
     stmt = Assign("r", SimpleExpression(Op.ADD, "x", "y"))
     cfg = ObfuscationConfig(mislead_factor=4, strategy="operation-only", op_pool=ARITH_OPS)
-    ms = gen_misleading(stmt, cfg)
-    assert all(e.in1 == "x" and e.in2 == "y" for e in ms.options)
-    assert len({e.op for e in ms.options} | {Op.ADD}) == 4
+    options = misleading_options(stmt, cfg)
+    assert all(e.in1 == "x" and e.in2 == "y" for e in options)
+    assert len({e.op for e in options} | {Op.ADD}) == 4
 
 
 def test_operand_only_keeps_operation():
     stmt = Assign("r", SimpleExpression(Op.MUL, "x", "y"))
     cfg = ObfuscationConfig(mislead_factor=3, strategy="operand-only", fake_vars=("w", "z"))
-    ms = gen_misleading(stmt, cfg)
-    assert all(e.op is Op.MUL for e in ms.options)
-    assert all((e.in1, e.in2) != ("x", "y") for e in ms.options)
+    options = misleading_options(stmt, cfg)
+    assert all(e.op is Op.MUL for e in options)
+    assert all((e.in1, e.in2) != ("x", "y") for e in options)
 
 
 def test_operation_only_pool_exhaustion():
@@ -592,7 +602,7 @@ def test_operation_only_pool_exhaustion():
         mislead_factor=3, strategy="operation-only", op_pool=(Op.ADD, Op.SUB)
     )
     with pytest.raises(PoolExhaustedError):
-        gen_misleading(stmt, cfg)
+        misleading_options(stmt, cfg)
 
 
 def test_combined_temporaries_hide_operands_and_operation():
@@ -626,8 +636,7 @@ def test_pattern_aware_prefers_frequent_operations():
     hits = 0
     trials = 300
     for _ in range(trials):
-        ms = gen_misleading(stmt, cfg, rng=rng)
-        hits += sum(e.op is Op.MUL for e in ms.options)
+        hits += sum(e.op is Op.MUL for e in misleading_options(stmt, cfg, rng))
     assert hits / trials > 0.5, "mined frequencies should steer decoy operations"
 
 
@@ -812,7 +821,7 @@ def test_combined_draws_what_the_reference_draws(pool, in1, in2, k, seed):
     stmt = Assign("r", SimpleExpression(Op.MUL, in1, in2))
 
     def library(stmt, cfg, rng, pool, fresh, sel):
-        return gen_misleading(stmt, cfg, rng, pool, fresh, sel)
+        return obfuscate._gen_combined(stmt, cfg, rng, pool, obfuscate._positions(pool), fresh, sel)
 
     assert _combined_outcome(library, seed, stmt, k, pool) == _combined_outcome(
         reference_gen_combined, seed, stmt, k, pool
@@ -1026,7 +1035,7 @@ def test_pool_exhausted_exactly_when_usable_falls_below_count(strategy):
         cfg = ObfuscationConfig(
             mislead_factor=k, strategy=strategy, op_pool=(Op.MUL,), pattern_table=table
         )
-        return gen_misleading(stmt, cfg, random.Random(0), ["x", "y"]).options
+        return misleading_options(stmt, cfg, random.Random(0), ["x", "y"])
 
     assert {(e.in1, e.in2) for e in options(4)} == {("x", "x"), ("y", "x"), ("y", "y")}
     with pytest.raises(PoolExhaustedError, match="need 4 distinct statements but the pool only offers 3"):
