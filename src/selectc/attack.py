@@ -11,7 +11,7 @@ Three attacks are modeled:
   * known-plaintext filtering: keep the candidates that agree with
     observed input/output pairs. Every pair is checked by walking the
     obfuscated program over the selection space, and the survivors are
-    kept as live signatures, so each surviving signature is folded once,
+    kept as live signatures, so each surviving signature is keyed once,
     when it is ranked. The confidential program always survives; the
     attack refuses classes larger than an enumeration cap rather than
     silently truncating.
@@ -53,9 +53,11 @@ from .ir import (
     emit_fold,
     eval_plain,  # not called here; bench/spans.py wraps attack.eval_plain in traced runs
     field_env,
+    fold_maps,
     inline_map,
+    key_line,
+    key_text,
     live_statement_indices,
-    render_key,
     run_statements,
     statement_operands,
     temporary_names,
@@ -101,32 +103,14 @@ class RankedCandidate:
 
 @dataclass(slots=True)
 class RankedMember:
-    """One distinct program of a ranked class, and the selections that fold to it.
+    """One distinct program of a ranked class, and the selections that fold to it:
+    its live signatures (_MemberCones.signature) expanded over their dead slots."""
 
-    signatures are the member's live signatures (see
-    _MemberCones.signature); each stands for the selections it expands
-    to over its dead slots, count in all. programs is None while every
-    signature folds to program's very statements; otherwise it holds
-    each signature's own fold, which names some statement apart.
-    """
-
-    key: str  # canonical_key(program, False)
-    program: Program
+    key: str  # canonical_key(its program, False)
     log_score: float
     count: int  # selections
     signatures: list[tuple[int, ...]]
-    programs: list[Program] | None = None
     prob: float = 0.0  # per selection
-
-    def join(self, signature: tuple[int, ...], count: int, statements: list[Statement]) -> None:
-        """Add a signature whose fold, statements, has this member's key."""
-        own = self.program
-        if self.programs is None and statements != own.statements:
-            self.programs = [own] * len(self.signatures)
-        if self.programs is not None:
-            self.programs.append(Program(own.inputs, statements, own.consts, own.prime))
-        self.signatures.append(signature)
-        self.count += count
 
 
 class Ranking:
@@ -134,36 +118,48 @@ class Ranking:
 
     members holds one RankedMember per distinct program, sorted. As an
     iterable with a length it is the selections, one RankedCandidate
-    each, built on demand: a member's signatures expanded over their
-    dead slots and merged in product order.
+    each, built on demand: a member's signatures folded, expanded over
+    their dead slots and merged in product order.
     """
 
-    __slots__ = ("members", "_ranges", "_ends")
+    __slots__ = ("members", "_cones", "_ranges", "_ends", "_folds")
 
-    def __init__(self, members: list[RankedMember], option_counts: list[int]):
+    def __init__(self, members: list[RankedMember], cd: ClassDescriptor):
         self.members = members
-        self._ranges = [range(n) for n in option_counts]
+        self._cones = cd.cones
+        self._ranges = [range(n) for n in cd.option_counts()]
         self._ends = list(itertools.accumulate(m.count for m in members))  # selections so far
+        self._folds: dict[int, list[Program]] = {}  # member position -> its signatures' programs
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self) -> Iterator[RankedCandidate]:
-        for member in self.members:
+        for i, member in enumerate(self.members):
             score, prob, key = member.log_score, member.prob, member.key
-            for selection, program in self._selections(member):
+            for selection, program in self._selections(i):
                 yield RankedCandidate(selection, program, score, prob, key)
 
-    def _selections(self, member: RankedMember) -> Iterator[tuple[tuple[int, ...], Program]]:
-        """(selection, program) for each of member's selections, in product order."""
+    def _selections(self, i: int) -> Iterator[tuple[tuple[int, ...], Program]]:
+        """(selection, program) for each of member i's selections, in product order.
+
+        Its signatures are folded on its first read, and one whose fold has
+        the first one's very statements shares its Program."""
+        signatures = self.members[i].signatures
+        programs = self._folds.get(i)
+        if programs is None:
+            programs = self._folds[i] = []
+            for sig in signatures:
+                statements = self._cones.fold(sig)
+                same = programs and statements == programs[0].statements
+                programs.append(programs[0] if same else self._cones.member(statements))
         ranges = self._ranges
-        programs = member.programs or itertools.repeat(member.program)
         runs = [
             zip(
                 itertools.product(*[(c,) if c >= 0 else r for c, r in zip(sig, ranges)]),
                 itertools.repeat(program),
             )
-            for sig, program in zip(member.signatures, programs)
+            for sig, program in zip(signatures, programs)
         ]
         if len(runs) == 1:
             return runs[0]
@@ -219,18 +215,14 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
 def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Program:
     """Fold the obfuscated program to one member of its class.
 
-    Emits the member's live statements only (see _MemberCones.fold), as
-    ir.fold_selection does for the same choices, through the same
-    emitter (ir.emit_fold). The choices at dead slots are never read,
-    so selection may be a live signature, with -1 at those slots (see
-    _MemberCones.signature). The members of a class share one copy of
-    its inputs list and consts dict; give a member its own copies
-    before changing them. Ranking folds through _MemberCones.fold_key
-    instead, which also keys the member.
+    Emits the live statements ir.fold_selection emits for the same
+    choices (see _MemberCones.fold). Dead slots are never read, so
+    selection may be a live signature (see _MemberCones.signature). The
+    members of a class share one inputs list and one consts dict; copy
+    them before changing them.
     """
     cones = cd.cones
-    statements, _ = cones.fold(cones.signature(selection))
-    return cones.member(statements)
+    return cones.member(cones.fold(cones.signature(selection)))
 
 
 @dataclass(slots=True)
@@ -239,7 +231,7 @@ class _Kept:
 
     indices: list[int]  # the live statements, in program order
     rename: dict[str, str]  # ir.temporary_names of their targets
-    lines: dict[int, str] | None = None  # render_key's line memo, from the second member on
+    lines: dict[tuple[int, Op, str, str], str] | None = None  # key lines, from the 2nd member
 
 
 class _MemberCones:
@@ -260,7 +252,7 @@ class _MemberCones:
     Options with equal cones share one cone id. The members whose
     chosen options have one tuple of cone ids keep one union of cones,
     so they share one _Kept: its statement indices, the rename map of
-    their targets and a memo of their key lines (see fold_key).
+    their targets and a memo of their key lines (see key_score).
 
     The same pass records what the KPA walk (_consistent_selections)
     runs: each slot's target and sources, and the live assignments in
@@ -280,6 +272,7 @@ class _MemberCones:
         # the interface every member shares, apart from the obfuscated program's own
         self.inputs = list(program.inputs)
         self.consts = dict(program.consts)
+        self.fixed = {*program.inputs, *program.consts}  # the terminals, which keep their names
         defs: dict[str, int] = {}  # assignment target -> its index
         reach: dict[str, int] = {}  # variable -> slots it reads through assignments
         slots: list[int] = []
@@ -400,30 +393,53 @@ class _MemberCones:
             live[j] = live[j + 1] | reach[j][choice]
             j -= 1
 
-    def fold_key(self, sig: tuple[int, ...]) -> tuple[list[Statement], str]:
-        """A live signature's member statements and canonical_key(member, False).
+    def key_score(self, sig: tuple[int, ...], op_scores: dict[Op, float]) -> tuple[str, float]:
+        """canonical_key(member, False) and the score of the live signature's member.
 
-        One pass over sig (see fold); the key renders through the
-        _Kept's rename map, and from the second member that shares it on,
-        through its memo of key lines. Every statement of a member is the
-        obfuscated program's own or interned in resolved, so a statement's
-        identity names one line under one rename map.
+        One walk over its _Kept indices resolves operands as ir.emit_fold
+        does and builds nothing; from the _Kept's second member on, key
+        lines come from its memo.
         """
-        stmts, kept = self.fold(sig)
-        key = render_key(self.program, stmts, False, kept.rename, kept.lines)
-        if kept.lines is None:
+        kept, chosen = self._choose(sig)
+        statements = self.statements
+        subst, inlined = fold_maps(statements, chosen)
+        get = subst.get
+        rename = kept.rename.get
+        lines = kept.lines
+        refs: set[str] = set()
+        add = refs.add
+        body: list[str] = []
+        scores: list[float] = []
+        for idx in kept.indices:
+            definition = inlined.get(idx)
+            expr = statements[idx].expr if definition is None else definition.expr
+            op = expr.op
+            in1 = get(expr.in1, expr.in1)
+            in2 = get(expr.in2, expr.in2)
+            add(in1)
+            add(in2)
+            scores.append(op_scores[op])
+            line = None if lines is None else lines.get((idx, op, in1, in2))
+            if line is None:
+                line = key_line(rename, statements[idx].target, op, in1, in2)
+                if lines is not None:
+                    lines[idx, op, in1, in2] = line
+            body.append(line)
+        if lines is None:
             kept.lines = {}
-        return stmts, key
+        return key_text(self.fixed & refs, body), math.fsum(scores)
 
-    def fold(self, sig: tuple[int, ...]) -> tuple[list[Statement], _Kept]:
-        """The live signature's member: its statements, in program order, and their _Kept.
+    def fold(self, sig: tuple[int, ...]) -> list[Statement]:
+        """The live signature's member statements, in program order (ir.emit_fold),
+        interned in the class's one dict, resolved, whichever members share them."""
+        kept, chosen = self._choose(sig)
+        return emit_fold(self.statements, kept.indices, chosen, self.resolved)
+
+    def _choose(self, sig: tuple[int, ...]) -> tuple[_Kept, list[tuple[int, str, Assign | None]]]:
+        """The live signature's _Kept, made once per tuple of cone ids, and fold choices.
 
         The chosen options at the live slots (sig's choices other than
-        -1) name their cone ids and fold choices in one pass. The union
-        of the output's cone and those cones is taken once per tuple of
-        cone ids, then resolved by ir.emit_fold. Every member interns
-        into the class's one dict (resolved), so each distinct resolved
-        statement is built once, whichever members share it.
+        -1) name their cone ids and fold choices in one pass.
         """
         ids = []
         chosen = []
@@ -436,12 +452,9 @@ class _MemberCones:
         kept = self.kept.get(key)
         if kept is None:
             indices = sorted(self.out_cone.union(*[self.cones[i] for i in key]))
-            program = self.program
-            rename = temporary_names(
-                [self.statements[i] for i in indices], {*program.inputs, *program.consts}
-            )
+            rename = temporary_names([self.statements[i] for i in indices], self.fixed)
             kept = self.kept[key] = _Kept(indices, rename)
-        return emit_fold(self.statements, kept.indices, chosen, self.resolved), kept
+        return kept, chosen
 
     def member(self, statements: list[Statement]) -> Program:
         """The class member with these statements and the class's shared interface."""
@@ -586,19 +599,14 @@ def rank_candidates(
     normalized over the ranked selections. Ties are broken by canonical
     serialization, then by product order, so the order is reproducible.
 
-    The unit of work is the distinct member, not the selection, and the
-    result is a Ranking of RankedMembers whose selections are built
-    only when read. Each live signature, the class's (see
-    _MemberCones.signatures) or the survivors' (as kpa_filter returns
-    them), is folded and keyed in one pass (_MemberCones.fold_key) and
-    scored once. A member holds its live statements only, so its key is
-    rendered without a liveness pass, and members that keep one union
-    of cones share one rename map and one memo of key lines. The score
-    is an fsum, which is correctly rounded, so it depends on the
-    member's operations only; signatures that fold to one key therefore
-    tie on (score, key) and form one member. Members are sorted, and
-    each one's weight is computed once and counted once per selection
-    in the normalizing sum.
+    The unit of work is the distinct member, not the selection. Each
+    live signature, the class's (_MemberCones.signatures) or the
+    survivors', is keyed and scored once, building nothing
+    (_MemberCones.key_score); the Ranking builds selections and programs
+    only when read. The score is an fsum, which is correctly rounded, so
+    signatures that fold to one key tie on (score, key) and form one
+    member. Each member's weight is computed once and counted once per
+    selection in the normalizing sum.
     """
     if survivors is None:
         if cd.class_size > cap:
@@ -609,13 +617,13 @@ def rank_candidates(
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     members: dict[str, RankedMember] = {}  # key -> member
     for sig, count in survivors:
-        stmts, key = cones.fold_key(sig)
+        key, score = cones.key_score(sig, op_scores)
         member = members.get(key)
         if member is None:
-            score = math.fsum([op_scores[st.expr.op] for st in stmts])
-            members[key] = RankedMember(key, cones.member(stmts), score, count, [sig])
+            members[key] = RankedMember(key, score, count, [sig])
         else:
-            member.join(sig, count, stmts)
+            member.signatures.append(sig)
+            member.count += count
     # keys are unique, so by key, then stably by descending score, is by (-score, key)
     order = sorted(members.values(), key=attrgetter("key"))
     order.sort(key=attrgetter("log_score"), reverse=True)
@@ -628,7 +636,7 @@ def rank_candidates(
         )
         for m, w in zip(order, weights):
             m.prob = w / total
-    return Ranking(order, cd.option_counts())
+    return Ranking(order, cd)
 
 
 def _grade(ranked: Ranking, truth: list[Program]) -> tuple[int, float] | None:

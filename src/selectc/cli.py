@@ -25,7 +25,7 @@ from .crypto import enc, dec, keygen, read_key_file, write_key_file
 from .demos import build_l0, build_l1, emit_artifacts
 from .errors import ConfigError, FormatError, SelectcError, format_count, in_file
 from .field import parse_int, signed
-from .ir import Program, parse_program, render_program
+from .ir import Program, parse_program, render_program, unbound_inputs
 from .lower import lower
 from .metrics import measure, render_metrics
 from .obfuscate import (
@@ -121,7 +121,8 @@ def _parse_bindings(text: str) -> dict[str, int]:
     return bindings
 
 
-def _read_pairs(path: str) -> list[tuple[dict[str, int], int]]:
+def _read_pairs(path: str, obf_path: str, inputs: list[str]) -> list[tuple[dict[str, int], int]]:
+    """The pairs in path; each binds exactly inputs, those of the program in obf_path."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -138,6 +139,12 @@ def _read_pairs(path: str) -> list[tuple[dict[str, int], int]]:
                 raise FormatError(f"line {lineno}: output is not an integer") from None
             except FormatError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
+            for name in bindings:
+                if name not in inputs:
+                    raise FormatError(f"line {lineno}: {name!r} is not an input of {obf_path}")
+            missing = [v for v in inputs if v not in bindings]
+            if missing:
+                raise FormatError(f"line {lineno}: {unbound_inputs(missing)}")
             pairs.append((bindings, output))
     if not pairs:
         raise FormatError("no input/output pairs")
@@ -210,7 +217,7 @@ def _cmd_mine(args) -> int:
 
 def _cmd_attack(args) -> int:
     obf = _read(read_obf_program, args.obf)
-    pairs = _read(_read_pairs, args.pairs) if args.pairs else None
+    pairs = _read(_read_pairs, args.pairs, args.obf, obf.program.inputs) if args.pairs else None
     table = _read(read_table, args.table) if args.table else None
     truth = [_read(_load_plain_program, args.truth)] if args.truth else None
     report = run_attack(obf, pairs=pairs, table=table, truth=truth, cap=args.cap)

@@ -36,8 +36,8 @@ _MUL, _ADD = Op.MUL, Op.ADD
 # Statement nodes are slotted values, equal and hashed by their fields.
 # Not frozen: a frozen dataclass sets each field through
 # object.__setattr__, and compiling builds about k + 1 nodes per source
-# statement, twice. emit_fold's interning and the attack's line memos
-# rely on nothing writing a node's fields; tests/test_ir_nodes.py checks.
+# statement, twice. emit_fold's interning relies on nothing writing a
+# node's fields; tests/test_ir_nodes.py checks.
 @dataclass(slots=True, unsafe_hash=True)
 class SimpleExpression:
     """One operation applied to two input variables."""
@@ -391,6 +391,20 @@ def inline_map(program: Program) -> dict[str, Assign]:
     return inline
 
 
+def fold_maps(
+    statements: list[Statement], chosen: Iterable[tuple[int, str, Assign | None]]
+) -> tuple[dict[str, str], dict[int, Assign]]:
+    """emit_fold's substitution map (target -> source) and inline map (index -> definition)."""
+    subst: dict[str, str] = {}
+    inlined: dict[int, Assign] = {}
+    for idx, src, definition in chosen:
+        if definition is None:
+            subst[statements[idx].target] = subst.get(src, src)
+        else:
+            inlined[idx] = definition
+    return subst, inlined
+
+
 def emit_fold(
     statements: list[Statement],
     live: Iterable[int],
@@ -409,13 +423,7 @@ def emit_fold(
     interned dict, whichever folds share it; an inlined definition
     whose operands nothing substitutes keeps its expression object.
     """
-    subst: dict[str, str] = {}
-    inlined: dict[int, Assign] = {}
-    for idx, src, definition in chosen:
-        if definition is None:
-            subst[statements[idx].target] = subst.get(src, src)
-        else:
-            inlined[idx] = definition
+    subst, inlined = fold_maps(statements, chosen)
     get = subst.get
     out: list[Statement] = []
     for idx in live:
@@ -485,7 +493,7 @@ def temporary_names(statements: list[Statement], fixed: set[str]) -> dict[str, s
     """Rename map t0, t1, ... for the targets outside fixed, in statement order.
 
     A name already in fixed is skipped, so no temporary collides with an
-    input or const. This is the renaming normalize and render_key apply.
+    input or const. This is the renaming normalize and canonical_key apply.
     """
     rename: dict[str, str] = {}
     counter = 0
@@ -526,6 +534,16 @@ def normalize(program: Program) -> Program:
     )
 
 
+def key_line(get: Callable[[str, str], str], target: str, op: Op, in1: str, in2: str) -> str:
+    """An assignment's line in a canonical key; get is its rename map's get."""
+    return f"{get(target, target)} := {OP_NAMES[op]} {get(in1, in1)} {get(in2, in2)}"
+
+
+def key_text(terminals: Iterable[str], body: list[str]) -> str:
+    """A canonical key without const values: the terminals read, sorted, then the lines."""
+    return " ; ".join(["in " + ",".join(sorted(terminals)), *body])
+
+
 def canonical_key(program: Program, with_const_values: bool = True) -> str:
     """Stable identity string for program comparisons.
 
@@ -538,61 +556,31 @@ def canonical_key(program: Program, with_const_values: bool = True) -> str:
     side sees the same variables as plain inputs.
     """
     live = [program.statements[i] for i in live_statement_indices(program)]
-    return render_key(program, live, with_const_values)
-
-
-def render_key(
-    program: Program,
-    stmts: list[Statement],
-    with_const_values: bool = True,
-    rename: dict[str, str] | None = None,
-    lines: dict[int, str] | None = None,
-) -> str:
-    """canonical_key of program, given its live statements in order.
-
-    A program whose statements are all live, such as a folded class
-    member, passes its own statements and needs no liveness pass.
-    rename, if given, is temporary_names(stmts, program's inputs and
-    consts), which depends only on the order of stmts' targets. lines,
-    if given, memoizes each assignment's line under that rename, by
-    id(statement): share one memo only among statement lists with one
-    rename map, and only while every statement it names is alive.
-    """
     fixed = {*program.inputs, *program.consts}
-    if rename is None:
-        rename = temporary_names(stmts, fixed)
-    get = rename.get
+    get = temporary_names(live, fixed).get
     refs: set[str] = set()
     add = refs.add
     body: list[str] = []
-    for st in stmts:
+    for st in live:
         if isinstance(st, Assign):
             expr = st.expr
-            in1, in2 = expr.in1, expr.in2
-            add(in1)
-            add(in2)
-            line = None if lines is None else lines.get(id(st))
-            if line is None:
-                target = get(st.target, st.target)
-                line = f"{target} := {OP_NAMES[expr.op]} {get(in1, in1)} {get(in2, in2)}"
-                if lines is not None:
-                    lines[id(st)] = line
+            add(expr.in1)
+            add(expr.in2)
+            body.append(key_line(get, st.target, expr.op, expr.in1, expr.in2))
         else:
             refs.update(src for _, src in st.options)
             opts = " ".join(f"({s},{get(v, v)})" for s, v in st.options)
-            line = f"{get(st.target, st.target)} := COMBINE {opts}"
-        body.append(line)
+            body.append(f"{get(st.target, st.target)} := COMBINE {opts}")
     # renaming never maps onto an input or const, so the terminals are
     # the original reads that are inputs or consts
-    if with_const_values:
-        parts = ["in " + ",".join(sorted(v for v in program.inputs if v in refs))]
-        parts.extend(
-            f"const {v}={signed(program.consts[v], program.prime)}"
-            for v in sorted(program.consts)
-            if v in refs
-        )
-    else:
-        parts = ["in " + ",".join(sorted(fixed & refs))]
+    if not with_const_values:
+        return key_text(fixed & refs, body)
+    parts = ["in " + ",".join(sorted(v for v in program.inputs if v in refs))]
+    parts.extend(
+        f"const {v}={signed(program.consts[v], program.prime)}"
+        for v in sorted(program.consts)
+        if v in refs
+    )
     return " ; ".join(parts + body)
 
 

@@ -363,7 +363,8 @@ def obfuscate_statement_level(
 
     Randomness is split into independent streams per concern, so
     enabling fake combining statements does not change how the real
-    groups come out for the same seed.
+    groups come out for the same seed. The key is one-hot by
+    construction, and checked where it is read, not here.
     """
     cfg.validate()
     _validate_source(program)
@@ -452,9 +453,7 @@ def obfuscate_statement_level(
         prime=program.prime,
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
-    sel_key = SelectorKey(bits=bits, bindings=bindings)
-    checked_key(obf, sel_key)
-    return obf, sel_key
+    return obf, SelectorKey(bits=bits, bindings=bindings)
 
 
 def obfuscate_program_level(
@@ -530,9 +529,7 @@ def obfuscate_program_level(
         prime=programs[0].prime,
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
-    sel_key = SelectorKey(bits=bits, bindings=bindings)
-    checked_key(obf, sel_key)
-    return obf, sel_key
+    return obf, SelectorKey(bits=bits, bindings=bindings)
 
 
 def _prepared_plan(obf: ObfProgram, sel_key: SelectorKey) -> SlotPlan:

@@ -9,13 +9,14 @@ candidate. The library has one fold rule (ir.inline_map and
 ir.emit_fold) and never folds a dead statement: deobfuscate folds one
 selection with one backward liveness walk (ir.fold_selection), and the
 attack folds each member from cones built once per class, interns the
-statements it rewrites, folds and keys each live signature in one
-pass and scores it once, keys members without a liveness pass and
-through key lines memoized per union of cones, sorts and weights each
-distinct member once, finds ranks by bisection and filters by walking
-the obfuscated program once per pair, sharing prefixes between leaves,
-keeping the survivors as live signatures that it folds once each; it
-must agree with these references exactly.
+statements it rewrites, keys and scores each live signature in one
+pass that builds no statement, keys members without a liveness pass
+and through key lines memoized per union of cones, sorts and weights
+each distinct member once, folds a member only when the ranking is
+read, finds ranks by bisection and filters by walking the obfuscated
+program once per pair, sharing prefixes between leaves, keeping the
+survivors as live signatures that it keys once each; it must agree
+with these references exactly.
 """
 
 import functools
@@ -66,8 +67,27 @@ from selectc.patterns import PatternTable
 
 TABLE = PatternTable(operator_counts=Counter({"MUL": 50, "ADD": 30, "SUB": 15, "DIV": 5}))
 
-# the rank path's one fold and key per live signature, which the work-shape guards count
-real_fold_key = attack._MemberCones.fold_key
+# the rank path's one key pass per live signature, and the fold a read of the
+# ranking makes per signature, which the work-shape guards count
+real_key_score = attack._MemberCones.key_score
+real_fold = attack._MemberCones.fold
+
+
+def count_passes(monkeypatch):
+    """Record the signatures key_score and fold are called on, under "key" and "fold"."""
+    calls = {"key": [], "fold": []}
+
+    def keying(cones, sig, op_scores):
+        calls["key"].append(sig)
+        return real_key_score(cones, sig, op_scores)
+
+    def folding(cones, sig):
+        calls["fold"].append(sig)
+        return real_fold(cones, sig)
+
+    monkeypatch.setattr(attack._MemberCones, "key_score", keying)
+    monkeypatch.setattr(attack._MemberCones, "fold", folding)
+    return calls
 
 
 # ------------------------------------------------------------ references
@@ -654,15 +674,15 @@ def test_kpa_refuses_an_oversized_class_before_evaluating(monkeypatch):
 
 def test_rank_refuses_an_oversized_class_before_folding(monkeypatch):
     _, cd, _ = demo_class("l1")
-    monkeypatch.setattr(attack._MemberCones, "fold_key", None)
+    monkeypatch.setattr(attack._MemberCones, "key_score", None)
     with pytest.raises(EnumerationCapError):
         rank_candidates(cd, cap=cd.class_size - 1)
 
 
 def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
-    """The work-shape guard: the walk checks every pair and folds nothing,
-    so ranking folds only the final surviving signatures, once each and
-    in the order kpa_filter keeps them.
+    """The work-shape guard: the walk checks every pair and keys nothing,
+    so ranking keys only the final surviving signatures, once each and
+    in the order kpa_filter keeps them, and folds none of them.
 
     On l1, three pairs from one member. On l0, three small-input runs of
     the confidential program with x = 0, 1, 2: thousands of selections
@@ -680,47 +700,40 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
         sum(n for _, n in kpa_filter(cd, pairs[:1]))
         for cd, pairs in ((l1, l1_pairs), (l0, l0_pairs))
     ]
-    folded = []
-
-    def counting(cones, sig):
-        folded.append(sig)
-        return real_fold_key(cones, sig)
-
-    monkeypatch.setattr(attack._MemberCones, "fold_key", counting)
+    calls = count_passes(monkeypatch)
     survivors = kpa_filter(l1, l1_pairs)
-    assert folded == []
+    assert calls == {"key": [], "fold": []}
     rank_candidates(l1, table=TABLE, survivors=survivors)
-    assert folded == [sig for sig, _ in survivors]
+    assert calls == {"key": [sig for sig, _ in survivors], "fold": []}
     assert 1 <= sum(n for _, n in survivors) <= firsts[0] < l1.class_size // 100
 
-    folded.clear()
+    calls["key"].clear()
     survivors = kpa_filter(l0, l0_pairs)
     ranked = rank_candidates(l0, table=TABLE, survivors=survivors)
-    assert folded == [sig for sig, _ in survivors]
+    assert calls == {"key": [sig for sig, _ in survivors], "fold": []}
     assert 50 <= len(ranked) <= 300 and firsts[1] >= 1_000
     assert canonical_key(demo.program, False) in {m.key for m in ranked.members}
 
 
 def test_kpa_attack_folds_each_surviving_signature_once(monkeypatch):
     """The work-shape guard: on l1, the 25 selections that pass one pair
-    share one live signature, so the KPA attack folds once, not 25 times."""
+    share one live signature, so the KPA attack keys once, not 25 times,
+    and folds only when its ranking is read: once, however often."""
     demo, cd, _ = demo_class("l1")
     pairs = seeded_pairs(cd, 1, seed=7)
-    folded = []
-
-    def counting(cones, sig):
-        folded.append(sig)
-        return real_fold_key(cones, sig)
-
-    monkeypatch.setattr(attack._MemberCones, "fold_key", counting)
+    calls = count_passes(monkeypatch)
     report = run_attack(demo.obf, pairs=pairs, table=TABLE)
-    assert len(folded) == 1
+    assert len(calls["key"]) == 1 and calls["fold"] == []
     assert report.survivors == report.enumerated == len(report.ranked) == 25
+    assert len(list(report.ranked)) == len(list(report.ranked)) == 25
+    assert calls["fold"] == calls["key"]
 
 
 @pytest.mark.parametrize("level, folds", [("l0", 12_500), ("l1", 1_861)])
 def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
-    """The work-shape guard: one fold per live signature, not per selection.
+    """The work-shape guard: one key pass per live signature, not per
+    selection, and no fold until the ranking is read, then one per
+    signature, however often it is read.
 
     In l1 a choice in a slot that later choices leave dead changes
     nothing, so its 15,625 selections have 1,861 live signatures; in l0
@@ -728,46 +741,38 @@ def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     programs coincide.
     """
     demo, cd, _ = demo_class(level)
-    folded = []
-
-    def counting(cones, sig):
-        folded.append(sig)
-        return real_fold_key(cones, sig)
-
-    monkeypatch.setattr(attack._MemberCones, "fold_key", counting)
+    calls = count_passes(monkeypatch)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
-    assert len(folded) == folds
+    assert len(calls["key"]) == folds and calls["fold"] == []
     assert report.enumerated == cd.class_size
     assert report.distinct_programs == folds
     assert len({rc.key for rc in report.ranked}) == folds
     assert len({id(rc.program) for rc in report.ranked}) == folds
+    assert sorted(calls["fold"]) == sorted(calls["key"])
 
 
 def test_rank_only_builds_nothing_per_selection(monkeypatch):
     """The work-shape guard: rank-only ranking walks live signatures, so
-    l1's 15,625 selections cost 1,861 folds, one member each, and no
-    RankedCandidate until the ranking is read."""
+    l1's 15,625 selections cost 1,861 key passes, one member each, and
+    no fold and no RankedCandidate until the ranking is read. Printing
+    the top 10 folds at most the 10 signatures behind them."""
     demo, cd, _ = demo_class("l1")
-    folded = []
+    calls = count_passes(monkeypatch)
     built = []
     real_candidate = attack.RankedCandidate
-
-    def counting_fold(cones, sig):
-        folded.append(sig)
-        return real_fold_key(cones, sig)
 
     def counting_candidate(*args):
         built.append(args[0])
         return real_candidate(*args)
 
-    monkeypatch.setattr(attack._MemberCones, "fold_key", counting_fold)
     monkeypatch.setattr(attack, "RankedCandidate", counting_candidate)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
-    assert built == []
-    assert len(folded) == 1_861
+    assert built == [] and calls["fold"] == []
+    assert len(calls["key"]) == 1_861
     assert sum(m.count for m in report.ranked.members) == report.enumerated == 15_625
     render_attack_report(report, top=10)
     assert len(built) == 10
+    assert 1 <= len(calls["fold"]) <= 10
 
 
 def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
@@ -789,34 +794,45 @@ def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
 
 
 def test_rank_only_builds_each_resolved_statement_once(monkeypatch):
-    """The work-shape guard: a member reuses the obfuscated program's
-    untouched statements and the class's interned resolved ones, so a
-    rank-only l0 attack builds each distinct resolved statement once:
-    105 in all, where building one per rewritten statement of every
-    member would make 37,500."""
-    demo, cd, members = demo_class("l0")
+    """The work-shape guard: ranking builds no Assign and no Program; a
+    member is folded when the ranking is read. Then it reuses the
+    obfuscated program's untouched statements and the class's interned
+    resolved ones, so reading a rank-only l0 ranking builds each
+    distinct resolved statement once: 105 in all, where building one per
+    rewritten statement of every member would make 37,500."""
+    demo, _, members = demo_class("l0")
+    cd = extract_class(demo.obf)
+    cd.cones  # its KPA segments are Programs, built once per class
     own = set(cd.obf.program.statements)
     resolved = {st for _, program in members for st in program.statements} - own
-    built = []
-    real = Assign.__init__
+    built = {Assign: 0, Program: 0}
 
-    def counting(self, target, expr):
-        built.append(target)
-        real(self, target, expr)
+    def counting(cls):
+        real = cls.__init__
 
-    monkeypatch.setattr(Assign, "__init__", counting)
-    report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
-    assert report.enumerated == cd.class_size == 12_500
-    assert len(built) == len(resolved) == 105
+        def init(self, *args, **kwargs):
+            built[cls] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(Assign)
+    counting(Program)
+    ranked = rank_candidates(cd, table=TABLE)
+    assert len(ranked) == cd.class_size == 12_500
+    assert built == {Assign: 0, Program: 0}
+    assert len({rc.key for rc in ranked}) == 12_500
+    assert built == {Assign: len(resolved), Program: 12_500}
+    assert len(resolved) == 105
 
 
 def test_rank_only_formats_each_key_line_once(monkeypatch):
     """The work-shape guard: the 12,500 members of l0 keep one union of
     cones, so they share one rename map, and from the second member on
     their 75,000 key lines come from one memo. Each of the 108 distinct
-    statements is formatted once, and the first member's 6 once more,
-    before the memo exists. Formatting an assignment's line looks its
-    operation up in ir.OP_NAMES, once per line formatted."""
+    lines is formatted once, and the first member's 6 once more, before
+    the memo exists. Formatting a line looks its operation up in
+    ir.OP_NAMES, once per line formatted."""
     demo, _, _ = demo_class("l0")
     cd = extract_class(demo.obf)
     formatted = []
@@ -829,8 +845,8 @@ def test_rank_only_formats_each_key_line_once(monkeypatch):
     monkeypatch.setattr(ir, "OP_NAMES", Counting(ir.OP_NAMES))
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == 12_500
-    assert sum(len(m.program.statements) for m in ranked.members) == 75_000
     [kept] = cd.cones.kept.values()
+    assert len(kept.indices) * len(ranked.members) == 75_000
     assert len(kept.lines) == 108
     assert len(formatted) == 108 + 6
 

@@ -228,6 +228,29 @@ def test_an_inputs_flag_takes_ascii_integers_only(tmp_path, capsys, inputs, mess
     assert captured.err == f"error: {message}\n"
 
 
+# an obfuscated program with an input bound by its key, as a pairs file must bind it
+KEYED_OBF = "input x\ninput k0\nt := ADD x k0\nu := MUL x x\nr := COMBINE (s0,t) (s1,u)\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x=3,k0=1,typo=5 => 4\n", "line 1: 'typo' is not an input of {obf}"),
+        ("x=3,k0=1 => 4\n# the key-bound input left out\nx=3 => 9\n",
+         "line 3: unbound input variable(s): k0"),
+    ],
+    ids=["unknown-name", "unbound-input"],
+)
+def test_a_pair_binds_exactly_the_inputs_of_the_attacked_program(tmp_path, capsys, text, message):
+    """attack --pairs checks names as run --inputs does, naming the pairs file and line."""
+    obf = write(tmp_path / "keyed.obf", KEYED_OBF)
+    pairs = write(tmp_path / "runs.pairs", text)
+    assert dispatch(["attack", obf, "--pairs", pairs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(obf=obf)}, in {pairs}\n"
+
+
 # ------------------------------------------------- mutated valid files
 
 VALID_SOURCE = "if (y != 0) then r := x * y + 3 else r := x - 1\n"

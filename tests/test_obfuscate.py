@@ -556,6 +556,19 @@ def test_plain_and_encrypted_runs_agree(case, data):
             run_encrypted(obf, bad, inputs)
 
 
+@settings(max_examples=60, deadline=None)
+@given(obfuscations())
+def test_every_emitted_key_is_one_hot(case):
+    """The obfuscators build a one-hot key and do not check it
+    themselves: under all five strategies and program-level
+    obfuscation, checked_key and compile_plan accept the key emitted,
+    which binds exactly the program's selectors."""
+    _, obf, sel_key, _ = case
+    assert set(sel_key.bits) == set(obf.program.selector_ids())
+    assert sorted(checked_key(obf, sel_key)) == [idx for idx, _ in obf.combines()]
+    compile_plan(obf.program, sel_key.bits)
+
+
 # ------------------------------------------------------ misleading options
 
 def misleading_options(stmt, cfg, rng=None, var_pool=None):
