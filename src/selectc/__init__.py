@@ -28,8 +28,6 @@ from .crypto import (
     SelectorKey,
     dec,
     enc,
-    enc_many,
-    he_op,
     keygen,
     read_key_file,
     write_key_file,

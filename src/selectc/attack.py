@@ -44,10 +44,8 @@ from typing import Iterator
 from .errors import ConfigError, EnumerationCapError
 from .field import OP_NAMES, Op, field_ops
 from .ir import (
-    Assign,
-    Combine,
+    Chosen,
     Program,
-    Statement,
     canonical_key,
     check_single_assignment,
     emit_fold,
@@ -59,7 +57,7 @@ from .ir import (
     key_text,
     live_statement_indices,
     run_statements,
-    statement_operands,
+    sources,
     temporary_names,
 )
 from .obfuscate import ObfProgram
@@ -74,10 +72,10 @@ class ClassDescriptor:
 
     obf: ObfProgram
     combine_indices: list[int]
-    options: list[tuple[tuple[str, str], ...]]
+    options: list[tuple[str, ...]]  # each live combining statement's sources, in option order
     class_size: int
     live_indices: list[int]
-    inline: dict[str, Assign]  # ir.inline_map of the obfuscated program
+    inline: dict[str, int]  # ir.inline_map of the obfuscated program
 
     def option_counts(self) -> list[int]:
         return [len(opts) for opts in self.options]
@@ -144,15 +142,15 @@ class Ranking:
         """(selection, program) for each of member i's selections, in product order.
 
         Its signatures are folded on its first read, and one whose fold has
-        the first one's very statements shares its Program."""
+        the first one's very columns shares its Program."""
         signatures = self.members[i].signatures
         programs = self._folds.get(i)
         if programs is None:
             programs = self._folds[i] = []
             for sig in signatures:
-                statements = self._cones.fold(sig)
-                same = programs and statements == programs[0].statements
-                programs.append(programs[0] if same else self._cones.member(statements))
+                program = self._cones.member(self._cones.fold(sig))
+                same = programs and program.columns == programs[0].columns
+                programs.append(programs[0] if same else program)
         ranges = self._ranges
         runs = [
             zip(
@@ -189,16 +187,17 @@ def extract_class(obf: ObfProgram) -> ClassDescriptor:
     member cannot be folded (see ir.inline_map), whichever members an
     attack goes on to fold.
     """
-    check_single_assignment(obf.program)
-    inline = inline_map(obf.program)
-    live_indices = live_statement_indices(obf.program)
+    program = obf.program
+    check_single_assignment(program)
+    inline = inline_map(program)
+    live_indices = live_statement_indices(program)
     live = set(live_indices)
     combine_indices: list[int] = []
-    options: list[tuple[tuple[str, str], ...]] = []
-    for idx, st in obf.combines():
+    options: list[tuple[str, ...]] = []
+    for idx, entry in program.combines.items():
         if idx in live:
             combine_indices.append(idx)
-            options.append(st.options)
+            options.append(sources(entry))
     size = 1
     for opts in options:
         size *= len(opts)
@@ -225,15 +224,6 @@ def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Progra
     return cones.member(cones.fold(cones.signature(selection)))
 
 
-@dataclass(slots=True)
-class _Kept:
-    """What the members whose chosen options keep one union of cones share."""
-
-    indices: list[int]  # the live statements, in program order
-    rename: dict[str, str]  # ir.temporary_names of their targets
-    lines: dict[tuple[int, Op, str, str], str] | None = None  # key lines, from the 2nd member
-
-
 class _MemberCones:
     """What each choice keeps live, built once per class on first use.
 
@@ -251,8 +241,9 @@ class _MemberCones:
 
     Options with equal cones share one cone id. The members whose
     chosen options have one tuple of cone ids keep one union of cones,
-    so they share one _Kept: its statement indices, the rename map of
-    their targets and a memo of their key lines (see key_score).
+    so they share its statement indices (kept), and while a class is
+    ranked, the rename map of their targets and a memo of their key
+    lines (see key_score).
 
     The same pass records what the KPA walk (_consistent_selections)
     runs: each slot's target and sources, and the live assignments in
@@ -268,7 +259,8 @@ class _MemberCones:
 
     def __init__(self, cd: ClassDescriptor):
         program = self.program = cd.obf.program
-        stmts = self.statements = program.statements
+        ops, in1, in2, targets = self.columns = program.columns
+        combines = program.combines
         # the interface every member shares, apart from the obfuscated program's own
         self.inputs = list(program.inputs)
         self.consts = dict(program.consts)
@@ -278,25 +270,38 @@ class _MemberCones:
         slots: list[int] = []
         self.reach: list[list[int]] = []  # slot -> option -> slots its source reads
         self.targets: list[str] = []  # slot -> its target
-        self.sources: list[list[str]] = []  # slot -> option -> source variable
-        segments: list[list[Statement]] = [[]]
+        self.sources: list[tuple[str, ...]] = []  # slot -> option -> source variable
+        segments: list[list[int]] = [[]]
         for idx in cd.live_indices:
-            st = stmts[idx]
-            if isinstance(st, Combine):
-                sources = [src for _, src in st.options]
-                self.reach.append([reach.get(src, 0) for src in sources])
-                reach[st.target] = 1 << len(slots)
+            target = targets[idx]
+            if ops[idx] is None:
+                srcs = sources(combines[idx])
+                self.reach.append([reach.get(src, 0) for src in srcs])
+                reach[target] = 1 << len(slots)
                 slots.append(idx)
-                self.targets.append(st.target)
-                self.sources.append(sources)
+                self.targets.append(target)
+                self.sources.append(srcs)
                 segments.append([])
             else:
-                defs[st.target] = idx
-                mask = reach[st.target] = reach.get(st.expr.in1, 0) | reach.get(st.expr.in2, 0)
-                segments[-1 if mask else 0].append(st)
-        # the KPA walk's segments, None where empty (see _consistent_selections)
+                defs[target] = idx
+                mask = reach[target] = reach.get(in1[idx], 0) | reach.get(in2[idx], 0)
+                segments[-1 if mask else 0].append(idx)
+        # the KPA walk's segments, None where empty (see _consistent_selections);
+        # a segment of consecutive statements, such as a program-level class's
+        # segment 0, is a slice of each column
         self.segments = [
-            Program(inputs=[], statements=seg, prime=program.prime) if seg else None
+            Program.from_columns(
+                [],
+                *(
+                    column[seg[0] : seg[-1] + 1]
+                    if seg[-1] - seg[0] + 1 == len(seg)
+                    else tuple(map(column.__getitem__, seg))
+                    for column in self.columns
+                ),
+                prime=program.prime,
+            )
+            if seg
+            else None
             for seg in segments
         ]
 
@@ -307,32 +312,30 @@ class _MemberCones:
                 idx = defs.get(stack.pop())
                 if idx is not None and idx not in keep:
                     keep.add(idx)
-                    expr = stmts[idx].expr
-                    stack += (expr.in1, expr.in2)
+                    stack += (in1[idx], in2[idx])
             return keep
 
         self.out = reach.get(program.output, 0)
         self.out_cone = cone(program.output)
         cone_ids: dict[frozenset[int], int] = {}  # cone -> its id, the order of first sight
-        # slot -> option -> (cone id, (slot index, source, inlined definition))
-        self.slot_options: list[list[tuple[int, tuple[int, str, Assign | None]]]] = []
+        # slot -> option -> (cone id, its fold choice)
+        self.slot_options: list[list[tuple[int, Chosen]]] = []
         for idx in slots:
             row = []
-            for _, src in stmts[idx].options:
+            for src in sources(combines[idx]):
                 definition = cd.inline.get(src)
                 if definition is None:
                     keep = cone(src)
                 else:
-                    keep = cone(definition.expr.in1, definition.expr.in2)
+                    keep = cone(in1[definition], in2[definition])
                     keep.add(idx)
                 cone_id = cone_ids.setdefault(frozenset(keep), len(cone_ids))
                 row.append((cone_id, (idx, src, definition)))
             self.slot_options.append(row)
         self.cones = list(cone_ids)  # cone id -> cone
-        # cone ids of the chosen options at live slots, in slot order -> what they keep
-        self.kept: dict[tuple[int, ...], _Kept] = {}
-        # (target, op, in1, in2) -> the one Assign emit_fold builds for it
-        self.resolved: dict[tuple[str, Op, str, str], Assign] = {}
+        # cone ids of the chosen options at live slots, in slot order -> the live
+        # statements of their union of cones, in program order
+        self.kept: dict[tuple[int, ...], list[int]] = {}
 
     def signature(self, selection: tuple[int, ...]) -> tuple[int, ...]:
         """The selection's live signature.
@@ -393,50 +396,53 @@ class _MemberCones:
             live[j] = live[j + 1] | reach[j][choice]
             j -= 1
 
-    def key_score(self, sig: tuple[int, ...], op_scores: dict[Op, float]) -> tuple[str, float]:
+    def key_score(
+        self, sig: tuple[int, ...], op_scores: dict[Op, float], memo: dict[tuple[int, ...], tuple]
+    ) -> tuple[str, float]:
         """canonical_key(member, False) and the score of the live signature's member.
 
-        One walk over its _Kept indices resolves operands as ir.emit_fold
-        does and builds nothing; from the _Kept's second member on, key
-        lines come from its memo.
+        One walk over its kept indices resolves operands as ir.emit_fold
+        does and builds nothing. memo is the ranking's: per tuple of cone
+        ids, the rename map of its targets and, from its second member
+        on, its key lines, so the memo goes when the ranking returns.
         """
-        kept, chosen = self._choose(sig)
-        statements = self.statements
-        subst, inlined = fold_maps(statements, chosen)
+        key, indices, chosen = self._choose(sig)
+        ops, in1, in2, targets = self.columns
+        subst, inlined = fold_maps(targets, chosen)
         get = subst.get
-        rename = kept.rename.get
-        lines = kept.lines
+        rename, lines = memo.get(key) or (None, None)
+        if rename is None:
+            rename = temporary_names(map(targets.__getitem__, indices), self.fixed).get
         refs: set[str] = set()
         add = refs.add
         body: list[str] = []
         scores: list[float] = []
-        for idx in kept.indices:
-            definition = inlined.get(idx)
-            expr = statements[idx].expr if definition is None else definition.expr
-            op = expr.op
-            in1 = get(expr.in1, expr.in1)
-            in2 = get(expr.in2, expr.in2)
-            add(in1)
-            add(in2)
+        for idx in indices:
+            source = inlined.get(idx, idx)
+            op = ops[source]
+            a = get(in1[source], in1[source])
+            b = get(in2[source], in2[source])
+            add(a)
+            add(b)
             scores.append(op_scores[op])
-            line = None if lines is None else lines.get((idx, op, in1, in2))
+            line = None if lines is None else lines.get((idx, op, a, b))
             if line is None:
-                line = key_line(rename, statements[idx].target, op, in1, in2)
+                line = key_line(rename, targets[idx], op, a, b)
                 if lines is not None:
-                    lines[idx, op, in1, in2] = line
+                    lines[idx, op, a, b] = line
             body.append(line)
         if lines is None:
-            kept.lines = {}
+            memo[key] = (rename, {})
         return key_text(self.fixed & refs, body), math.fsum(scores)
 
-    def fold(self, sig: tuple[int, ...]) -> list[Statement]:
-        """The live signature's member statements, in program order (ir.emit_fold),
-        interned in the class's one dict, resolved, whichever members share them."""
-        kept, chosen = self._choose(sig)
-        return emit_fold(self.statements, kept.indices, chosen, self.resolved)
+    def fold(self, sig: tuple[int, ...]) -> tuple[list[Op], list[str], list[str], list[str]]:
+        """The columns of the live signature's member, in program order (ir.emit_fold)."""
+        _, indices, chosen = self._choose(sig)
+        return emit_fold(self.program, indices, chosen)
 
-    def _choose(self, sig: tuple[int, ...]) -> tuple[_Kept, list[tuple[int, str, Assign | None]]]:
-        """The live signature's _Kept, made once per tuple of cone ids, and fold choices.
+    def _choose(self, sig: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[Chosen]]:
+        """The live signature's cone ids, their kept indices (made once per
+        tuple of cone ids) and its fold choices.
 
         The chosen options at the live slots (sig's choices other than
         -1) name their cone ids and fold choices in one pass.
@@ -449,16 +455,16 @@ class _MemberCones:
                 ids.append(cone)
                 chosen.append(option)
         key = tuple(ids)
-        kept = self.kept.get(key)
-        if kept is None:
-            indices = sorted(self.out_cone.union(*[self.cones[i] for i in key]))
-            rename = temporary_names([self.statements[i] for i in indices], self.fixed)
-            kept = self.kept[key] = _Kept(indices, rename)
-        return kept, chosen
+        indices = self.kept.get(key)
+        if indices is None:
+            indices = self.kept[key] = sorted(self.out_cone.union(*[self.cones[i] for i in key]))
+        return key, indices, chosen
 
-    def member(self, statements: list[Statement]) -> Program:
-        """The class member with these statements and the class's shared interface."""
-        return Program(self.inputs, statements, self.consts, self.program.prime)
+    def member(self, columns: tuple[list, list, list, list]) -> Program:
+        """The class member with these columns and the class's shared interface."""
+        return Program.from_columns(
+            self.inputs, *columns, consts=self.consts, prime=self.program.prime
+        )
 
 
 def kpa_filter(
@@ -517,6 +523,7 @@ def _consistent_selections(
     cones = cd.cones
     targets, sources, runs = cones.targets, cones.sources, cones.segments
     ops = field_ops(program.prime)
+    no_bits: dict[str, int] = {}  # segments hold no combining statement
     out = program.output
     last = len(targets)
     env, *later = envs
@@ -530,18 +537,18 @@ def _consistent_selections(
         later_env = later[j]
         d = depth[j]
         if d < 0:
-            if runs[0]:
-                run_statements(runs[0], later_env, {}, ops)
+            if runs[0] is not None:
+                run_statements(runs[0], later_env, no_bits, ops)
             d = 0
         for k in range(d, last):
             later_env[targets[k]] = later_env[sources[k][choice[k]]]
-            if runs[k + 1]:
-                run_statements(runs[k + 1], later_env, {}, ops)
+            if runs[k + 1] is not None:
+                run_statements(runs[k + 1], later_env, no_bits, ops)
         depth[j] = last
         return later_env[out] == later_wants[j]
 
-    if runs[0]:
-        run_statements(runs[0], env, {}, ops)
+    if runs[0] is not None:
+        run_statements(runs[0], env, no_bits, ops)
     i = 0  # the slot whose next option the walk takes
     while i >= 0:
         if i == last:
@@ -554,17 +561,20 @@ def _consistent_selections(
                     yield tuple(choice)
             i -= 1
             continue
-        choice[i] += 1
-        if choice[i] == len(sources[i]):
+        options = sources[i]
+        c = choice[i] + 1
+        if c == len(options):
             choice[i] = -1
             i -= 1
             continue
+        choice[i] = c
         if i < low:
             low = i
-        env[targets[i]] = env[sources[i][choice[i]]]
-        if runs[i + 1]:
-            run_statements(runs[i + 1], env, {}, ops)
+        env[targets[i]] = env[options[c]]
         i += 1
+        segment = runs[i]
+        if segment is not None:
+            run_statements(segment, env, no_bits, ops)
 
 
 def _statement_log_scores(table) -> dict[str, float]:
@@ -616,8 +626,9 @@ def rank_candidates(
     scores = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     members: dict[str, RankedMember] = {}  # key -> member
+    memo: dict[tuple[int, ...], tuple] = {}  # see _MemberCones.key_score
     for sig, count in survivors:
-        key, score = cones.key_score(sig, op_scores)
+        key, score = cones.key_score(sig, op_scores, memo)
         member = members.get(key)
         if member is None:
             members[key] = RankedMember(key, score, count, [sig])
@@ -667,7 +678,7 @@ def _unmatched_truth(cd: ClassDescriptor, truth: list[Program], filtered: bool) 
     for p in truth:
         terminals = {*p.inputs, *p.consts}
         for idx in live_statement_indices(p):
-            reads.update(v for v in statement_operands(p.statements[idx]) if v in terminals)
+            reads.update(v for v in p.operands(idx) if v in terminals)
     missing = sorted(reads - have)
     if missing:
         extra = sorted(have - reads)

@@ -161,7 +161,7 @@ def _cmd_obfuscate(args) -> int:
     write_obf_program(args.output, obf)
     write_key_file(args.key, cfg.seed, sel_key, program.prime)
     cd = extract_class(obf)
-    print(f"statements | {len(obf.program.statements)}")
+    print(f"statements | {len(obf.program)}")
     print(f"class_size | {format_count(cd.class_size)}")
     print(f"wrote | {args.output}")
     print(f"wrote | {args.key}")

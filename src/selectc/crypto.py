@@ -10,10 +10,9 @@ exact and experiments over thousands of runs stay cheap.
 Each key builds its mint path once: one mint function and one plan
 runner, both closing over the key's store and handle stream; the runner
 also holds the field table of the key's prime. mint draws a handle per
-value into a table it is given: enc, enc_many and he_op give it the
-store. run_plan runs an ir.SlotPlan, a program compiled to register
-slots whose operations sit in one flat list, against a table local to
-the run: it mints the bound values and the selector bits into that
+value into a table it is given: enc gives it the store. run_plan runs
+an ir.SlotPlan, a program compiled to register slots whose operations
+sit in one flat list, against a table local to the run: it mints the bound values and the selector bits into that
 table through mint, reads each caller input from the store once, and
 then, in one loop, computes each operation and mints its result into
 the table. Only the output handle goes into the store, so a run
@@ -36,7 +35,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import ForeignCiphertextError, FormatError, UnboundVariableError
-from .field import FIELD_PRIME, Op, field_ops, parse_int, signed
+from .field import FIELD_PRIME, field_ops, parse_int, signed
 from .ir import SlotPlan, unbound_inputs
 
 
@@ -146,27 +145,11 @@ def enc(key: SecretKey, value: int) -> Ciphertext:
     return Ciphertext(key._mint((value,), key._store)[0])
 
 
-def enc_many(key: SecretKey, values: Iterable[int]) -> list[Ciphertext]:
-    """enc of each value in turn, in one call."""
-    return [Ciphertext(h) for h in key._mint(values, key._store)]
-
-
 def dec(key: SecretKey, ct: Ciphertext) -> int:
     try:
         return key._store[ct.handle]
     except KeyError:
         raise _foreign(ct) from None
-
-
-def he_op(key: SecretKey, op: Op, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    """Ciphertext of op applied to c1 and c2; minted like enc."""
-    store = key._store
-    try:
-        a = store[c1.handle]
-        b = store[c2.handle]
-    except KeyError:
-        raise _foreign(c2 if c1.handle in store else c1) from None
-    return enc(key, field_ops(key.prime)[op](a, b))
 
 
 def run_plan(
@@ -185,10 +168,11 @@ def run_plan(
     (variable name -> plaintext) fills the registers of the variables it
     names, then env (variable name -> ciphertext) does, each of its
     handles looked up in the store once; a program input neither names
-    raises UnboundVariableError. Each operation then does what he_op
-    does, in plan order: an operand no earlier operation, bound or env
-    set raises UnboundVariableError naming its variable, and one minted
-    under another key raises ForeignCiphertextError naming its handle.
+    raises UnboundVariableError. Each operation then computes its field
+    operation on its operands' plaintexts and mints the result, in plan
+    order: an operand no earlier operation, bound or env set raises
+    UnboundVariableError naming its variable, and one minted under
+    another key raises ForeignCiphertextError naming its handle.
     Only the output handle goes into the store; the table, and with it
     every other handle of the run, is dropped on return or error.
     """

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .field import ALL_OPS, FIELD_PRIME, Op
-from .ir import Assign, Program, SimpleExpression
+from .ir import Program
 from .surface import (
     AssignStmt,
     Binary,
@@ -174,17 +174,18 @@ def random_linear_program(
     inputs = [f"x{i}" for i in range(n_inputs)]
     consts = {f"k{i}": rng.randrange(prime) for i in range(n_consts)}
     available = inputs + sorted(consts)
-    statements: list[Assign] = []
+    drawn_ops, in1, in2, targets = [], [], [], []
     for i in range(n_statements):
         target = f"t{i}"
         operands = [rng.choice(available), rng.choice(available)]
         if i > 0:
             operands[rng.randrange(2)] = f"t{i - 1}"
-        statements.append(
-            Assign(target, SimpleExpression(rng.choice(ops), *operands))
-        )
+        drawn_ops.append(rng.choice(ops))
+        in1.append(operands[0])
+        in2.append(operands[1])
+        targets.append(target)
         available.append(target)
-    return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)
+    return Program.from_columns(inputs, drawn_ops, in1, in2, targets, consts=consts, prime=prime)
 
 
 def random_inputs(

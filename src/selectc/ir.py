@@ -15,14 +15,21 @@ them. The program's output is the target of its last statement.
 Integer literals never appear in statements. They are hoisted into
 const variables whose bindings travel with the program, so the
 statement stream itself is uniform: every operand is a variable.
+
+A Program stores its statements as quadruples (Aho, Lam, Sethi &
+Ullman, Compilers, 2nd ed., section 6.2): four parallel columns, and
+a side table for the combining statements. Assign, SimpleExpression
+and Combine are a node view of one statement, for building programs
+by hand and for reading them in tests; the pipeline reads the columns.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain, count
 from typing import Any
 
 from .errors import FormatError, KeyMismatchError, UnboundVariableError
@@ -35,9 +42,8 @@ _MUL, _ADD = Op.MUL, Op.ADD
 
 # Statement nodes are slotted values, equal and hashed by their fields.
 # Not frozen: a frozen dataclass sets each field through
-# object.__setattr__, and compiling builds about k + 1 nodes per source
-# statement, twice. emit_fold's interning relies on nothing writing a
-# node's fields; tests/test_ir_nodes.py checks.
+# object.__setattr__. tests/test_ir_nodes.py checks that nothing writes
+# a node's fields.
 @dataclass(slots=True, unsafe_hash=True)
 class SimpleExpression:
     """One operation applied to two input variables."""
@@ -83,11 +89,34 @@ class Combine:
 
 
 Statement = Assign | Combine
+# A combining statement's entry in Program.combines: its k selectors,
+# then its k sources, in option order. One flat tuple is one object for
+# the cyclic GC to count per statement, where a pair of tuples is three.
+Options = tuple[str, ...]
 
 
-@dataclass(slots=True)
+def selectors(options: Options) -> tuple[str, ...]:
+    """The selectors of a combining statement's Program.combines entry."""
+    return options[: len(options) >> 1]
+
+
+def sources(options: Options) -> tuple[str, ...]:
+    """The sources of a combining statement's Program.combines entry."""
+    return options[len(options) >> 1 :]
+
+
+@dataclass(slots=True, init=False)
 class Program:
-    """Ordered statements plus the interface they run against.
+    """Statements as quadruple columns plus the interface they run against.
+
+    columns is (ops, in1, in2, targets), four tuples with one entry per
+    statement. Statement i assigns targets[i] := ops[i] in1[i] in2[i],
+    or, where ops[i] is None (and in1[i] and in2[i] are too), it is the
+    combining statement targets[i] := COMBINE over combines[i], that
+    statement's Options. combines holds the combining statements in
+    program order. Nothing edits a program in place: build a new one.
+    Program(inputs, statements, consts, prime) flattens a list of nodes
+    once; Program.from_columns takes the columns.
 
     inputs:  variables the caller must bind before evaluation.
     consts:  hoisted literal bindings carried with the program.
@@ -95,32 +124,89 @@ class Program:
     """
 
     inputs: list[str]
-    statements: list[Statement]
-    consts: dict[str, int] = field(default_factory=dict)
-    prime: int = FIELD_PRIME
+    columns: tuple[tuple, tuple, tuple, tuple]
+    combines: dict[int, Options]
+    consts: dict[str, int]
+    prime: int
+
+    def __init__(
+        self,
+        inputs: list[str],
+        statements: Iterable[Statement] = (),
+        consts: dict[str, int] | None = None,
+        prime: int = FIELD_PRIME,
+    ):
+        rows: list[tuple] = []
+        combines: dict[int, Options] = {}
+        for i, st in enumerate(statements):
+            if isinstance(st, Combine):
+                sels, srcs = zip(*st.options)
+                combines[i] = sels + srcs
+                rows.append((None, None, None, st.target))
+            else:
+                rows.append((st.expr.op, st.expr.in1, st.expr.in2, st.target))
+        _fill(self, inputs, zip(*rows) if rows else ((),) * 4, combines, consts, prime)
+
+    @classmethod
+    def from_columns(
+        cls,
+        inputs: list[str],
+        ops: Iterable[Op | None],
+        in1: Iterable[str | None],
+        in2: Iterable[str | None],
+        targets: Iterable[str],
+        combines: dict[int, Options] | None = None,
+        consts: dict[str, int] | None = None,
+        prime: int = FIELD_PRIME,
+    ) -> Program:
+        """The program with these columns, as the class docstring lays them out."""
+        program = cls.__new__(cls)
+        _fill(program, inputs, (ops, in1, in2, targets), combines or {}, consts, prime)
+        return program
+
+    def __len__(self) -> int:
+        return len(self.columns[3])
 
     @property
     def output(self) -> str:
-        if not self.statements:
+        targets = self.columns[3]
+        if not targets:
             raise ValueError("empty program has no output")
-        return self.statements[-1].target
+        return targets[-1]
+
+    @property
+    def statements(self) -> list[Statement]:
+        """The statements as nodes, built anew on every read."""
+        combines = self.combines
+        return [
+            Assign(t, SimpleExpression(op, a, b))
+            if op is not None
+            else Combine(t, tuple(zip(selectors(combines[i]), sources(combines[i]))))
+            for i, (op, a, b, t) in enumerate(zip(*self.columns))
+        ]
+
+    def operands(self, i: int) -> tuple[str, ...]:
+        """The variables statement i reads, in order."""
+        ops, in1, in2, _ = self.columns
+        return sources(self.combines[i]) if ops[i] is None else (in1[i], in2[i])
 
     def selector_ids(self) -> list[str]:
         """Selector variables of all combining statements, in first-use order."""
-        return list(
-            dict.fromkeys(
-                sel
-                for st in self.statements
-                if isinstance(st, Combine)
-                for sel, _ in st.options
-            )
-        )
+        return list(dict.fromkeys(chain.from_iterable(map(selectors, self.combines.values()))))
+
+
+def _fill(program: Program, inputs, columns, combines, consts, prime) -> None:
+    program.inputs = inputs
+    program.columns = tuple(map(tuple, columns))
+    program.combines = combines
+    program.consts = {} if consts is None else consts
+    program.prime = prime
 
 
 def run_statements(
     program: Program,
     env: dict[str, Any],
-    selectors: dict[str, Any],
+    bits: dict[str, Any],
     ops: Mapping[Op, Callable[[Any, Any], Any]],
 ) -> dict[str, Any]:
     """Run every statement in order over env and return it, extended.
@@ -128,32 +214,35 @@ def run_statements(
     Values are field elements and ops is the field table of their prime
     (field.field_ops). An assignment is ops[op](a, b). A combining
     statement is the ADD-fold of MUL(selector, source) over all of its
-    options, with no short-circuit of any kind. A selector is looked up
-    in selectors first, then among the program's variables.
+    options, with no short-circuit of any kind. A selector's value is
+    looked up in bits first, then among the program's variables.
     """
     if program.inputs:
         require_inputs(program, env)
-    for st in program.statements:
-        if isinstance(st, Assign):
-            expr = st.expr
+    # by index: most runs are the attack's segments of a statement or two,
+    # where a zip over the four columns costs more than it saves
+    op_column, in1_column, in2_column, targets = program.columns
+    for i, op in enumerate(op_column):
+        if op is not None:
             try:
-                a = env[expr.in1]
-                b = env[expr.in2]
+                a = env[in1_column[i]]
+                b = env[in2_column[i]]
             except KeyError as exc:
                 raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-            env[st.target] = ops[expr.op](a, b)
-        else:
-            mul, add = ops[_MUL], ops[_ADD]
-            acc = None
-            for sel, src in st.options:
-                bit = selectors[sel] if sel in selectors else env.get(sel)
-                if bit is None:
-                    raise UnboundVariableError(f"unbound selector {sel!r}")
-                if src not in env:
-                    raise UnboundVariableError(f"unbound variable {src!r}")
-                term = mul(bit, env[src])
-                acc = term if acc is None else add(acc, term)
-            env[st.target] = acc
+            env[targets[i]] = ops[op](a, b)
+            continue
+        mul, add = ops[_MUL], ops[_ADD]
+        acc = None
+        options = program.combines[i]
+        for sel, src in zip(selectors(options), sources(options)):
+            bit = bits[sel] if sel in bits else env.get(sel)
+            if bit is None:
+                raise UnboundVariableError(f"unbound selector {sel!r}")
+            if src not in env:
+                raise UnboundVariableError(f"unbound variable {src!r}")
+            term = mul(bit, env[src])
+            acc = term if acc is None else add(acc, term)
+        env[targets[i]] = acc
     return env
 
 
@@ -201,60 +290,67 @@ def check_bits(bits: Mapping[str, int]) -> None:
         raise KeyMismatchError(f"selector {sel} has non-binary value {bit}")
 
 
-def hot_option(st: Combine, bits: Mapping[str, int]) -> int:
-    """Index of the option of st that bits select; bits passed check_bits.
+def hot_option(sels: Sequence[str], bits: Mapping[str, int]) -> int:
+    """Index of the option a combining statement's bits select; bits passed check_bits.
 
-    Raises KeyMismatchError unless every selector of st has a bit and
-    exactly one of them is 1.
+    sels are the statement's selectors. Raises KeyMismatchError unless
+    every one of them has a bit and exactly one of them is 1.
     """
     try:
-        picks = [bits[sel] for sel, _ in st.options]
+        picks = list(map(bits.__getitem__, sels))
     except KeyError:
-        missing = [s for s, _ in st.options if s not in bits]
+        missing = [s for s in sels if s not in bits]
         raise KeyMismatchError(f"selectors without bits: {', '.join(missing)}") from None
     # every bit is 0 or 1, so the 1s are the hot selectors
     hot = picks.count(1)
     if hot != 1:
-        group = ", ".join(s for s, _ in st.options)
-        raise KeyMismatchError(f"combining statement over ({group}) has {hot} hot selectors")
+        raise KeyMismatchError(
+            f"combining statement over ({', '.join(sels)}) has {hot} hot selectors"
+        )
     return picks.index(1)
 
 
 def compile_plan(program: Program, bits: Mapping[str, int]) -> SlotPlan:
     """program as a SlotPlan whose selector registers follow bits' order.
 
-    One pass over the statements, which also checks the key: it raises
+    One pass over the columns, which also checks the key: it raises
     KeyMismatchError where obfuscate.checked_key would (check_bits, then
     hot_option at each combining statement in order), and ValueError
-    for an empty program.
+    for an empty program. The inputs and then the targets are numbered
+    before the pass, in one go; the pass numbers only a variable that
+    is neither, where it is first read.
     """
     check_bits(bits)
-    sel_reg = {s: i for i, s in enumerate(bits)}
+    sel_reg = dict(zip(bits, count()))
     acc = len(sel_reg)
     term = acc + 1
-    reg = _Registers()
+    ops, in1, in2, targets = program.columns
+    reg = _Registers(zip(dict.fromkeys(chain(program.inputs, targets)), count(term + 1)))
     reg.base = term + 1
-    inputs = tuple(reg[v] for v in program.inputs)  # the first variable registers
-    ops: list[Op | int] = []
-    extend = ops.extend
-    for st in program.statements:
-        if isinstance(st, Assign):
-            expr = st.expr
-            extend((expr.op, reg[expr.in1], reg[expr.in2], reg[st.target]))
+    plan: list[Op | int] = []
+    extend = plan.extend
+    combines = iter(program.combines.values())
+    for op, a, b, target in zip(ops, in1, in2, targets):
+        if op is not None:
+            extend((op, reg[a], reg[b], reg[target]))
             continue
-        hot_option(st, bits)  # so sel_reg holds every selector of st
-        (s0, v0), (s1, v1), *more = st.options
-        extend((_MUL, sel_reg[s0], reg[v0], acc, _MUL, sel_reg[s1], reg[v1], term))
-        for s, v in more:
-            extend((_ADD, acc, term, acc, _MUL, sel_reg[s], reg[v], term))
-        extend((_ADD, acc, term, reg[st.target]))
-    if not ops:
+        options = next(combines)
+        k = len(options) >> 1
+        hot_option(options[:k], bits)  # so sel_reg holds every selector of the statement
+        extend((
+            _MUL, sel_reg[options[0]], reg[options[k]], acc,
+            _MUL, sel_reg[options[1]], reg[options[k + 1]], term,
+        ))
+        for j in range(2, k):
+            extend((_ADD, acc, term, acc, _MUL, sel_reg[options[j]], reg[options[k + j]], term))
+        extend((_ADD, acc, term, reg[target]))
+    if not plan:
         raise ValueError("empty program has no output")
     return SlotPlan(
-        registers=dict(reg),
+        registers=dict(reg),  # a plain dict of str -> int, which the cyclic GC does not track
         names=(*sel_reg, None, None, *reg),
-        ops=ops,
-        inputs=inputs,
+        ops=plan,
+        inputs=tuple(map(reg.__getitem__, program.inputs)),
     )
 
 
@@ -307,59 +403,57 @@ def eval_plain(
     return eval_env(program, inputs, selectors)[program.output]
 
 
-def statement_operands(st: Statement) -> tuple[str, ...]:
-    if isinstance(st, Assign):
-        return (st.expr.in1, st.expr.in2)
-    return tuple(src for _, src in st.options)
-
-
 def check_single_assignment(program: Program) -> None:
     """Raise FormatError unless each statement reads only inputs, consts
     and earlier targets, and assigns a name nothing else assigns."""
     defined = {*program.inputs, *program.consts}
-    for number, st in enumerate(program.statements, start=1):
-        if isinstance(st, Assign):
-            expr = st.expr
-            unread = expr.in1 not in defined or expr.in2 not in defined
+    ops, in1, in2, targets = program.columns
+    combines = program.combines
+    for i, target in enumerate(targets):
+        if ops[i] is None:
+            unread = not defined.issuperset(sources(combines[i]))
         else:
-            unread = not defined.issuperset([src for _, src in st.options])
+            unread = in1[i] not in defined or in2[i] not in defined
         if unread:
-            v = next(v for v in statement_operands(st) if v not in defined)
-            raise FormatError(f"statement {number} reads {v!r} before it is assigned")
-        if st.target in defined:
-            raise FormatError(f"statement {number} assigns {st.target!r} again")
-        defined.add(st.target)
+            v = next(v for v in program.operands(i) if v not in defined)
+            raise FormatError(f"statement {i + 1} reads {v!r} before it is assigned")
+        if target in defined:
+            raise FormatError(f"statement {i + 1} assigns {target!r} again")
+        defined.add(target)
 
 
-def referenced_vars(statements: list[Statement]) -> set[str]:
-    refs: set[str] = set()
-    for st in statements:
-        refs.update(statement_operands(st))
+def referenced_vars(program: Program) -> set[str]:
+    """Every variable some statement of program reads."""
+    _, in1, in2, _ = program.columns
+    refs = {*in1, *in2}
+    refs.discard(None)
+    for options in program.combines.values():
+        refs.update(sources(options))
     return refs
 
 
 def live_statement_indices(program: Program) -> list[int]:
     """Indices of statements whose targets reach the output, in order."""
-    if not program.statements:
+    ops, in1, in2, targets = program.columns
+    if not targets:
         return []
-    stmts = program.statements
-    live = {program.output}
+    combines = program.combines
+    live = {targets[-1]}
     keep: list[int] = []
-    for idx in range(len(stmts) - 1, -1, -1):
-        st = stmts[idx]
-        if st.target in live:
+    for idx in range(len(targets) - 1, -1, -1):
+        if targets[idx] in live:
             keep.append(idx)
-            if isinstance(st, Assign):
-                live.add(st.expr.in1)
-                live.add(st.expr.in2)
+            if ops[idx] is None:
+                live.update(sources(combines[idx]))
             else:
-                live.update(src for _, src in st.options)
+                live.add(in1[idx])
+                live.add(in2[idx])
     keep.reverse()
-    return keep or [len(program.statements) - 1]
+    return keep
 
 
-def inline_map(program: Program) -> dict[str, Assign]:
-    """The assignments a fold inlines, by target: those read exactly once.
+def inline_map(program: Program) -> dict[str, int]:
+    """The assignments a fold inlines, target -> index: those read exactly once.
 
     A combining statement whose chosen option is one of these becomes
     target := that definition, and the definition goes; any other
@@ -369,84 +463,73 @@ def inline_map(program: Program) -> dict[str, Assign]:
     into. Folds check single assignment first, so a target names one
     definition.
     """
-    stmts = program.statements
-    reads: list[str] = []
-    for st in stmts:
-        if isinstance(st, Assign):
-            reads.append(st.expr.in1)
-            reads.append(st.expr.in2)
-        else:
-            reads.extend([src for _, src in st.options])
+    ops, in1, in2, targets = program.columns
+    combines = program.combines
+    reads = [*in1, *in2]
+    for options in combines.values():
+        reads += sources(options)
     use_count = Counter(reads)
-    inline = {st.target: st for st in stmts if isinstance(st, Assign) and use_count[st.target] == 1}
-    last = stmts[-1] if stmts else None
-    if isinstance(last, Combine):
-        for _, src in last.options:
+    inline = {t: i for i, t in enumerate(targets) if use_count[t] == 1 and ops[i] is not None}
+    last = len(targets) - 1
+    if last in combines:
+        options = combines[last]
+        for src in sources(options):
             if src not in inline:
                 raise FormatError(
-                    f"statement {len(stmts)} `{last.render()}` cannot be folded: it is the "
-                    f"output, so each option must be an assignment only it reads, and "
-                    f"{src!r} is not"
+                    f"statement {last + 1} `{_combine_line(targets[last], options)}` cannot "
+                    f"be folded: it is the output, so each option must be an assignment only "
+                    f"it reads, and {src!r} is not"
                 )
     return inline
 
 
+# a live combining statement's fold choice: its index, its chosen source
+# and that source's inline_map index, or None if the source substitutes
+Chosen = tuple[int, str, int | None]
+
+
 def fold_maps(
-    statements: list[Statement], chosen: Iterable[tuple[int, str, Assign | None]]
-) -> tuple[dict[str, str], dict[int, Assign]]:
-    """emit_fold's substitution map (target -> source) and inline map (index -> definition)."""
+    targets: Sequence[str], chosen: Iterable[Chosen]
+) -> tuple[dict[str, str], dict[int, int]]:
+    """emit_fold's substitution map (target -> source) and inline map
+    (combining statement index -> index of the definition it takes)."""
     subst: dict[str, str] = {}
-    inlined: dict[int, Assign] = {}
+    inlined: dict[int, int] = {}
     for idx, src, definition in chosen:
         if definition is None:
-            subst[statements[idx].target] = subst.get(src, src)
+            subst[targets[idx]] = subst.get(src, src)
         else:
             inlined[idx] = definition
     return subst, inlined
 
 
 def emit_fold(
-    statements: list[Statement],
-    live: Iterable[int],
-    chosen: Iterable[tuple[int, str, Assign | None]],
-    interned: dict[tuple[str, Op, str, str], Assign],
-) -> list[Statement]:
-    """The statements at the live indices, in that order, with the choices applied.
+    program: Program, live: list[int], chosen: Iterable[Chosen]
+) -> tuple[list[Op], list[str], list[str], list[str]]:
+    """The columns of the statements at the live indices, in that order,
+    with the choices applied.
 
-    chosen holds, in program order, (combining statement index, chosen
-    source, its inline_map definition or None) for each live combining
+    chosen holds, in program order, a Chosen for each live combining
     statement. One with a definition becomes target := definition; any
     other chosen source substitutes for the statement's target in the
-    statements that read it. Untouched assignments are the program's
-    own statement objects. A rewritten one is interned by (target, op,
-    operands), so each distinct rewritten statement is built once per
-    interned dict, whichever folds share it; an inlined definition
-    whose operands nothing substitutes keeps its expression object.
+    statements that read it. A fold has no combining statement left.
     """
-    subst, inlined = fold_maps(statements, chosen)
+    ops, in1, in2, targets = program.columns
+    subst, inlined = fold_maps(targets, chosen)
     get = subst.get
-    out: list[Statement] = []
-    for idx in live:
-        st = statements[idx]
-        definition = inlined.get(idx)
-        expr = st.expr if definition is None else definition.expr
-        in1, in2 = expr.in1, expr.in2
-        new1, new2 = get(in1, in1), get(in2, in2)
-        if definition is None and new1 is in1 and new2 is in2:
-            out.append(st)
-            continue
-        key = (st.target, expr.op, new1, new2)
-        assign = interned.get(key)
-        if assign is None:
-            if new1 is not in1 or new2 is not in2:
-                expr = SimpleExpression(expr.op, new1, new2)
-            assign = interned[key] = Assign(st.target, expr)
-        out.append(assign)
-    return out
+    source = [inlined.get(i, i) for i in live] if inlined else live
+    return (
+        [ops[i] for i in source],
+        [get(v, v) for v in map(in1.__getitem__, source)],
+        [get(v, v) for v in map(in2.__getitem__, source)],
+        [targets[i] for i in live],
+    )
 
 
-def fold_selection(program: Program, selection: Mapping[int, int]) -> list[Statement]:
-    """The live statements of program with each combining statement resolved.
+def fold_selection(
+    program: Program, selection: Mapping[int, int]
+) -> tuple[list[Op], list[str], list[str], list[str]]:
+    """The columns of program's live statements with each combining statement resolved.
 
     selection maps the index of each combining statement to the index
     of its chosen option; only live ones are read. One backward walk
@@ -459,49 +542,47 @@ def fold_selection(program: Program, selection: Mapping[int, int]) -> list[State
     """
     check_single_assignment(program)
     inline = inline_map(program)
-    stmts = program.statements
+    ops, in1, in2, targets = program.columns
+    combines = program.combines
     live = {program.output}
     keep: list[int] = []
-    chosen: list[tuple[int, str, Assign | None]] = []
-    for idx in range(len(stmts) - 1, -1, -1):
-        st = stmts[idx]
-        if st.target not in live:
+    chosen: list[Chosen] = []
+    for idx in range(len(targets) - 1, -1, -1):
+        if targets[idx] not in live:
             continue
-        if isinstance(st, Assign):
-            keep.append(idx)
-            expr = st.expr
-        else:
+        source = idx
+        if ops[idx] is None:
+            srcs = sources(combines[idx])
             choice = selection[idx]
-            if not 0 <= choice < len(st.options):
+            if not 0 <= choice < len(srcs):
                 raise ValueError(f"option index {choice} out of range at statement {idx}")
-            src = st.options[choice][1]
-            definition = inline.get(src)
-            chosen.append((idx, src, definition))
-            if definition is None:
+            src = srcs[choice]
+            source = inline.get(src)
+            chosen.append((idx, src, source))
+            if source is None:
                 live.add(src)
                 continue
-            keep.append(idx)
-            expr = definition.expr
-        live.add(expr.in1)
-        live.add(expr.in2)
+        keep.append(idx)
+        live.add(in1[source])
+        live.add(in2[source])
     keep.reverse()
     chosen.reverse()
-    return emit_fold(stmts, keep, chosen, {})
+    return emit_fold(program, keep, chosen)
 
 
-def temporary_names(statements: list[Statement], fixed: set[str]) -> dict[str, str]:
-    """Rename map t0, t1, ... for the targets outside fixed, in statement order.
+def temporary_names(targets: Iterable[str], fixed: set[str]) -> dict[str, str]:
+    """Rename map t0, t1, ... for the targets outside fixed, in order.
 
     A name already in fixed is skipped, so no temporary collides with an
     input or const. This is the renaming normalize and canonical_key apply.
     """
     rename: dict[str, str] = {}
     counter = 0
-    for st in statements:
-        if st.target not in fixed and st.target not in rename:
+    for target in targets:
+        if target not in fixed and target not in rename:
             while f"t{counter}" in fixed:
                 counter += 1
-            rename[st.target] = f"t{counter}"
+            rename[target] = f"t{counter}"
             counter += 1
     return rename
 
@@ -513,24 +594,28 @@ def normalize(program: Program) -> Program:
     are dropped. Two programs that differ only in temporary naming and
     dead statements normalize to equal values.
     """
-    live = [program.statements[i] for i in live_statement_indices(program)]
-    rename = temporary_names(live, {*program.inputs, *program.consts})
-
-    def rn(v: str) -> str:
-        return rename.get(v, v)
-
-    stmts: list[Statement] = []
-    for st in live:
-        if isinstance(st, Assign):
-            stmts.append(
-                Assign(rn(st.target), SimpleExpression(st.expr.op, rn(st.expr.in1), rn(st.expr.in2)))
-            )
-        else:
-            stmts.append(Combine(rn(st.target), tuple((s, rn(v)) for s, v in st.options)))
-    refs = referenced_vars(live)
-    consts = {v: val for v, val in program.consts.items() if v in refs}
-    return Program(
-        inputs=list(program.inputs), statements=stmts, consts=consts, prime=program.prime
+    live = live_statement_indices(program)
+    ops, in1, in2, targets = program.columns
+    get = temporary_names([targets[i] for i in live], {*program.inputs, *program.consts}).get
+    reads = [in1[i] for i in live] + [in2[i] for i in live]
+    combines: dict[int, Options] = {}
+    for n, i in enumerate(live):
+        if ops[i] is None:
+            options = program.combines[i]
+            srcs = sources(options)
+            reads += srcs
+            combines[n] = selectors(options) + tuple(get(v, v) for v in srcs)
+    # renaming never maps onto a const, so a const is read before renaming or not at all
+    consts = {v: val for v, val in program.consts.items() if v in set(reads)}
+    return Program.from_columns(
+        list(program.inputs),
+        [ops[i] for i in live],
+        [None if v is None else get(v, v) for v in map(in1.__getitem__, live)],
+        [None if v is None else get(v, v) for v in map(in2.__getitem__, live)],
+        [get(v, v) for v in map(targets.__getitem__, live)],
+        combines,
+        consts,
+        program.prime,
     )
 
 
@@ -555,22 +640,25 @@ def canonical_key(program: Program, with_const_values: bool = True) -> str:
     class membership, where one side holds the bindings and the other
     side sees the same variables as plain inputs.
     """
-    live = [program.statements[i] for i in live_statement_indices(program)]
+    live = live_statement_indices(program)
+    ops, in1, in2, targets = program.columns
     fixed = {*program.inputs, *program.consts}
-    get = temporary_names(live, fixed).get
+    get = temporary_names([targets[i] for i in live], fixed).get
     refs: set[str] = set()
     add = refs.add
     body: list[str] = []
-    for st in live:
-        if isinstance(st, Assign):
-            expr = st.expr
-            add(expr.in1)
-            add(expr.in2)
-            body.append(key_line(get, st.target, expr.op, expr.in1, expr.in2))
+    for i in live:
+        op = ops[i]
+        if op is not None:
+            add(in1[i])
+            add(in2[i])
+            body.append(key_line(get, targets[i], op, in1[i], in2[i]))
         else:
-            refs.update(src for _, src in st.options)
-            opts = " ".join(f"({s},{get(v, v)})" for s, v in st.options)
-            body.append(f"{get(st.target, st.target)} := COMBINE {opts}")
+            options = program.combines[i]
+            srcs = sources(options)
+            refs.update(srcs)
+            renamed = selectors(options) + tuple(get(v, v) for v in srcs)
+            body.append(_combine_line(get(targets[i], targets[i]), renamed))
     # renaming never maps onto an input or const, so the terminals are
     # the original reads that are inputs or consts
     if not with_const_values:
@@ -584,7 +672,20 @@ def canonical_key(program: Program, with_const_values: bool = True) -> str:
     return " ; ".join(parts + body)
 
 
+def _combine_line(target: str, options: Options) -> str:
+    return _combine_format(len(options) >> 1).format(target, *options)
+
+
+def _combine_format(k: int) -> str:
+    """The format of a k-way combining statement's line, from its target and Options."""
+    return "{0} := COMBINE " + " ".join(f"({{{j + 1}}},{{{k + j + 1}}})" for j in range(k))
+
+
 _COMBINE_OPT = re.compile(r"^\(([^\s,()]+),([^\s,()]+)\)$")
+# a combining statement's options, joined by single spaces
+_COMBINE_OPTS = re.compile(r"\([^\s,()]+,[^\s,()]+\)(?: \([^\s,()]+,[^\s,()]+\))*")
+# deletes the parentheses of options so joined, and separates them as their halves are
+_UNWRAP = str.maketrans(" ", ",", "()")
 # the first words of header lines, which no assignment target may be read as
 _HEADERS = frozenset(("prime", "input", "const"))
 
@@ -597,12 +698,17 @@ def render_program(program: Program) -> str:
         f"const {v} = {signed(val, program.prime)}" for v, val in program.consts.items()
     )
     names = OP_NAMES
-    for st in program.statements:
-        if type(st) is Assign:
-            expr = st.expr
-            lines.append(f"{st.target} := {names[expr.op]} {expr.in1} {expr.in2}")
-        else:
-            lines.append(st.render())
+    ops, in1, in2, targets = program.columns
+    lines += [
+        f"{t} := {names[op]} {a} {b}" if op is not None else ""
+        for op, a, b, t in zip(ops, in1, in2, targets)
+    ]
+    at = len(lines) - len(targets)
+    formats: dict[int, str] = {}  # option count -> _combine_format, made once per render
+    for i, options in program.combines.items():
+        k = len(options) >> 1
+        line = formats.get(k) or formats.setdefault(k, _combine_format(k))
+        lines[at + i] = line.format(targets[i], *options)
     return "\n".join(lines) + "\n"
 
 
@@ -617,17 +723,25 @@ def parse_program(text: str) -> Program:
     inputs: list[str] = []
     consts: dict[str, int] = {}
     declared: dict[str, int] = {}  # input or const name -> its line
-    statements: list[Statement] = []
-    append = statements.append
+    ops: list[Op | None] = []
+    in1: list[str | None] = []
+    in2: list[str | None] = []
+    targets: list[str] = []
+    combines: dict[int, Options] = {}
+    add_op, add_in1, add_in2, add_target = ops.append, in1.append, in2.append, targets.append
     op_named = OP_BY_NAME.get
+    headers = _HEADERS
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         # most lines are assignments: take them before any other form
         if len(tokens) == 5 and tokens[1] == ":=":
-            target = tokens[0]
-            op = op_named(tokens[2])
-            if op is not None and target[0] != "#" and target not in _HEADERS:
-                append(Assign(target, SimpleExpression(op, tokens[3], tokens[4])))
+            target, _, name, a, b = tokens
+            op = op_named(name)
+            if op is not None and target[0] != "#" and target not in headers:
+                add_op(op)
+                add_in1(a)
+                add_in2(b)
+                add_target(target)
                 continue
         if not tokens or tokens[0][0] == "#":
             continue
@@ -660,29 +774,33 @@ def parse_program(text: str) -> Program:
             raise FormatError(f"line {lineno}: expected '<target> := ...'")
         target = tokens[0]
         if tokens[2] == "COMBINE":
-            opts: list[tuple[str, str]] = []
-            for tok in tokens[3:]:
-                m = _COMBINE_OPT.match(tok)
-                if not m:
-                    raise FormatError(f"line {lineno}: malformed combine option {tok!r}")
-                opts.append(m.groups())
-            if len(opts) < 2:
+            opts = " ".join(tokens[3:])
+            if not _COMBINE_OPTS.fullmatch(opts):
+                for tok in tokens[3:]:
+                    if not _COMBINE_OPT.match(tok):
+                        raise FormatError(f"line {lineno}: malformed combine option {tok!r}")
+            if len(tokens) < 5:
                 raise FormatError(f"line {lineno}: combining statement needs two options")
-            try:
-                append(Combine(target, tuple(opts)))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
+            halves = opts.translate(_UNWRAP).split(",")
+            sels = halves[::2]
+            if len(set(sels)) != len(sels):
+                raise FormatError(f"line {lineno}: combining statement selectors must be distinct")
+            combines[len(targets)] = tuple(sels + halves[1::2])
+            add_op(None)
+            add_in1(None)
+            add_in2(None)
+            add_target(target)
             continue
         if len(tokens) != 5:
             raise FormatError(f"line {lineno}: expected '<target> := OP v1 v2'")
         # the assignment branch above took every known operation
         raise FormatError(f"line {lineno}: unknown operation {tokens[2]!r}")
-    if not statements:
+    if not targets:
         raise FormatError("program has no statements")
     if prime is None:
         prime = FIELD_PRIME
     consts = {v: val % prime for v, val in consts.items()}
-    return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)
+    return Program.from_columns(inputs, ops, in1, in2, targets, combines, consts, prime)
 
 
 def _declare(declared: dict[str, int], name: str, lineno: int) -> None:

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .ir import Assign, Combine, Program, eval_plain, referenced_vars
+from .ir import Program, eval_plain, referenced_vars, selectors, sources
 from .obfuscate import ObfProgram, eval_encrypted
 from .attack import ClassDescriptor
 from .crypto import SelectorKey, enc, keygen
@@ -45,7 +45,7 @@ class MetricsReport:
 
 
 def _variable_count(p: Program) -> int:
-    return len(referenced_vars(p.statements) | {st.target for st in p.statements})
+    return len(referenced_vars(p) | set(p.columns[3]))
 
 
 def _op_distribution(ops: Counter) -> dict[str, float]:
@@ -76,20 +76,18 @@ def measure(
     if eval_samples <= 0:
         raise ConfigError("eval_samples must be positive")
 
-    combines = [st for st in obf.program.statements if isinstance(st, Combine)]
-    option_counts = [len(st.options) for st in combines]
+    combines = obf.program.combines
+    option_counts = [len(sources(options)) for options in combines.values()]
     mislead_min = min(option_counts) if option_counts else 0
     mislead_max = max(option_counts) if option_counts else 0
     mislead_mean = (
         sum(option_counts) / len(option_counts) if option_counts else 0.0
     )
 
-    n_orig = len(p.statements)
-    n_obf = len(obf.program.statements)
-    orig_ops = Counter(st.expr.op.value for st in p.statements if isinstance(st, Assign))
-    obf_ops = Counter(
-        st.expr.op.value for st in obf.program.statements if isinstance(st, Assign)
-    )
+    n_orig = len(p)
+    n_obf = len(obf.program)
+    orig_ops = Counter(op.value for op in p.columns[0] if op is not None)
+    obf_ops = Counter(op.value for op in obf.program.columns[0] if op is not None)
 
     rng = spawn(seed, "metrics-inputs")
     inputs = {v: rng.randrange(p.prime) for v in p.inputs}
@@ -99,7 +97,9 @@ def measure(
         for v in bound_names
     }
     sel_key = SelectorKey(
-        bits={s: int(i == 0) for _, st in obf.combines() for i, (s, _) in enumerate(st.options)},
+        bits={
+            s: int(i == 0) for options in combines.values() for i, s in enumerate(selectors(options))
+        },
         bindings=bindings,
     )
     key = keygen(seed, p.prime)

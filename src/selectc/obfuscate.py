@@ -33,17 +33,14 @@ from .crypto import Ciphertext, SecretKey, SelectorKey, run_plan
 from .errors import ConfigError, FormatError, PoolExhaustedError, in_file
 from .field import ARITH_OPS, OP_NAMES, Op, op_from_name, parse_int
 from .ir import (
-    Assign,
-    Combine,
+    Options,
     Program,
-    SimpleExpression,
     SlotPlan,
-    Statement,
     check_bits,
     compile_plan,
     fold_selection,
     hot_option,
-    referenced_vars,
+    selectors,
 )
 from .rng import DEFAULT_SEED, spawn
 
@@ -101,12 +98,9 @@ class ObfProgram:
     selector_ids: list[str] = field(default_factory=list)
     prepared: tuple[tuple, SlotPlan] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def combines(self) -> list[tuple[int, Combine]]:
-        return [
-            (i, st)
-            for i, st in enumerate(self.program.statements)
-            if isinstance(st, Combine)
-        ]
+
+# an expression as the obfuscator draws it: (operation, operand, operand)
+Expr = tuple[Op, str, str]
 
 
 @dataclass
@@ -116,16 +110,23 @@ class MisleadingSet:
     options is the list of k - 1 misleading expressions and confidential
     the rewritten expression the real option must use. Their operands
     are fresh temporaries defined by the combining statements in
-    prelude, whose selector bits are prelude_bits.
+    prelude, each a (target, ir.Options) pair, whose selector bits are
+    prelude_bits.
     """
 
-    options: list[SimpleExpression]
-    confidential: SimpleExpression
-    prelude: list[Statement]
+    options: list[Expr]
+    confidential: Expr
+    prelude: list[tuple[str, Options]]
     prelude_bits: dict[str, int]
 
 
 class _Namer:
+    """Fresh names prefix0, prefix1, ... that skip the names in used.
+
+    The counter only grows, so no name comes twice, and used need hold
+    only the names that existed before the namer.
+    """
+
     def __init__(self, prefix: str, used: set[str]):
         self.prefix = prefix
         self.used = used
@@ -136,8 +137,16 @@ class _Namer:
             name = f"{self.prefix}{self.n}"
             self.n += 1
             if name not in self.used:
-                self.used.add(name)
                 return name
+
+    def take(self, count: int) -> tuple[str, ...]:
+        """The next count names, as count calls would give them."""
+        n = self.n
+        names = [f"{self.prefix}{i}" for i in range(n, n + count)]
+        if not self.used.isdisjoint(names):
+            return tuple(self() for _ in range(count))
+        self.n = n + count
+        return tuple(names)
 
 
 def _distinct_expressions(
@@ -147,7 +156,7 @@ def _distinct_expressions(
     var_choices: list[str],
     forbidden: set[tuple[str, str, str]],
     op_weights: list[int] | None = None,
-) -> list[SimpleExpression]:
+) -> list[Expr]:
     """Draw `count` pairwise-distinct expressions avoiding `forbidden`.
 
     Works in O(count) whatever the pool size: the expression space is
@@ -170,7 +179,7 @@ def _distinct_expressions(
             raise PoolExhaustedError(
                 f"need {count} distinct statements but the pool only offers {usable}"
             )
-    picked: list[SimpleExpression] = []
+    picked: list[Expr] = []
     if space <= _ENUMERATE_LIMIT and op_weights is None:
         # the space in (op, in1, in2) product order without the forbidden
         # keys; rng.sample reads only its population's length and items,
@@ -192,7 +201,7 @@ def _distinct_expressions(
                 i += 1
             o, ab = divmod(i, n * n)
             a, b = divmod(ab, n)
-            picked.append(SimpleExpression(op_choices[o], var_choices[a], var_choices[b]))
+            picked.append((op_choices[o], var_choices[a], var_choices[b]))
         return picked
     seen = set(forbidden)
     # each unweighted index is drawn as random.Random.choice draws it in
@@ -222,14 +231,15 @@ def _distinct_expressions(
         if key in seen:
             continue
         seen.add(key)
-        picked.append(SimpleExpression(op, in1, in2))
+        picked.append((op, in1, in2))
     return picked
 
 
 def _option_draw(
     cfg: ObfuscationConfig, rng, var_pool: list[str], op_weights: list[int] | None
-) -> Callable[[SimpleExpression], list[SimpleExpression]] | None:
-    """cfg's draw of k - 1 misleading options for a confidential expression.
+) -> Callable[[Op, str, str], list[Expr]] | None:
+    """cfg's draw of k - 1 misleading options for a confidential expression,
+    called with its operation and operands.
 
     None under combined-temporaries, whose draw (_gen_combined) also
     defines temporaries. The draw reads var_pool as it is at each call,
@@ -243,24 +253,23 @@ def _option_draw(
 
     if cfg.strategy == "operation-only":
 
-        def draw(expr: SimpleExpression) -> list[SimpleExpression]:
-            others = [op for op in ops if op is not expr.op]
+        def draw(op: Op, in1: str, in2: str) -> list[Expr]:
+            others = [o for o in ops if o is not op]
             if len(others) < count:
                 raise PoolExhaustedError(
                     f"need {count} alternative operations but the pool offers {len(others)}"
                 )
-            return [SimpleExpression(op, expr.in1, expr.in2) for op in rng.sample(others, count)]
+            return [(o, in1, in2) for o in rng.sample(others, count)]
 
     elif cfg.strategy == "operand-only":
 
-        def draw(expr: SimpleExpression) -> list[SimpleExpression]:
-            forbidden = {(OP_NAMES[expr.op], expr.in1, expr.in2)}
-            return _distinct_expressions(rng, count, [expr.op], var_pool, forbidden)
+        def draw(op: Op, in1: str, in2: str) -> list[Expr]:
+            return _distinct_expressions(rng, count, [op], var_pool, {(OP_NAMES[op], in1, in2)})
 
     else:
 
-        def draw(expr: SimpleExpression) -> list[SimpleExpression]:
-            forbidden = {(OP_NAMES[expr.op], expr.in1, expr.in2)}
+        def draw(op: Op, in1: str, in2: str) -> list[Expr]:
+            forbidden = {(OP_NAMES[op], in1, in2)}
             return _distinct_expressions(rng, count, ops, var_pool, forbidden, op_weights)
 
     return draw
@@ -283,7 +292,7 @@ def _positions(var_pool: list[str]) -> dict[str, list[int]]:
 
 
 def _gen_combined(
-    stmt: Assign,
+    expr: Expr,
     cfg: ObfuscationConfig,
     rng,
     var_pool: list[str],
@@ -305,10 +314,11 @@ def _gen_combined(
     draws what sampling the pool's copy without it would.
     """
     k = cfg.mislead_factor
-    prelude: list[Statement] = []
+    op, in1, in2 = expr
+    prelude = []
     bits: dict[str, int] = {}
     temp_for: list[str] = []
-    for true_var in (stmt.expr.in1, stmt.expr.in2):
+    for true_var in (in1, in2):
         skip = positions.get(true_var, ())
         others = len(var_pool) - len(skip)
         if others < k - 1:
@@ -327,9 +337,9 @@ def _gen_combined(
         # exactly one candidate equals true_var, so this stays one-hot
         bits.update({s: int(v == true_var) for s, v in zip(sels, candidates)})
         temp = fresh()
-        prelude.append(Combine(temp, tuple(zip(sels, candidates))))
+        prelude.append((temp, (*sels, *candidates)))
         temp_for.append(temp)
-    others_ops = [op for op in cfg.op_pool if op is not stmt.expr.op]
+    others_ops = [o for o in cfg.op_pool if o is not op]
     if len(others_ops) < k - 1:
         raise PoolExhaustedError(
             f"operation slot needs {k - 1} decoy operations but only {len(others_ops)} exist"
@@ -337,23 +347,25 @@ def _gen_combined(
     chosen_ops = rng.sample(others_ops, k - 1)
     t1, t2 = temp_for
     return MisleadingSet(
-        options=[SimpleExpression(op, t1, t2) for op in chosen_ops],
-        confidential=SimpleExpression(stmt.expr.op, t1, t2),
+        options=[(o, t1, t2) for o in chosen_ops],
+        confidential=(op, t1, t2),
         prelude=prelude,
         prelude_bits=bits,
     )
 
 
 def _validate_source(program: Program) -> None:
-    if not program.statements:
+    targets = program.columns[3]
+    if not targets:
         raise ConfigError("cannot obfuscate an empty program")
-    targets = set()
-    for number, st in enumerate(program.statements, start=1):
-        if not isinstance(st, Assign):
-            raise ConfigError("source program must contain only simple assignments")
-        if st.target in targets:
-            raise ConfigError(f"statement {number} assigns {st.target!r} again")
-        targets.add(st.target)
+    if program.combines or len(set(targets)) != len(targets):
+        seen = set()
+        for i, target in enumerate(targets):
+            if i in program.combines:
+                raise ConfigError("source program must contain only simple assignments")
+            if target in seen:
+                raise ConfigError(f"statement {i + 1} assigns {target!r} again")
+            seen.add(target)
 
 
 def obfuscate_statement_level(
@@ -364,13 +376,15 @@ def obfuscate_statement_level(
     Randomness is split into independent streams per concern, so
     enabling fake combining statements does not change how the real
     groups come out for the same seed. The key is one-hot by
-    construction, and checked where it is read, not here.
+    construction, and checked where it is read, not here. The program
+    is built as five columns, Program's four and each statement's
+    options (None for an assignment), so splicing in fake groups is
+    slicing.
     """
     cfg.validate()
     _validate_source(program)
-    overlap = set(cfg.fake_vars) & (
-        set(program.inputs) | set(program.consts) | {s.target for s in program.statements}
-    )
+    src_ops, src_in1, src_in2, src_targets = program.columns
+    overlap = set(cfg.fake_vars) & (set(program.inputs) | set(program.consts) | set(src_targets))
     if overlap:
         raise ConfigError(f"fake variables collide with program variables: {sorted(overlap)}")
 
@@ -378,78 +392,111 @@ def obfuscate_statement_level(
     rng_fake = spawn(cfg.seed, "fake-chains")
     rng_vals = spawn(cfg.seed, "fake-values")
 
-    used = (
-        set(program.inputs)
-        | set(program.consts)
-        | {s.target for s in program.statements}
-        | set(cfg.fake_vars)
-    )
+    used = set(program.inputs) | set(program.consts) | set(src_targets) | set(cfg.fake_vars)
     fresh = _Namer("t", used)
     sel = _Namer("s", set())
     k = cfg.mislead_factor
+    assigns = [None] * k  # the options column of a group's k assignments
 
-    bits: dict[str, int] = {}
     defined = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
     # the draw only reads the pool, so it needs no copy
     draw = _option_draw(cfg, rng_opts, defined, _op_weights(cfg))
     positions = _positions(defined) if draw is None else None
-    shuffle = rng_opts.shuffle
-    statements: list[Statement] = []
-    emit = statements.append
-    starts: list[int] = []  # each real group's first index in statements
+    # rng_opts.shuffle(order) as CPython 3.10 to 3.13 draws it: from the
+    # last index down to 1, swap index i with one below i + 1, drawn by
+    # rejection on getrandbits of (i + 1)'s bit count
+    getrandbits = rng_opts.getrandbits
+    swaps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
+    columns = ops, in1, in2, targets, options = [], [], [], [], []
+    starts: list[int] = []  # each real group's first row
+    bits: dict[str, int] = {}
+    if draw is not None:
+        # nothing else is named in the loop, so its names come in two runs
+        all_temps = fresh.take(k * len(src_targets))
+        all_sels = sel.take(k * len(src_targets))
+        bits = dict.fromkeys(all_sels, 0)
 
-    for st in program.statements:
-        starts.append(len(statements))
+    for expr, target in zip(zip(src_ops, src_in1, src_in2), src_targets):
+        at = len(starts) * k
+        starts.append(len(targets))
         if draw is None:
-            ms = _gen_combined(st, cfg, rng_opts, defined, positions, fresh, sel)
+            ms = _gen_combined(expr, cfg, rng_opts, defined, positions, fresh, sel)
             bits.update(ms.prelude_bits)
-            statements.extend(ms.prelude)
+            for temp, prelude_options in ms.prelude:
+                ops.append(None)
+                in1.append(None)
+                in2.append(None)
+                targets.append(temp)
+                options.append(prelude_options)
             exprs = [ms.confidential, *ms.options]
-            positions.setdefault(st.target, []).append(len(defined))
+            positions.setdefault(target, []).append(len(defined))
+            temps, sels = fresh.take(k), sel.take(k)
+            bits.update(dict.fromkeys(sels, 0))
         else:
-            exprs = [st.expr, *draw(st.expr)]
+            exprs = [expr, *draw(*expr)]
+            temps, sels = all_temps[at : at + k], all_sels[at : at + k]
         order = list(range(k))
-        shuffle(order)
-        temps = [fresh() for _ in range(k)]
-        sels = [sel() for _ in range(k)]
-        for s, t, which in zip(sels, temps, order):
-            bits[s] = int(which == 0)
-            emit(Assign(t, exprs[which]))
-        emit(Combine(st.target, tuple(zip(sels, temps))))
-        defined.append(st.target)
+        for i, width in swaps:
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            order[i], order[j] = order[j], order[i]
+        bits[sels[order.index(0)]] = 1
+        group_ops, group_in1, group_in2 = zip(*map(exprs.__getitem__, order))
+        ops += group_ops
+        ops.append(None)
+        in1 += group_in1
+        in1.append(None)
+        in2 += group_in2
+        in2.append(None)
+        targets += temps
+        targets.append(target)
+        options += assigns
+        options.append(sels + temps)
+        defined.append(target)
 
-    fakes: list[tuple[int, list[Statement]]] = []
+    fakes = []
     for _ in range(cfg.fake_combining):
         fake_pool = list(cfg.fake_vars)
         exprs = _distinct_expressions(rng_fake, k, list(cfg.op_pool), fake_pool, forbidden=set())
-        assigns = [Assign(fresh(), e) for e in exprs]
-        sels = [sel() for _ in range(k)]
+        temps = fresh.take(k)
+        sels = sel.take(k)
         hot = rng_fake.randrange(k)
         for i, s in enumerate(sels):
             bits[s] = int(i == hot)
-        combine = Combine(fresh(), tuple(zip(sels, (a.target for a in assigns))))
+        group_ops, group_in1, group_in2 = zip(*exprs)
+        group = (
+            [*group_ops, None],
+            [*group_in1, None],
+            [*group_in2, None],
+            [*temps, fresh()],
+            [*assigns, sels + temps],
+        )
         # insert before some real group so the program output stays last
-        fakes.append((starts[rng_fake.randrange(len(starts))], assigns + [combine]))
+        fakes.append((starts[rng_fake.randrange(len(starts))], group))
 
     if fakes:
         # stable: fakes before one group keep the order they were drawn in
         fakes.sort(key=lambda fake: fake[0])
-        spliced: list[Statement] = []
+        spliced = ([], [], [], [], [])
         done = 0
         for start, group in fakes:
-            spliced += statements[done:start]
-            spliced += group
+            for out, column, rows in zip(spliced, columns, group):
+                out += column[done:start]
+                out += rows
             done = start
-        spliced += statements[done:]
-        statements = spliced
+        for out, column in zip(spliced, columns):
+            out += column[done:]
+        columns = spliced
 
     bindings = dict(program.consts)
     bindings.update({v: rng_vals.randrange(1, program.prime) for v in cfg.fake_vars})
 
-    obf_program = Program(
-        inputs=list(program.inputs) + list(program.consts) + list(cfg.fake_vars),
-        statements=statements,
-        consts={},
+    *quads, options = columns
+    obf_program = Program.from_columns(
+        list(program.inputs) + list(program.consts) + list(cfg.fake_vars),
+        *quads,
+        {i: entry for i, entry in enumerate(options) if entry is not None},
         prime=program.prime,
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
@@ -494,7 +541,7 @@ def obfuscate_program_level(
     const_fresh = _Namer("k", used)
     sel = _Namer("s", set())
 
-    statements: list[Statement] = []
+    ops, in1, in2, targets = [], [], [], []
     bindings: dict[str, int] = {}
     results: list[str] = []
     for idx in order:
@@ -503,30 +550,26 @@ def obfuscate_program_level(
         for v, val in p.consts.items():
             rename[v] = const_fresh()
             bindings[rename[v]] = val
-        for st in p.statements:
-            assert isinstance(st, Assign)
-            rename[st.target] = fresh()
-            statements.append(
-                Assign(
-                    rename[st.target],
-                    SimpleExpression(
-                        st.expr.op,
-                        rename.get(st.expr.in1, st.expr.in1),
-                        rename.get(st.expr.in2, st.expr.in2),
-                    ),
-                )
-            )
-        results.append(rename[p.statements[-1].target])
+        p_ops, p_in1, p_in2, p_targets = p.columns
+        ops += p_ops
+        # a target is renamed before its statement's operands, as they are read
+        for a, b, target in zip(p_in1, p_in2, p_targets):
+            rename[target] = new = fresh()
+            in1.append(rename.get(a, a))
+            in2.append(rename.get(b, b))
+            targets.append(new)
+        results.append(new)
 
-    sels = [sel() for _ in order]
+    sels = tuple(sel() for _ in order)
     bits = {s: int(idx == i_star) for s, idx in zip(sels, order)}
-    statements.append(Combine(fresh(), tuple(zip(sels, results))))
+    combines = {len(targets): (*sels, *results)}
+    ops.append(None)
+    in1.append(None)
+    in2.append(None)
+    targets.append(fresh())
 
-    obf_program = Program(
-        inputs=shared_inputs + list(bindings),
-        statements=statements,
-        consts={},
-        prime=programs[0].prime,
+    obf_program = Program.from_columns(
+        shared_inputs + list(bindings), ops, in1, in2, targets, combines, prime=programs[0].prime
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
     return obf, SelectorKey(bits=bits, bindings=bindings)
@@ -538,14 +581,18 @@ def _prepared_plan(obf: ObfProgram, sel_key: SelectorKey) -> SlotPlan:
     compile_plan checks the key as it compiles, so a changed key or
     program costs one pass over the statements. obf.prepared keeps the
     plan with a snapshot of what it was built from: the inputs (the plan
-    holds their registers), the statements, and the bit names (the
-    plan's selector registers follow their order) and values. Each call
-    takes the snapshot again and reuses the plan if the two compare
-    equal, which CPython does in C, element by element, identity first.
+    holds their registers), the program's columns and combining
+    statements, and the bit names (the plan's selector registers follow
+    their order) and values. Each call takes the snapshot again and
+    reuses the plan if the two compare equal, which CPython does in C,
+    element by element, identity first: a program is never edited in
+    place, so its columns compare by identity and cost nothing per run.
     The prime is not part of it: run_plan computes at the key's prime.
     """
     program, bits = obf.program, sel_key.bits
-    snapshot = (list(program.inputs), list(program.statements), list(bits), list(bits.values()))
+    snapshot = (
+        list(program.inputs), program.columns, program.combines, list(bits), list(bits.values())
+    )
     if obf.prepared is not None and obf.prepared[0] == snapshot:
         return obf.prepared[1]
     plan = compile_plan(program, bits)
@@ -589,11 +636,8 @@ def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
     """
     bits = sel_key.bits
     check_bits(bits)
-    return {
-        idx: hot_option(st, bits)
-        for idx, st in enumerate(obf.program.statements)
-        if isinstance(st, Combine)
-    }
+    combines = obf.program.combines
+    return {idx: hot_option(selectors(options), bits) for idx, options in combines.items()}
 
 
 def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
@@ -609,17 +653,12 @@ def deobfuscate(obf: ObfProgram, sel_key: SelectorKey) -> Program:
     does, unless every variable is assigned once, after what it reads.
     """
     program = obf.program
-    statements = fold_selection(program, checked_key(obf, sel_key))
-    refs = referenced_vars(statements)
+    ops, in1, in2, targets = fold_selection(program, checked_key(obf, sel_key))
+    refs = {*in1, *in2}  # a fold has no combining statement
     bound = {**program.consts, **sel_key.bindings}
     consts = {v: val for v, val in bound.items() if v in refs}
     inputs = [v for v in program.inputs if v not in sel_key.bindings]
-    return Program(
-        inputs=inputs,
-        statements=statements,
-        consts=consts,
-        prime=program.prime,
-    )
+    return Program.from_columns(inputs, ops, in1, in2, targets, consts=consts, prime=program.prime)
 
 
 # ------------------------------------------------------------- file I/O

@@ -36,6 +36,7 @@ from selectc.ir import (
     eval_plain,
     normalize,
     render_program,
+    selectors,
 )
 from selectc.lower import lower
 from selectc.obfuscate import (
@@ -384,8 +385,8 @@ def test_criterion_10_position_uniformity(announce):
         obf, sk = obfuscate_statement_level(
             base, ObfuscationConfig(mislead_factor=5, seed=seed)
         )
-        _, st = next(iter(obf.combines()))
-        for pos, (s, _) in enumerate(st.options):
+        sels = selectors(obf.program.combines[len(obf.program) - 1])
+        for pos, s in enumerate(sels):
             if sk.bits[s] == 1:
                 counts[pos] += 1
     chi2 = sum((c - 200) ** 2 / 200 for c in counts)

@@ -99,7 +99,7 @@ def test_fake_combines_do_not_count():
     )
     obf, _ = obfuscate_statement_level(p, cfg)
     cd = extract_class(obf)
-    assert len(obf.combines()) == 7
+    assert len(obf.program.combines) == 7
     assert len(cd.combine_indices) == 2
     assert cd.class_size == 9
 

@@ -9,7 +9,7 @@ import pytest
 from selectc.cli import dispatch
 from selectc.crypto import read_key_file, write_key_file
 from selectc.errors import format_count
-from selectc.ir import eval_plain, parse_program, render_program
+from selectc.ir import eval_plain, parse_program, render_program, selectors
 from selectc.lower import lower
 from selectc.obfuscate import read_obf_program
 from selectc.patterns import read_table
@@ -102,8 +102,9 @@ def test_obfuscate_run_deobfuscate_flow(tmp_path, capsys):
 def test_run_rejects_a_key_that_is_not_one_hot(tmp_path, capsys, hot):
     _, obf, key = obfuscate(tmp_path, TASK1, "--seed", "7")
     seed, sel_key = read_key_file(key)
-    _, last = read_obf_program(obf).combines()[-1]
-    for i, (sel, _) in enumerate(last.options):
+    program = read_obf_program(obf).program
+    last = selectors(program.combines[len(program) - 1])
+    for i, sel in enumerate(last):
         sel_key.bits[sel] = int(i < hot)
     write_key_file(key, seed, sel_key)
     capsys.readouterr()

@@ -10,8 +10,6 @@ from selectc.crypto import (
     SelectorKey,
     dec,
     enc,
-    enc_many,
-    he_op,
     keygen,
     read_key_file,
     run_plan,
@@ -21,6 +19,8 @@ from selectc.errors import ForeignCiphertextError, FormatError, KeyMismatchError
 from selectc.field import ALL_OPS, FIELD_PRIME, Op, apply_op
 from selectc.ir import Assign, Combine, Program, SimpleExpression, compile_plan
 from selectc.obfuscate import ObfProgram, checked_key
+
+from crypto_reference import enc_many, he_op
 
 P = FIELD_PRIME
 

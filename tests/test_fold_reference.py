@@ -8,9 +8,8 @@ own, and filter on known pairs by folding and evaluating every
 candidate. The library has one fold rule (ir.inline_map and
 ir.emit_fold) and never folds a dead statement: deobfuscate folds one
 selection with one backward liveness walk (ir.fold_selection), and the
-attack folds each member from cones built once per class, interns the
-statements it rewrites, keys and scores each live signature in one
-pass that builds no statement, keys members without a liveness pass
+attack folds each member to columns from cones built once per class,
+keys and scores each live signature in one pass that builds nothing, keys members without a liveness pass
 and through key lines memoized per union of cones, sorts and weights
 each distinct member once, folds a member only when the ranking is
 read, finds ranks by bisection and filters by walking the obfuscated
@@ -54,7 +53,8 @@ from selectc.ir import (
     fold_selection,
     normalize,
     render_program,
-    statement_operands,
+    selectors,
+    sources,
 )
 from selectc.obfuscate import (
     ObfProgram,
@@ -77,9 +77,9 @@ def count_passes(monkeypatch):
     """Record the signatures key_score and fold are called on, under "key" and "fold"."""
     calls = {"key": [], "fold": []}
 
-    def keying(cones, sig, op_scores):
+    def keying(cones, sig, op_scores, memo):
         calls["key"].append(sig)
-        return real_key_score(cones, sig, op_scores)
+        return real_key_score(cones, sig, op_scores, memo)
 
     def folding(cones, sig):
         calls["fold"].append(sig)
@@ -91,6 +91,13 @@ def count_passes(monkeypatch):
 
 
 # ------------------------------------------------------------ references
+
+def statement_operands(st):
+    """The variables a statement node reads, in order."""
+    if isinstance(st, Assign):
+        return (st.expr.in1, st.expr.in2)
+    return tuple(src for _, src in st.options)
+
 
 def reference_fold(program, selection):
     use_count = {}
@@ -151,15 +158,16 @@ def reference_fold(program, selection):
 def reference_dce(program):
     live = {program.output}
     keep = []
-    for idx in range(len(program.statements) - 1, -1, -1):
-        st = program.statements[idx]
+    statements = program.statements  # the node view is built on each read
+    for idx in range(len(statements) - 1, -1, -1):
+        st = statements[idx]
         if st.target in live:
             keep.append(idx)
             live.update(statement_operands(st))
     keep.reverse()
     return Program(
         inputs=list(program.inputs),
-        statements=[program.statements[i] for i in keep],
+        statements=[statements[i] for i in keep],
         consts=dict(program.consts),
         prime=program.prime,
     )
@@ -335,8 +343,13 @@ def assert_members_are_live_folds(obf):
         want = reference_realize(cd, rc.selection)
         assert realize_candidate(cd, rc.selection) == want
         choice = dict(zip(cd.combine_indices, rc.selection))
-        assert fold_selection(obf.program, choice) == want.statements
+        assert fold_columns(obf.program, choice) == want.columns
         assert rc.key == canonical_key(rc.program, False)
+
+
+def fold_columns(program, selection):
+    """fold_selection's columns, as a Program holds them."""
+    return tuple(map(tuple, fold_selection(program, selection)))
 
 
 def hand_built(statements, inputs=("x", "y")):
@@ -432,7 +445,8 @@ def test_random_class_members_are_live_folds(case):
 
 def random_selection(obf, rng):
     """One option index per combining statement, dead ones included."""
-    return {idx: rng.randrange(len(comb.options)) for idx, comb in obf.combines()}
+    combines = obf.program.combines
+    return {idx: rng.randrange(len(sources(options))) for idx, options in combines.items()}
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -445,7 +459,7 @@ def test_random_class_folds_like_the_reference(case, rng):
     for _ in range(5):
         selection = random_selection(obf, rng)
         want = reference_dce(reference_fold(program, selection))
-        assert fold_selection(program, selection) == want.statements
+        assert fold_columns(program, selection) == want.columns
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -459,7 +473,7 @@ def test_any_one_hot_key_deobfuscates_to_what_the_obfuscated_program_computes(ca
     bindings = {v: rng.randrange(prime) for v in obf.program.inputs if rng.random() < 0.5}
     bits = {}
     for idx, hot in random_selection(obf, rng).items():
-        for i, (sel, _) in enumerate(obf.program.statements[idx].options):
+        for i, sel in enumerate(selectors(obf.program.combines[idx])):
             bits[sel] = int(i == hot)
     key = SelectorKey(bits=bits, bindings=bindings)
     program = deobfuscate(obf, key)
@@ -783,29 +797,25 @@ def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
     real = ir.live_statement_indices
 
     def counting(program):
-        passes.append(len(program.statements))
+        passes.append(len(program))
         return real(program)
 
     monkeypatch.setattr(ir, "live_statement_indices", counting)
     monkeypatch.setattr(attack, "live_statement_indices", counting)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert report.enumerated == cd.class_size == 12_500
-    assert passes == [len(demo.obf.program.statements), len(demo.program.statements)]
+    assert passes == [len(demo.obf.program), len(demo.program)]
 
 
-def test_rank_only_builds_each_resolved_statement_once(monkeypatch):
-    """The work-shape guard: ranking builds no Assign and no Program; a
-    member is folded when the ranking is read. Then it reuses the
-    obfuscated program's untouched statements and the class's interned
-    resolved ones, so reading a rank-only l0 ranking builds each
-    distinct resolved statement once: 105 in all, where building one per
-    rewritten statement of every member would make 37,500."""
-    demo, _, members = demo_class("l0")
+def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypatch):
+    """The work-shape guard: ranking builds no statement node and no
+    Program; a member is folded when the ranking is read, to columns
+    that its one Program holds, so reading a rank-only l0 ranking builds
+    12,500 Programs and not one statement node."""
+    demo, _, _ = demo_class("l0")
     cd = extract_class(demo.obf)
     cd.cones  # its KPA segments are Programs, built once per class
-    own = set(cd.obf.program.statements)
-    resolved = {st for _, program in members for st in program.statements} - own
-    built = {Assign: 0, Program: 0}
+    built = Counter()
 
     def counting(cls):
         real = cls.__init__
@@ -816,14 +826,20 @@ def test_rank_only_builds_each_resolved_statement_once(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", init)
 
-    counting(Assign)
-    counting(Program)
+    for cls in (Assign, SimpleExpression, Combine, Program):
+        counting(cls)
+    real_from_columns = Program.from_columns.__func__
+
+    def from_columns(cls, *args, **kwargs):
+        built[Program] += 1
+        return real_from_columns(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "from_columns", classmethod(from_columns))
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == cd.class_size == 12_500
-    assert built == {Assign: 0, Program: 0}
+    assert built == {}
     assert len({rc.key for rc in ranked}) == 12_500
-    assert built == {Assign: len(resolved), Program: 12_500}
-    assert len(resolved) == 105
+    assert built == {Program: 12_500}
 
 
 def test_rank_only_formats_each_key_line_once(monkeypatch):
@@ -832,7 +848,8 @@ def test_rank_only_formats_each_key_line_once(monkeypatch):
     their 75,000 key lines come from one memo. Each of the 108 distinct
     lines is formatted once, and the first member's 6 once more, before
     the memo exists. Formatting a line looks its operation up in
-    ir.OP_NAMES, once per line formatted."""
+    ir.OP_NAMES, once per line formatted. The rename map and the memo
+    belong to the ranking: the class keeps only the union's indices."""
     demo, _, _ = demo_class("l0")
     cd = extract_class(demo.obf)
     formatted = []
@@ -845,9 +862,8 @@ def test_rank_only_formats_each_key_line_once(monkeypatch):
     monkeypatch.setattr(ir, "OP_NAMES", Counting(ir.OP_NAMES))
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == 12_500
-    [kept] = cd.cones.kept.values()
-    assert len(kept.indices) * len(ranked.members) == 75_000
-    assert len(kept.lines) == 108
+    [indices] = cd.cones.kept.values()
+    assert len(indices) * len(ranked.members) == 75_000
     assert len(formatted) == 108 + 6
 
 
@@ -864,7 +880,7 @@ def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
     real = attack.run_statements
 
     def counting(program, env, selectors, ops):
-        ran.append(len(program.statements))
+        ran.append(len(program))
         return real(program, env, selectors, ops)
 
     monkeypatch.setattr(attack, "run_statements", counting)

@@ -111,8 +111,11 @@ def test_selector_ids_keep_first_use_order():
     cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0",), fake_combining=2, seed=3)
     obf, _ = obfuscate_statement_level(random_linear_program(random.Random(3), 6), cfg)
     program = obf.program
-    program.statements.append(
-        Combine("again", tuple((s, program.output) for s in program.selector_ids()[:2]))
+    ops, in1, in2, targets = program.columns
+    again = (*program.selector_ids()[:2], program.output, program.output)
+    program = Program.from_columns(
+        program.inputs, ops + (None,), in1 + (None,), in2 + (None,), targets + ("again",),
+        {**program.combines, len(program): again}, program.consts, program.prime,
     )
     seen = []
     for st in program.statements:
@@ -268,10 +271,11 @@ def test_live_statement_indices_drops_dead_code():
 
 def folded(p, selection):
     """fold_selection as a program, checked against the reference fold and dead-code pass."""
-    stmts = fold_selection(p, selection)
+    columns = fold_selection(p, selection)
     want = reference_dce(reference_fold(p, selection))
-    assert stmts == want.statements
-    return Program(inputs=p.inputs, statements=stmts, consts=p.consts, prime=p.prime)
+    got = Program.from_columns(p.inputs, *columns, consts=p.consts, prime=p.prime)
+    assert got.statements == want.statements
+    return got
 
 
 def test_dead_code_eliminate_keeps_semantics():

@@ -2,8 +2,8 @@
 
 Assign, SimpleExpression and Combine are not frozen dataclasses (a frozen
 one pays object.__setattr__ per field on every construction), so the
-immutability that emit_fold's interning relies on is checked here, on
-the package source, instead.
+immutability that their hashing relies on is checked here, on the
+package source, instead.
 """
 
 import ast

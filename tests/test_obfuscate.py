@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 
 from selectc import obfuscate
 from selectc.attack import extract_class
-from selectc.crypto import SelectorKey, dec, enc, enc_many, he_op, keygen
+from selectc.crypto import SelectorKey, dec, enc, keygen
 from selectc.demos import build_l0, build_l1
 from selectc.errors import (
     ConfigError,
@@ -37,6 +37,8 @@ from selectc.ir import (
     parse_program,
     render_program,
     run_statements,
+    selectors,
+    sources,
 )
 from selectc.obfuscate import (
     _ENUMERATE_LIMIT,
@@ -54,6 +56,8 @@ from selectc.obfuscate import (
     write_obf_program,
 )
 from selectc.patterns import PatternTable
+
+from crypto_reference import enc_many, he_op
 
 P = FIELD_PRIME
 
@@ -124,12 +128,12 @@ def test_statement_level_group_shape():
     cfg = ObfuscationConfig(mislead_factor=3)
     obf, sel_key = obfuscate_statement_level(two_stmt_program(), cfg)
     # one group of k options plus a combine per original statement
-    assert len(obf.program.statements) == (3 + 1) * 2
-    combines = obf.combines()
+    assert len(obf.program) == (3 + 1) * 2
+    combines = obf.program.combines
     assert len(combines) == 2
-    for _, st in combines:
-        assert len(st.options) == 3
-    assert sorted(checked_key(obf, sel_key)) == [idx for idx, _ in combines]
+    for options in combines.values():
+        assert len(selectors(options)) == len(sources(options)) == 3
+    assert sorted(checked_key(obf, sel_key)) == list(combines)
 
 
 def test_statement_count_is_exactly_k_plus_one_per_statement():
@@ -226,7 +230,7 @@ def test_fake_groups_never_reach_the_output():
     )
     assert with_fakes.class_size == extract_class(bare).class_size == 2**2
     # but the fakes are visible as extra combining statements
-    assert len(obf.combines()) == 2 + 4
+    assert len(obf.program.combines) == 2 + 4
 
 
 def test_obfuscation_is_seed_deterministic():
@@ -421,10 +425,21 @@ def test_eval_encrypted_fails_as_the_statement_walk_fails(text, inputs, foreign)
         assert issubclass(results[0][0], SelectcError)
 
 
+def _with_row(program, at, op, in1, in2, inputs=None):
+    """program with statement at replaced by targets[at] := op in1 in2,
+    and with inputs in place of its own if given, built anew."""
+    ops, col1, col2, targets = (list(column) for column in program.columns)
+    ops[at], col1[at], col2[at] = op, in1, in2
+    return Program.from_columns(
+        program.inputs if inputs is None else inputs,
+        ops, col1, col2, targets, program.combines, program.consts, program.prime,
+    )
+
+
 def test_eval_encrypted_notices_changes_made_in_place():
-    """The cached check and plan follow edits to the statements, the
-    inputs, the bits and their order; each run equals the deobfuscated
-    program's."""
+    """The cached check and plan follow a program rebuilt with an edited
+    statement or a new input, and edits made in place to the bits, their
+    order and the bindings; each run equals the deobfuscated program's."""
     source = random_linear_program(random.Random(8), n_statements=4, n_consts=1)
     cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0",), fake_combining=1, seed=8)
     obf, sel_key = obfuscate_statement_level(source, cfg)
@@ -438,22 +453,22 @@ def test_eval_encrypted_notices_changes_made_in_place():
 
     first = run_matches_fold(inputs)
     # swap the operation of the output combine's hot option
-    _, st = obf.combines()[-1]
-    hot = next(src for s, src in st.options if sel_key.bits[s])
-    at = next(i for i, s in enumerate(program.statements) if s.target == hot)
-    old = program.statements[at]
-    new_op = Op.SUB if old.expr.op is not Op.SUB else Op.ADD
-    program.statements[at] = Assign(hot, SimpleExpression(new_op, old.expr.in1, old.expr.in2))
+    options = program.combines[len(program) - 1]
+    sels = selectors(options)
+    hot = next(src for s, src in zip(sels, sources(options)) if sel_key.bits[s])
+    at = program.columns[3].index(hot)
+    old_op, old_in1, old_in2, _ = (column[at] for column in program.columns)
+    new_op = Op.SUB if old_op is not Op.SUB else Op.ADD
+    obf.program = _with_row(program, at, new_op, old_in1, old_in2)
     assert run_matches_fold(inputs) != first
     # a new input, read by the hot option
-    program.inputs.append("w")
+    obf.program = _with_row(obf.program, at, new_op, old_in1, old_in2, [*program.inputs, "w"])
     with pytest.raises(UnboundVariableError, match=r"input variable\(s\): w"):
         run_encrypted(obf, sel_key, inputs)
-    program.statements[at] = Assign(hot, SimpleExpression(Op.MUL, old.expr.in1, "w"))
+    obf.program = _with_row(obf.program, at, Op.MUL, old_in1, "w")
     run_matches_fold({**inputs, "w": 3})
     inputs["w"] = 3
     # move the hot selector of that combine to another option
-    sels = [s for s, _ in st.options]
     on = next(s for s in sels if sel_key.bits[s])
     off = next(s for s in sels if not sel_key.bits[s])
     sel_key.bits[on], sel_key.bits[off] = 0, 1
@@ -547,9 +562,9 @@ def test_plain_and_encrypted_runs_agree(case, data):
     assert plain[obf.program.output] == want
     assert run_encrypted(obf, sel_key, inputs) == want
     # the key holder's run accepts only one hot selector per combining statement
-    _, st = data.draw(hst.sampled_from(obf.combines()))
-    hot = next(s for s, _ in st.options if sel_key.bits[s])
-    cold = next(s for s, _ in st.options if not sel_key.bits[s])
+    sels = selectors(data.draw(hst.sampled_from(list(obf.program.combines.values()))))
+    hot = next(s for s in sels if sel_key.bits[s])
+    cold = next(s for s in sels if not sel_key.bits[s])
     for flip in (hot, cold):
         bad = SelectorKey(bits={**sel_key.bits, flip: 1 - sel_key.bits[flip]}, bindings=sel_key.bindings)
         with pytest.raises(KeyMismatchError):
@@ -565,7 +580,7 @@ def test_every_emitted_key_is_one_hot(case):
     which binds exactly the program's selectors."""
     _, obf, sel_key, _ = case
     assert set(sel_key.bits) == set(obf.program.selector_ids())
-    assert sorted(checked_key(obf, sel_key)) == [idx for idx, _ in obf.combines()]
+    assert sorted(checked_key(obf, sel_key)) == list(obf.program.combines)
     compile_plan(obf.program, sel_key.bits)
 
 
@@ -581,7 +596,7 @@ def misleading_options(stmt, cfg, rng=None, var_pool=None):
         var_pool = list(dict.fromkeys([stmt.expr.in1, stmt.expr.in2, *cfg.fake_vars]))
     cfg.validate()
     draw = obfuscate._option_draw(cfg, rng, var_pool, obfuscate._op_weights(cfg))
-    return draw(stmt.expr)
+    return [SimpleExpression(*e) for e in draw(stmt.expr.op, stmt.expr.in1, stmt.expr.in2)]
 
 
 def test_misleading_options_are_distinct():
@@ -625,7 +640,7 @@ def test_combined_temporaries_hide_operands_and_operation():
     )
     obf, sel_key = obfuscate_statement_level(p, cfg)
     # two operand-hiding combines plus the option group's combine
-    assert len(obf.combines()) == 3
+    assert len(obf.program.combines) == 3
     assert extract_class(obf).class_size == 3**3
     assert run_encrypted(obf, sel_key, {"a": 4}) == 16
     assert normalize(deobfuscate(obf, sel_key)) == normalize(p)
@@ -676,7 +691,7 @@ def reference_distinct_expressions(
     seen = set(forbidden)
     if space <= _ENUMERATE_LIMIT and op_weights is None:
         universe = [
-            SimpleExpression(op, a, b)
+            (op, a, b)
             for op in op_choices
             for a in var_choices
             for b in var_choices
@@ -688,8 +703,8 @@ def reference_distinct_expressions(
             op = rng.choice(op_choices)
         else:
             op = rng.choices(op_choices, weights=op_weights, k=1)[0]
-        expr = SimpleExpression(op, rng.choice(var_choices), rng.choice(var_choices))
-        key = (expr.op.value, expr.in1, expr.in2)
+        expr = (op, rng.choice(var_choices), rng.choice(var_choices))
+        key = (op.value, *expr[1:])
         if key in seen:
             continue
         seen.add(key)
@@ -772,13 +787,14 @@ def test_sampler_draws_from_pools_with_repeated_names():
                 )
 
 
-def reference_gen_combined(stmt, cfg, rng, var_pool, fresh, sel):
+def reference_gen_combined(expr, cfg, rng, var_pool, fresh, sel):
     """The combined-temporaries draw that copies the pool for every operand slot."""
     k = cfg.mislead_factor
+    op, in1, in2 = expr
     prelude = []
     bits = {}
     temp_for = []
-    for true_var in (stmt.expr.in1, stmt.expr.in2):
+    for true_var in (in1, in2):
         others = [v for v in var_pool if v != true_var]
         if len(others) < k - 1:
             raise PoolExhaustedError(
@@ -789,9 +805,9 @@ def reference_gen_combined(stmt, cfg, rng, var_pool, fresh, sel):
         sels = [sel() for _ in candidates]
         bits.update({s: int(v == true_var) for s, v in zip(sels, candidates)})
         temp = fresh()
-        prelude.append(Combine(temp, tuple(zip(sels, candidates))))
+        prelude.append((temp, (*sels, *candidates)))
         temp_for.append(temp)
-    others_ops = [op for op in cfg.op_pool if op is not stmt.expr.op]
+    others_ops = [o for o in cfg.op_pool if o is not op]
     if len(others_ops) < k - 1:
         raise PoolExhaustedError(
             f"operation slot needs {k - 1} decoy operations but only {len(others_ops)} exist"
@@ -799,20 +815,21 @@ def reference_gen_combined(stmt, cfg, rng, var_pool, fresh, sel):
     chosen_ops = rng.sample(others_ops, k - 1)
     t1, t2 = temp_for
     return obfuscate.MisleadingSet(
-        options=[SimpleExpression(op, t1, t2) for op in chosen_ops],
-        confidential=SimpleExpression(stmt.expr.op, t1, t2),
+        options=[(o, t1, t2) for o in chosen_ops],
+        confidential=(op, t1, t2),
         prelude=prelude,
         prelude_bits=bits,
     )
 
 
-def _combined_outcome(draw, seed, stmt, k, pool):
-    """(the MisleadingSet's parts or the error raised, RNG state afterwards)."""
+def _combined_outcome(draw, seed, expr, k, pool):
+    """(the MisleadingSet's parts or the error raised, RNG state afterwards)
+    for the statement r := expr."""
     cfg = ObfuscationConfig(mislead_factor=k, strategy="combined-temporaries")
     rng = random.Random(seed)
-    fresh = obfuscate._Namer("t", set(pool) | {stmt.target})
+    fresh = obfuscate._Namer("t", set(pool) | {"r"})
     try:
-        ms = draw(stmt, cfg, rng, pool, fresh, obfuscate._Namer("s", set()))
+        ms = draw(expr, cfg, rng, pool, fresh, obfuscate._Namer("s", set()))
         result = (ms.options, ms.confidential, ms.prelude, list(ms.prelude_bits.items()))
     except SelectcError as exc:
         result = (type(exc), str(exc))
@@ -831,13 +848,13 @@ def test_combined_draws_what_the_reference_draws(pool, in1, in2, k, seed):
     """Pools with repeated names, operands in the pool (once or more) or
     not, and k up to past the PoolExhaustedError boundary: same parts,
     same error and the same RNG state afterwards."""
-    stmt = Assign("r", SimpleExpression(Op.MUL, in1, in2))
+    expr = (Op.MUL, in1, in2)
 
-    def library(stmt, cfg, rng, pool, fresh, sel):
-        return obfuscate._gen_combined(stmt, cfg, rng, pool, obfuscate._positions(pool), fresh, sel)
+    def library(expr, cfg, rng, pool, fresh, sel):
+        return obfuscate._gen_combined(expr, cfg, rng, pool, obfuscate._positions(pool), fresh, sel)
 
-    assert _combined_outcome(library, seed, stmt, k, pool) == _combined_outcome(
-        reference_gen_combined, seed, stmt, k, pool
+    assert _combined_outcome(library, seed, expr, k, pool) == _combined_outcome(
+        reference_gen_combined, seed, expr, k, pool
     )
 
 
@@ -853,8 +870,8 @@ def test_combined_statement_level_matches_the_reference(monkeypatch):
             m.setattr(
                 obfuscate,
                 "_gen_combined",
-                lambda stmt, cfg, rng, pool, positions, fresh, sel: reference_gen_combined(
-                    stmt, cfg, rng, pool, fresh, sel
+                lambda expr, cfg, rng, pool, positions, fresh, sel: reference_gen_combined(
+                    expr, cfg, rng, pool, fresh, sel
                 ),
             )
             want = obfuscate_statement_level(program, cfg)
@@ -930,18 +947,24 @@ def test_obfuscation_output_matches_the_golden_digest():
     assert _golden_obfuscations() == GOLDEN_DIGEST
 
 
-def test_index_path_builds_only_the_picked_expressions(monkeypatch):
-    built = []
+class _CountingPool(list):
+    """A pool that counts the items read from it by index."""
 
-    def counting(*args):
-        built.append(args)
-        return SimpleExpression(*args)
+    reads = 0
 
-    monkeypatch.setattr(obfuscate, "SimpleExpression", counting)
-    names = [f"v{i}" for i in range(32)]
-    assert len(ARITH_OPS) * len(names) ** 2 == _ENUMERATE_LIMIT
-    picks = _distinct_expressions(random.Random(1), 5, list(ARITH_OPS), names, {("ADD", "v0", "v1")})
-    assert len(built) == 5
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_index_path_builds_only_the_picked_expressions():
+    """Each pick reads its operation and its two operands by index, and
+    nothing else is read that way: the expression space is not built."""
+    names = _CountingPool(f"v{i}" for i in range(32))
+    ops = _CountingPool(ARITH_OPS)
+    assert len(ops) * len(names) ** 2 == _ENUMERATE_LIMIT
+    picks = _distinct_expressions(random.Random(1), 5, ops, names, {("ADD", "v0", "v1")})
+    assert (ops.reads, names.reads) == (5, 10)
     assert len(set(picks)) == 5
 
 
