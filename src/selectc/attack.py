@@ -18,8 +18,8 @@ Three attacks are modeled:
   * likelihood ranking: score candidates by how typical their
     statements look against a mined pattern table (smoothed relative
     operator frequencies), and rank the class by that score. The
-    result is a Ranking with one record per distinct program; the
-    selections behind it are built only when read.
+    result is a Ranking with one record per distinct program, folded
+    only when read.
   * the selection guessing game, exact and simulated, for the
     two-statement combining setting with one conspicuous statement.
 
@@ -31,14 +31,13 @@ pessimistically. Q = 0 means the attacker's first pick is right.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import ConfigError, EnumerationCapError
@@ -91,77 +90,41 @@ CountedSignature = tuple[tuple[int, ...], int]
 
 
 @dataclass(slots=True)
-class RankedCandidate:
-    selection: tuple[int, ...]
-    program: Program
-    log_score: float = 0.0
-    prob: float = 0.0
-    key: str = ""  # canonical_key(program, False)
-
-
-@dataclass(slots=True)
 class RankedMember:
-    """One distinct program of a ranked class, and the selections that fold to it:
-    its live signatures (_MemberCones.signature) expanded over their dead slots."""
+    """One distinct program of a ranked class and how many selections fold to it."""
 
     key: str  # canonical_key(its program, False)
     log_score: float
     count: int  # selections
-    signatures: list[tuple[int, ...]]
+    signature: tuple[int, ...]  # the first live signature (_MemberCones.signature) that reached it
     prob: float = 0.0  # per selection
+    program: Program | None = None  # folded from signature when the Ranking is first read
 
 
 class Ranking:
     """A ranked class, best first, as rank_candidates returns it.
 
     members holds one RankedMember per distinct program, sorted. As an
-    iterable with a length it is the selections, one RankedCandidate
-    each, built on demand: a member's signatures folded, expanded over
-    their dead slots and merged in product order.
+    iterable with a length it is those members, each folded on its
+    first read.
     """
 
-    __slots__ = ("members", "_cones", "_ranges", "_ends", "_folds")
+    __slots__ = ("members", "_cones", "_ends")
 
     def __init__(self, members: list[RankedMember], cd: ClassDescriptor):
         self.members = members
         self._cones = cd.cones
-        self._ranges = [range(n) for n in cd.option_counts()]
         self._ends = list(itertools.accumulate(m.count for m in members))  # selections so far
-        self._folds: dict[int, list[Program]] = {}  # member position -> its signatures' programs
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return len(self.members)
 
-    def __iter__(self) -> Iterator[RankedCandidate]:
-        for i, member in enumerate(self.members):
-            score, prob, key = member.log_score, member.prob, member.key
-            for selection, program in self._selections(i):
-                yield RankedCandidate(selection, program, score, prob, key)
-
-    def _selections(self, i: int) -> Iterator[tuple[tuple[int, ...], Program]]:
-        """(selection, program) for each of member i's selections, in product order.
-
-        Its signatures are folded on its first read, and one whose fold has
-        the first one's very columns shares its Program."""
-        signatures = self.members[i].signatures
-        programs = self._folds.get(i)
-        if programs is None:
-            programs = self._folds[i] = []
-            for sig in signatures:
-                program = self._cones.member(self._cones.fold(sig))
-                same = programs and program.columns == programs[0].columns
-                programs.append(programs[0] if same else program)
-        ranges = self._ranges
-        runs = [
-            zip(
-                itertools.product(*[(c,) if c >= 0 else r for c, r in zip(sig, ranges)]),
-                itertools.repeat(program),
-            )
-            for sig, program in zip(signatures, programs)
-        ]
-        if len(runs) == 1:
-            return runs[0]
-        return heapq.merge(*runs, key=itemgetter(0))
+    def __iter__(self) -> Iterator[RankedMember]:
+        cones = self._cones
+        for member in self.members:
+            if member.program is None:
+                member.program = cones.member(cones.fold(member.signature))
+            yield member
 
 
 @dataclass
@@ -245,10 +208,10 @@ class _MemberCones:
     ranked, the rename map of their targets and a memo of their key
     lines (see key_score).
 
-    The same pass records what the KPA walk (_consistent_selections)
-    runs: each slot's target and sources, and the live assignments in
-    segments. An assignment with reach 0 reads no slot target, so it
-    goes to segment 0; any other goes after the latest slot.
+    The same pass splits the live assignments into the segments that
+    the KPA walk (_consistent_selections) runs. An assignment with reach
+    0 reads no slot target, so it goes to segment 0; any other goes
+    after the latest slot.
 
     extract_class has checked single assignment, so a variable's
     definition comes before its readers and the masks of a slot's
@@ -260,27 +223,21 @@ class _MemberCones:
     def __init__(self, cd: ClassDescriptor):
         program = self.program = cd.obf.program
         ops, in1, in2, targets = self.columns = program.columns
-        combines = program.combines
+        self.slots = cd.combine_indices  # slot -> its statement index
         # the interface every member shares, apart from the obfuscated program's own
         self.inputs = list(program.inputs)
         self.consts = dict(program.consts)
         self.fixed = {*program.inputs, *program.consts}  # the terminals, which keep their names
         defs: dict[str, int] = {}  # assignment target -> its index
         reach: dict[str, int] = {}  # variable -> slots it reads through assignments
-        slots: list[int] = []
         self.reach: list[list[int]] = []  # slot -> option -> slots its source reads
-        self.targets: list[str] = []  # slot -> its target
-        self.sources: list[tuple[str, ...]] = []  # slot -> option -> source variable
         segments: list[list[int]] = [[]]
         for idx in cd.live_indices:
             target = targets[idx]
             if ops[idx] is None:
-                srcs = sources(combines[idx])
-                self.reach.append([reach.get(src, 0) for src in srcs])
-                reach[target] = 1 << len(slots)
-                slots.append(idx)
-                self.targets.append(target)
-                self.sources.append(srcs)
+                j = len(self.reach)
+                self.reach.append([reach.get(src, 0) for src in cd.options[j]])
+                reach[target] = 1 << j
                 segments.append([])
             else:
                 defs[target] = idx
@@ -320,9 +277,9 @@ class _MemberCones:
         cone_ids: dict[frozenset[int], int] = {}  # cone -> its id, the order of first sight
         # slot -> option -> (cone id, its fold choice)
         self.slot_options: list[list[tuple[int, Chosen]]] = []
-        for idx in slots:
+        for idx, srcs in zip(cd.combine_indices, cd.options):
             row = []
-            for src in sources(combines[idx]):
+            for src in srcs:
                 definition = cd.inline.get(src)
                 if definition is None:
                     keep = cone(src)
@@ -355,8 +312,9 @@ class _MemberCones:
             if live >> j & 1:
                 choice = sig[j] = selection[j]
                 if not 0 <= choice < len(reach[j]):
-                    idx = self.slot_options[j][0][1][0]
-                    raise ValueError(f"option index {choice} out of range at statement {idx}")
+                    raise ValueError(
+                        f"option index {choice} out of range at statement {self.slots[j]}"
+                    )
                 live |= reach[j][choice]
         return tuple(sig)
 
@@ -520,8 +478,9 @@ def _consistent_selections(
     so a later pair never costs more than the walk itself.
     """
     program = cd.obf.program
-    cones = cd.cones
-    targets, sources, runs = cones.targets, cones.sources, cones.segments
+    runs = cd.cones.segments
+    targets = [program.columns[3][idx] for idx in cd.combine_indices]  # slot -> its target
+    sources = cd.options
     ops = field_ops(program.prime)
     no_bits: dict[str, int] = {}  # segments hold no combining statement
     out = program.output
@@ -607,16 +566,17 @@ def rank_candidates(
     p(candidate) is proportional to the product of smoothed relative
     frequencies of its statement operations; probabilities are
     normalized over the ranked selections. Ties are broken by canonical
-    serialization, then by product order, so the order is reproducible.
+    serialization, so the order is reproducible.
 
     The unit of work is the distinct member, not the selection. Each
     live signature, the class's (_MemberCones.signatures) or the
     survivors', is keyed and scored once, building nothing
-    (_MemberCones.key_score); the Ranking builds selections and programs
-    only when read. The score is an fsum, which is correctly rounded, so
+    (_MemberCones.key_score); the Ranking folds a member only when
+    read. The score is an fsum, which is correctly rounded, so
     signatures that fold to one key tie on (score, key) and form one
-    member. Each member's weight is computed once and counted once per
-    selection in the normalizing sum.
+    member, which keeps the first of them. Each member's weight is
+    computed once and counted once per selection in the normalizing
+    sum.
     """
     if survivors is None:
         if cd.class_size > cap:
@@ -631,9 +591,8 @@ def rank_candidates(
         key, score = cones.key_score(sig, op_scores, memo)
         member = members.get(key)
         if member is None:
-            members[key] = RankedMember(key, score, count, [sig])
+            members[key] = RankedMember(key, score, count, sig)
         else:
-            member.signatures.append(sig)
             member.count += count
     # keys are unique, so by key, then stably by descending score, is by (-score, key)
     order = sorted(members.values(), key=attrgetter("key"))
@@ -714,11 +673,12 @@ def run_attack(
         if graded is None:
             raise ConfigError(_unmatched_truth(cd, truth, pairs is not None))
         min_rank, quality = graded
+    selections = ranked._ends[-1] if ranked._ends else 0
     return AttackReport(
         class_size=cd.class_size,
-        enumerated=len(ranked),
+        enumerated=selections,
         ranked=ranked,
-        survivors=None if pairs is None else len(ranked),
+        survivors=None if pairs is None else selections,
         min_rank=min_rank,
         quality=quality,
         elapsed=time.perf_counter() - start,
@@ -734,8 +694,12 @@ def render_attack_report(report: AttackReport, top: int = 10) -> str:
         lines.append(f"min_rank | {report.min_rank}")
     if report.quality is not None:
         lines.append(f"quality | {report.quality:.6g}")
-    for i, rc in enumerate(itertools.islice(report.ranked, top), start=1):
-        lines.append(f"top | {i} | {rc.prob:.6g} | {rc.key}")
+    # one line per selection: each member's, repeated count times
+    selections = itertools.chain.from_iterable(
+        itertools.repeat(f"{m.prob:.6g} | {m.key}", m.count) for m in report.ranked.members
+    )
+    for i, line in enumerate(itertools.islice(selections, top), start=1):
+        lines.append(f"top | {i} | {line}")
     return "\n".join(lines) + "\n"
 
 
@@ -805,6 +769,10 @@ def game_simulate(
     F-first signal down to plain p_l accuracy.
     """
     game_exact(p_l, n)  # validate p_l and n
+    if n > 2**63:
+        raise ConfigError(
+            "the simulation draws statements as 64-bit integers, so n must be at most 2**63"
+        )
     if trials < 1:
         raise ConfigError("trial count must be positive")
     if obf_strategy not in OBF_STRATEGIES:

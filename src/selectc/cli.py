@@ -155,7 +155,7 @@ def _read_pairs(path: str, obf_path: str, inputs: list[str]) -> list[tuple[dict[
 
 def _cmd_obfuscate(args) -> int:
     cfg = _read(read_config, args.config) if args.config else ObfuscationConfig()
-    cfg.seed = _resolve_seed(args.seed, cfg.seed if cfg.seed_configured else None)
+    cfg.seed = _resolve_seed(args.seed, cfg.seed)
     program = _read(_load_plain_program, args.src)
     obf, sel_key = obfuscate_statement_level(program, cfg)
     write_obf_program(args.output, obf)

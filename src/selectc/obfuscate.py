@@ -66,10 +66,9 @@ class ObfuscationConfig:
     fake_combining: int = 0
     strategy: str = "uniform"
     pattern_table: "PatternTable | None" = None
-    seed: int = DEFAULT_SEED
-    # set when a config file gives the seed, so the CLI can rank it above
-    # SELECTC_SEED even when it equals the default
-    seed_configured: bool = False
+    # None draws as DEFAULT_SEED; a config file's seed, even the default's
+    # value, ranks above SELECTC_SEED in the CLI
+    seed: int | None = None
 
     def validate(self) -> None:
         if self.mislead_factor < 2:
@@ -101,23 +100,6 @@ class ObfProgram:
 
 # an expression as the obfuscator draws it: (operation, operand, operand)
 Expr = tuple[Op, str, str]
-
-
-@dataclass
-class MisleadingSet:
-    """Output of _gen_combined for one confidential statement.
-
-    options is the list of k - 1 misleading expressions and confidential
-    the rewritten expression the real option must use. Their operands
-    are fresh temporaries defined by the combining statements in
-    prelude, each a (target, ir.Options) pair, whose selector bits are
-    prelude_bits.
-    """
-
-    options: list[Expr]
-    confidential: Expr
-    prelude: list[tuple[str, Options]]
-    prelude_bits: dict[str, int]
 
 
 class _Namer:
@@ -299,13 +281,17 @@ def _gen_combined(
     positions: dict[str, list[int]],
     fresh: _Namer,
     sel: _Namer,
-) -> MisleadingSet:
+) -> tuple[list[Expr], list[tuple[str, Options]], dict[str, int]]:
     """Hide operands and operation separately behind fresh temporaries.
 
     Each operand slot becomes t := COMBINE over k candidate variables
     (the true operand among them), and the option statements apply k
     different operations to the temporaries. The statement's share of
     the program class is k * k * k this way.
+
+    Returns the k option expressions, the confidential one first; the
+    prelude, the combining statements that define their operands, each
+    a (target, ir.Options) pair; and the prelude's selector bits.
 
     The decoys are k - 1 draws from the pool without the true operand,
     taken by index in O(k) whatever the pool size: rng.sample reads only
@@ -346,12 +332,7 @@ def _gen_combined(
         )
     chosen_ops = rng.sample(others_ops, k - 1)
     t1, t2 = temp_for
-    return MisleadingSet(
-        options=[(o, t1, t2) for o in chosen_ops],
-        confidential=(op, t1, t2),
-        prelude=prelude,
-        prelude_bits=bits,
-    )
+    return [(o, t1, t2) for o in (op, *chosen_ops)], prelude, bits
 
 
 def _validate_source(program: Program) -> None:
@@ -388,9 +369,10 @@ def obfuscate_statement_level(
     if overlap:
         raise ConfigError(f"fake variables collide with program variables: {sorted(overlap)}")
 
-    rng_opts = spawn(cfg.seed, "options")
-    rng_fake = spawn(cfg.seed, "fake-chains")
-    rng_vals = spawn(cfg.seed, "fake-values")
+    seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
+    rng_opts = spawn(seed, "options")
+    rng_fake = spawn(seed, "fake-chains")
+    rng_vals = spawn(seed, "fake-values")
 
     used = set(program.inputs) | set(program.consts) | set(src_targets) | set(cfg.fake_vars)
     fresh = _Namer("t", used)
@@ -420,15 +402,16 @@ def obfuscate_statement_level(
         at = len(starts) * k
         starts.append(len(targets))
         if draw is None:
-            ms = _gen_combined(expr, cfg, rng_opts, defined, positions, fresh, sel)
-            bits.update(ms.prelude_bits)
-            for temp, prelude_options in ms.prelude:
+            exprs, prelude, prelude_bits = _gen_combined(
+                expr, cfg, rng_opts, defined, positions, fresh, sel
+            )
+            bits.update(prelude_bits)
+            for temp, prelude_options in prelude:
                 ops.append(None)
                 in1.append(None)
                 in2.append(None)
                 targets.append(temp)
                 options.append(prelude_options)
-            exprs = [ms.confidential, *ms.options]
             positions.setdefault(target, []).append(len(defined))
             temps, sels = fresh.take(k), sel.take(k)
             bits.update(dict.fromkeys(sels, 0))
@@ -717,7 +700,6 @@ def read_config(path: str) -> ObfuscationConfig:
                         cfg.pattern_table = read_table(value)
                 elif key == "seed":
                     cfg.seed = parse_int(value)
-                    cfg.seed_configured = True
                 else:
                     raise FormatError(f"line {lineno}: unknown config key {key!r}")
             except ValueError as exc:

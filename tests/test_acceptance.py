@@ -129,7 +129,7 @@ def test_criterion_03_cost_security_tradeoff(announce):
                 p, ObfuscationConfig(mislead_factor=k, seed=0)
             )
             cd = extract_class(obf)
-            enumerated = sum(1 for _ in rank_candidates(cd))
+            enumerated = sum(m.count for m in rank_candidates(cd).members)
             if len(obf.program.statements) > (k + 1) * n:
                 bad.append((n, k, "statements"))
             if not (cd.class_size == enumerated == k**n):
@@ -235,7 +235,7 @@ def test_criterion_06_quality_metric(announce):
     scaled = PatternTable(operator_counts=Counter({"times": 80 * 37, "plus": 20 * 37}))
     rescaled = run_attack(_five_option_class(Op.ADD, Op.MUL), table=scaled, truth=[truth_add])
     invariant = (
-        [r.selection for r in bottom.ranked] == [r.selection for r in rescaled.ranked]
+        [(r.key, r.count) for r in bottom.ranked] == [(r.key, r.count) for r in rescaled.ranked]
         and [r.log_score for r in bottom.ranked] == [r.log_score for r in rescaled.ranked]
         and rescaled.quality == q_bottom
     )

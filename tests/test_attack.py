@@ -117,7 +117,7 @@ def test_live_signatures_cover_the_class(two_option_class):
     obf, _ = two_option_class
     cd = extract_class(obf)
     assert kpa_filter(cd, []) == [((0,), 1), ((1,), 1)]
-    assert sorted(rc.selection for rc in rank_candidates(cd)) == [(0,), (1,)]
+    assert sorted(m.signature for m in rank_candidates(cd)) == [(0,), (1,)]
 
 
 # --------------------------------------------------------------- the KPA
@@ -259,7 +259,7 @@ def test_rank_is_invariant_under_table_rescaling(two_option_class):
     )
     r_small = rank_candidates(cd, table=small)
     r_big = rank_candidates(cd, table=big)
-    assert [rc.selection for rc in r_small] == [rc.selection for rc in r_big]
+    assert [(m.key, m.count) for m in r_small] == [(m.key, m.count) for m in r_big]
     assert [rc.log_score for rc in r_small] == [rc.log_score for rc in r_big]
     assert [rc.prob for rc in r_small] == [rc.prob for rc in r_big]
 

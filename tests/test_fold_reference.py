@@ -23,6 +23,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -250,10 +251,25 @@ def reference_ranking(members, table, truth=None):
     return ranked, min(ranks) if ranks else None
 
 
-def ranked_rows(ranked):
-    return [
-        (rc.selection, rc.log_score, rc.prob, rc.key, render_program(rc.program)) for rc in ranked
-    ]
+def reference_members(ranked):
+    """reference_ranking's rows grouped by key, as a Ranking lists its
+    members: (key, log_score, prob, selection count), best first."""
+    members = []
+    for key, group in itertools.groupby(ranked, key=itemgetter(3)):
+        rows = list(group)
+        assert len({row[1:3] for row in rows}) == 1, key  # one score and prob per program
+        members.append((key, rows[0][1], rows[0][2], len(rows)))
+    return members
+
+
+def member_rows(ranking):
+    return [(m.key, m.log_score, m.prob, m.count) for m in ranking]
+
+
+def top_lines(report, top):
+    """The top lines render_attack_report prints for report."""
+    text = render_attack_report(report, top)
+    return [line for line in text.splitlines() if line.startswith("top | ")]
 
 
 def reference_kpa_filter(cd, pairs, cap=DEFAULT_CAP, members=None):
@@ -295,8 +311,17 @@ def assert_class_matches_reference(obf, truth):
         report = run_attack(obf, table=TABLE)
     else:
         report = run_attack(obf, table=TABLE, truth=[truth])
-    assert ranked_rows(report.ranked) == ranked
+    assert member_rows(report.ranked) == reference_members(ranked)
+    assert report.enumerated == len(ranked)
     assert report.min_rank == min_rank
+    # a member's program is one of its key's reference folds
+    folds = {(row[3], row[4]) for row in ranked}
+    assert all((m.key, render_program(m.program)) in folds for m in report.ranked)
+    # a top line per selection, so the lines run on across member boundaries
+    for top in (1, 10, cd.class_size + 1):
+        assert top_lines(report, top) == [
+            f"top | {i} | {row[2]:.6g} | {row[3]}" for i, row in enumerate(ranked[:top], start=1)
+        ]
 
 
 @pytest.mark.parametrize("build", [build_l0, build_l1], ids=["l0", "l1"])
@@ -335,16 +360,19 @@ def linear_classes(draw):
 
 
 def assert_members_are_live_folds(obf):
-    """Each member is the reference fold without its dead code, whether
-    the attack or fold_selection folds it, and its rank key is the
-    canonical key that a liveness pass would give."""
+    """Each selection folds to the reference fold without its dead code,
+    whether the attack or fold_selection folds it, and each ranked
+    member's key is the canonical key that a liveness pass would give
+    its program, the fold of its signature."""
     cd = extract_class(obf)
-    for rc in rank_candidates(cd, table=TABLE):
-        want = reference_realize(cd, rc.selection)
-        assert realize_candidate(cd, rc.selection) == want
-        choice = dict(zip(cd.combine_indices, rc.selection))
+    for selection in itertools.product(*(range(n) for n in cd.option_counts())):
+        want = reference_realize(cd, selection)
+        assert realize_candidate(cd, selection) == want
+        choice = dict(zip(cd.combine_indices, selection))
         assert fold_columns(obf.program, choice) == want.columns
-        assert rc.key == canonical_key(rc.program, False)
+    for m in rank_candidates(cd, table=TABLE):
+        assert m.program == realize_candidate(cd, m.signature)
+        assert m.key == canonical_key(m.program, False)
 
 
 def fold_columns(program, selection):
@@ -563,13 +591,15 @@ def assert_kpa_matches_reference(cd, pairs, members=None):
     want = reference_kpa_filter(cd, pairs, members=members)
     got = kpa_filter(cd, pairs)
     counts = cd.option_counts()
+    rows = []
     for sig, count in got:
         assert count == math.prod(n for choice, n in zip(sig, counts) if choice < 0), sig
+        program = render_program(realize_candidate(cd, sig))
+        expanded = itertools.product(*[(c,) if c >= 0 else range(n) for c, n in zip(sig, counts)])
+        rows += [(selection, program) for selection in expanded]
+    assert sorted(rows) == [(sel, render_program(program)) for sel, program in want]
     ranked = rank_candidates(cd, table=TABLE, survivors=got)
-    rows = sorted((rc.selection, render_program(rc.program)) for rc in ranked)
-    assert rows == [(sel, render_program(program)) for sel, program in want]
-    if want:
-        assert ranked_rows(ranked) == reference_ranking(want, TABLE)[0]
+    assert member_rows(ranked) == (reference_members(reference_ranking(want, TABLE)[0]) if want else [])
 
 
 @functools.cache
@@ -738,8 +768,9 @@ def test_kpa_attack_folds_each_surviving_signature_once(monkeypatch):
     calls = count_passes(monkeypatch)
     report = run_attack(demo.obf, pairs=pairs, table=TABLE)
     assert len(calls["key"]) == 1 and calls["fold"] == []
-    assert report.survivors == report.enumerated == len(report.ranked) == 25
-    assert len(list(report.ranked)) == len(list(report.ranked)) == 25
+    assert report.survivors == report.enumerated == 25
+    assert [m.count for m in report.ranked.members] == [25]
+    assert len(list(report.ranked)) == len(list(report.ranked)) == 1
     assert calls["fold"] == calls["key"]
 
 
@@ -760,33 +791,24 @@ def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     assert len(calls["key"]) == folds and calls["fold"] == []
     assert report.enumerated == cd.class_size
     assert report.distinct_programs == folds
-    assert len({rc.key for rc in report.ranked}) == folds
-    assert len({id(rc.program) for rc in report.ranked}) == folds
+    assert len({m.key for m in report.ranked}) == folds
+    assert len({id(m.program) for m in report.ranked}) == folds
     assert sorted(calls["fold"]) == sorted(calls["key"])
 
 
 def test_rank_only_builds_nothing_per_selection(monkeypatch):
     """The work-shape guard: rank-only ranking walks live signatures, so
     l1's 15,625 selections cost 1,861 key passes, one member each, and
-    no fold and no RankedCandidate until the ranking is read. Printing
-    the top 10 folds at most the 10 signatures behind them."""
+    no fold until the ranking is read. Printing the top lines reads
+    members' keys and probabilities only, so it folds nothing."""
     demo, cd, _ = demo_class("l1")
     calls = count_passes(monkeypatch)
-    built = []
-    real_candidate = attack.RankedCandidate
-
-    def counting_candidate(*args):
-        built.append(args[0])
-        return real_candidate(*args)
-
-    monkeypatch.setattr(attack, "RankedCandidate", counting_candidate)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
-    assert built == [] and calls["fold"] == []
-    assert len(calls["key"]) == 1_861
+    assert len(calls["key"]) == len(report.ranked) == 1_861
     assert sum(m.count for m in report.ranked.members) == report.enumerated == 15_625
-    render_attack_report(report, top=10)
-    assert len(built) == 10
-    assert 1 <= len(calls["fold"]) <= 10
+    assert len(top_lines(report, 10)) == 10
+    assert calls["fold"] == []
+    assert all(m.program is None for m in report.ranked.members)
 
 
 def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
@@ -838,7 +860,7 @@ def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypat
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == cd.class_size == 12_500
     assert built == {}
-    assert len({rc.key for rc in ranked}) == 12_500
+    assert len({m.key for m in ranked}) == 12_500
     assert built == {Program: 12_500}
 
 
@@ -893,8 +915,7 @@ def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
 
 # a slot whose two options are one shared variable: its choice changes
 # the live signature but not the program, so two signatures share a
-# key. Slot 0 is live only when slot 1 picks o0, and slot 2 varies
-# fastest, so those signatures' selections interleave in product order.
+# key. Slot 0 is live only when slot 1 picks o0.
 SHARED_SOURCE = [
     Combine("c1", (("s0", "x"), ("s1", "y"))),
     Assign("o0", add("c1", "x")),
@@ -906,16 +927,17 @@ SHARED_SOURCE = [
 ]
 
 
-def test_signatures_that_fold_to_one_program_rank_in_product_order():
+def test_signatures_that_fold_to_one_program_form_one_member():
     obf = hand_built(SHARED_SOURCE)
     cd = extract_class(obf)
     truth = reference_realize(cd, (0, 0, 0))
     assert_class_matches_reference(obf, truth)
     ranked = rank_candidates(cd, table=TABLE)
-    shared = [rc.selection for rc in ranked if rc.selection[1] == 1]
-    assert shared == [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
-    assert len({rc.key for rc in ranked}) == 3
-    assert len({id(rc.program) for rc in ranked}) == 3  # one Program per distinct member
+    # slot 1 picking o1 leaves slot 0 dead: signatures (-1, 1, 0) and (-1, 1, 1), 4 selections
+    assert sorted((m.count, m.signature) for m in ranked) == [
+        (2, (0, 0, 0)), (2, (1, 0, 0)), (4, (-1, 1, 0))
+    ]
+    assert len({m.key for m in ranked}) == 3
     assert run_attack(obf).distinct_programs == 3
 
 
@@ -930,22 +952,22 @@ TWIN_PROGRAMS = [
 ]
 
 
-def test_signatures_that_fold_to_one_key_keep_their_own_programs():
+def test_twin_programs_form_one_member_with_the_first_fold():
     obf = hand_built(TWIN_PROGRAMS)
     cd = extract_class(obf)
     assert_class_matches_reference(obf, reference_realize(cd, (1,)))
     ranked = rank_candidates(cd, table=TABLE)
     [member] = ranked.members
-    assert member.count == 2
+    assert (member.count, member.signature) == (2, (0,))
     folds = [realize_candidate(cd, (i,)) for i in (0, 1)]
     assert folds[0] != folds[1]
-    assert [rc.program for rc in ranked] == folds
+    assert [m.program for m in ranked] == folds[:1]
 
 
 @pytest.mark.parametrize("name", ["shared-source", "l1-kpa", "l1"])
 def test_ranking_indexes_and_slices_like_its_list(name):
-    """A Ranking has the length of its selections, and every read of it,
-    whole or cut short as render_attack_report cuts it, yields the same rows."""
+    """A Ranking has the length of its members, and every read of it,
+    whole or cut short, yields them."""
     if name == "shared-source":
         ranking = rank_candidates(extract_class(hand_built(SHARED_SOURCE)), table=TABLE)
     else:
@@ -953,7 +975,7 @@ def test_ranking_indexes_and_slices_like_its_list(name):
         survivors = kpa_filter(cd, seeded_pairs(cd, 1, seed=7)) if name == "l1-kpa" else None
         ranking = rank_candidates(cd, table=TABLE, survivors=survivors)
     rows = list(ranking)
-    assert len(ranking) == len(rows) == sum(m.count for m in ranking.members)
+    assert len(ranking) == len(rows) and rows == ranking.members
     assert list(ranking) == rows
     for stop in (1, 10, len(rows) + 5):
         assert list(itertools.islice(ranking, stop)) == rows[:stop]

@@ -228,6 +228,22 @@ def test_an_inputs_flag_takes_ascii_integers_only(tmp_path, capsys, inputs, mess
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "n, rc", [(2**63, 0), (2**63 + 1, 2), (10**30, 2)], ids=["2^63", "2^63+1", "10^30"]
+)
+def test_a_game_too_large_to_simulate_exits_2(capsys, n, rc):
+    """The simulation draws statements as 64-bit integers: a larger --n is refused, not a traceback."""
+    assert dispatch(["game", "--pl", "0.5", "--n", str(n), "--trials", "10"]) == rc
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the simulation draws statements as 64-bit integers, so n must be at most 2**63\n"
+        )
+    else:
+        assert captured.err == "" and "simulated = " in captured.out
+
+
 # an obfuscated program with an input bound by its key, as a pairs file must bind it
 KEYED_OBF = "input x\ninput k0\nt := ADD x k0\nu := MUL x x\nr := COMBINE (s0,t) (s1,u)\n"
 

@@ -56,6 +56,7 @@ from selectc.obfuscate import (
     write_obf_program,
 )
 from selectc.patterns import PatternTable
+from selectc.rng import DEFAULT_SEED
 
 from crypto_reference import enc_many, he_op
 
@@ -591,7 +592,7 @@ def misleading_options(stmt, cfg, rng=None, var_pool=None):
     cfg's strategy (not combined-temporaries). The pool defaults to the
     statement's operands plus cfg's fake variables."""
     if rng is None:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(DEFAULT_SEED if cfg.seed is None else cfg.seed)
     if var_pool is None:
         var_pool = list(dict.fromkeys([stmt.expr.in1, stmt.expr.in2, *cfg.fake_vars]))
     cfg.validate()
@@ -814,23 +815,18 @@ def reference_gen_combined(expr, cfg, rng, var_pool, fresh, sel):
         )
     chosen_ops = rng.sample(others_ops, k - 1)
     t1, t2 = temp_for
-    return obfuscate.MisleadingSet(
-        options=[(o, t1, t2) for o in chosen_ops],
-        confidential=(op, t1, t2),
-        prelude=prelude,
-        prelude_bits=bits,
-    )
+    return [(op, t1, t2)] + [(o, t1, t2) for o in chosen_ops], prelude, bits
 
 
 def _combined_outcome(draw, seed, expr, k, pool):
-    """(the MisleadingSet's parts or the error raised, RNG state afterwards)
-    for the statement r := expr."""
+    """(the draw's expressions, prelude and bits, or the error raised; RNG
+    state afterwards) for the statement r := expr."""
     cfg = ObfuscationConfig(mislead_factor=k, strategy="combined-temporaries")
     rng = random.Random(seed)
     fresh = obfuscate._Namer("t", set(pool) | {"r"})
     try:
-        ms = draw(expr, cfg, rng, pool, fresh, obfuscate._Namer("s", set()))
-        result = (ms.options, ms.confidential, ms.prelude, list(ms.prelude_bits.items()))
+        exprs, prelude, bits = draw(expr, cfg, rng, pool, fresh, obfuscate._Namer("s", set()))
+        result = (exprs, prelude, list(bits.items()))
     except SelectcError as exc:
         result = (type(exc), str(exc))
     return result, rng.getstate()
