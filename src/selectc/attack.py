@@ -37,7 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .errors import ConfigError, EnumerationCapError
@@ -63,6 +63,10 @@ from .obfuscate import ObfProgram
 from .rng import DEFAULT_SEED, derive_seed
 
 DEFAULT_CAP = 10**6
+# the signature of a union of cones at which ranking builds its key template
+# (see _MemberCones.key_score): a union with fewer, as every union of a
+# program-level class or of a small statement-level class, gains nothing from one
+TEMPLATE_AFTER = 32
 
 
 @dataclass
@@ -75,9 +79,6 @@ class ClassDescriptor:
     class_size: int
     live_indices: list[int]
     inline: dict[str, int]  # ir.inline_map of the obfuscated program
-
-    def option_counts(self) -> list[int]:
-        return [len(opts) for opts in self.options]
 
     @cached_property
     def cones(self) -> "_MemberCones":
@@ -187,6 +188,18 @@ def realize_candidate(cd: ClassDescriptor, selection: tuple[int, ...]) -> Progra
     return cones.member(cones.fold(cones.signature(selection)))
 
 
+class _Union:
+    """A union of cones while a class is ranked (see _MemberCones.key_score)."""
+
+    __slots__ = ("indices", "rename", "seen", "template")
+
+    def __init__(self, indices: list[int], rename):
+        self.indices = indices  # its live statements, in program order
+        self.rename = rename  # the get of the rename map of their targets
+        self.seen = 0  # the signatures keyed so far
+        self.template: tuple | None = None  # its key template, once built (_template)
+
+
 class _MemberCones:
     """What each choice keeps live, built once per class on first use.
 
@@ -203,10 +216,10 @@ class _MemberCones:
         the slot reads, goes.
 
     Options with equal cones share one cone id. The members whose
-    chosen options have one tuple of cone ids keep one union of cones,
-    so they share its statement indices (kept), and while a class is
-    ranked, the rename map of their targets and a memo of their key
-    lines (see key_score).
+    signatures name one tuple of cone ids (-1 at dead slots) keep one
+    union of cones, so they share its statement indices (kept), and
+    while a class is ranked, the rename map of their targets and, once
+    enough of them share it, a key template (see key_score).
 
     The same pass splits the live assignments into the segments that
     the KPA walk (_consistent_selections) runs. An assignment with reach
@@ -224,6 +237,7 @@ class _MemberCones:
         program = self.program = cd.obf.program
         ops, in1, in2, targets = self.columns = program.columns
         self.slots = cd.combine_indices  # slot -> its statement index
+        self.live_indices = cd.live_indices
         # the interface every member shares, apart from the obfuscated program's own
         self.inputs = list(program.inputs)
         self.consts = dict(program.consts)
@@ -275,10 +289,13 @@ class _MemberCones:
         self.out = reach.get(program.output, 0)
         self.out_cone = cone(program.output)
         cone_ids: dict[frozenset[int], int] = {}  # cone -> its id, the order of first sight
-        # slot -> option -> (cone id, its fold choice)
-        self.slot_options: list[list[tuple[int, Chosen]]] = []
+        # slot -> option -> its cone id, then -1, which a dead slot's -1 reads
+        self.cone_rows: list[list[int]] = []
+        # slot -> option -> its fold choice, then None, which a dead slot's -1 reads
+        self.choices: list[list[Chosen | None]] = []
         for idx, srcs in zip(cd.combine_indices, cd.options):
-            row = []
+            ids: list[int] = []
+            row: list[Chosen | None] = []
             for src in srcs:
                 definition = cd.inline.get(src)
                 if definition is None:
@@ -286,12 +303,15 @@ class _MemberCones:
                 else:
                     keep = cone(in1[definition], in2[definition])
                     keep.add(idx)
-                cone_id = cone_ids.setdefault(frozenset(keep), len(cone_ids))
-                row.append((cone_id, (idx, src, definition)))
-            self.slot_options.append(row)
+                ids.append(cone_ids.setdefault(frozenset(keep), len(cone_ids)))
+                row.append((idx, src, definition))
+            ids.append(-1)
+            row.append(None)
+            self.cone_rows.append(ids)
+            self.choices.append(row)
         self.cones = list(cone_ids)  # cone id -> cone
-        # cone ids of the chosen options at live slots, in slot order -> the live
-        # statements of their union of cones, in program order
+        # a union of cones (the cone ids of a signature's choices, -1 at dead
+        # slots) -> its live statements, in program order
         self.kept: dict[tuple[int, ...], list[int]] = {}
 
     def signature(self, selection: tuple[int, ...]) -> tuple[int, ...]:
@@ -355,22 +375,44 @@ class _MemberCones:
             j -= 1
 
     def key_score(
-        self, sig: tuple[int, ...], op_scores: dict[Op, float], memo: dict[tuple[int, ...], tuple]
+        self, sig: tuple[int, ...], op_scores: dict[Op, float], memo: dict[tuple[int, ...], _Union]
     ) -> tuple[str, float]:
         """canonical_key(member, False) and the score of the live signature's member.
 
-        One walk over its kept indices resolves operands as ir.emit_fold
-        does and builds nothing. memo is the ranking's: per tuple of cone
-        ids, the rename map of its targets and, from its second member
-        on, its key lines, so the memo goes when the ranking returns.
+        memo is the ranking's, so it goes when the ranking returns. It
+        holds a _Union per union of cones (its cone ids, -1 at dead
+        slots), whose key template is built at its TEMPLATE_AFTER-th
+        signature (see _template). Before that, each signature takes
+        one walk over the kept indices that resolves operands as
+        ir.emit_fold does and builds nothing. With the template, the
+        fixed lines are copied and each decided line is looked up by the
+        choices of the slots that decide it, so a signature whose lookups
+        all hit builds no fold maps and resolves no operand; a miss
+        builds the maps once and formats the missing line only. A class
+        with few signatures per union never builds a template: a
+        program-level class has one per union and a small
+        statement-level class a few, and building one at a union's
+        second signature made such ranking slower.
         """
-        key, indices, chosen = self._choose(sig)
+        key = tuple(map(list.__getitem__, self.cone_rows, sig))
+        union = memo.get(key)
+        if union is not None and union.template is not None:
+            return self._look_up(sig, union, op_scores)
         ops, in1, in2, targets = self.columns
-        subst, inlined = fold_maps(targets, chosen)
-        get = subst.get
-        rename, lines = memo.get(key) or (None, None)
-        if rename is None:
+        maps = fold_maps(targets, self._chosen(sig))
+        if union is None:
+            indices = self._kept(key)
             rename = temporary_names(map(targets.__getitem__, indices), self.fixed).get
+            union = memo[key] = _Union(indices, rename)
+        else:
+            indices = union.indices
+            rename = union.rename
+        union.seen += 1
+        if union.seen == TEMPLATE_AFTER:
+            union.template = self._template(indices, maps, rename, op_scores)
+            return self._look_up(sig, union, op_scores, maps)
+        get = maps[0].get
+        inlined = maps[1]
         refs: set[str] = set()
         add = refs.add
         body: list[str] = []
@@ -383,40 +425,128 @@ class _MemberCones:
             add(a)
             add(b)
             scores.append(op_scores[op])
-            line = None if lines is None else lines.get((idx, op, a, b))
-            if line is None:
-                line = key_line(rename, targets[idx], op, a, b)
-                if lines is not None:
-                    lines[idx, op, a, b] = line
-            body.append(line)
-        if lines is None:
-            memo[key] = (rename, {})
+            body.append(key_line(rename, targets[idx], op, a, b))
         return key_text(self.fixed & refs, body), math.fsum(scores)
+
+    def _look_up(
+        self, sig: tuple[int, ...], union: _Union, op_scores, maps=None
+    ) -> tuple[str, float]:
+        """key_score from the union's key template: its fixed lines, and
+        each decided line from its table, formatted on a miss under the
+        signature's fold maps, which are built on the first miss unless
+        given."""
+        indices = union.indices
+        rename = union.rename
+        lines, terminals, scores, decided = union.template
+        body = lines.copy()
+        terminals = set(terminals)
+        scores = scores.copy()
+        for at, choices, table in decided:
+            line = table.get(choices(sig))
+            if line is None:
+                if maps is None:
+                    maps = fold_maps(self.columns[3], self._chosen(sig))
+                line = table[choices(sig)] = self._line(indices[at], maps, rename, op_scores)
+            body[at], score, reads = line
+            scores.append(score)
+            terminals.update(reads)
+        return key_text(terminals, body), math.fsum(scores)
+
+    def _template(
+        self, indices: list[int], maps: tuple[dict[str, str], dict[int, int]], rename, op_scores
+    ) -> tuple[list, frozenset[str], list[float], list[tuple]]:
+        """A union's key template, from the fold maps of one of its signatures.
+
+        A kept line that no slot choice changes (line_masks 0) is fixed:
+        its line, op score and terminals read are computed here, once.
+        Every other line is decided: it gets a table from the choices of
+        the slots that decide it (read from a signature by an
+        itemgetter) to its (line, op score, terminals read), filled on
+        each miss. Returns the body with the fixed lines in place (None
+        at decided ones), their terminals, their scores, and per decided
+        line (its position, its itemgetter, its table).
+        """
+        masks = self.line_masks
+        body: list[str | None] = []
+        terminals: set[str] = set()
+        scores: list[float] = []
+        decided = []
+        for at, idx in enumerate(indices):
+            mask = masks[idx]
+            if mask:
+                slots = [j for j in range(mask.bit_length()) if mask >> j & 1]
+                decided.append((at, itemgetter(*slots), {}))
+                body.append(None)
+            else:
+                line, score, reads = self._line(idx, maps, rename, op_scores)
+                body.append(line)
+                scores.append(score)
+                terminals.update(reads)
+        return body, frozenset(terminals), scores, decided
+
+    def _line(
+        self, idx: int, maps: tuple[dict[str, str], dict[int, int]], rename, op_scores
+    ) -> tuple[str, float, set[str]]:
+        """The key line at a kept index under fold_maps maps, its op score
+        and the terminals it reads."""
+        ops, in1, in2, targets = self.columns
+        get = maps[0].get
+        source = maps[1].get(idx, idx)
+        op = ops[source]
+        a = get(in1[source], in1[source])
+        b = get(in2[source], in2[source])
+        return key_line(rename, targets[idx], op, a, b), op_scores[op], self.fixed & {a, b}
+
+    @cached_property
+    def line_masks(self) -> dict[int, int]:
+        """Live statement index -> the slots whose choices decide its key
+        line in a member that keeps it, as a bit mask; built with the
+        first key template.
+
+        A slot target read as an operand resolves to itself when its
+        slot inlines (the slot keeps it as target := definition), so it
+        brings the slot in only if the slot has a substituted option, and
+        then also the slots that decide those sources. An assignment is
+        decided by the slots that decide its operands; a kept slot by
+        itself and by the slots that decide its inlinable definitions'
+        operands.
+        """
+        ops, in1, in2, targets = self.columns
+        resolves: dict[str, int] = {}  # slot target -> the slots that decide what it resolves to
+        masks: dict[int, int] = {}
+        j = 0
+        for idx in self.live_indices:
+            if ops[idx] is None:
+                bit = 1 << j
+                mask = resolved = 0
+                for _, src, definition in self.choices[j][:-1]:
+                    if definition is None:
+                        resolved |= bit | resolves.get(src, 0)
+                    else:
+                        mask |= masks[definition]
+                resolves[targets[idx]] = resolved
+                masks[idx] = bit | mask
+                j += 1
+            else:
+                masks[idx] = resolves.get(in1[idx], 0) | resolves.get(in2[idx], 0)
+        return masks
 
     def fold(self, sig: tuple[int, ...]) -> tuple[list[Op], list[str], list[str], list[str]]:
         """The columns of the live signature's member, in program order (ir.emit_fold)."""
-        _, indices, chosen = self._choose(sig)
-        return emit_fold(self.program, indices, chosen)
+        key = tuple(map(list.__getitem__, self.cone_rows, sig))
+        return emit_fold(self.program, self._kept(key), self._chosen(sig))
 
-    def _choose(self, sig: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[Chosen]]:
-        """The live signature's cone ids, their kept indices (made once per
-        tuple of cone ids) and its fold choices.
-
-        The chosen options at the live slots (sig's choices other than
-        -1) name their cone ids and fold choices in one pass.
-        """
-        ids = []
-        chosen = []
-        for choice, row in zip(sig, self.slot_options):
-            if choice >= 0:
-                cone, option = row[choice]
-                ids.append(cone)
-                chosen.append(option)
-        key = tuple(ids)
+    def _kept(self, key: tuple[int, ...]) -> list[int]:
+        """The live statements of a union of cones, made once per union."""
         indices = self.kept.get(key)
         if indices is None:
-            indices = self.kept[key] = sorted(self.out_cone.union(*[self.cones[i] for i in key]))
-        return key, indices, chosen
+            cones = [self.cones[i] for i in key if i >= 0]
+            indices = self.kept[key] = sorted(self.out_cone.union(*cones))
+        return indices
+
+    def _chosen(self, sig: tuple[int, ...]) -> Iterator[Chosen]:
+        """The fold choices of the live signature's chosen options, in slot order."""
+        return filter(None, map(list.__getitem__, self.choices, sig))
 
     def member(self, columns: tuple[list, list, list, list]) -> Program:
         """The class member with these columns and the class's shared interface."""
@@ -572,11 +702,17 @@ def rank_candidates(
     live signature, the class's (_MemberCones.signatures) or the
     survivors', is keyed and scored once, building nothing
     (_MemberCones.key_score); the Ranking folds a member only when
-    read. The score is an fsum, which is correctly rounded, so
-    signatures that fold to one key tie on (score, key) and form one
-    member, which keeps the first of them. Each member's weight is
-    computed once and counted once per selection in the normalizing
-    sum.
+    read. Signatures that share a union of cones share its rename map,
+    and from the TEMPLATE_AFTER-th of them on, its key template: fixed
+    lines made once and the other lines looked up by the choices of
+    the slots that decide them. A program-level class (one signature
+    per union) and a small statement-level class (a few) never build
+    one, since a template costs more than it saves on so few. The
+    score is an fsum, which is correctly rounded whatever the order of
+    its terms, so signatures that fold to one key tie on (score, key)
+    and form one member, which keeps the first of them. Each member's
+    weight is computed once and counted once per selection in the
+    normalizing sum.
     """
     if survivors is None:
         if cd.class_size > cap:
@@ -586,7 +722,7 @@ def rank_candidates(
     scores = _statement_log_scores(table)
     op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
     members: dict[str, RankedMember] = {}  # key -> member
-    memo: dict[tuple[int, ...], tuple] = {}  # see _MemberCones.key_score
+    memo: dict[tuple[int, ...], _Union] = {}  # see _MemberCones.key_score
     for sig, count in survivors:
         key, score = cones.key_score(sig, op_scores, memo)
         member = members.get(key)

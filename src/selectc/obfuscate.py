@@ -122,12 +122,22 @@ class _Namer:
                 return name
 
     def take(self, count: int) -> tuple[str, ...]:
-        """The next count names, as count calls would give them."""
+        """The next count names, as count calls would give them.
+
+        Each pass names as many candidates as are still missing and drops
+        the used ones, so the last pass drops none and leaves the counter
+        just past the last name, where count calls leave it.
+        """
+        prefix = self.prefix
+        names: list[str] = []
         n = self.n
-        names = [f"{self.prefix}{i}" for i in range(n, n + count)]
-        if not self.used.isdisjoint(names):
-            return tuple(self() for _ in range(count))
-        self.n = n + count
+        while len(names) < count:
+            end = n + count - len(names)
+            names += itertools.filterfalse(
+                self.used.__contains__, [f"{prefix}{i}" for i in range(n, end)]
+            )
+            n = end
+        self.n = n
         return tuple(names)
 
 

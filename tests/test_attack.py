@@ -48,7 +48,7 @@ def test_extract_class_smallest_case(two_option_class):
     obf, _ = two_option_class
     cd = extract_class(obf)
     assert cd.class_size == 2
-    assert cd.option_counts() == [2]
+    assert [len(o) for o in cd.options] == [2]
     assert cd.combine_indices == [2]
 
 

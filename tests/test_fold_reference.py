@@ -9,8 +9,9 @@ candidate. The library has one fold rule (ir.inline_map and
 ir.emit_fold) and never folds a dead statement: deobfuscate folds one
 selection with one backward liveness walk (ir.fold_selection), and the
 attack folds each member to columns from cones built once per class,
-keys and scores each live signature in one pass that builds nothing, keys members without a liveness pass
-and through key lines memoized per union of cones, sorts and weights
+keys and scores each live signature in one pass that builds nothing,
+keys members without a liveness pass and, where many signatures share
+a union of cones, through that union's key template, sorts and weights
 each distinct member once, folds a member only when the ranking is
 read, finds ranks by bisection and filters by walking the obfuscated
 program once per pair, sharing prefixes between leaves, keeping the
@@ -283,7 +284,7 @@ def reference_kpa_filter(cd, pairs, cap=DEFAULT_CAP, members=None):
     if members is None:
         members = [
             (selection, realize_candidate(cd, selection))
-            for selection in itertools.product(*(range(n) for n in cd.option_counts()))
+            for selection in itertools.product(*(range(n) for n in map(len, cd.options)))
         ]
     return [
         (selection, program)
@@ -298,7 +299,7 @@ def assert_class_matches_reference(obf, truth):
     """Every member folds like the reference, and the attack ranks like it."""
     cd = extract_class(obf)
     members = []
-    for selection in itertools.product(*(range(n) for n in cd.option_counts())):
+    for selection in itertools.product(*(range(n) for n in map(len, cd.options))):
         want = reference_realize(cd, selection)
         got = realize_candidate(cd, selection)
         assert render_program(got) == render_program(want), selection
@@ -365,7 +366,7 @@ def assert_members_are_live_folds(obf):
     member's key is the canonical key that a liveness pass would give
     its program, the fold of its signature."""
     cd = extract_class(obf)
-    for selection in itertools.product(*(range(n) for n in cd.option_counts())):
+    for selection in itertools.product(*(range(n) for n in map(len, cd.options))):
         want = reference_realize(cd, selection)
         assert realize_candidate(cd, selection) == want
         choice = dict(zip(cd.combine_indices, selection))
@@ -438,6 +439,33 @@ OVERLAPPING_CONES = {
         Combine("c1", (("s2", "c0"), ("s3", "x"), ("s4", "o1"))),
         Assign("r", mul("c1", "y")),
     ],
+    # all 36 signatures keep one union, so ranking keys the last 5 from a
+    # key template: m's line is decided by c2, which may substitute c1,
+    # which may substitute c0; r's by its own choice and c1 and c0
+    "chained-substitutes": [
+        Combine("c0", (("s0", "x"), ("s1", "y"), ("s2", "x"))),
+        Combine("c1", (("s3", "c0"), ("s4", "x"), ("s5", "y"))),
+        Combine("c2", (("s6", "c1"), ("s7", "y"))),
+        Assign("m", mul("c2", "c0")),
+        Assign("n0", add("m", "c1")),
+        Assign("n1", sub("m", "c1")),
+        Combine("r", (("s8", "n0"), ("s9", "n1"))),
+    ],
+    # c2's line is decided by c0 and c1, but c2 picking o0 leaves c1
+    # dead and c1 picking x or y leaves c0 dead, so a template's table is
+    # read with -1 at a dead slot; its three unions have 45, 45 and 36
+    # signatures
+    "dead-slots-in-a-mask": [
+        Combine("c0", (("s0", "x"), ("s1", "y"), ("s2", "x"), ("s3", "y"), ("s4", "x"))),
+        Combine("c1", (("s5", "y"), ("s6", "x"), ("s7", "c0"), ("s8", "x"), ("s9", "y"))),
+        Assign("o0", mul("c0", "y")),
+        Assign("o1", add("c1", "x")),
+        Combine("c2", (("s10", "o0"), ("s11", "o1"))),
+        Combine("c3", (("s12", "x"), ("s13", "y"), ("s14", "x"))),
+        Combine("c4", (("s15", "y"), ("s16", "x"), ("s17", "y"))),
+        Assign("q", mul("c3", "c4")),
+        Assign("r", sub("c2", "q")),
+    ],
 }
 
 
@@ -448,6 +476,53 @@ def test_overlapping_cones_fold_like_the_reference(name):
     truth = reference_realize(cd, (0,) * len(cd.options))
     assert_class_matches_reference(obf, truth)
     assert_members_are_live_folds(obf)
+
+
+# seeded classes, each with a union of cones shared by more than
+# TEMPLATE_AFTER signatures: (strategy, k, statements, seed)
+TEMPLATE_CLASSES = {
+    "uniform": ("uniform", 2, 8, 2),  # 72 of its 132 signatures in one union
+    "operand-only": ("operand-only", 2, 6, 2),  # 48 of 56
+    "operation-only": ("operation-only", 3, 4, 1),  # all 81
+    # operand slots substitute inputs and consts into the temporaries that
+    # the option expressions read: 320 of its 344 signatures in one union
+    "combined-temporaries": ("combined-temporaries", 2, 3, 0),
+}
+
+
+def template_class(name):
+    """The hand-built or seeded class of a template case, and its truth."""
+    if name in OVERLAPPING_CONES:
+        obf = hand_built(OVERLAPPING_CONES[name])
+        cd = extract_class(obf)
+        return obf, reference_realize(cd, (0,) * len(cd.options))
+    strategy, k, n, seed = TEMPLATE_CLASSES[name]
+    program = random_linear_program(random.Random(seed), n_statements=n, n_consts=1)
+    cfg = ObfuscationConfig(
+        mislead_factor=k, strategy=strategy, fake_vars=("f0", "f1"), fake_combining=1, seed=seed
+    )
+    return obfuscate_statement_level(program, cfg)[0], program
+
+
+@pytest.mark.parametrize("build_at", [None, 2], ids=["default", "second"])
+@pytest.mark.parametrize(
+    "name", ["chained-substitutes", "dead-slots-in-a-mask", *sorted(TEMPLATE_CLASSES)]
+)
+def test_shared_unions_rank_from_a_key_template_like_the_reference(monkeypatch, name, build_at):
+    """Classes whose rankings key signatures from a key template, with
+    decided lines read through chains of substituted options and with
+    -1 at dead slots, rank and print like the reference, whether the
+    template is built at TEMPLATE_AFTER signatures or at the second."""
+    obf, truth = template_class(name)
+    if build_at is not None:
+        monkeypatch.setattr(attack, "TEMPLATE_AFTER", build_at)
+    memos = capture_memos(monkeypatch)
+    assert_class_matches_reference(obf, truth)
+    assert_members_are_live_folds(obf)
+    # each built template served lookups, which fill its tables
+    templates = [union.template for memo in memos for union in memo.values() if union.template]
+    assert templates and all(decided for *_, decided in templates)
+    assert all(len(table) for *_, decided in templates for *_, table in decided)
 
 
 @pytest.mark.parametrize("choice", [-1, 5])
@@ -488,6 +563,17 @@ def test_random_class_folds_like_the_reference(case, rng):
         selection = random_selection(obf, rng)
         want = reference_dce(reference_fold(program, selection))
         assert fold_columns(program, selection) == want.columns
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(linear_classes())
+def test_random_class_ranks_from_early_templates_like_the_reference(case):
+    """With each union's key template built at its second signature, a
+    random class keys nearly every signature from a template, and still
+    ranks and prints like the reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attack, "TEMPLATE_AFTER", 2)
+        assert_class_matches_reference(*case)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -561,7 +647,7 @@ def seeded_pairs(cd, count, seed):
     so the walk also meets const values the key would never bind.
     """
     rng = random.Random(seed)
-    member = realize_candidate(cd, tuple(rng.randrange(n) for n in cd.option_counts()))
+    member = realize_candidate(cd, tuple(rng.randrange(n) for n in map(len, cd.options)))
     pairs = []
     for _ in range(count):
         inputs = random_inputs(cd.obf.program, rng, small=True)
@@ -578,7 +664,7 @@ def mixed_pairs(cd, count, seed):
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
-        member = realize_candidate(cd, tuple(rng.randrange(n) for n in cd.option_counts()))
+        member = realize_candidate(cd, tuple(rng.randrange(n) for n in map(len, cd.options)))
         inputs = random_inputs(cd.obf.program, rng, small=True)
         pairs.append((inputs, eval_plain(member, inputs)))
     return pairs
@@ -590,7 +676,7 @@ def assert_kpa_matches_reference(cd, pairs, members=None):
     its dead slots."""
     want = reference_kpa_filter(cd, pairs, members=members)
     got = kpa_filter(cd, pairs)
-    counts = cd.option_counts()
+    counts = [len(o) for o in cd.options]
     rows = []
     for sig, count in got:
         assert count == math.prod(n for choice, n in zip(sig, counts) if choice < 0), sig
@@ -665,7 +751,7 @@ def test_truth_is_graded_or_refused(case, kind, count, seed):
     cd = extract_class(obf)
     rng = random.Random(seed)
     if kind == "member":
-        truth = realize_candidate(cd, tuple(rng.randrange(n) for n in cd.option_counts()))
+        truth = realize_candidate(cd, tuple(rng.randrange(n) for n in map(len, cd.options)))
     elif kind == "source":
         truth = source
     else:
@@ -864,14 +950,41 @@ def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypat
     assert built == {Program: 12_500}
 
 
+def capture_memos(monkeypatch):
+    """Record the ranking memo that each key_score call is given, once each."""
+    memos = []
+
+    def keying(cones, sig, op_scores, memo):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        return real_key_score(cones, sig, op_scores, memo)
+
+    monkeypatch.setattr(attack._MemberCones, "key_score", keying)
+    return memos
+
+
+def template_entries(memo):
+    """How many lines the key templates in a ranking memo hold in their tables."""
+    return sum(
+        len(table)
+        for union in memo.values()
+        if union.template
+        for *_, table in union.template[3]
+    )
+
+
 def test_rank_only_formats_each_key_line_once(monkeypatch):
     """The work-shape guard: the 12,500 members of l0 keep one union of
-    cones, so they share one rename map, and from the second member on
-    their 75,000 key lines come from one memo. Each of the 108 distinct
-    lines is formatted once, and the first member's 6 once more, before
-    the memo exists. Formatting a line looks its operation up in
-    ir.OP_NAMES, once per line formatted. The rename map and the memo
-    belong to the ranking: the class keeps only the union's indices."""
+    cones, so they share one rename map, and from the TEMPLATE_AFTER-th
+    (32nd) member on their key lines come from one key template. Of its
+    6 lines, 3 (t2, t3, t5) no choice changes, so they are formatted
+    once; t0 is decided by slots 0 to 2 (5 * 5 * 2 choices), t1 by slots
+    3 to 5 (50 more) and t4 by slot 6 (5), so their tables hold 105
+    lines, each formatted on its first miss. The 31 members before the
+    template format their 6 lines each: 186 + 3 + 105 = 294 in all, not
+    75,000. Formatting a line looks its operation up in ir.OP_NAMES,
+    once per line formatted. The rename map and the template belong to
+    the ranking: the class keeps only the union's indices."""
     demo, _, _ = demo_class("l0")
     cd = extract_class(demo.obf)
     formatted = []
@@ -882,11 +995,36 @@ def test_rank_only_formats_each_key_line_once(monkeypatch):
             return super().__getitem__(op)
 
     monkeypatch.setattr(ir, "OP_NAMES", Counting(ir.OP_NAMES))
+    memos = capture_memos(monkeypatch)
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == 12_500
     [indices] = cd.cones.kept.values()
     assert len(indices) * len(ranked.members) == 75_000
-    assert len(formatted) == 108 + 6
+    [memo] = memos
+    assert template_entries(memo) == 105
+    assert len(formatted) == (attack.TEMPLATE_AFTER - 1) * 6 + 3 + 105 == 294
+
+
+def test_rank_only_builds_fold_maps_only_before_the_template_and_on_a_miss(monkeypatch):
+    """The work-shape guard: a member whose decided lines all hit their
+    tables needs no fold maps, so ranking l0 builds them for the members
+    before the template, for the template's fixed lines and on a table
+    miss: at most TEMPLATE_AFTER + 105 times, not 12,500."""
+    demo, _, _ = demo_class("l0")
+    cd = extract_class(demo.obf)
+    built = []
+    real = attack.fold_maps
+
+    def counting(targets, chosen):
+        built.append(1)
+        return real(targets, chosen)
+
+    monkeypatch.setattr(attack, "fold_maps", counting)
+    memos = capture_memos(monkeypatch)
+    ranked = rank_candidates(cd, table=TABLE)
+    assert len(ranked) == 12_500
+    [memo] = memos
+    assert len(built) <= attack.TEMPLATE_AFTER + template_entries(memo) == 137
 
 
 def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):

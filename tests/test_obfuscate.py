@@ -818,6 +818,23 @@ def reference_gen_combined(expr, cfg, rng, var_pool, fresh, sel):
     return [(op, t1, t2)] + [(o, t1, t2) for o in chosen_ops], prelude, bits
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    hst.sets(hst.integers(0, 40)),
+    hst.sets(hst.sampled_from(["x", "s0", "t", "t01", "tt3"])),
+    hst.lists(hst.integers(0, 12), max_size=5),
+)
+def test_take_names_what_repeated_calls_name(used_numbers, other_used, counts):
+    """A run of used names, scattered ones, names that only look like
+    fresh ones and take(0): the same names in the same order, and the
+    counter left where the calls leave it."""
+    used = {f"t{i}" for i in used_numbers} | other_used
+    bulk, calls = obfuscate._Namer("t", used), obfuscate._Namer("t", used)
+    for count in counts:
+        assert bulk.take(count) == tuple(calls() for _ in range(count))
+        assert bulk.n == calls.n
+
+
 def _combined_outcome(draw, seed, expr, k, pool):
     """(the draw's expressions, prelude and bits, or the error raised; RNG
     state afterwards) for the statement r := expr."""
