@@ -47,10 +47,7 @@ from .errors import (
 from .field import FIELD_PRIME, Op, apply_op, signed
 from .generate import random_inputs, random_linear_program, random_surface_program
 from .ir import (
-    Assign,
-    Combine,
     Program,
-    SimpleExpression,
     canonical_key,
     eval_plain,
     normalize,

@@ -20,11 +20,12 @@ Builds are seeded, so the emitted artifacts are reproducible.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .crypto import SelectorKey, write_key_file
 from .field import FIELD_PRIME, Op
-from .ir import Assign, Combine, Program, SimpleExpression, render_program
+from .ir import Program, render_program
 from .lower import lower
 from .obfuscate import ObfProgram, ObfuscationConfig, checked_key, obfuscate_statement_level, write_obf_program
 from .rng import DEFAULT_SEED, spawn
@@ -60,17 +61,16 @@ def _l0_confidential(prime: int) -> Program:
     u carries 0, v carries -9999, one carries 1; the last four
     statements blend the branch results by the comparison bit.
     """
-    se = SimpleExpression
-    statements = [
-        Assign("t0", se(Op.NEQ, "y", "u")),
-        Assign("t1", se(Op.DIV, "x", "y")),
-        Assign("t2", se(Op.MUL, "t0", "t1")),
-        Assign("t3", se(Op.SUB, "one", "t0")),
-        Assign("t4", se(Op.MUL, "t3", "v")),
-        Assign("t5", se(Op.ADD, "t2", "t4")),
+    rows = [
+        (Op.NEQ, "y", "u", "t0"),
+        (Op.DIV, "x", "y", "t1"),
+        (Op.MUL, "t0", "t1", "t2"),
+        (Op.SUB, "one", "t0", "t3"),
+        (Op.MUL, "t3", "v", "t4"),
+        (Op.ADD, "t2", "t4", "t5"),
     ]
     consts = {"u": 0, "one": 1, "v": (-9999) % prime}
-    return Program(inputs=["x", "y"], statements=statements, consts=consts, prime=prime)
+    return Program.from_columns(["x", "y"], *zip(*rows), consts=consts, prime=prime)
 
 
 def build_l0(seed: int = DEFAULT_SEED, prime: int = FIELD_PRIME) -> Demo:
@@ -91,7 +91,12 @@ def build_l0(seed: int = DEFAULT_SEED, prime: int = FIELD_PRIME) -> Demo:
         return out
 
     bits: dict[str, int] = {}
-    statements: list = []
+    rows: list[tuple] = []  # (op, in1, in2, target); op None for a combining statement
+    combines: dict[int, tuple[str, ...]] = {}
+
+    def combine(target: str, ss: Sequence[str], srcs: Sequence[str]) -> None:
+        combines[len(rows)] = (*ss, *srcs)
+        rows.append((None, None, None, target))
 
     def var_slot(target: str, true_var: str) -> None:
         others = [v for v in _L0_POOL if v != true_var]
@@ -100,16 +105,16 @@ def build_l0(seed: int = DEFAULT_SEED, prime: int = FIELD_PRIME) -> Demo:
         ss = sels(5)
         for s, v in zip(ss, options):
             bits[s] = int(v == true_var)
-        statements.append(Combine(target, tuple(zip(ss, options))))
+        combine(target, ss, options)
 
     def op_slot(target: str, ops: tuple[Op, Op], in1: str, in2: str, names: tuple[str, str]) -> None:
         order = [0, 1]
         rng.shuffle(order)
         ss = sels(2)
         for i, which in enumerate(order):
-            statements.append(Assign(names[i], SimpleExpression(ops[which], in1, in2)))
+            rows.append((ops[which], in1, in2, names[i]))
             bits[ss[i]] = int(which == 0)
-        statements.append(Combine(target, tuple(zip(ss, names))))
+        combine(target, ss, names)
 
     var_slot("c0", "y")
     var_slot("c1", "u")
@@ -117,21 +122,16 @@ def build_l0(seed: int = DEFAULT_SEED, prime: int = FIELD_PRIME) -> Demo:
     var_slot("c2", "x")
     var_slot("c3", "y")
     op_slot("t1", (Op.DIV, Op.MUL), "c2", "c3", ("o2", "o3"))
-    statements.append(Assign("t2", SimpleExpression(Op.MUL, "t0", "t1")))
-    statements.append(Assign("t3", SimpleExpression(Op.SUB, "one", "t0")))
+    rows += [(Op.MUL, "t0", "t1", "t2"), (Op.SUB, "one", "t0", "t3")]
     var_slot("c4", "v")
-    statements.append(Assign("t4", SimpleExpression(Op.MUL, "t3", "c4")))
-    statements.append(Assign("t5", SimpleExpression(Op.ADD, "t2", "t4")))
+    rows += [(Op.MUL, "t3", "c4", "t4"), (Op.ADD, "t2", "t4", "t5")]
 
     rng_vals = spawn(seed, "l0-fake-values")
     bindings = dict(program.consts)
     bindings.update({v: rng_vals.randrange(1, prime) for v in _L0_FAKES})
 
-    obf_program = Program(
-        inputs=list(program.inputs) + sorted(bindings),
-        statements=statements,
-        consts={},
-        prime=prime,
+    obf_program = Program.from_columns(
+        list(program.inputs) + sorted(bindings), *zip(*rows), combines, prime=prime
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
     sel_key = SelectorKey(bits=bits, bindings=bindings)

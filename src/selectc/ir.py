@@ -18,9 +18,11 @@ statement stream itself is uniform: every operand is a variable.
 
 A Program stores its statements as quadruples (Aho, Lam, Sethi &
 Ullman, Compilers, 2nd ed., section 6.2): four parallel columns, and
-a side table for the combining statements. Assign, SimpleExpression
-and Combine are a node view of one statement, for building programs
-by hand and for reading them in tests; the pipeline reads the columns.
+a side table for the combining statements, and Program.from_columns
+is its only constructor. Assign, SimpleExpression and Combine are a
+read-only node view of one statement, which Program.statements builds
+for the benchmark harness; they go once it reads the columns (ROADMAP
+item 1b). Nothing in the package builds a node otherwise.
 """
 
 from __future__ import annotations
@@ -40,34 +42,31 @@ from .field import FIELD_PRIME, OP_BY_NAME, OP_NAMES, Op, field_ops, is_prime, p
 _MUL, _ADD = Op.MUL, Op.ADD
 
 
-# Statement nodes are slotted values, equal and hashed by their fields.
-# Not frozen: a frozen dataclass sets each field through
-# object.__setattr__. tests/test_ir_nodes.py checks that nothing writes
-# a node's fields.
+# Statement nodes: the view Program.statements returns, kept only until
+# the benchmark harness reads the columns (ROADMAP item 1b). They are
+# slotted values, equal and hashed by their fields. Not frozen: a frozen
+# dataclass sets each field through object.__setattr__.
+# tests/test_ir_nodes.py checks that nothing writes a node's fields.
 @dataclass(slots=True, unsafe_hash=True)
 class SimpleExpression:
-    """One operation applied to two input variables."""
+    """One operation applied to two input variables (node view only)."""
 
     op: Op
     in1: str
     in2: str
 
-    def render(self) -> str:
-        return f"{OP_NAMES[self.op]} {self.in1} {self.in2}"
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class Assign:
+    """target := expr (node view only)."""
+
     target: str
     expr: SimpleExpression
-
-    def render(self) -> str:
-        return f"{self.target} := {self.expr.render()}"
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Combine:
-    """target := sum over options of selector * source.
+    """target := sum over options of selector * source (node view only).
 
     Options are ordered; selectors must be pairwise distinct and there
     must be at least two options.
@@ -82,10 +81,6 @@ class Combine:
         # a repeated selector collapses into one key
         if len(dict(self.options)) != len(self.options):
             raise ValueError("combining statement selectors must be distinct")
-
-    def render(self) -> str:
-        opts = " ".join(f"({s},{v})" for s, v in self.options)
-        return f"{self.target} := COMBINE {opts}"
 
 
 Statement = Assign | Combine
@@ -114,9 +109,8 @@ class Program:
     or, where ops[i] is None (and in1[i] and in2[i] are too), it is the
     combining statement targets[i] := COMBINE over combines[i], that
     statement's Options. combines holds the combining statements in
-    program order. Nothing edits a program in place: build a new one.
-    Program(inputs, statements, consts, prime) flattens a list of nodes
-    once; Program.from_columns takes the columns.
+    program order. Nothing edits a program in place: build a new one
+    with Program.from_columns, the only constructor.
 
     inputs:  variables the caller must bind before evaluation.
     consts:  hoisted literal bindings carried with the program.
@@ -128,24 +122,6 @@ class Program:
     combines: dict[int, Options]
     consts: dict[str, int]
     prime: int
-
-    def __init__(
-        self,
-        inputs: list[str],
-        statements: Iterable[Statement] = (),
-        consts: dict[str, int] | None = None,
-        prime: int = FIELD_PRIME,
-    ):
-        rows: list[tuple] = []
-        combines: dict[int, Options] = {}
-        for i, st in enumerate(statements):
-            if isinstance(st, Combine):
-                sels, srcs = zip(*st.options)
-                combines[i] = sels + srcs
-                rows.append((None, None, None, st.target))
-            else:
-                rows.append((st.expr.op, st.expr.in1, st.expr.in2, st.target))
-        _fill(self, inputs, zip(*rows) if rows else ((),) * 4, combines, consts, prime)
 
     @classmethod
     def from_columns(
@@ -161,7 +137,11 @@ class Program:
     ) -> Program:
         """The program with these columns, as the class docstring lays them out."""
         program = cls.__new__(cls)
-        _fill(program, inputs, (ops, in1, in2, targets), combines or {}, consts, prime)
+        program.inputs = inputs
+        program.columns = (tuple(ops), tuple(in1), tuple(in2), tuple(targets))
+        program.combines = combines or {}
+        program.consts = {} if consts is None else consts
+        program.prime = prime
         return program
 
     def __len__(self) -> int:
@@ -176,7 +156,11 @@ class Program:
 
     @property
     def statements(self) -> list[Statement]:
-        """The statements as nodes, built anew on every read."""
+        """The statements as nodes, built anew on every read.
+
+        Only the benchmark harness reads this view; it goes with the
+        node classes (ROADMAP item 1b).
+        """
         combines = self.combines
         return [
             Assign(t, SimpleExpression(op, a, b))
@@ -193,14 +177,6 @@ class Program:
     def selector_ids(self) -> list[str]:
         """Selector variables of all combining statements, in first-use order."""
         return list(dict.fromkeys(chain.from_iterable(map(selectors, self.combines.values()))))
-
-
-def _fill(program: Program, inputs, columns, combines, consts, prime) -> None:
-    program.inputs = inputs
-    program.columns = tuple(map(tuple, columns))
-    program.combines = combines
-    program.consts = {} if consts is None else consts
-    program.prime = prime
 
 
 def run_statements(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import LowerError
 from .field import FIELD_PRIME, Op
-from .ir import Assign, Program, SimpleExpression
+from .ir import Program
 from .surface import (
     AssignStmt,
     Binary,
@@ -85,7 +85,8 @@ class _Lowerer:
         self.sp = sp
         self.prime = prime
         self.reserved = _surface_identifiers(sp)
-        self.stmts: list[Assign] = []
+        # ops, in1, in2, targets: the lowered program's quadruple columns
+        self.columns: tuple[list[Op], list[str], list[str], list[str]] = ([], [], [], [])
         self.env: dict[str, str] = {}
         self.inputs: list[str] = []
         self._input_set: set[str] = set()
@@ -115,10 +116,14 @@ class _Lowerer:
         return name
 
     def emit(self, op: Op, a: str, b: str) -> str:
-        if len(self.stmts) == MAX_STATEMENTS:
+        ops, in1, in2, targets = self.columns
+        if len(targets) == MAX_STATEMENTS:
             raise LowerError(f"lowered program exceeds {MAX_STATEMENTS} statements")
         t = self.fresh()
-        self.stmts.append(Assign(t, SimpleExpression(op, a, b)))
+        ops.append(op)
+        in1.append(a)
+        in2.append(b)
+        targets.append(t)
         return t
 
     def read(self, key: str) -> str:
@@ -263,14 +268,12 @@ class _Lowerer:
         out = self.env.get(result)
         if out is None:
             raise LowerError(f"result variable {result!r} is never assigned")
-        if not self.stmts or self.stmts[-1].target != out:
+        targets = self.columns[3]
+        if not targets or targets[-1] != out:
             # pin the program output to the last statement's target
             self.emit(Op.MUL, out, self.const(1))
-        return Program(
-            inputs=list(self.inputs),
-            statements=list(self.stmts),
-            consts=dict(self.const_bindings),
-            prime=self.prime,
+        return Program.from_columns(
+            list(self.inputs), *self.columns, consts=dict(self.const_bindings), prime=self.prime
         )
 
 

@@ -37,6 +37,7 @@ from .ir import (
     Program,
     SlotPlan,
     check_bits,
+    check_single_assignment,
     compile_plan,
     fold_selection,
     hot_option,
@@ -346,17 +347,14 @@ def _gen_combined(
 
 
 def _validate_source(program: Program) -> None:
-    targets = program.columns[3]
-    if not targets:
+    """Refuse a source before anything is built from it: ConfigError for an
+    empty one or one with combining statements, FormatError unless it is in
+    single assignment (check_single_assignment)."""
+    if not program.columns[3]:
         raise ConfigError("cannot obfuscate an empty program")
-    if program.combines or len(set(targets)) != len(targets):
-        seen = set()
-        for i, target in enumerate(targets):
-            if i in program.combines:
-                raise ConfigError("source program must contain only simple assignments")
-            if target in seen:
-                raise ConfigError(f"statement {i + 1} assigns {target!r} again")
-            seen.add(target)
+    if program.combines:
+        raise ConfigError("source program must contain only simple assignments")
+    check_single_assignment(program)
 
 
 def obfuscate_statement_level(

@@ -6,10 +6,12 @@ import pytest
 from selectc.crypto import SelectorKey
 from selectc.field import FIELD_PRIME, Op
 from selectc.generate import random_linear_program
-from selectc.ir import Assign, Combine, Program, SimpleExpression
+from selectc.ir import Assign, Combine, SimpleExpression
 from selectc.lower import lower
 from selectc.obfuscate import ObfProgram, checked_key
 from selectc.surface import parse_surface
+
+from programs import program_of
 
 TASK1_SOURCE = "if (y != 0) then r := x / y else r := -9999\n"
 
@@ -31,7 +33,7 @@ def two_option_class():
     The smallest interesting program class: two candidates that agree
     nowhere except a in {0, 2}, so one known pair tells them apart.
     """
-    program = Program(
+    program = program_of(
         inputs=["a"],
         statements=[
             Assign("o0", SimpleExpression(Op.MUL, "a", "a")),

@@ -29,7 +29,6 @@ from selectc.generate import random_inputs, random_linear_program, random_surfac
 from selectc.ir import (
     Assign,
     Combine,
-    Program,
     SimpleExpression,
     canonical_key,
     eval_env,
@@ -49,6 +48,8 @@ from selectc.obfuscate import (
 )
 from selectc.patterns import ExprTree, PatternTable, aggregate, mine
 from selectc.surface import interpret
+
+from programs import program_of
 
 se = SimpleExpression
 
@@ -214,17 +215,17 @@ def _five_option_class(conf_op: Op, other_op: Op) -> ObfProgram:
               (other_op, "b", "a"), (other_op, "b", "b")]
     statements = [Assign(f"o{i}", se(*args)) for i, args in enumerate(shapes)]
     statements.append(Combine("c", tuple((f"s{i}", f"o{i}") for i in range(5))))
-    prog = Program(inputs=["a", "b"], statements=statements, consts={}, prime=FIELD_PRIME)
+    prog = program_of(inputs=["a", "b"], statements=statements, consts={}, prime=FIELD_PRIME)
     return ObfProgram(program=prog, selector_ids=prog.selector_ids())
 
 
 def test_criterion_06_quality_metric(announce):
     table = PatternTable(operator_counts=Counter({"times": 80, "plus": 20}))
-    truth_mul = Program(
+    truth_mul = program_of(
         inputs=["a", "b"], statements=[Assign("r", se(Op.MUL, "a", "a"))],
         consts={}, prime=FIELD_PRIME,
     )
-    truth_add = Program(
+    truth_add = program_of(
         inputs=["a", "b"], statements=[Assign("r", se(Op.ADD, "a", "a"))],
         consts={}, prime=FIELD_PRIME,
     )
@@ -374,7 +375,7 @@ def test_criterion_09_round_trip(announce):
 
 def test_criterion_10_position_uniformity(announce):
     """Hidden option position is uniform across 1,000 seeds (alpha=0.01)."""
-    base = Program(
+    base = program_of(
         inputs=["x", "y"],
         statements=[Assign("r", se(Op.ADD, "x", "y"))],
         consts={},

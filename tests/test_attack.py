@@ -26,15 +26,17 @@ from selectc.attack import (
 from selectc.errors import ConfigError, EnumerationCapError, FormatError
 from selectc.field import FIELD_PRIME, Op
 from selectc.generate import random_inputs, random_linear_program
-from selectc.ir import Assign, Combine, Program, SimpleExpression, canonical_key, eval_plain
+from selectc.ir import Assign, Combine, SimpleExpression, canonical_key, eval_plain
 from selectc.obfuscate import ObfProgram, ObfuscationConfig, obfuscate_statement_level
 from selectc.patterns import PatternTable
+
+from programs import program_of
 
 P = FIELD_PRIME
 
 
 def mul_program():
-    return Program(
+    return program_of(
         inputs=["a"],
         statements=[Assign("c", SimpleExpression(Op.MUL, "a", "a"))],
         consts={},
@@ -79,7 +81,7 @@ def test_extract_class_smallest_case(two_option_class):
     ids=["reassigned-target", "reassigned-input", "read-before-assigned"],
 )
 def test_extract_class_rejects_what_folding_would_misread(statements, message):
-    program = Program(inputs=["a"], statements=statements)
+    program = program_of(inputs=["a"], statements=statements)
     obf = ObfProgram(program=program, selector_ids=program.selector_ids())
     with pytest.raises(FormatError) as e:
         extract_class(obf)
@@ -140,7 +142,7 @@ def test_a_slot_dead_in_a_survivor_keeps_all_its_options():
         Assign("o1", SimpleExpression(Op.SUB, "x", "y")),
         Combine("c2", (("s2", "o0"), ("s3", "o1"))),
     ]
-    program = Program(inputs=["x", "y"], statements=statements)
+    program = program_of(inputs=["x", "y"], statements=statements)
     cd = extract_class(ObfProgram(program=program, selector_ids=program.selector_ids()))
     survivors = kpa_filter(cd, [({"x": 5, "y": 2}, 3)])
     assert survivors == [((-1, 1), 2)]
@@ -161,7 +163,7 @@ def test_kpa_pair_on_agreeing_input_keeps_both(two_option_class):
 
 
 def test_kpa_accepts_signed_outputs():
-    p = Program(
+    p = program_of(
         inputs=["a", "b"],
         statements=[Assign("c", SimpleExpression(Op.SUB, "a", "b"))],
         consts={},
@@ -292,7 +294,7 @@ def test_quality_at_the_bottom_of_the_ranking(two_option_class):
 
 def test_quality_requires_a_class_member(two_option_class):
     obf, _ = two_option_class
-    other = Program(
+    other = program_of(
         inputs=["a"],
         statements=[Assign("c", SimpleExpression(Op.DIV, "a", "a"))],
         consts={},
@@ -343,7 +345,7 @@ def test_run_attack_without_extras(two_option_class):
 )
 def test_run_attack_refuses_a_truth_it_cannot_grade(two_option_class, op, pairs, message):
     obf, _ = two_option_class
-    truth = Program(
+    truth = program_of(
         inputs=["a"], statements=[Assign("c", SimpleExpression(op, "a", "a"))], consts={}, prime=P
     )
     with pytest.raises(ConfigError, match=message):
@@ -352,7 +354,7 @@ def test_run_attack_refuses_a_truth_it_cannot_grade(two_option_class, op, pairs,
 
 def test_run_attack_names_the_terminals_a_truth_reads_and_the_class_lacks(two_option_class):
     obf, _ = two_option_class
-    truth = Program(
+    truth = program_of(
         inputs=["a"],
         statements=[Assign("c", SimpleExpression(Op.MUL, "a", "k0"))],
         consts={"k0": 2},

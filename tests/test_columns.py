@@ -1,4 +1,5 @@
-"""Programs as quadruple columns: the node view, and what reading a file keeps alive."""
+"""Programs as quadruple columns: the node view, builders that make no nodes,
+and what reading a file keeps alive."""
 
 import gc
 import random
@@ -8,8 +9,9 @@ from hypothesis import strategies as hst
 
 from selectc.attack import render_attack_report, run_attack
 from selectc.crypto import dec, enc, keygen
+from selectc.demos import build_l0, build_l1
 from selectc.field import FIELD_PRIME, Op
-from selectc.generate import random_inputs, random_linear_program
+from selectc.generate import random_inputs, random_linear_program, random_surface_program
 from selectc.ir import (
     Assign,
     Combine,
@@ -20,6 +22,7 @@ from selectc.ir import (
     parse_program,
     render_program,
 )
+from selectc.lower import lower
 from selectc.obfuscate import (
     ObfProgram,
     ObfuscationConfig,
@@ -28,6 +31,8 @@ from selectc.obfuscate import (
     obfuscate_statement_level,
 )
 from selectc.patterns import PatternTable
+
+from programs import program_of
 
 P = FIELD_PRIME
 
@@ -63,6 +68,20 @@ def test_no_pipeline_reads_the_node_view(monkeypatch):
     kpa = run_attack(obf, pairs=pairs, truth=[source])
     assert kpa.min_rank is not None and kpa.survivors >= 1
     render_attack_report(kpa)
+
+
+def test_no_builder_makes_a_statement_node(monkeypatch):
+    """Lowering and both demo builds write columns: no node constructor runs."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} node was built")
+
+    for cls in (Assign, SimpleExpression, Combine):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    lowered = lower(random_surface_program(random.Random(7)))
+    assert len(lowered) > 0
+    assert build_l0().obf.program.combines
+    assert build_l1().obf.program.combines
 
 
 def test_reading_a_large_obf_leaves_no_object_per_statement():
@@ -110,7 +129,7 @@ def test_a_program_from_nodes_equals_one_from_columns(rows, prime, consts):
     nodes = [node for node, _, _ in rows]
     ops, in1, in2, targets = zip(*[quad for _, quad, _ in rows])
     combines = {i: entry for i, (_, _, entry) in enumerate(rows) if entry is not None}
-    from_nodes = Program(["x", "y"], nodes, dict(consts), prime)
+    from_nodes = program_of(["x", "y"], nodes, dict(consts), prime)
     from_columns = Program.from_columns(["x", "y"], ops, in1, in2, targets, combines, dict(consts), prime)
     assert from_nodes == from_columns
     assert render_program(from_nodes) == render_program(from_columns)

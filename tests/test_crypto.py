@@ -17,10 +17,11 @@ from selectc.crypto import (
 )
 from selectc.errors import ForeignCiphertextError, FormatError, KeyMismatchError
 from selectc.field import ALL_OPS, FIELD_PRIME, Op, apply_op
-from selectc.ir import Assign, Combine, Program, SimpleExpression, compile_plan
+from selectc.ir import Assign, Combine, SimpleExpression, compile_plan
 from selectc.obfuscate import ObfProgram, checked_key
 
 from crypto_reference import enc_many, he_op
+from programs import program_of
 
 P = FIELD_PRIME
 
@@ -60,7 +61,7 @@ def test_foreign_handle_rejected():
 
 
 def one_op_plan(op):
-    return compile_plan(Program(inputs=["x", "y"], statements=[Assign("r", SimpleExpression(op, "x", "y"))]), {})
+    return compile_plan(program_of(inputs=["x", "y"], statements=[Assign("r", SimpleExpression(op, "x", "y"))]), {})
 
 
 def test_foreign_handle_rejected_by_every_op():
@@ -86,7 +87,7 @@ def test_foreign_handle_rejected_inside_a_combine():
     after the runner minted the selector bits and the earlier options'
     handles, none of which stays in the store."""
     a, b = keygen(1), keygen(2)
-    program = Program(inputs=["x", "y"], statements=[Combine("c", (("s0", "x"), ("s1", "y")))])
+    program = program_of(inputs=["x", "y"], statements=[Combine("c", (("s0", "x"), ("s1", "y")))])
     plan = compile_plan(program, {"s0": 1, "s1": 0})
     foreign = enc(a, 5)
     x = enc(b, 6)
@@ -133,7 +134,7 @@ def test_runner_agrees_with_he_op():
     ]
     statements.append(Combine("c", (("s0", "r0"), ("s1", "v3"), ("s2", "r5"))))
     bits = {"s0": 0, "s1": 1, "s2": 0}
-    plan = compile_plan(Program(inputs=names, statements=statements), bits)
+    plan = compile_plan(program_of(inputs=names, statements=statements), bits)
     keys = keygen(11), keygen(11)
     inputs = [dict(zip(names, enc_many(key, GRID))) for key in keys]
     sels = enc_many(keys[0], bits.values())
@@ -175,7 +176,7 @@ def test_ciphertext_equality_and_hash_follow_the_handle():
 
 def checked(bits, groups):
     """checked_key over a program with one combining statement per group."""
-    program = Program(
+    program = program_of(
         inputs=["x"],
         statements=[Combine(f"c{i}", tuple((s, "x") for s in g)) for i, g in enumerate(groups)],
     )
@@ -275,7 +276,7 @@ def test_a_run_costs_nothing_per_older_handle(older):
     own table for a few operations needs about a kilobyte. (The store,
     at 100,002 entries, has room for the output without a resize.)
     """
-    program = Program(
+    program = program_of(
         inputs=["x", "y"],
         statements=[
             Assign("a", SimpleExpression(Op.MUL, "x", "y")),

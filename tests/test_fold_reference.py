@@ -67,6 +67,8 @@ from selectc.obfuscate import (
 )
 from selectc.patterns import PatternTable
 
+from programs import program_of, render_statement
+
 TABLE = PatternTable(operator_counts=Counter({"MUL": 50, "ADD": 30, "SUB": 15, "DIV": 5}))
 
 # the rank path's one key pass per live signature, and the fold a read of the
@@ -149,7 +151,7 @@ def reference_fold(program, selection):
             )
         else:
             subst[st.target] = src
-    return Program(
+    return program_of(
         inputs=list(program.inputs),
         statements=stmts,
         consts=dict(program.consts),
@@ -167,7 +169,7 @@ def reference_dce(program):
             keep.append(idx)
             live.update(statement_operands(st))
     keep.reverse()
-    return Program(
+    return program_of(
         inputs=list(program.inputs),
         statements=[statements[i] for i in keep],
         consts=dict(program.consts),
@@ -205,7 +207,7 @@ def reference_normalize(program):
             stmts.append(Combine(rn(st.target), tuple((s, rn(v)) for s, v in st.options)))
     refs = {v for st in stmts for v in statement_operands(st)}
     consts = {v: val for v, val in p.consts.items() if v in refs}
-    return Program(inputs=list(p.inputs), statements=stmts, consts=consts, prime=p.prime)
+    return program_of(inputs=list(p.inputs), statements=stmts, consts=consts, prime=p.prime)
 
 
 def reference_canonical_key(program, with_const_values=True):
@@ -217,7 +219,7 @@ def reference_canonical_key(program, with_const_values=True):
         parts.extend(f"const {v}={signed(p.consts[v], p.prime)}" for v in sorted(p.consts))
     else:
         parts = ["in " + ",".join(sorted((set(p.inputs) | set(p.consts)) & refs))]
-    parts.extend(st.render() for st in p.statements)
+    parts.extend(map(render_statement, p.statements))
     return " ; ".join(parts)
 
 
@@ -382,7 +384,7 @@ def fold_columns(program, selection):
 
 
 def hand_built(statements, inputs=("x", "y")):
-    program = Program(inputs=list(inputs), statements=statements)
+    program = program_of(inputs=list(inputs), statements=statements)
     return ObfProgram(program=program, selector_ids=program.selector_ids())
 
 
@@ -625,7 +627,7 @@ def loose_programs(draw):
         else:
             op = draw(hst.sampled_from(list(Op)))
             statements.append(Assign(target, SimpleExpression(op, draw(name), draw(name))))
-    return Program(inputs=inputs, statements=statements, consts=consts, prime=prime)
+    return program_of(inputs=inputs, statements=statements, consts=consts, prime=prime)
 
 
 @settings(max_examples=300, deadline=None)
@@ -934,7 +936,7 @@ def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypat
 
         monkeypatch.setattr(cls, "__init__", init)
 
-    for cls in (Assign, SimpleExpression, Combine, Program):
+    for cls in (Assign, SimpleExpression, Combine):
         counting(cls)
     real_from_columns = Program.from_columns.__func__
 

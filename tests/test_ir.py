@@ -25,12 +25,13 @@ from selectc.ir import (
 )
 from selectc.obfuscate import ObfuscationConfig, obfuscate_statement_level
 from test_fold_reference import reference_dce, reference_fold
+from programs import program_of
 
 P = FIELD_PRIME
 
 
 def prog(statements, inputs=("x", "y"), consts=None):
-    return Program(
+    return program_of(
         inputs=list(inputs),
         statements=statements,
         consts=dict(consts or {}),
@@ -140,7 +141,7 @@ def test_render_parse_round_trip(prime, values, shuffle):
     for i in range(1, len(consts)):
         statements.append(Assign(f"t{i}", SimpleExpression(Op.SUB, f"t{i - 1}", f"k{i}")))
     statements.append(Combine("c", (("s0", f"t{len(consts) - 1}"), ("s1", "y"))))
-    p = Program(inputs=["x", "y"], statements=statements, consts=consts, prime=prime)
+    p = program_of(inputs=["x", "y"], statements=statements, consts=consts, prime=prime)
     lines = render_program(p).splitlines()
     n_header = 1 + len(p.inputs) + len(consts)
     header = lines[:n_header]
@@ -227,7 +228,7 @@ def test_parse_reads_padding_comments_and_line_ends():
         "\r\n"
         "r := COMBINE (s0,t) (s1,x)\r\n"
     )
-    assert parse_program(text) == Program(
+    assert parse_program(text) == program_of(
         inputs=["x"],
         statements=[
             Assign("t", SimpleExpression(Op.ADD, "x", "k")),

@@ -5,6 +5,7 @@ program the generator can produce: branches become selector blends,
 loops unroll to their bound, array accesses become oblivious scans.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as hst
 from selectc.errors import LowerError
 from selectc.field import FIELD_PRIME, Op
 from selectc.generate import random_inputs, random_surface_program
-from selectc.ir import Assign, eval_plain
+from selectc.demos import TASK1_SOURCE, TASK2_SOURCE
+from selectc.ir import Assign, eval_plain, render_program
 from selectc.lower import lower
 from selectc.surface import interpret, parse_surface
 
@@ -181,3 +183,18 @@ def test_non_comparison_conditions_agree_with_interpret(src):
         for y in range(-3, 5):
             env = {"x": x, "y": y, "a[0]": 0, "a[1]": 7, "a[2]": -2}
             assert eval_plain(p, env) == interpret(sp, env) % FIELD_PRIME, (x, y)
+
+
+# sha256 over render_program(lower(...)) of random_surface_program for
+# seeds 0-399, then of the two demo tasks, each text encoded as UTF-8
+LOWERED_DIGEST = "e448a59784b468c08bd2fa73074838e54e48ad8ec5ece7635e0622f97f1a78cb"
+
+
+def test_lowered_text_is_pinned():
+    """Lowering writes the same bytes for 400 seeded programs and both demo tasks."""
+    digest = hashlib.sha256()
+    sources = [random_surface_program(random.Random(seed)) for seed in range(400)]
+    sources += [parse_surface(TASK1_SOURCE), parse_surface(TASK2_SOURCE)]
+    for sp in sources:
+        digest.update(render_program(lower(sp)).encode())
+    assert digest.hexdigest() == LOWERED_DIGEST

@@ -212,6 +212,17 @@ def test_a_source_that_assigns_twice_is_refused(tmp_path, capsys):
     assert captured.err == "error: statement 2 assigns 'r' again\n"
 
 
+def test_a_source_that_reads_before_assigning_writes_no_file(tmp_path, capsys):
+    """The source is checked before the .obf and .key are written, not after."""
+    src = "prime 101\ninput x\nt0 := ADD t1 x\nt1 := ADD x x\n"
+    rc, captured, _ = run_kind(tmp_path, capsys, "src", src)
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: statement 1 reads 't1' before it is assigned\n"
+    assert not (tmp_path / "out.obf").exists()
+    assert not (tmp_path / "out.key").exists()
+
+
 @pytest.mark.parametrize(
     "inputs, message",
     [("x=3,y=1_0", "value for 'y' is not an integer"), ("x=\u0663", "value for 'x' is not an integer")],

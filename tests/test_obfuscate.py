@@ -59,12 +59,13 @@ from selectc.patterns import PatternTable
 from selectc.rng import DEFAULT_SEED
 
 from crypto_reference import enc_many, he_op
+from programs import program_of
 
 P = FIELD_PRIME
 
 
 def square_program():
-    return Program(
+    return program_of(
         inputs=["a"],
         statements=[Assign("c", SimpleExpression(Op.MUL, "a", "a"))],
         consts={},
@@ -73,7 +74,7 @@ def square_program():
 
 
 def two_stmt_program():
-    return Program(
+    return program_of(
         inputs=["x", "y"],
         statements=[
             Assign("t", SimpleExpression(Op.MUL, "x", "x")),
@@ -160,7 +161,7 @@ def test_obfuscated_program_computes_the_same_function():
 
 
 def test_original_consts_become_inputs_with_key_bindings():
-    p = Program(
+    p = program_of(
         inputs=["x"],
         statements=[Assign("r", SimpleExpression(Op.ADD, "x", "k"))],
         consts={"k": 41},
@@ -174,7 +175,7 @@ def test_original_consts_become_inputs_with_key_bindings():
 
 
 def test_round_trip_exact_on_const_using_program():
-    p = Program(
+    p = program_of(
         inputs=["x", "y"],
         statements=[
             Assign("t", SimpleExpression(Op.DIV, "x", "k")),
@@ -267,7 +268,7 @@ def late_input_program():
     for i in range(1, 29):
         statements.append(Assign(f"t{i}", SimpleExpression(ALL_OPS[i % 10], f"t{i - 1}", "x")))
     statements.append(Assign("r", SimpleExpression(Op.ADD, "t28", "z")))
-    return Program(inputs=["x", "z"], statements=statements, consts={"k": 5}, prime=P)
+    return program_of(inputs=["x", "z"], statements=statements, consts={"k": 5}, prime=P)
 
 
 @pytest.mark.parametrize("case", ["foreign", "unbound"])
@@ -1108,7 +1109,7 @@ def test_config_validation():
 
 
 def test_source_must_be_simple_assignments():
-    p = Program(
+    p = program_of(
         inputs=["x"],
         statements=[
             Assign("o0", SimpleExpression(Op.ADD, "x", "x")),
@@ -1122,7 +1123,7 @@ def test_source_must_be_simple_assignments():
         obfuscate_statement_level(p, ObfuscationConfig())
     with pytest.raises(ConfigError):
         obfuscate_statement_level(
-            Program(inputs=[], statements=[], consts={}, prime=P),
+            program_of(inputs=[], statements=[], consts={}, prime=P),
             ObfuscationConfig(),
         )
 
@@ -1164,7 +1165,7 @@ def test_program_level_validation():
         obfuscate_program_level(progs[:1], 0)
     with pytest.raises(ConfigError):
         obfuscate_program_level(progs, 9)
-    small = Program(
+    small = program_of(
         inputs=["x"],
         statements=[Assign("r", SimpleExpression(Op.ADD, "x", "x"))],
         consts={},
