@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -136,7 +135,6 @@ class AttackReport:
     survivors: int | None = None
     min_rank: int | None = None
     quality: float | None = None
-    elapsed: float = 0.0
     distinct_programs: int = 0  # members ranked
 
 
@@ -799,7 +797,6 @@ def run_attack(
     Raises ConfigError when truth is given but no ranked member is one
     of its programs, rather than leaving the class ungraded.
     """
-    start = time.perf_counter()
     cd = extract_class(obf)
     survivors = None if pairs is None else kpa_filter(cd, pairs, cap=cap)
     ranked = rank_candidates(cd, table=table, cap=cap, survivors=survivors)
@@ -817,7 +814,6 @@ def run_attack(
         survivors=None if pairs is None else selections,
         min_rank=min_rank,
         quality=quality,
-        elapsed=time.perf_counter() - start,
         distinct_programs=len(ranked.members),
     )
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import typing
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -78,6 +79,13 @@ class ObfuscationConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if not self.op_pool:
             raise ConfigError("operation pool is empty")
+        for what, names in (
+            ("operation", [op.value for op in self.op_pool]),
+            ("fake variable", self.fake_vars),
+        ):
+            repeated = [name for name, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]!r} is given twice")
         if self.fake_combining < 0:
             raise ConfigError("fake combining count must be non-negative")
         if self.fake_combining > 0 and not self.fake_vars:
@@ -366,9 +374,9 @@ def obfuscate_statement_level(
     enabling fake combining statements does not change how the real
     groups come out for the same seed. The key is one-hot by
     construction, and checked where it is read, not here. The program
-    is built as five columns, Program's four and each statement's
-    options (None for an assignment), so splicing in fake groups is
-    slicing.
+    is built in one pass that writes each row once: every name is taken
+    and every fake group drawn before the first row, and each fake group
+    is written just before the real group its draw placed it in front of.
     """
     cfg.validate()
     _validate_source(program)
@@ -382,50 +390,80 @@ def obfuscate_statement_level(
     rng_fake = spawn(seed, "fake-chains")
     rng_vals = spawn(seed, "fake-values")
 
-    used = set(program.inputs) | set(program.consts) | set(src_targets) | set(cfg.fake_vars)
-    fresh = _Namer("t", used)
+    inputs = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
+    fresh = _Namer("t", {*inputs, *src_targets})
     sel = _Namer("s", set())
     k = cfg.mislead_factor
-    assigns = [None] * k  # the options column of a group's k assignments
+    n = len(src_targets)
 
-    defined = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
+    defined = list(inputs)
     # the draw only reads the pool, so it needs no copy
     draw = _option_draw(cfg, rng_opts, defined, _op_weights(cfg))
     positions = _positions(defined) if draw is None else None
+    # each statement's names in one run per namer; a combined-temporaries
+    # prelude takes 2 temporaries and 2k selectors ahead of its group's k
+    temp_step, sel_step = (k, k) if draw is not None else (k + 2, 3 * k)
+    all_temps = fresh.take(temp_step * n)
+    all_sels = sel.take(sel_step * n)
+    bits = dict.fromkeys(all_sels, 0)
+
+    # a fake group reads only rng_fake, so all are drawn up front, each
+    # with k temporaries, its target and k selectors; their bits follow
+    # the real ones, whose values alone the loop sets
+    fakes_before: dict[int, list] = {}  # real group index -> its fake groups, in draw order
+    for _ in range(cfg.fake_combining):
+        exprs = _distinct_expressions(rng_fake, k, list(cfg.op_pool), list(cfg.fake_vars), set())
+        names, sels = fresh.take(k + 1), sel.take(k)
+        hot = rng_fake.randrange(k)
+        bits.update({s: int(i == hot) for i, s in enumerate(sels)})
+        # before some real group, so the program output stays last
+        fakes_before.setdefault(rng_fake.randrange(n), []).append(
+            (exprs, names[:k], sels, names[k])
+        )
+
     # rng_opts.shuffle(order) as CPython 3.10 to 3.13 draws it: from the
     # last index down to 1, swap index i with one below i + 1, drawn by
     # rejection on getrandbits of (i + 1)'s bit count
     getrandbits = rng_opts.getrandbits
     swaps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
-    columns = ops, in1, in2, targets, options = [], [], [], [], []
-    starts: list[int] = []  # each real group's first row
-    bits: dict[str, int] = {}
-    if draw is not None:
-        # nothing else is named in the loop, so its names come in two runs
-        all_temps = fresh.take(k * len(src_targets))
-        all_sels = sel.take(k * len(src_targets))
-        bits = dict.fromkeys(all_sels, 0)
+    ops, in1, in2, targets = [], [], [], []
+    combines: dict[int, Options] = {}
 
-    for expr, target in zip(zip(src_ops, src_in1, src_in2), src_targets):
-        at = len(starts) * k
-        starts.append(len(targets))
+    def put_group(
+        exprs: list[Expr], temps: tuple[str, ...], sels: tuple[str, ...], target: str
+    ) -> None:
+        """Write k assignments into temps, then target := COMBINE over them."""
+        group_ops, group_in1, group_in2 = zip(*exprs)
+        ops.extend(group_ops)
+        ops.append(None)
+        in1.extend(group_in1)
+        in1.append(None)
+        in2.extend(group_in2)
+        in2.append(None)
+        targets.extend(temps)
+        combines[len(targets)] = sels + temps
+        targets.append(target)
+
+    for at, (expr, target) in enumerate(zip(zip(src_ops, src_in1, src_in2), src_targets)):
+        for fake in fakes_before.get(at, ()):
+            put_group(*fake)
+        temps = all_temps[at * temp_step : (at + 1) * temp_step]
+        sels = all_sels[at * sel_step : (at + 1) * sel_step]
         if draw is None:
             exprs, prelude, prelude_bits = _gen_combined(
-                expr, cfg, rng_opts, defined, positions, fresh, sel
+                expr, cfg, rng_opts, defined, positions, iter(temps).__next__, iter(sels).__next__
             )
             bits.update(prelude_bits)
             for temp, prelude_options in prelude:
                 ops.append(None)
                 in1.append(None)
                 in2.append(None)
+                combines[len(targets)] = prelude_options
                 targets.append(temp)
-                options.append(prelude_options)
             positions.setdefault(target, []).append(len(defined))
-            temps, sels = fresh.take(k), sel.take(k)
-            bits.update(dict.fromkeys(sels, 0))
+            temps, sels = temps[2:], sels[2 * k :]
         else:
             exprs = [expr, *draw(*expr)]
-            temps, sels = all_temps[at : at + k], all_sels[at : at + k]
         order = list(range(k))
         for i, width in swaps:
             j = getrandbits(width)
@@ -433,62 +471,14 @@ def obfuscate_statement_level(
                 j = getrandbits(width)
             order[i], order[j] = order[j], order[i]
         bits[sels[order.index(0)]] = 1
-        group_ops, group_in1, group_in2 = zip(*map(exprs.__getitem__, order))
-        ops += group_ops
-        ops.append(None)
-        in1 += group_in1
-        in1.append(None)
-        in2 += group_in2
-        in2.append(None)
-        targets += temps
-        targets.append(target)
-        options += assigns
-        options.append(sels + temps)
+        put_group([exprs[i] for i in order], temps, sels, target)
         defined.append(target)
-
-    fakes = []
-    for _ in range(cfg.fake_combining):
-        fake_pool = list(cfg.fake_vars)
-        exprs = _distinct_expressions(rng_fake, k, list(cfg.op_pool), fake_pool, forbidden=set())
-        temps = fresh.take(k)
-        sels = sel.take(k)
-        hot = rng_fake.randrange(k)
-        for i, s in enumerate(sels):
-            bits[s] = int(i == hot)
-        group_ops, group_in1, group_in2 = zip(*exprs)
-        group = (
-            [*group_ops, None],
-            [*group_in1, None],
-            [*group_in2, None],
-            [*temps, fresh()],
-            [*assigns, sels + temps],
-        )
-        # insert before some real group so the program output stays last
-        fakes.append((starts[rng_fake.randrange(len(starts))], group))
-
-    if fakes:
-        # stable: fakes before one group keep the order they were drawn in
-        fakes.sort(key=lambda fake: fake[0])
-        spliced = ([], [], [], [], [])
-        done = 0
-        for start, group in fakes:
-            for out, column, rows in zip(spliced, columns, group):
-                out += column[done:start]
-                out += rows
-            done = start
-        for out, column in zip(spliced, columns):
-            out += column[done:]
-        columns = spliced
 
     bindings = dict(program.consts)
     bindings.update({v: rng_vals.randrange(1, program.prime) for v in cfg.fake_vars})
 
-    *quads, options = columns
     obf_program = Program.from_columns(
-        list(program.inputs) + list(program.consts) + list(cfg.fake_vars),
-        *quads,
-        {i: entry for i, entry in enumerate(options) if entry is not None},
-        prime=program.prime,
+        inputs, ops, in1, in2, targets, combines, prime=program.prime
     )
     obf = ObfProgram(program=obf_program, selector_ids=obf_program.selector_ids())
     return obf, SelectorKey(bits=bits, bindings=bindings)
@@ -673,9 +663,10 @@ def read_config(path: str) -> ObfuscationConfig:
     """Parse a key = value obfuscation config.
 
     Recognized keys: k, fake_vars, ops, fake_combining, strategy,
-    pattern_table (path to a mined counts table), seed.
+    pattern_table (path to a mined counts table), seed; each at most once.
     """
     cfg = ObfuscationConfig()
+    seen: dict[str, int] = {}  # key -> the line it was first given on
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -686,6 +677,9 @@ def read_config(path: str) -> ObfuscationConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            first = seen.setdefault(key, lineno)
+            if first != lineno:
+                raise FormatError(f"line {lineno}: {key!r} is given twice (first on line {first})")
             try:
                 if key == "k":
                     cfg.mislead_factor = parse_int(value)

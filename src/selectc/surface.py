@@ -22,7 +22,7 @@ agrees with the unrolled three-address program on all inputs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .errors import ParseError, UnboundVariableError
 from .field import FIELD_PRIME, Op, apply_op, signed
@@ -100,7 +100,6 @@ def left_spine(e: Expr) -> tuple[Expr, list[Binary]]:
 class AssignStmt:
     target: Name | Index
     value: Expr
-    line: int = dfield(default=0, compare=False)
 
 
 @dataclass
@@ -108,7 +107,6 @@ class IfStmt:
     cond: Expr
     then: list["Stmt"]
     orelse: list["Stmt"]
-    line: int = dfield(default=0, compare=False)
 
 
 @dataclass
@@ -118,7 +116,6 @@ class ForStmt:
     step: AssignStmt
     bound: int
     body: list["Stmt"]
-    line: int = dfield(default=0, compare=False)
 
 
 Stmt = AssignStmt | IfStmt | ForStmt
@@ -276,13 +273,12 @@ class _Parser:
         return st
 
     def parse_assign(self) -> AssignStmt:
-        tok = self.peek()
         target = self.parse_lvalue()
         op = self.next()
         if op.text not in (":=", "="):
             raise self.fail("expected ':=' in assignment", op)
         value = self.parse_expr()
-        return AssignStmt(target, value, line=tok.line)
+        return AssignStmt(target, value)
 
     def parse_lvalue(self) -> Name | Index:
         tok = self.next()
@@ -304,7 +300,7 @@ class _Parser:
         return Name(tok.text)
 
     def parse_if(self) -> IfStmt:
-        tok = self.expect("if")
+        self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -321,10 +317,10 @@ class _Parser:
             if self.at("else"):
                 self.next()
                 orelse = self.parse_block()
-        return IfStmt(cond, then, orelse, line=tok.line)
+        return IfStmt(cond, then, orelse)
 
     def parse_for(self) -> ForStmt:
-        tok = self.expect("for")
+        self.expect("for")
         self.expect("(")
         init = self.parse_assign()
         self.expect(";")
@@ -342,7 +338,7 @@ class _Parser:
         if bound < 1:
             raise self.fail("loop bound must be positive", bound_tok)
         body = self.parse_block()
-        return ForStmt(init, cond, step, bound, body, line=tok.line)
+        return ForStmt(init, cond, step, bound, body)
 
     def parse_block(self) -> list[Stmt]:
         self.expect("{")

@@ -83,6 +83,11 @@ CASES = {
     "config-negative-fakes": (
         "config", "fake_combining = -1\n", "fake combining count must be non-negative"
     ),
+    "config-key-twice": (
+        "config", "k = 3\n# k = 4\nk = 2\n", "line 3: 'k' is given twice (first on line 1)"
+    ),
+    "config-fake-var-twice": ("config", "fake_vars = f0, f1, f0\n", "fake variable 'f0' is given twice"),
+    "config-op-twice": ("config", "ops = ADD, ADD, SUB\n", "operation 'ADD' is given twice"),
     # patterns.parse_table
     "table-two-fields": ("table", "operator | plus\n", "line 1: expected `family | key | count`"),
     "table-family": ("table", "colour | plus | 3\n", "line 1: unknown pattern family 'colour'"),

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -199,25 +200,35 @@ def test_round_trip_many_random_programs():
         assert normalize(back) == normalize(p), seed
 
 
-def test_fakes_do_not_disturb_real_groups():
-    """Same seed with and without fake chains: identical real statements."""
-    p = two_stmt_program()
-    plain_cfg = ObfuscationConfig(mislead_factor=3, fake_vars=("f0", "f1"), seed=5)
-    fake_cfg = ObfuscationConfig(
-        mislead_factor=3, fake_vars=("f0", "f1"), fake_combining=3, seed=5
-    )
-    bare, bare_key = obfuscate_statement_level(p, plain_cfg)
-    fat, fat_key = obfuscate_statement_level(p, fake_cfg)
-    assert len(fat.program.statements) > len(bare.program.statements)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fakes_do_not_disturb_real_groups(strategy, k):
+    """Same seed with and without fake chains: the real lines in the same
+    order, the real bits in the same order with the same values and ahead
+    of the fakes' bits, and the same run and fold."""
+    table = PatternTable()
+    table.operator_counts.update({"times": 7, "plus": 3})
+    programs = [two_stmt_program()] + [
+        random_linear_program(random.Random(s), n_statements=6) for s in range(3)
+    ]
+    for seed, p in enumerate(programs, start=5):
+        plain_cfg = ObfuscationConfig(
+            mislead_factor=k, strategy=strategy, pattern_table=table, fake_vars=("f0", "f1"), seed=seed
+        )
+        bare, bare_key = obfuscate_statement_level(p, plain_cfg)
+        fat, fat_key = obfuscate_statement_level(p, replace(plain_cfg, fake_combining=3))
+        assert len(fat.program) == len(bare.program) + 3 * (k + 1)
 
-    bare_lines = render_program(bare.program).splitlines()
-    fat_lines = render_program(fat.program).splitlines()
-    it = iter(fat_lines)
-    assert all(line in it for line in bare_lines), "real groups were disturbed"
+        it = iter(render_program(fat.program).splitlines())
+        assert all(line in it for line in render_program(bare.program).splitlines()), (
+            "real groups were disturbed"
+        )
+        bare_bits = list(bare_key.bits.items())
+        assert list(fat_key.bits.items())[: len(bare_bits)] == bare_bits
 
-    env = {"x": 6, "y": 1}
-    assert run_encrypted(bare, bare_key, env) == run_encrypted(fat, fat_key, env)
-    assert deobfuscate(fat, fat_key) == deobfuscate(bare, bare_key)
+        env = random_inputs(p, random.Random(seed))
+        assert run_encrypted(bare, bare_key, env) == run_encrypted(fat, fat_key, env)
+        assert deobfuscate(fat, fat_key) == deobfuscate(bare, bare_key)
 
 
 def test_fake_groups_never_reach_the_output():
@@ -1106,6 +1117,28 @@ def test_config_validation():
         obfuscate_statement_level(p, ObfuscationConfig(strategy="pattern-aware"))
     with pytest.raises(ConfigError):
         obfuscate_statement_level(p, ObfuscationConfig(fake_vars=("a",)))
+    with pytest.raises(ConfigError, match="operation 'ADD' is given twice"):
+        obfuscate_statement_level(p, ObfuscationConfig(op_pool=(Op.ADD, Op.SUB, Op.ADD)))
+    with pytest.raises(ConfigError, match="fake variable 'f0' is given twice"):
+        obfuscate_statement_level(p, ObfuscationConfig(fake_vars=("f0", "f1", "f0")))
+
+
+@pytest.mark.parametrize("fake_combining", [0, 1])
+def test_the_fake_draw_fails_before_the_real_one(fake_combining):
+    """Fake groups are drawn before the first real group, so where both
+    draws run out the fake one's error is raised; alone, each raises its
+    own."""
+    p = parse_program("prime 101\ninput x\nr := ADD x x\n")
+    cfg = ObfuscationConfig(
+        mislead_factor=5, op_pool=(Op.ADD,), fake_vars=("f0",), fake_combining=fake_combining
+    )
+    want = (
+        "need 5 distinct statements but the pool only offers 1"
+        if fake_combining
+        else "need 4 distinct statements but the pool only offers 3"
+    )
+    with pytest.raises(PoolExhaustedError, match=want):
+        obfuscate_statement_level(p, cfg)
 
 
 def test_source_must_be_simple_assignments():
