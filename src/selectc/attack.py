@@ -220,9 +220,11 @@ class _MemberCones:
     enough of them share it, a key template (see key_score).
 
     The same pass splits the live assignments into the segments that
-    the KPA walk (_consistent_selections) runs. An assignment with reach
-    0 reads no slot target, so it goes to segment 0; any other goes
-    after the latest slot.
+    the KPA walk (_consistent_selections) runs: segments[0], then one
+    per slot, each a list of statement indices of the obfuscated
+    program in program order, which the walk runs there in place. An
+    assignment with reach 0 reads no slot target, so it goes to segment
+    0; any other goes to the segment of the latest slot before it.
 
     extract_class has checked single assignment, so a variable's
     definition comes before its readers and the masks of a slot's
@@ -243,36 +245,19 @@ class _MemberCones:
         defs: dict[str, int] = {}  # assignment target -> its index
         reach: dict[str, int] = {}  # variable -> slots it reads through assignments
         self.reach: list[list[int]] = []  # slot -> option -> slots its source reads
-        segments: list[list[int]] = [[]]
+        # the KPA walk's segments, as statement indices (see _consistent_selections)
+        self.segments: list[list[int]] = [[]]
         for idx in cd.live_indices:
             target = targets[idx]
             if ops[idx] is None:
                 j = len(self.reach)
                 self.reach.append([reach.get(src, 0) for src in cd.options[j]])
                 reach[target] = 1 << j
-                segments.append([])
+                self.segments.append([])
             else:
                 defs[target] = idx
                 mask = reach[target] = reach.get(in1[idx], 0) | reach.get(in2[idx], 0)
-                segments[-1 if mask else 0].append(idx)
-        # the KPA walk's segments, None where empty (see _consistent_selections);
-        # a segment of consecutive statements, such as a program-level class's
-        # segment 0, is a slice of each column
-        self.segments = [
-            Program.from_columns(
-                [],
-                *(
-                    column[seg[0] : seg[-1] + 1]
-                    if seg[-1] - seg[0] + 1 == len(seg)
-                    else tuple(map(column.__getitem__, seg))
-                    for column in self.columns
-                ),
-                prime=program.prime,
-            )
-            if seg
-            else None
-            for seg in segments
-        ]
+                self.segments[-1 if mask else 0].append(idx)
 
         def cone(*roots: str) -> set[int]:
             keep: set[int] = set()
@@ -588,11 +573,12 @@ def _consistent_selections(
     A depth-first walk over the live combining statements (slots) of
     the obfuscated program, in envs[0] itself: choosing an option is a
     gather, target := source, after which the slot's segment (see
-    _MemberCones) runs through run_statements: the live statements up to
-    the next slot that read a slot target, directly or through other
-    assignments. Every other live assignment computes the same value on
-    every path, so it runs once per env, in segment 0, before the first
-    slot. extract_class has checked that every variable is assigned
+    _MemberCones) runs through run_statements, by statement index on the
+    obfuscated program itself: the live statements up to the next slot
+    that read a slot target, directly or through other assignments. An
+    empty segment is skipped. Every other live assignment computes the
+    same value on every path, so it runs once per env, in segment 0,
+    before the first slot. extract_class has checked that every variable is assigned
     once, after what it reads, so a path overwrites everything it reads
     that an earlier path set.
 
@@ -624,18 +610,18 @@ def _consistent_selections(
         later_env = later[j]
         d = depth[j]
         if d < 0:
-            if runs[0] is not None:
-                run_statements(runs[0], later_env, no_bits, ops)
+            if runs[0]:
+                run_statements(program, runs[0], later_env, no_bits, ops)
             d = 0
         for k in range(d, last):
             later_env[targets[k]] = later_env[sources[k][choice[k]]]
-            if runs[k + 1] is not None:
-                run_statements(runs[k + 1], later_env, no_bits, ops)
+            if runs[k + 1]:
+                run_statements(program, runs[k + 1], later_env, no_bits, ops)
         depth[j] = last
         return later_env[out] == later_wants[j]
 
-    if runs[0] is not None:
-        run_statements(runs[0], env, no_bits, ops)
+    if runs[0]:
+        run_statements(program, runs[0], env, no_bits, ops)
     i = 0  # the slot whose next option the walk takes
     while i >= 0:
         if i == last:
@@ -660,8 +646,8 @@ def _consistent_selections(
         env[targets[i]] = env[options[c]]
         i += 1
         segment = runs[i]
-        if segment is not None:
-            run_statements(segment, env, no_bits, ops)
+        if segment:
+            run_statements(program, segment, env, no_bits, ops)
 
 
 def _statement_log_scores(table) -> dict[str, float]:

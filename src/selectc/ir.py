@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain, count
 from typing import Any
 
-from .errors import FormatError, KeyMismatchError, UnboundVariableError
+from .errors import FormatError, KeyMismatchError, SelectcError, UnboundVariableError
 from .field import FIELD_PRIME, OP_BY_NAME, OP_NAMES, Op, field_ops, is_prime, parse_int, signed
 
 
@@ -181,24 +181,25 @@ class Program:
 
 def run_statements(
     program: Program,
+    indices: Iterable[int],
     env: dict[str, Any],
     bits: dict[str, Any],
     ops: Mapping[Op, Callable[[Any, Any], Any]],
 ) -> dict[str, Any]:
-    """Run every statement in order over env and return it, extended.
+    """Run the statements at indices, in that order, over env and return it, extended.
 
-    Values are field elements and ops is the field table of their prime
-    (field.field_ops). An assignment is ops[op](a, b). A combining
-    statement is the ADD-fold of MUL(selector, source) over all of its
-    options, with no short-circuit of any kind. A selector's value is
-    looked up in bits first, then among the program's variables.
+    eval_env passes every index; the KPA walk passes one of its segments
+    of the obfuscated program (attack._MemberCones), a statement or two
+    on most calls. Values are field elements and ops is the field table
+    of their prime (field.field_ops). An assignment is ops[op](a, b). A
+    combining statement is the ADD-fold of MUL(selector, source) over all
+    of its options, with no short-circuit of any kind. A selector's value
+    is looked up in bits first, then among the program's variables.
+    Nothing here checks the program's inputs: field_env has.
     """
-    if program.inputs:
-        require_inputs(program, env)
-    # by index: most runs are the attack's segments of a statement or two,
-    # where a zip over the four columns costs more than it saves
     op_column, in1_column, in2_column, targets = program.columns
-    for i, op in enumerate(op_column):
+    for i in indices:
+        op = op_column[i]
         if op is not None:
             try:
                 a = env[in1_column[i]]
@@ -330,13 +331,6 @@ def compile_plan(program: Program, bits: Mapping[str, int]) -> SlotPlan:
     )
 
 
-def require_inputs(program: Program, bound) -> None:
-    """Raise UnboundVariableError unless bound holds every program input."""
-    missing = [v for v in program.inputs if v not in bound]
-    if missing:
-        raise unbound_inputs(missing)
-
-
 def unbound_inputs(missing: list[str]) -> UnboundVariableError:
     """The error for program inputs a run leaves unbound, in input order."""
     return UnboundVariableError(f"unbound input variable(s): {', '.join(missing)}")
@@ -351,7 +345,9 @@ def field_env(program: Program, inputs: dict[str, int]) -> dict[str, int]:
     env = {v: val % prime for v, val in program.consts.items()}
     for v, val in inputs.items():
         env[v] = val % prime
-    require_inputs(program, env)
+    missing = [v for v in program.inputs if v not in env]
+    if missing:
+        raise unbound_inputs(missing)
     return env
 
 
@@ -367,7 +363,8 @@ def eval_env(
     """
     prime = program.prime
     sel = {s: bit % prime for s, bit in selectors.items()} if selectors else {}
-    return run_statements(program, field_env(program, inputs), sel, field_ops(prime))
+    env = field_env(program, inputs)
+    return run_statements(program, range(len(program)), env, sel, field_ops(prime))
 
 
 def eval_plain(
@@ -657,13 +654,30 @@ def _combine_format(k: int) -> str:
     return "{0} := COMBINE " + " ".join(f"({{{j + 1}}},{{{k + j + 1}}})" for j in range(k))
 
 
-_COMBINE_OPT = re.compile(r"^\(([^\s,()]+),([^\s,()]+)\)$")
+# what no variable name may hold: whitespace splits a line into tokens,
+# and parentheses and commas split a combining statement's options
+_NAME_BREAKS = r"\s,()"
+_NAME = rf"[^{_NAME_BREAKS}]+"  # a name parse_program reads back
+_NAME_BREAK = re.compile(rf"[{_NAME_BREAKS}]")
+_COMBINE_OPT = re.compile(rf"^\(({_NAME}),({_NAME})\)$")
 # a combining statement's options, joined by single spaces
-_COMBINE_OPTS = re.compile(r"\([^\s,()]+,[^\s,()]+\)(?: \([^\s,()]+,[^\s,()]+\))*")
+_COMBINE_OPTS = re.compile(rf"\({_NAME},{_NAME}\)(?: \({_NAME},{_NAME}\))*")
 # deletes the parentheses of options so joined, and separates them as their halves are
 _UNWRAP = str.maketrans(" ", ",", "()")
 # the first words of header lines, which no assignment target may be read as
 _HEADERS = frozenset(("prime", "input", "const"))
+
+
+def check_names(names: Sequence[str], what: str, error: type[SelectcError]) -> None:
+    """Raise error, naming the first of names that parse_program could not
+    read back, unless there is none. One scan checks them all."""
+    if all(names) and not _NAME_BREAK.search("".join(names)):
+        return
+    name = next(v for v in names if not v or _NAME_BREAK.search(v))
+    raise error(
+        f"{what} {name!r} cannot be read back from a program file: "
+        "a name is not empty and holds no whitespace, '(', ')' or ','"
+    )
 
 
 def render_program(program: Program) -> str:

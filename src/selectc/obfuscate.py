@@ -38,6 +38,7 @@ from .ir import (
     Program,
     SlotPlan,
     check_bits,
+    check_names,
     check_single_assignment,
     compile_plan,
     fold_selection,
@@ -86,6 +87,7 @@ class ObfuscationConfig:
             repeated = [name for name, count in Counter(names).items() if count > 1]
             if repeated:
                 raise ConfigError(f"{what} {repeated[0]!r} is given twice")
+        check_names(self.fake_vars, "fake variable", ConfigError)
         if self.fake_combining < 0:
             raise ConfigError("fake combining count must be non-negative")
         if self.fake_combining > 0 and not self.fake_vars:
@@ -123,19 +125,12 @@ class _Namer:
         self.used = used
         self.n = 0
 
-    def __call__(self) -> str:
-        while True:
-            name = f"{self.prefix}{self.n}"
-            self.n += 1
-            if name not in self.used:
-                return name
-
     def take(self, count: int) -> tuple[str, ...]:
-        """The next count names, as count calls would give them.
+        """The next count names, counting on from the last one taken.
 
         Each pass names as many candidates as are still missing and drops
         the used ones, so the last pass drops none and leaves the counter
-        just past the last name, where count calls leave it.
+        just past the last name.
         """
         prefix = self.prefix
         names: list[str] = []
@@ -298,8 +293,8 @@ def _gen_combined(
     rng,
     var_pool: list[str],
     positions: dict[str, list[int]],
-    fresh: _Namer,
-    sel: _Namer,
+    fresh: Callable[[], str],
+    sel: Callable[[], str],
 ) -> tuple[list[Expr], list[tuple[str, Options]], dict[str, int]]:
     """Hide operands and operation separately behind fresh temporaries.
 
@@ -357,12 +352,15 @@ def _gen_combined(
 def _validate_source(program: Program) -> None:
     """Refuse a source before anything is built from it: ConfigError for an
     empty one or one with combining statements, FormatError unless it is in
-    single assignment (check_single_assignment)."""
-    if not program.columns[3]:
+    single assignment (check_single_assignment) and every input, const and
+    target name is one the .obf reader reads back (ir.check_names)."""
+    targets = program.columns[3]
+    if not targets:
         raise ConfigError("cannot obfuscate an empty program")
     if program.combines:
         raise ConfigError("source program must contain only simple assignments")
     check_single_assignment(program)
+    check_names([*program.inputs, *program.consts, *targets], "variable", FormatError)
 
 
 def obfuscate_statement_level(
@@ -517,10 +515,11 @@ def obfuscate_program_level(
             if v not in shared_inputs:
                 shared_inputs.append(v)
 
+    # the namers' used set never grows, so each takes all its names at once
     used = set(shared_inputs)
-    fresh = _Namer("t", used)
-    const_fresh = _Namer("k", used)
-    sel = _Namer("s", set())
+    fresh = iter(_Namer("t", used).take(sum(map(len, programs)) + 1)).__next__
+    const_fresh = iter(_Namer("k", used).take(sum(len(p.consts) for p in programs))).__next__
+    sels = _Namer("s", set()).take(len(programs))
 
     ops, in1, in2, targets = [], [], [], []
     bindings: dict[str, int] = {}
@@ -541,7 +540,6 @@ def obfuscate_program_level(
             targets.append(new)
         results.append(new)
 
-    sels = tuple(sel() for _ in order)
     bits = {s: int(idx == i_star) for s, idx in zip(sels, order)}
     combines = {len(targets): (*sels, *results)}
     ops.append(None)

@@ -918,13 +918,13 @@ def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
 
 
 def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypatch):
-    """The work-shape guard: ranking builds no statement node and no
-    Program; a member is folded when the ranking is read, to columns
-    that its one Program holds, so reading a rank-only l0 ranking builds
-    12,500 Programs and not one statement node."""
+    """The work-shape guard: building the class's cones and ranking
+    build no statement node and no Program (the KPA segments are
+    statement indices); a member is folded when the ranking is read, to
+    columns that its one Program holds, so reading a rank-only l0
+    ranking builds 12,500 Programs and not one statement node."""
     demo, _, _ = demo_class("l0")
     cd = extract_class(demo.obf)
-    cd.cones  # its KPA segments are Programs, built once per class
     built = Counter()
 
     def counting(cls):
@@ -945,6 +945,8 @@ def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypat
         return real_from_columns(cls, *args, **kwargs)
 
     monkeypatch.setattr(Program, "from_columns", classmethod(from_columns))
+    cd.cones
+    assert built == {}
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == cd.class_size == 12_500
     assert built == {}
@@ -1041,9 +1043,9 @@ def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
     ran = []
     real = attack.run_statements
 
-    def counting(program, env, selectors, ops):
-        ran.append(len(program))
-        return real(program, env, selectors, ops)
+    def counting(program, indices, env, selectors, ops):
+        ran.append(len(indices))
+        return real(program, indices, env, selectors, ops)
 
     monkeypatch.setattr(attack, "run_statements", counting)
     for count, runs in ((1, 14_698), (3, 15_134)):

@@ -228,6 +228,45 @@ def test_a_source_that_reads_before_assigning_writes_no_file(tmp_path, capsys):
     assert not (tmp_path / "out.key").exists()
 
 
+UNREADABLE = (
+    "cannot be read back from a program file: "
+    "a name is not empty and holds no whitespace, '(', ')' or ','"
+)
+
+
+@pytest.mark.parametrize(
+    "source, config, message",
+    [
+        ("r := x * x\n", "fake_vars = a b\n", f"fake variable 'a b' {UNREADABLE}, in {{config}}"),
+        (
+            "r := x * x\n",
+            "strategy = combined-temporaries\nfake_vars = (f, g\n",
+            f"fake variable '(f' {UNREADABLE}, in {{config}}",
+        ),
+        (
+            "prime 101\ninput (x\nr := MUL (x (x\n",
+            "strategy = combined-temporaries\n",
+            f"variable '(x' {UNREADABLE}",
+        ),
+    ],
+    ids=["fake-var-space", "fake-var-paren", "tac-input-paren"],
+)
+def test_a_name_the_obf_reader_cannot_read_back_writes_no_file(
+    tmp_path, capsys, source, config, message
+):
+    """Each of these once wrote an .obf that `selectc run` refused."""
+    src = write(tmp_path / "names.src", source)
+    cfg = write(tmp_path / "names.cfg", config)
+    out = tmp_path / "out"
+    rc = dispatch(["obfuscate", src, "--config", cfg, "-o", f"{out}.obf", "--key", f"{out}.key"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(config=cfg)}\n"
+    assert not (tmp_path / "out.obf").exists()
+    assert not (tmp_path / "out.key").exists()
+
+
 @pytest.mark.parametrize(
     "inputs, message",
     [("x=3,y=1_0", "value for 'y' is not an integer"), ("x=\u0663", "value for 'x' is not an integer")],

@@ -3,6 +3,7 @@
 import functools
 import gc
 import hashlib
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -40,6 +41,7 @@ from selectc.ir import (
     run_statements,
     selectors,
     sources,
+    unbound_inputs,
 )
 from selectc.obfuscate import (
     _ENUMERATE_LIMIT,
@@ -325,7 +327,8 @@ def test_eval_encrypted_handle_stream_is_pinned():
 
 
 def reference_eval_encrypted(obf, key, sel_key, enc_inputs):
-    """eval_encrypted as a statement walk: ir.run_statements over he_op.
+    """eval_encrypted as a statement walk: ir.run_statements over he_op,
+    after the inputs check that ir.field_env makes for a plain run.
 
     Every handle the walk mints is freed again, the output's last and
     only on return: the store's newest entries are popped and the
@@ -341,7 +344,11 @@ def reference_eval_encrypted(obf, key, sel_key, enc_inputs):
         env.update(enc_inputs)
         sel_ct = dict(zip(sel_key.bits, enc_many(key, sel_key.bits.values())))
         ops = {op: functools.partial(he_op, key, op) for op in ALL_OPS}
-        out = run_statements(obf.program, env, sel_ct, ops)[obf.program.output]
+        program = obf.program
+        missing = [v for v in program.inputs if v not in env]
+        if missing:
+            raise unbound_inputs(missing)
+        out = run_statements(program, range(len(program)), env, sel_ct, ops)[program.output]
     finally:
         value = None if out is None else store[out.handle]
         for _ in range(len(store) - mark):
@@ -830,6 +837,16 @@ def reference_gen_combined(expr, cfg, rng, var_pool, fresh, sel):
     return [(op, t1, t2)] + [(o, t1, t2) for o in chosen_ops], prelude, bits
 
 
+def names_one_by_one(prefix, used):
+    """prefix0, prefix1, ... without the names in used, one at a time, each
+    with the count of candidates tried so far: the reference for
+    _Namer.take."""
+    for n in itertools.count(1):
+        name = f"{prefix}{n - 1}"
+        if name not in used:
+            yield name, n
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     hst.sets(hst.integers(0, 40)),
@@ -838,13 +855,17 @@ def reference_gen_combined(expr, cfg, rng, var_pool, fresh, sel):
 )
 def test_take_names_what_repeated_calls_name(used_numbers, other_used, counts):
     """A run of used names, scattered ones, names that only look like
-    fresh ones and take(0): the same names in the same order, and the
-    counter left where the calls leave it."""
+    fresh ones and take(0): the names taken one at a time, in the same
+    order, and the counter left just past the last of them."""
     used = {f"t{i}" for i in used_numbers} | other_used
-    bulk, calls = obfuscate._Namer("t", used), obfuscate._Namer("t", used)
+    bulk, one_by_one = obfuscate._Namer("t", used), names_one_by_one("t", used)
+    n = 0
     for count in counts:
-        assert bulk.take(count) == tuple(calls() for _ in range(count))
-        assert bulk.n == calls.n
+        want = [next(one_by_one) for _ in range(count)]
+        if want:
+            n = want[-1][1]
+        assert bulk.take(count) == tuple(name for name, _ in want)
+        assert bulk.n == n
 
 
 def _combined_outcome(draw, seed, expr, k, pool):
@@ -852,9 +873,11 @@ def _combined_outcome(draw, seed, expr, k, pool):
     state afterwards) for the statement r := expr."""
     cfg = ObfuscationConfig(mislead_factor=k, strategy="combined-temporaries")
     rng = random.Random(seed)
-    fresh = obfuscate._Namer("t", set(pool) | {"r"})
+    # a draw takes two temporaries and 2k selectors, as obfuscate_statement_level hands them out
+    fresh = iter(obfuscate._Namer("t", set(pool) | {"r"}).take(2)).__next__
+    sel = iter(obfuscate._Namer("s", set()).take(2 * k)).__next__
     try:
-        exprs, prelude, bits = draw(expr, cfg, rng, pool, fresh, obfuscate._Namer("s", set()))
+        exprs, prelude, bits = draw(expr, cfg, rng, pool, fresh, sel)
         result = (exprs, prelude, list(bits.items()))
     except SelectcError as exc:
         result = (type(exc), str(exc))
@@ -1190,6 +1213,40 @@ def test_program_level_skeleton_hides_the_choice():
         bit_patterns.add(tuple(sorted(sel_key.bits.items())))
     assert len(texts) == 1, "obfuscated text must not depend on the secret index"
     assert len(bit_patterns) == 5
+
+
+# Digest of _golden_program_level, captured while the namers still named
+# one variable per call
+PROGRAM_LEVEL_DIGEST = "082c46387aff14c7c0171f42723a24a9fd5898e7c00277da05dd1955d296abe4"
+
+
+def _golden_program_level():
+    """Rendered program-level obfuscations plus key bits and bindings, for
+    seeded sets of two to five programs with up to two consts each, at
+    every i_star; every fourth set adds a program whose inputs, t1 and
+    k0, are names the fresh target and const names skip."""
+    clash = parse_program("input t1\ninput k0\nconst k1 = 5\nt0 := ADD t1 k0\nt2 := MUL t0 k1\n")
+    h = hashlib.sha256()
+    for seed in range(16):
+        rng = random.Random(seed)
+        programs = [
+            random_linear_program(
+                rng, n_statements=1 + (seed + j) % 5, n_inputs=1 + j % 3, n_consts=(seed + j) % 3
+            )
+            for j in range(2 + seed % 4)
+        ]
+        if seed % 4 == 3:
+            programs.append(clash)
+        for i_star in range(len(programs)):
+            obf, sel_key = obfuscate_program_level(programs, i_star, seed=seed)
+            h.update(render_program(obf.program).encode())
+            h.update(repr(list(sel_key.bits.items())).encode())
+            h.update(repr(list(sel_key.bindings.items())).encode())
+    return h.hexdigest()
+
+
+def test_program_level_output_matches_the_golden_digest():
+    assert _golden_program_level() == PROGRAM_LEVEL_DIGEST
 
 
 def test_program_level_validation():
