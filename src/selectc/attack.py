@@ -66,6 +66,9 @@ DEFAULT_CAP = 10**6
 # (see _MemberCones.key_score): a union with fewer, as every union of a
 # program-level class or of a small statement-level class, gains nothing from one
 TEMPLATE_AFTER = 32
+# the selections below a depth of the KPA walk from which that depth memoises
+# (see _consistent_selections)
+MEMO_FROM = 16
 
 
 @dataclass
@@ -553,7 +556,10 @@ def kpa_filter(
     surviving signature comes once, with the number of surviving
     selections that share it, in the shape _MemberCones.signatures
     yields: a choice at a dead slot cannot change the output, so a
-    signature survives with all its selections or with none.
+    signature survives with all its selections or with none. The first
+    pair's walk runs each large enough subtree once per distinct set of
+    values live into it (see _consistent_selections); the survivors and
+    their order are those of the walk without that memo.
     """
     if cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
@@ -582,6 +588,23 @@ def _consistent_selections(
     once, after what it reads, so a path overwrites everything it reads
     that an earlier path set.
 
+    The first pair's survivors below a depth depend only on the values
+    live into it: those that the slots and segments before it write
+    (segment 0's are the same on every path) and that its slot or a
+    later step reads. A depth i >= 1 with at least MEMO_FROM selections
+    below it memoises its survivors by those values, as a DAG node
+    (_first_pair_dag): the first visit with some values walks the
+    subtree, every later one takes the node from the table. Depth i has
+    at most class_size / (selections below i) distinct prefixes, so the
+    deepest memo depth has at most class_size / MEMO_FROM entries, each
+    depth above it at most half as many as the one below (parse_program
+    and the obfuscators give a slot at least two options), and the
+    table at most 2 * class_size / MEMO_FROM = class_size / 8. The root
+    is then expanded in product order (_dag_leaves). A class with no
+    such depth, as every program-level one (one slot) and every small
+    statement-level one, is walked without a memo (_first_pair_leaves)
+    and computes no live values.
+
     A leaf that passes the first pair is checked on the later pairs in
     turn, each in its own env. A later env holds the current choices at
     the slots before its depth. The walk notes the first slot it changes
@@ -596,13 +619,11 @@ def _consistent_selections(
     targets = [program.columns[3][idx] for idx in cd.combine_indices]  # slot -> its target
     sources = cd.options
     ops = field_ops(program.prime)
-    no_bits: dict[str, int] = {}  # segments hold no combining statement
     out = program.output
     last = len(targets)
     env, *later = envs
     want, *later_wants = (output % program.prime for output in outputs)
     depth = [-1] * len(later)  # -1: segment 0 has not run in that env yet
-    low = last  # the first slot changed since a leaf last passed the first pair
     choice = [-1] * last
 
     def agrees(j: int) -> bool:
@@ -611,27 +632,52 @@ def _consistent_selections(
         d = depth[j]
         if d < 0:
             if runs[0]:
-                run_statements(program, runs[0], later_env, no_bits, ops)
+                run_statements(program, runs[0], later_env, _NO_BITS, ops)
             d = 0
         for k in range(d, last):
             later_env[targets[k]] = later_env[sources[k][choice[k]]]
             if runs[k + 1]:
-                run_statements(program, runs[k + 1], later_env, no_bits, ops)
+                run_statements(program, runs[k + 1], later_env, _NO_BITS, ops)
         depth[j] = last
         return later_env[out] == later_wants[j]
 
     if runs[0]:
-        run_statements(program, runs[0], env, no_bits, ops)
+        run_statements(program, runs[0], env, _NO_BITS, ops)
+    walk = (program, runs, targets, sources, ops, env, want)
+    memo_to = 0  # the deepest depth i >= 1 below which MEMO_FROM selections lie, if any
+    below = 1
+    for i in range(last - 1, 0, -1):
+        below *= len(sources[i])
+        if below >= MEMO_FROM:
+            memo_to = i
+            break
+    if memo_to:
+        leaves = _dag_leaves(_first_pair_dag(*walk, memo_to), choice)
+    else:
+        leaves = _first_pair_leaves(*walk, choice)
+    for low in leaves:
+        for j, d in enumerate(depth):
+            if d > low:
+                depth[j] = low
+        if all(map(agrees, range(len(later)))):
+            yield tuple(choice)
+
+
+_NO_BITS: dict[str, int] = {}  # the KPA walk's segments hold no combining statement
+
+
+def _first_pair_leaves(program, runs, targets, sources, ops, env, want, choice) -> Iterator[int]:
+    """The KPA walk with no memo: set choice to each leaf that passes
+    the first pair, in product order, and yield the first slot changed
+    since the last such leaf."""
+    out = program.output
+    last = low = len(targets)
     i = 0  # the slot whose next option the walk takes
     while i >= 0:
         if i == last:
             if env[out] == want:
-                for j, d in enumerate(depth):
-                    if d > low:
-                        depth[j] = low
+                yield low
                 low = last
-                if all(map(agrees, range(len(later)))):
-                    yield tuple(choice)
             i -= 1
             continue
         options = sources[i]
@@ -647,7 +693,85 @@ def _consistent_selections(
         i += 1
         segment = runs[i]
         if segment:
-            run_statements(program, segment, env, no_bits, ops)
+            run_statements(program, segment, env, _NO_BITS, ops)
+
+
+def _first_pair_dag(program, runs, targets, sources, ops, env, want, memo_to):
+    """The first pair's survivors as a DAG: a node is a tuple of (option,
+    child node) pairs, () where nothing passes, and True is a passing
+    leaf. Depths 1 to memo_to memoise their nodes by the values live
+    into them, found in one forward pass over the slots and segments.
+    The output, the last statement's target, is written after every
+    slot (each is live), so no depth that memoises has it live."""
+    _, in1, in2, written_by = program.columns
+    out = program.output
+    last = len(targets)
+    written: dict[str, int] = {}  # variable -> the first depth it is live into
+    read: dict[str, int] = {}  # variable -> the last depth whose steps read it
+    for k in range(last):
+        for src in sources[k]:
+            read[src] = k
+        written[targets[k]] = k + 1
+        for idx in runs[k + 1]:
+            read[in1[idx]] = read[in2[idx]] = k
+            written[written_by[idx]] = k + 1
+    # a depth that memoises -> the variables live into it, never none since
+    # the slot before it is live
+    live: dict[int, list[str]] = {i: [] for i in range(1, memo_to + 1)}
+    for v, first in written.items():
+        for i in range(first, min(read.get(v, 0), memo_to) + 1):
+            live[i].append(v)
+    keys = {i: itemgetter(*names) for i, names in live.items()}
+    memos = [{} if i in live else None for i in range(last)]  # depth -> key -> node
+
+    def node(i: int):
+        memo = memos[i]
+        if memo is not None:
+            key = keys[i](env)
+            found = memo.get(key)
+            if found is not None:
+                return found
+        target = targets[i]
+        segment = runs[i + 1]
+        kept = []
+        for c, src in enumerate(sources[i]):
+            env[target] = env[src]
+            if segment:
+                run_statements(program, segment, env, _NO_BITS, ops)
+            if i + 1 < last:
+                child = node(i + 1)
+                if child:
+                    kept.append((c, child))
+            elif env[out] == want:
+                kept.append((c, True))
+        kept = tuple(kept)
+        if memo is not None:
+            memo[key] = kept
+        return kept
+
+    return node(0)
+
+
+def _dag_leaves(root, choice: list[int]) -> Iterator[int]:
+    """Set choice to each leaf of a _first_pair_dag, in product order, and
+    yield the first slot changed since the last leaf."""
+    last = low = len(choice)
+    branches = [iter(root)] * last  # depth -> the pairs of its node not yet taken
+    i = 0
+    while i >= 0:
+        step = next(branches[i], None)
+        if step is None:
+            i -= 1
+            continue
+        choice[i], child = step
+        if i < low:
+            low = i
+        if child is True:
+            yield low
+            low = last
+        else:
+            i += 1
+            branches[i] = iter(child)
 
 
 def _statement_log_scores(table) -> dict[str, float]:

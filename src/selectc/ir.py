@@ -665,6 +665,7 @@ _COMBINE_OPTS = re.compile(rf"\({_NAME},{_NAME}\)(?: \({_NAME},{_NAME}\))*")
 # deletes the parentheses of options so joined, and separates them as their halves are
 _UNWRAP = str.maketrans(" ", ",", "()")
 # the first words of header lines, which no assignment target may be read as
+# (nor may it begin with "#", which starts a comment; see check_targets)
 _HEADERS = frozenset(("prime", "input", "const"))
 
 
@@ -678,6 +679,18 @@ def check_names(names: Sequence[str], what: str, error: type[SelectcError]) -> N
         f"{what} {name!r} cannot be read back from a program file: "
         "a name is not empty and holds no whitespace, '(', ')' or ','"
     )
+
+
+def check_targets(targets: Sequence[str], error: type[SelectcError]) -> None:
+    """Raise error, naming the first of targets that parse_program would read
+    as a comment or a header line rather than as a statement, unless there
+    is none."""
+    for target in targets:
+        if target[:1] == "#" or target in _HEADERS:
+            raise error(
+                f"target {target!r} cannot be read back from a program file: "
+                "a target does not begin with '#' and is not 'prime', 'input' or 'const'"
+            )
 
 
 def render_program(program: Program) -> str:

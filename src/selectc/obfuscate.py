@@ -40,6 +40,7 @@ from .ir import (
     check_bits,
     check_names,
     check_single_assignment,
+    check_targets,
     compile_plan,
     fold_selection,
     hot_option,
@@ -353,7 +354,8 @@ def _validate_source(program: Program) -> None:
     """Refuse a source before anything is built from it: ConfigError for an
     empty one or one with combining statements, FormatError unless it is in
     single assignment (check_single_assignment) and every input, const and
-    target name is one the .obf reader reads back (ir.check_names)."""
+    target name is one the .obf reader reads back (ir.check_names and
+    ir.check_targets)."""
     targets = program.columns[3]
     if not targets:
         raise ConfigError("cannot obfuscate an empty program")
@@ -361,6 +363,7 @@ def _validate_source(program: Program) -> None:
         raise ConfigError("source program must contain only simple assignments")
     check_single_assignment(program)
     check_names([*program.inputs, *program.consts, *targets], "variable", FormatError)
+    check_targets(targets, FormatError)
 
 
 def obfuscate_statement_level(

@@ -23,8 +23,10 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -733,9 +735,63 @@ def test_two_option_kpa_matches_the_reference(two_option_class, pairs):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(linear_classes(), hst.integers(0, 4), hst.booleans(), hst.integers(0, 2**32 - 1))
 def test_random_class_kpa_matches_the_reference(case, count, mixed, seed):
+    assert_random_class_kpa_matches_reference(case, count, mixed, seed)
+
+
+def assert_random_class_kpa_matches_reference(case, count, mixed, seed):
     cd = extract_class(case[0])
     pairs = (mixed_pairs if mixed else seeded_pairs)(cd, count, seed)
     assert_kpa_matches_reference(cd, pairs)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(linear_classes(), hst.integers(0, 4), hst.booleans(), hst.integers(0, 2**32 - 1))
+def test_random_class_kpa_memoising_every_depth_matches_the_reference(case, count, mixed, seed):
+    """Unpatched, most of these classes are too small to reach a memo depth."""
+    with mock.patch.object(attack, "MEMO_FROM", 1):
+        assert_random_class_kpa_matches_reference(case, count, mixed, seed)
+
+
+@pytest.mark.parametrize("level", ["l0", "l1"])
+def test_demo_kpa_memoising_every_depth_matches_the_reference(monkeypatch, level):
+    monkeypatch.setattr(attack, "MEMO_FROM", 1)
+    test_demo_kpa_matches_the_reference(level)
+
+
+def field_pair_class(n_statements):
+    """A random linear program obfuscated at k = 2, and two pairs on
+    full-field inputs from it, each bound with the key's bindings."""
+    rng = random.Random(3)
+    program = random_linear_program(rng, n_statements=n_statements)
+    obf, key = obfuscate_statement_level(program, ObfuscationConfig(mislead_factor=2, seed=5))
+    pairs = []
+    for _ in range(2):
+        env = random_inputs(program, rng, small=False)
+        pairs.append(({**env, **key.bindings}, eval_plain(program, env)))
+    return extract_class(obf), pairs
+
+
+def test_kpa_keeps_the_same_survivors_with_the_memo_on_and_off():
+    """The memo changes how much of the walk runs, not what survives or
+    in which order. On the 2^16 class the memoised walk stays small."""
+    cases = []
+    for level in ("l0", "l1"):
+        cd = demo_class(level)[1]
+        cases += [(cd, seeded_pairs(cd, count, seed)) for count, seed in ((1, 3), (2, 5), (3, 9))]
+    cd, pairs = field_pair_class(16)
+    cases.append((cd, pairs))
+    for cd, pairs in cases:
+        with mock.patch.object(attack, "MEMO_FROM", cd.class_size + 1):
+            want = kpa_filter(cd, pairs)
+        assert kpa_filter(cd, pairs) == want
+    assert cd.class_size == 2**16 and sum(n for _, n in want) == 10_014
+    tracemalloc.start()
+    try:
+        kpa_filter(cd, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1034,12 +1090,13 @@ def test_rank_only_builds_fold_maps_only_before_the_template_and_on_a_miss(monke
 def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
     """The work-shape guard: a live assignment that reads no slot target,
     directly or through other assignments, runs once per pair, before the
-    first slot, not again on every path prefix.
+    first slot, not again on every path prefix; and the first pair's walk
+    runs a subtree once per distinct set of values live into it.
 
     On l1, 4,832 of the 19,530 statement runs of a one-pair walk would
-    repeat such a value.
+    repeat a slot-independent value, and without the memo the walk would
+    run 14,698 statements on one pair and 15,134 on three; on l0, 32,550.
     """
-    _, cd, _ = demo_class("l1")
     ran = []
     real = attack.run_statements
 
@@ -1048,10 +1105,12 @@ def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
         return real(program, indices, env, selectors, ops)
 
     monkeypatch.setattr(attack, "run_statements", counting)
-    for count, runs in ((1, 14_698), (3, 15_134)):
+    cases = [("l1", 1, 25, 5_438), ("l1", 3, 25, 5_874), ("l0", 1, 104, 820)]
+    for level, count, survived, runs in cases:
+        _, cd, _ = demo_class(level)
         ran.clear()
         survivors = kpa_filter(cd, seeded_pairs(cd, count, seed=7))
-        assert sum(n for _, n in survivors) == 25
+        assert sum(n for _, n in survivors) == survived
         assert sum(ran) == runs
 
 

@@ -121,6 +121,22 @@ def test_deobfuscate_refuses_a_reassigned_variable():
         deobfuscate(obf, SelectorKey(bits={"s0": 1, "s1": 0}))
 
 
+@pytest.mark.parametrize("level", ["statement", "program"])
+@pytest.mark.parametrize("target", ["#t", "input", "prime", "const"])
+def test_a_target_the_obf_reader_cannot_read_back_is_refused(level, target):
+    """An .obf line assigning '#t' reads back as a comment, and one
+    assigning a header word as a malformed header line: either would
+    lose or refuse a statement, so the source is refused first."""
+    program = Program.from_columns(
+        ["x"], [Op.ADD, Op.MUL], ["x", target], ["x", "x"], [target, "r"], prime=101
+    )
+    with pytest.raises(FormatError, match=f"target '{target}' cannot be read back"):
+        if level == "statement":
+            obfuscate_statement_level(program, ObfuscationConfig(mislead_factor=2))
+        else:
+            obfuscate_program_level([program, program], 0)
+
+
 def test_flipped_key_folds_to_the_decoy(two_option_class):
     obf, _ = two_option_class
     flipped = SelectorKey(bits={"s0": 0, "s1": 1}, bindings={})
