@@ -9,8 +9,9 @@ output) are excluded, since an attacker discards them the same way.
 Three attacks are modeled:
 
   * known-plaintext filtering: keep the candidates that agree with
-    observed input/output pairs. Every pair is checked by walking the
-    obfuscated program over the selection space, and the survivors are
+    observed input/output pairs. Each pair prunes the selection space
+    that the pairs before it left, by walking the obfuscated program
+    over it, and the survivors are
     kept as live signatures, so each surviving signature is keyed once,
     when it is ranked. The confidential program always survives; the
     attack refuses classes larger than an enumeration cap rather than
@@ -556,10 +557,10 @@ def kpa_filter(
     surviving signature comes once, with the number of surviving
     selections that share it, in the shape _MemberCones.signatures
     yields: a choice at a dead slot cannot change the output, so a
-    signature survives with all its selections or with none. The first
-    pair's walk runs each large enough subtree once per distinct set of
-    values live into it (see _consistent_selections); the survivors and
-    their order are those of the walk without that memo.
+    signature survives with all its selections or with none. Each pair
+    prunes what the pairs before it left, and runs each large enough
+    subtree once per distinct set of values live into it (see
+    _consistent_selections); the survivors come in product order.
     """
     if cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
@@ -576,43 +577,31 @@ def _consistent_selections(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the selections whose program maps each envs[j] to outputs[j], in product order.
 
-    A depth-first walk over the live combining statements (slots) of
-    the obfuscated program, in envs[0] itself: choosing an option is a
-    gather, target := source, after which the slot's segment (see
-    _MemberCones) runs through run_statements, by statement index on the
-    obfuscated program itself: the live statements up to the next slot
-    that read a slot target, directly or through other assignments. An
-    empty segment is skipped. Every other live assignment computes the
-    same value on every path, so it runs once per env, in segment 0,
-    before the first slot. extract_class has checked that every variable is assigned
-    once, after what it reads, so a path overwrites everything it reads
-    that an earlier path set.
+    The class is a DAG over the live combining statements (slots): a
+    node is a tuple of (option, child) pairs, () where nothing is left,
+    True past the last slot. It starts as the full product, one node
+    per depth (True if there is no slot), and each pair prunes it in
+    turn, walking the branches the pairs before it left, depth first,
+    in its own env. Choosing an option is a gather, target := source;
+    then the slot's segment (see _MemberCones), the live statements up
+    to the next slot that read a slot target, runs in place through
+    run_statements. Every other live assignment has one value on every
+    path, so it runs once per pair, in segment 0. extract_class has
+    checked that every variable is assigned once, after what it reads,
+    so a path overwrites everything it reads that an earlier path set.
 
-    The first pair's survivors below a depth depend only on the values
-    live into it: those that the slots and segments before it write
-    (segment 0's are the same on every path) and that its slot or a
+    What a pair keeps below a depth depends only on the node it prunes
+    there and the values live into it (_memos): those the steps before
+    it write (segment 0's are the same on every path) and its slot or a
     later step reads. A depth i >= 1 with at least MEMO_FROM selections
-    below it memoises its survivors by those values, as a DAG node
-    (_first_pair_dag): the first visit with some values walks the
-    subtree, every later one takes the node from the table. Depth i has
-    at most class_size / (selections below i) distinct prefixes, so the
-    deepest memo depth has at most class_size / MEMO_FROM entries, each
-    depth above it at most half as many as the one below (parse_program
-    and the obfuscators give a slot at least two options), and the
-    table at most 2 * class_size / MEMO_FROM = class_size / 8. The root
-    is then expanded in product order (_dag_leaves). A class with no
-    such depth, as every program-level one (one slot) and every small
-    statement-level one, is walked without a memo (_first_pair_leaves)
-    and computes no live values.
-
-    A leaf that passes the first pair is checked on the later pairs in
-    turn, each in its own env. A later env holds the current choices at
-    the slots before its depth. The walk notes the first slot it changes
-    between two leaves that pass the first pair, and the second leaf
-    lowers every depth to it. Catching a pair up gathers and runs from
-    its depth to the last slot, after running segment 0 the first time
-    a leaf reaches that pair. Consecutive leaves share long prefixes,
-    so a later pair never costs more than the walk itself.
+    below it in the full product memoises pruned nodes by both. Depth i
+    has at most class_size / (selections below i) distinct prefixes, so
+    the deepest memo depth has at most class_size / MEMO_FROM entries,
+    each one above it at most half as many (parse_program and the
+    obfuscators give a slot at least two options), and the table at
+    most 2 * class_size / MEMO_FROM = class_size / 8; it is cleared
+    after each pair. A class with no such depth, as every program-level
+    one and every small statement-level one, computes no live values.
     """
     program = cd.obf.program
     runs = cd.cones.segments
@@ -621,91 +610,74 @@ def _consistent_selections(
     ops = field_ops(program.prime)
     out = program.output
     last = len(targets)
-    env, *later = envs
-    want, *later_wants = (output % program.prime for output in outputs)
-    depth = [-1] * len(later)  # -1: segment 0 has not run in that env yet
-    choice = [-1] * last
+    memos = _memos(program, runs, targets, sources)
+    dag = True
+    for options in reversed(sources):
+        dag = tuple(enumerate(itertools.repeat(dag, len(options))))
 
-    def agrees(j: int) -> bool:
-        """Catch pair j + 1 up to the current choices and check its output."""
-        later_env = later[j]
-        d = depth[j]
-        if d < 0:
-            if runs[0]:
-                run_statements(program, runs[0], later_env, _NO_BITS, ops)
-            d = 0
-        for k in range(d, last):
-            later_env[targets[k]] = later_env[sources[k][choice[k]]]
-            if runs[k + 1]:
-                run_statements(program, runs[k + 1], later_env, _NO_BITS, ops)
-        depth[j] = last
-        return later_env[out] == later_wants[j]
+    def prune(i: int, node):
+        memo = memos[i]
+        if memo is not None:
+            live, table = memo
+            # node is part of the DAG this pair prunes, which stays alive
+            # until the prune returns, so no other node can take its id
+            key = (id(node), live(env))
+            found = table.get(key)
+            if found is not None:
+                return found
+        target = targets[i]
+        options = sources[i]
+        segment = runs[i + 1]
+        deeper = i + 1 < last
+        kept = []
+        for c, child in node:
+            env[target] = env[options[c]]
+            if segment:
+                run_statements(program, segment, env, _NO_BITS, ops)
+            if deeper:
+                child = prune(i + 1, child)
+                if child:
+                    kept.append((c, child))
+            elif env[out] == want:
+                kept.append((c, True))
+        kept = tuple(kept)
+        if memo is not None:
+            table[key] = kept
+        return kept
 
-    if runs[0]:
-        run_statements(program, runs[0], env, _NO_BITS, ops)
-    walk = (program, runs, targets, sources, ops, env, want)
-    memo_to = 0  # the deepest depth i >= 1 below which MEMO_FROM selections lie, if any
+    for env, output in zip(envs, outputs):
+        if runs[0]:
+            run_statements(program, runs[0], env, _NO_BITS, ops)
+        want = output % program.prime
+        dag = prune(0, dag) if last else env[out] == want
+        if not dag:
+            return
+        for memo in filter(None, memos):
+            memo[1].clear()
+    yield from _dag_leaves(dag, last)
+
+
+_NO_BITS: dict[str, int] = {}  # the KPA walk's segments hold no combining statement
+
+
+def _memos(program, runs, targets, sources) -> list:
+    """Each depth's memo, or None: the getter of the values live into it
+    and a table of pruned nodes keyed by (input node id, those values),
+    at depths 1 to the deepest with MEMO_FROM selections below it. The
+    output is written after every slot (each is live), so no depth that
+    memoises has it live."""
+    last = len(targets)
+    memos = [None] * last
+    memo_to = 0
     below = 1
     for i in range(last - 1, 0, -1):
         below *= len(sources[i])
         if below >= MEMO_FROM:
             memo_to = i
             break
-    if memo_to:
-        leaves = _dag_leaves(_first_pair_dag(*walk, memo_to), choice)
-    else:
-        leaves = _first_pair_leaves(*walk, choice)
-    for low in leaves:
-        for j, d in enumerate(depth):
-            if d > low:
-                depth[j] = low
-        if all(map(agrees, range(len(later)))):
-            yield tuple(choice)
-
-
-_NO_BITS: dict[str, int] = {}  # the KPA walk's segments hold no combining statement
-
-
-def _first_pair_leaves(program, runs, targets, sources, ops, env, want, choice) -> Iterator[int]:
-    """The KPA walk with no memo: set choice to each leaf that passes
-    the first pair, in product order, and yield the first slot changed
-    since the last such leaf."""
-    out = program.output
-    last = low = len(targets)
-    i = 0  # the slot whose next option the walk takes
-    while i >= 0:
-        if i == last:
-            if env[out] == want:
-                yield low
-                low = last
-            i -= 1
-            continue
-        options = sources[i]
-        c = choice[i] + 1
-        if c == len(options):
-            choice[i] = -1
-            i -= 1
-            continue
-        choice[i] = c
-        if i < low:
-            low = i
-        env[targets[i]] = env[options[c]]
-        i += 1
-        segment = runs[i]
-        if segment:
-            run_statements(program, segment, env, _NO_BITS, ops)
-
-
-def _first_pair_dag(program, runs, targets, sources, ops, env, want, memo_to):
-    """The first pair's survivors as a DAG: a node is a tuple of (option,
-    child node) pairs, () where nothing passes, and True is a passing
-    leaf. Depths 1 to memo_to memoise their nodes by the values live
-    into them, found in one forward pass over the slots and segments.
-    The output, the last statement's target, is written after every
-    slot (each is live), so no depth that memoises has it live."""
+    if not memo_to:
+        return memos
     _, in1, in2, written_by = program.columns
-    out = program.output
-    last = len(targets)
     written: dict[str, int] = {}  # variable -> the first depth it is live into
     read: dict[str, int] = {}  # variable -> the last depth whose steps read it
     for k in range(last):
@@ -721,41 +693,18 @@ def _first_pair_dag(program, runs, targets, sources, ops, env, want, memo_to):
     for v, first in written.items():
         for i in range(first, min(read.get(v, 0), memo_to) + 1):
             live[i].append(v)
-    keys = {i: itemgetter(*names) for i, names in live.items()}
-    memos = [{} if i in live else None for i in range(last)]  # depth -> key -> node
-
-    def node(i: int):
-        memo = memos[i]
-        if memo is not None:
-            key = keys[i](env)
-            found = memo.get(key)
-            if found is not None:
-                return found
-        target = targets[i]
-        segment = runs[i + 1]
-        kept = []
-        for c, src in enumerate(sources[i]):
-            env[target] = env[src]
-            if segment:
-                run_statements(program, segment, env, _NO_BITS, ops)
-            if i + 1 < last:
-                child = node(i + 1)
-                if child:
-                    kept.append((c, child))
-            elif env[out] == want:
-                kept.append((c, True))
-        kept = tuple(kept)
-        if memo is not None:
-            memo[key] = kept
-        return kept
-
-    return node(0)
+    for i, names in live.items():
+        memos[i] = (itemgetter(*names), {})
+    return memos
 
 
-def _dag_leaves(root, choice: list[int]) -> Iterator[int]:
-    """Set choice to each leaf of a _first_pair_dag, in product order, and
-    yield the first slot changed since the last leaf."""
-    last = low = len(choice)
+def _dag_leaves(root, last: int) -> Iterator[tuple[int, ...]]:
+    """Yield each leaf of a KPA DAG (see _consistent_selections) as a
+    selection, in product order."""
+    if root is True:  # no slot
+        yield ()
+        return
+    choice = [0] * last
     branches = [iter(root)] * last  # depth -> the pairs of its node not yet taken
     i = 0
     while i >= 0:
@@ -764,11 +713,8 @@ def _dag_leaves(root, choice: list[int]) -> Iterator[int]:
             i -= 1
             continue
         choice[i], child = step
-        if i < low:
-            low = i
         if child is True:
-            yield low
-            low = last
+            yield tuple(choice)
         else:
             i += 1
             branches[i] = iter(child)

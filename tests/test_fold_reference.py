@@ -13,10 +13,11 @@ keys and scores each live signature in one pass that builds nothing,
 keys members without a liveness pass and, where many signatures share
 a union of cones, through that union's key template, sorts and weights
 each distinct member once, folds a member only when the ranking is
-read, finds ranks by bisection and filters by walking the obfuscated
-program once per pair, sharing prefixes between leaves, keeping the
-survivors as live signatures that it keys once each; it must agree
-with these references exactly.
+read, finds ranks by bisection and filters by pruning a DAG of the
+selections once per pair, each pair walking the obfuscated program
+over the branches the pairs before it left, keeping the survivors as
+live signatures that it keys once each; it must agree with these
+references exactly.
 """
 
 import functools
@@ -66,6 +67,7 @@ from selectc.obfuscate import (
     deobfuscate,
     obfuscate_program_level,
     obfuscate_statement_level,
+    read_obf_program,
 )
 from selectc.patterns import PatternTable
 
@@ -692,6 +694,12 @@ def assert_kpa_matches_reference(cd, pairs, members=None):
     assert member_rows(ranked) == (reference_members(reference_ranking(want, TABLE)[0]) if want else [])
 
 
+def confidential_pairs(demo, envs):
+    """The demo's confidential program run on each env, as an attacker
+    observes it: each pair also binds the key's bindings."""
+    return [({**env, **demo.sel_key.bindings}, eval_plain(demo.program, env)) for env in envs]
+
+
 @functools.cache
 def demo_class(level):
     """The demo, its class and the folded class in product order."""
@@ -710,11 +718,8 @@ def test_demo_kpa_matches_the_reference(level):
         assert_kpa_matches_reference(cd, mixed_pairs(cd, count, 100 * count + 1), members)
     # the confidential program's own runs, as an attacker observes them
     rng = random.Random(len(members))
-    pairs = []
-    for _ in range(3):
-        env = random_inputs(demo.program, rng, small=True)
-        pairs.append(({**env, **demo.sel_key.bindings}, eval_plain(demo.program, env)))
-    assert_kpa_matches_reference(cd, pairs, members)
+    envs = [random_inputs(demo.program, rng, small=True) for _ in range(3)]
+    assert_kpa_matches_reference(cd, confidential_pairs(demo, envs), members)
 
 
 @pytest.mark.parametrize(
@@ -756,6 +761,38 @@ def test_random_class_kpa_memoising_every_depth_matches_the_reference(case, coun
 def test_demo_kpa_memoising_every_depth_matches_the_reference(monkeypatch, level):
     monkeypatch.setattr(attack, "MEMO_FROM", 1)
     test_demo_kpa_matches_the_reference(level)
+
+
+# selections / distinct members that survive 0, 1, 2 and 3 pairs
+SURVIVORS_AFTER_EACH_PAIR = {
+    ("l0", "full"): [(12_500, 12_500), (155, 155), (125, 125), (125, 125)],
+    ("l0", "small"): [(12_500, 12_500), (1_300, 1_300), (130, 130), (130, 130)],
+    ("l1", "full"): [(15_625, 1_861), (39, 23), (24, 16), (24, 16)],
+    ("l1", "small"): [(15_625, 1_861), (75, 35), (39, 23), (39, 23)],
+}
+
+
+@pytest.mark.parametrize(
+    "level, inputs", SURVIVORS_AFTER_EACH_PAIR, ids=map("-".join, SURVIVORS_AFTER_EACH_PAIR)
+)
+def test_demo_survivors_after_each_prefix_of_the_pairs(level, inputs):
+    """Three runs of the confidential program, drawn with random.Random(1)
+    in input order, over the whole field or from [-3, 3], each bound with
+    the key's bindings: what the first n of them leave of the class."""
+    demo, cd, _ = demo_class(level)
+    prime = demo.program.prime
+    rng = random.Random(1)
+    envs = [
+        {v: rng.randrange(prime) if inputs == "full" else rng.randint(-3, 3) % prime
+         for v in demo.program.inputs}
+        for _ in range(3)
+    ]
+    pairs = confidential_pairs(demo, envs)
+    cells = []
+    for n in range(4):
+        survivors = kpa_filter(cd, pairs[:n])
+        cells.append((sum(c for _, c in survivors), len(rank_candidates(cd, survivors=survivors))))
+    assert cells == SURVIVORS_AFTER_EACH_PAIR[level, inputs]
 
 
 def field_pair_class(n_statements):
@@ -825,6 +862,30 @@ def test_truth_is_graded_or_refused(case, kind, count, seed):
     assert 1 <= report.min_rank <= cd.class_size
 
 
+NO_LIVE_SLOT = {
+    "no-combine": "prime 101\ninput x\nt := ADD x x\nr := MUL t x\n",
+    "dead-combine": (
+        "prime 101\ninput x\nt := ADD x x\nd := COMBINE (s0,t) (s1,x)\nr := MUL t x\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", NO_LIVE_SLOT.values(), ids=NO_LIVE_SLOT)
+@pytest.mark.parametrize("output, want", [(8, [((), 1)]), (9, [])], ids=["agrees", "differs"])
+def test_kpa_on_a_class_with_no_live_slot_checks_the_output(tmp_path, text, output, want):
+    """A class with no live combining statement has one member, the
+    empty selection, which survives a pair exactly when it agrees."""
+    path = tmp_path / "plain.obf"
+    path.write_text(text)
+    cd = extract_class(read_obf_program(str(path)))
+    assert (cd.options, cd.class_size) == ([], 1)
+    pairs = [({"x": 2}, output)]
+    got = kpa_filter(cd, pairs)
+    assert got == want
+    assert got == [(selection, 1) for selection, _ in reference_kpa_filter(cd, pairs)]
+    assert_kpa_matches_reference(cd, pairs)
+
+
 def test_kpa_checks_every_pair_before_walking(two_option_class):
     """A pair missing an input fails with the reference's message, wherever it sits."""
     cd = extract_class(two_option_class[0])
@@ -867,6 +928,14 @@ def test_rank_refuses_an_oversized_class_before_folding(monkeypatch):
         rank_candidates(cd, cap=cd.class_size - 1)
 
 
+def l0_confidential_pairs():
+    """Three small-input runs of the l0 confidential program, with x = 0, 1, 2."""
+    demo = demo_class("l0")[0]
+    rng = random.Random(11)
+    envs = [{**random_inputs(demo.program, rng, small=True), "x": x} for x in (0, 1, 2)]
+    return confidential_pairs(demo, envs)
+
+
 def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     """The work-shape guard: the walk checks every pair and keys nothing,
     so ranking keys only the final surviving signatures, once each and
@@ -879,11 +948,7 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     _, l1, _ = demo_class("l1")
     l1_pairs = seeded_pairs(l1, 3, seed=7)
     demo, l0, _ = demo_class("l0")
-    rng = random.Random(11)
-    l0_pairs = []
-    for x in (0, 1, 2):
-        env = {**random_inputs(demo.program, rng, small=True), "x": x}
-        l0_pairs.append(({**env, **demo.sel_key.bindings}, eval_plain(demo.program, env)))
+    l0_pairs = l0_confidential_pairs()
     firsts = [
         sum(n for _, n in kpa_filter(cd, pairs[:1]))
         for cd, pairs in ((l1, l1_pairs), (l0, l0_pairs))
@@ -1090,12 +1155,16 @@ def test_rank_only_builds_fold_maps_only_before_the_template_and_on_a_miss(monke
 def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
     """The work-shape guard: a live assignment that reads no slot target,
     directly or through other assignments, runs once per pair, before the
-    first slot, not again on every path prefix; and the first pair's walk
-    runs a subtree once per distinct set of values live into it.
+    first slot, not again on every path prefix; each pair's walk runs a
+    subtree once per distinct set of values live into it; and a later
+    pair walks only what the pairs before it left.
 
     On l1, 4,832 of the 19,530 statement runs of a one-pair walk would
     repeat a slot-independent value, and without the memo the walk would
     run 14,698 statements on one pair and 15,134 on three; on l0, 32,550.
+    On l0's three confidential runs, 6,680 selections pass the first
+    pair; checking each on the later pairs, one at a time, ran 20,930
+    statements in all.
     """
     ran = []
     real = attack.run_statements
@@ -1105,11 +1174,18 @@ def test_kpa_walk_runs_slot_independent_statements_once_per_pair(monkeypatch):
         return real(program, indices, env, selectors, ops)
 
     monkeypatch.setattr(attack, "run_statements", counting)
-    cases = [("l1", 1, 25, 5_438), ("l1", 3, 25, 5_874), ("l0", 1, 104, 820)]
-    for level, count, survived, runs in cases:
-        _, cd, _ = demo_class(level)
+    l0, l1 = demo_class("l0")[1], demo_class("l1")[1]
+    confidential = l0_confidential_pairs()
+    cases = [
+        (l1, seeded_pairs(l1, 1, seed=7), 25, 5_438),
+        (l1, seeded_pairs(l1, 3, seed=7), 25, 5_723),
+        (l0, seeded_pairs(l0, 1, seed=7), 104, 820),
+        (l0, confidential[:1], 6_680, 1_090),
+        (l0, confidential, 137, 2_334),
+    ]
+    for cd, pairs, survived, runs in cases:
         ran.clear()
-        survivors = kpa_filter(cd, seeded_pairs(cd, count, seed=7))
+        survivors = kpa_filter(cd, pairs)
         assert sum(n for _, n in survivors) == survived
         assert sum(ran) == runs
 
