@@ -916,6 +916,10 @@ class GameAccuracy:
 
 OBF_STRATEGIES = ("uniform", "f-as-misleading")
 ATT_STRATEGIES = ("f-first", "random")
+GAME_MAX_TRIALS = 10**9
+# trials drawn per batch: up to this many draw what one batch of all of
+# them draws, and the arrays of a batch stay within tens of MiB
+_GAME_CHUNK = 1 << 20
 
 
 def game_exact(p_l: float, n: int) -> GameAccuracy:
@@ -954,15 +958,16 @@ def game_simulate(
 
     The f-as-misleading obfuscator plants F as the misleading statement
     whenever the confidential one differs, which empties the attacker's
-    F-first signal down to plain p_l accuracy.
+    F-first signal down to plain p_l accuracy. At most GAME_MAX_TRIALS
+    trials, drawn in batches of _GAME_CHUNK.
     """
     game_exact(p_l, n)  # validate p_l and n
     if n > 2**63:
         raise ConfigError(
             "the simulation draws statements as 64-bit integers, so n must be at most 2**63"
         )
-    if trials < 1:
-        raise ConfigError("trial count must be positive")
+    if not 1 <= trials <= GAME_MAX_TRIALS:
+        raise ConfigError(f"trial count must be between 1 and {GAME_MAX_TRIALS:,}")
     if obf_strategy not in OBF_STRATEGIES:
         raise ConfigError(f"unknown obfuscator strategy {obf_strategy!r}")
     if att_strategy not in ATT_STRATEGIES:
@@ -970,17 +975,21 @@ def game_simulate(
     import numpy as np  # only the simulation needs it; keep it off `import selectc`
 
     rng = np.random.default_rng(derive_seed(seed, "guessing-game"))
-    is_f = rng.random(trials) < p_l
-    confidential = np.where(is_f, 0, rng.integers(1, n, size=trials))
-    if obf_strategy == "uniform":
-        draw = rng.integers(0, n - 1, size=trials)
-        misleading = draw + (draw >= confidential)
-    else:
-        misleading = np.where(confidential != 0, 0, rng.integers(1, n, size=trials))
-    coin = rng.random(trials) < 0.5
-    if att_strategy == "f-first":
-        f_present = (confidential == 0) | (misleading == 0)
-        correct = np.where(f_present, confidential == 0, coin)
-    else:
-        correct = coin
-    return float(np.mean(correct))
+    hits = 0
+    for start in range(0, trials, _GAME_CHUNK):
+        size = min(_GAME_CHUNK, trials - start)
+        is_f = rng.random(size) < p_l
+        confidential = np.where(is_f, 0, rng.integers(1, n, size=size))
+        if obf_strategy == "uniform":
+            draw = rng.integers(0, n - 1, size=size)
+            misleading = draw + (draw >= confidential)
+        else:
+            misleading = np.where(confidential != 0, 0, rng.integers(1, n, size=size))
+        coin = rng.random(size) < 0.5
+        if att_strategy == "f-first":
+            f_present = (confidential == 0) | (misleading == 0)
+            correct = np.where(f_present, confidential == 0, coin)
+        else:
+            correct = coin
+        hits += int(np.count_nonzero(correct))
+    return hits / trials

@@ -7,20 +7,14 @@ and homomorphic evaluation supports every statement operation. This
 models the interface of an FHE scheme without its cost, so outputs stay
 exact and experiments over thousands of runs stay cheap.
 
-Each key builds its mint path once: one mint function and one plan
-runner, both closing over the key's store and handle stream; the runner
-also holds the field table of the key's prime. mint draws a handle per
-value into a table it is given: enc gives it the store. run_plan runs
-an ir.SlotPlan, a program compiled to register slots whose operations
-sit in one flat list, against a table local to the run: it mints the bound values and the selector bits into that
-table through mint, reads each caller input from the store once, and
-then, in one loop, computes each operation and mints its result into
-the table. Only the output handle goes into the store, so a run
-allocates no object per operation and frees nothing one handle at a
-time. Handles are drawn from the key's seeded stream in call order,
-re-drawn on the (negligible) chance of colliding with a live handle or
-one of the run's, so the handles a key mints depend only on its seed
-and the sequence of calls.
+An encrypted run (run_program) is the plain evaluator, ir.run_statements,
+run inside the key on the plaintexts its handles stand for. It then
+draws the handles of the homomorphic operations that run stands for and
+stores only the output's, so it allocates no object per operation.
+Handles are drawn from the key's seeded stream in call order, re-drawn
+on the (negligible) chance of colliding with a live handle or one of
+the run's, so the handles a key mints depend only on its seed and the
+sequence of calls.
 
 The selector key is the client-side secret for an obfuscated program:
 the 0/1 assignment for every selector variable plus the values of the
@@ -31,12 +25,12 @@ obfuscated file lists as plain inputs.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import ForeignCiphertextError, FormatError, UnboundVariableError
+from .errors import ForeignCiphertextError, FormatError, SelectcError, UnboundVariableError
 from .field import FIELD_PRIME, field_ops, parse_int, signed
-from .ir import SlotPlan, unbound_inputs
+from .ir import Program, run_statements, unbound_inputs
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -54,87 +48,31 @@ def _foreign(ct: Ciphertext) -> ForeignCiphertextError:
     return ForeignCiphertextError(f"handle {ct.handle:#x} was not produced under this key")
 
 
-def _mint_path(
-    store: dict[int, int], draw: Callable[[int], int], prime: int
-) -> tuple[Callable[[Iterable[int], dict[int, int]], list[int]], Callable[..., Ciphertext]]:
-    """The mint and the plan runner of one key.
-
-    mint(values, table) draws a handle per value, in order, re-drawing
-    while it is live in the store or in table, reduces the value at
-    prime, stores it in table under the handle and returns the handles.
-    run(plan, env, bound, bits) runs an ir.SlotPlan against a table of
-    its own (see run_plan); registers hold bare handles, and only the
-    output goes into the store and is wrapped.
-    """
-    fns = dict(field_ops(prime))
-
-    def mint(values: Iterable[int], table: dict[int, int]) -> list[int]:
-        handles = []
-        append = handles.append
-        for v in values:
-            h = draw(128)
-            while h in store or h in table:
-                h = draw(128)
-            table[h] = v % prime
-            append(h)
-        return handles
-
-    def run(
-        plan: SlotPlan, env: Mapping[str, Ciphertext], bound: Mapping[str, int], bits: Iterable[int]
-    ) -> Ciphertext:
-        table: dict[int, int] = {}
-        bound_handles = mint(bound.values(), table)
-        regs: list[int | None] = mint(bits, table)
-        regs += [None] * (len(plan.names) - len(regs))
-        register = plan.registers.get
-        for name, h in zip(bound, bound_handles):
-            r = register(name)
-            if r is not None:
-                regs[r] = h
-        for name, ct in env.items():
-            r = register(name)
-            if r is not None:
-                regs[r] = h = ct.handle
-                if h in store:
-                    table[h] = store[h]
-        missing = [plan.names[r] for r in plan.inputs if regs[r] is None]
-        if missing:
-            raise unbound_inputs(missing)
-        it = iter(plan.ops)
-        try:
-            for op, i, j, t in zip(it, it, it, it):
-                value = fns[op](table[regs[i]], table[regs[j]])
-                h = draw(128)
-                while h in store or h in table:
-                    h = draw(128)
-                table[h] = value
-                regs[t] = h
-        except KeyError:
-            a, b = regs[i], regs[j]
-            if a is None or b is None:
-                unbound = plan.names[i if a is None else j]
-                raise UnboundVariableError(f"unbound variable {unbound!r}") from None
-            raise _foreign(Ciphertext(b if a in table else a)) from None
-        h = regs[plan.ops[-1]]
-        store[h] = table[h]
-        return Ciphertext(h)
-
-    return mint, run
-
-
 class SecretKey:
-    """Handle store, deterministic handle stream and mint path of one key."""
+    """Handle store, deterministic handle stream and field table of one key."""
 
     def __init__(self, seed: int, prime: int = FIELD_PRIME):
         self.seed = seed
         self.prime = prime
         self._store: dict[int, int] = {}
-        self._rng = random.Random(seed)
-        self._mint, self._run = _mint_path(self._store, self._rng.getrandbits, prime)
+        self._draw = random.Random(seed).getrandbits
+        self._ops = field_ops(prime)
 
     def __len__(self) -> int:
         """Number of live handles."""
         return len(self._store)
+
+    def _spend(self, count: int, taken: set[int]) -> int | None:
+        """Draw count handles, each re-drawn while it is live or in taken,
+        add them to taken, and return the last (None for none)."""
+        store, draw, take = self._store, self._draw, taken.add
+        h = None
+        for _ in range(count):
+            h = draw(128)
+            while h in store or h in taken:
+                h = draw(128)
+            take(h)
+        return h
 
 
 def keygen(seed: int, prime: int = FIELD_PRIME) -> SecretKey:
@@ -142,7 +80,12 @@ def keygen(seed: int, prime: int = FIELD_PRIME) -> SecretKey:
 
 
 def enc(key: SecretKey, value: int) -> Ciphertext:
-    return Ciphertext(key._mint((value,), key._store)[0])
+    store, draw = key._store, key._draw
+    h = draw(128)
+    while h in store:
+        h = draw(128)
+    store[h] = value % key.prime
+    return Ciphertext(h)
 
 
 def dec(key: SecretKey, ct: Ciphertext) -> int:
@@ -152,31 +95,89 @@ def dec(key: SecretKey, ct: Ciphertext) -> int:
         raise _foreign(ct) from None
 
 
-def run_plan(
+def operation_count(program: Program, stop: int | None = None) -> int:
+    """The homomorphic operations of the statements before stop (all by
+    default): one per assignment, 2k - 1 per k-way combining statement."""
+    if stop is None:
+        stop = len(program)
+    return stop + sum(len(options) - 2 for i, options in program.combines.items() if i < stop)
+
+
+def run_program(
     key: SecretKey,
-    plan: SlotPlan,
+    program: Program,
     env: Mapping[str, Ciphertext],
     bound: Mapping[str, int],
-    bits: Iterable[int],
+    bits: Mapping[str, int],
+    n_ops: int | None = None,
 ) -> Ciphertext:
-    """Run plan under key and return its output ciphertext.
+    """Run program under key and return its output ciphertext.
 
-    Every handle of the run is minted into a table local to it, in the
-    key's handle stream: first bound's values, then bits (the selector
-    registers, in order), then one handle per operation; a draw is
-    re-drawn while it is live in the store or in that table. bound
-    (variable name -> plaintext) fills the registers of the variables it
-    names, then env (variable name -> ciphertext) does, each of its
-    handles looked up in the store once; a program input neither names
-    raises UnboundVariableError. Each operation then computes its field
-    operation on its operands' plaintexts and mints the result, in plan
-    order: an operand no earlier operation, bound or env set raises
-    UnboundVariableError naming its variable, and one minted under
-    another key raises ForeignCiphertextError naming its handle.
-    Only the output handle goes into the store; the table, and with it
-    every other handle of the run, is dropped on return or error.
+    It draws a handle for each of bound's values, then for each selector
+    bit, then one per operation (n_ops, operation_count(program) if not
+    given). bound (variable name -> plaintext) binds first, then env
+    (variable name -> ciphertext); a program input neither binds raises
+    UnboundVariableError. Statements run at the key's prime, bits giving
+    the selectors. A failure raises what the walk of ir.run_statements
+    over homomorphic operations raises (ForeignCiphertextError naming a
+    handle minted under another key where a statement first reads it,
+    UnboundVariableError for a variable nothing bound) after drawing the
+    handles that walk draws first. Only the output's handle is stored.
     """
-    return key._run(plan, env, bound, bits)
+    output = program.output  # ValueError for an empty program, before any draw
+    store, prime = key._store, key.prime
+    taken: set[int] = set()
+    key._spend(len(bound) + len(bits), taken)
+    values = {v: x % prime for v, x in bound.items()}
+    foreign: dict[str, Ciphertext] = {}
+    for v, ct in env.items():
+        x = store.get(ct.handle)
+        if x is None:
+            values.pop(v, None)
+            foreign[v] = ct
+        else:
+            values[v] = x
+    missing = [v for v in program.inputs if v not in values and v not in foreign]
+    if missing:
+        raise unbound_inputs(missing)
+    statements = iter(range(len(program)))
+    try:
+        run_statements(program, statements, values, bits, key._ops)
+    except UnboundVariableError as exc:
+        # reading a foreign input lands here too: the statement that raised
+        # runs again with the ciphertexts in their place, as the walk runs it
+        at = next(statements, len(program)) - 1
+        replay = _Replay(key._ops)
+        error: SelectcError = exc
+        try:
+            run_statements(program, (at,), {**foreign, **values}, bits, replay)
+        except SelectcError as again:
+            error = again
+        key._spend(operation_count(program, at) + replay.drawn, taken)
+        raise error from None
+    h = key._spend(operation_count(program) if n_ops is None else n_ops, taken)
+    store[h] = values[output]
+    return Ciphertext(h)
+
+
+class _Replay(dict):
+    """A field table whose operations raise ForeignCiphertextError for a
+    Ciphertext operand, the first operand first, as a homomorphic
+    operation does, and count in drawn the handles the others draw."""
+
+    def __init__(self, ops: Mapping) -> None:
+        super().__init__({op: self._checked(fn) for op, fn in ops.items()})
+        self.drawn = 0
+
+    def _checked(self, fn):
+        def op(a: int | Ciphertext, b: int | Ciphertext) -> int:
+            for x in (a, b):
+                if isinstance(x, Ciphertext):
+                    raise _foreign(x)
+            self.drawn += 1
+            return fn(a, b)
+
+        return op
 
 
 @dataclass

@@ -31,7 +31,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Any
 
 from .errors import FormatError, KeyMismatchError, SelectcError, UnboundVariableError
@@ -188,12 +188,14 @@ def run_statements(
 ) -> dict[str, Any]:
     """Run the statements at indices, in that order, over env and return it, extended.
 
-    eval_env passes every index; the KPA walk passes one of its segments
-    of the obfuscated program (attack._MemberCones), a statement or two
-    on most calls. Values are field elements and ops is the field table
-    of their prime (field.field_ops). An assignment is ops[op](a, b). A
-    combining statement is the ADD-fold of MUL(selector, source) over all
-    of its options, with no short-circuit of any kind. A selector's value
+    eval_env and crypto.run_program pass every index, the latter as an
+    iterator whose position names the statement that raised; the KPA
+    walk passes one of its segments of the obfuscated program
+    (attack._MemberCones), a statement or two on most calls. Values are
+    field elements and ops is the field table of their prime
+    (field.field_ops). An assignment is ops[op](a, b). A combining
+    statement is the ADD-fold of MUL(selector, source) over all of its
+    options, with no short-circuit of any kind. A selector's value
     is looked up in bits first, then among the program's variables.
     Nothing here checks the program's inputs: field_env has.
     """
@@ -208,55 +210,24 @@ def run_statements(
                 raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
             env[targets[i]] = ops[op](a, b)
             continue
+        # option j's selector is options[j] and its source options[k + j]
+        options = program.combines[i]
+        k = len(options) >> 1
         mul, add = ops[_MUL], ops[_ADD]
         acc = None
-        options = program.combines[i]
-        for sel, src in zip(selectors(options), sources(options)):
+        for j in range(k):
+            sel = options[j]
             bit = bits[sel] if sel in bits else env.get(sel)
             if bit is None:
                 raise UnboundVariableError(f"unbound selector {sel!r}")
-            if src not in env:
-                raise UnboundVariableError(f"unbound variable {src!r}")
-            term = mul(bit, env[src])
+            try:
+                value = env[options[k + j]]
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable {options[k + j]!r}") from None
+            term = mul(bit, value)
             acc = term if acc is None else add(acc, term)
         env[targets[i]] = acc
     return env
-
-
-@dataclass(frozen=True, slots=True)
-class SlotPlan:
-    """A program compiled once into register slots, for runs that repeat it.
-
-    Registers: the selectors first, in the order of the bits compile_plan
-    was given, then two scratch registers, then one per variable, the
-    program's inputs first. ops is the run in order as one flat list,
-    four entries per operation: op, in1, in2 and target registers, read
-    back with zip(it, it, it, it) over one iterator. An assignment is one
-    operation, and a k-way combining statement is its 2k - 1 operations
-    MUL, MUL, ADD, MUL, ADD, ... (run_statements' ADD-fold) through the
-    scratch registers, the last writing its target. The program's output
-    is the target of the last operation, ops[-1]. registers maps each
-    variable to its register, so a run can fill them from its
-    environment; inputs holds the register of each program input, in
-    order, so a run can name the ones it left empty; names maps every
-    register back to its selector or variable name (None for scratch),
-    for error messages only.
-    """
-
-    registers: dict[str, int]
-    names: tuple[str | None, ...]
-    ops: list[Op | int]
-    inputs: tuple[int, ...]
-
-
-class _Registers(dict):
-    """Variable -> register, numbering each new variable on first lookup."""
-
-    __slots__ = ("base",)
-
-    def __missing__(self, v: str) -> int:
-        r = self[v] = self.base + len(self)
-        return r
 
 
 def check_bits(bits: Mapping[str, int]) -> None:
@@ -285,50 +256,6 @@ def hot_option(sels: Sequence[str], bits: Mapping[str, int]) -> int:
             f"combining statement over ({', '.join(sels)}) has {hot} hot selectors"
         )
     return picks.index(1)
-
-
-def compile_plan(program: Program, bits: Mapping[str, int]) -> SlotPlan:
-    """program as a SlotPlan whose selector registers follow bits' order.
-
-    One pass over the columns, which also checks the key: it raises
-    KeyMismatchError where obfuscate.checked_key would (check_bits, then
-    hot_option at each combining statement in order), and ValueError
-    for an empty program. The inputs and then the targets are numbered
-    before the pass, in one go; the pass numbers only a variable that
-    is neither, where it is first read.
-    """
-    check_bits(bits)
-    sel_reg = dict(zip(bits, count()))
-    acc = len(sel_reg)
-    term = acc + 1
-    ops, in1, in2, targets = program.columns
-    reg = _Registers(zip(dict.fromkeys(chain(program.inputs, targets)), count(term + 1)))
-    reg.base = term + 1
-    plan: list[Op | int] = []
-    extend = plan.extend
-    combines = iter(program.combines.values())
-    for op, a, b, target in zip(ops, in1, in2, targets):
-        if op is not None:
-            extend((op, reg[a], reg[b], reg[target]))
-            continue
-        options = next(combines)
-        k = len(options) >> 1
-        hot_option(options[:k], bits)  # so sel_reg holds every selector of the statement
-        extend((
-            _MUL, sel_reg[options[0]], reg[options[k]], acc,
-            _MUL, sel_reg[options[1]], reg[options[k + 1]], term,
-        ))
-        for j in range(2, k):
-            extend((_ADD, acc, term, acc, _MUL, sel_reg[options[j]], reg[options[k + j]], term))
-        extend((_ADD, acc, term, reg[target]))
-    if not plan:
-        raise ValueError("empty program has no output")
-    return SlotPlan(
-        registers=dict(reg),  # a plain dict of str -> int, which the cyclic GC does not track
-        names=(*sel_reg, None, None, *reg),
-        ops=plan,
-        inputs=tuple(map(reg.__getitem__, program.inputs)),
-    )
 
 
 def unbound_inputs(missing: list[str]) -> UnboundVariableError:

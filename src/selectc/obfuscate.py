@@ -30,18 +30,16 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .crypto import Ciphertext, SecretKey, SelectorKey, run_plan
+from .crypto import Ciphertext, SecretKey, SelectorKey, operation_count, run_program
 from .errors import ConfigError, FormatError, PoolExhaustedError, in_file
 from .field import ARITH_OPS, OP_NAMES, Op, op_from_name, parse_int
 from .ir import (
     Options,
     Program,
-    SlotPlan,
     check_bits,
     check_names,
     check_single_assignment,
     check_targets,
-    compile_plan,
     fold_selection,
     hot_option,
     selectors,
@@ -101,13 +99,14 @@ class ObfuscationConfig:
 class ObfProgram:
     """An obfuscated program plus the public structure of its class.
 
-    prepared is eval_encrypted's cache: the compiled plan of the last
-    (program, selector key) it checked, with a snapshot of both.
+    prepared is eval_encrypted's cache: a snapshot of the last program
+    and selector bits that passed checked_key, and the program's
+    operation count (crypto.operation_count).
     """
 
     program: Program
     selector_ids: list[str] = field(default_factory=list)
-    prepared: tuple[tuple, SlotPlan] | None = field(default=None, init=False, repr=False, compare=False)
+    prepared: tuple[tuple, int] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # an expression as the obfuscator draws it: (operation, operand, operand)
@@ -392,9 +391,17 @@ def obfuscate_statement_level(
     rng_vals = spawn(seed, "fake-values")
 
     inputs = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
+    k = cfg.mislead_factor
+    # the first statement and every fake group draw from at most this many
+    # expressions, so a k past it fails; refuse it before taking k names
+    space = len(cfg.op_pool) * len(inputs) ** 2
+    if k - 1 > space:
+        raise PoolExhaustedError(
+            f"mislead factor {k} needs {k - 1} misleading statements, but {len(cfg.op_pool)} "
+            f"operations over {len(inputs)} variables make only {space} distinct statements"
+        )
     fresh = _Namer("t", {*inputs, *src_targets})
     sel = _Namer("s", set())
-    k = cfg.mislead_factor
     n = len(src_targets)
 
     defined = list(inputs)
@@ -557,29 +564,25 @@ def obfuscate_program_level(
     return obf, SelectorKey(bits=bits, bindings=bindings)
 
 
-def _prepared_plan(obf: ObfProgram, sel_key: SelectorKey) -> SlotPlan:
-    """obf's plan for sel_key's bits, checked and compiled once per change.
+def _prepared(obf: ObfProgram, sel_key: SelectorKey) -> int:
+    """obf's operation count, once sel_key's bits passed checked_key for it.
 
-    compile_plan checks the key as it compiles, so a changed key or
-    program costs one pass over the statements. obf.prepared keeps the
-    plan with a snapshot of what it was built from: the inputs (the plan
-    holds their registers), the program's columns and combining
-    statements, and the bit names (the plan's selector registers follow
-    their order) and values. Each call takes the snapshot again and
-    reuses the plan if the two compare equal, which CPython does in C,
-    element by element, identity first: a program is never edited in
-    place, so its columns compare by identity and cost nothing per run.
-    The prime is not part of it: run_plan computes at the key's prime.
+    The key is checked once per change: obf.prepared keeps a snapshot of
+    what the check read, the program's columns and combining statements
+    and the bit names and values, with the operation count. Each call
+    takes the snapshot again and reuses the count if the two compare
+    equal, which CPython does in C, element by element, identity first:
+    a program is never edited in place, so its columns compare by
+    identity and cost nothing per run.
     """
     program, bits = obf.program, sel_key.bits
-    snapshot = (
-        list(program.inputs), program.columns, program.combines, list(bits), list(bits.values())
-    )
+    snapshot = (program.columns, program.combines, list(bits), list(bits.values()))
     if obf.prepared is not None and obf.prepared[0] == snapshot:
         return obf.prepared[1]
-    plan = compile_plan(program, bits)
-    obf.prepared = (snapshot, plan)
-    return plan
+    checked_key(obf, sel_key)
+    n_ops = operation_count(program)
+    obf.prepared = (snapshot, n_ops)
+    return n_ops
 
 
 def eval_encrypted(
@@ -592,20 +595,17 @@ def eval_encrypted(
 
     Every statement runs; combining statements compute the full
     selector-weighted sum homomorphically. The key must pass
-    checked_key. The check and the program's SlotPlan are made in one
-    pass and kept in obf.prepared while neither the inputs, the
-    statements nor the selector bits change (see _prepared_plan); a
-    one-off run pays for that pass. Per run, crypto.run_plan encrypts
-    the bound variables, then the selector bits, into a table of the
-    run's own, and mints one handle per operation there; callers supply
-    ciphertexts for the true inputs. Only the output handle stays in the
-    key's store, on return; on an error none does. The program's consts
-    are bound as ir.field_env binds them: key bindings and inputs
-    override them.
+    checked_key, which runs once while neither the statements nor the
+    selector bits change (see _prepared). crypto.run_program encrypts
+    the bound variables, then the selector bits, runs the statements and
+    mints one handle per operation; callers supply ciphertexts for the
+    true inputs. Only the output handle stays in the key's store, on
+    return; on an error none does. The program's consts are bound as
+    ir.field_env binds them: key bindings and inputs override them.
     """
-    plan = _prepared_plan(obf, sel_key)
+    n_ops = _prepared(obf, sel_key)
     bound = {**obf.program.consts, **sel_key.bindings}
-    return run_plan(key, plan, enc_inputs, bound, sel_key.bits.values())
+    return run_program(key, obf.program, enc_inputs, bound, sel_key.bits, n_ops)
 
 
 def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
@@ -613,8 +613,7 @@ def checked_key(obf: ObfProgram, sel_key: SelectorKey) -> dict[int, int]:
 
     Raises KeyMismatchError unless every bit is 0 or 1, every selector
     of obf has a bit, and each combining statement has exactly one hot
-    selector (ir.check_bits and ir.hot_option, which compile_plan also
-    applies).
+    selector (ir.check_bits and ir.hot_option).
     """
     bits = sel_key.bits
     check_bits(bits)

@@ -1,9 +1,11 @@
-"""Reference homomorphic operations that the plan runner is checked against.
+"""Reference homomorphic operations that crypto.run_program is checked against.
 
-enc_many and he_op mint through a key's one mint into its store, as
-crypto.enc does: enc_many encrypts several values in one call, and
-he_op applies one operation to two ciphertexts. A statement walk
-(ir.run_statements) over he_op is the reference for crypto.run_plan.
+enc_many and he_op mint through crypto.enc: enc_many encrypts several
+values in turn, and he_op applies one operation to two ciphertexts. A
+statement walk (ir.run_statements) over he_op is the reference for
+crypto.run_program, which runs the same walk over plaintexts and then
+draws the handles he_op would: the two must agree on every handle,
+every output and every error.
 """
 
 from selectc.crypto import Ciphertext, SecretKey, enc
@@ -12,8 +14,8 @@ from selectc.field import Op, field_ops
 
 
 def enc_many(key: SecretKey, values) -> list[Ciphertext]:
-    """enc of each value in turn, in one call."""
-    return [Ciphertext(h) for h in key._mint(values, key._store)]
+    """enc of each value in turn."""
+    return [enc(key, v) for v in values]
 
 
 def he_op(key: SecretKey, op: Op, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

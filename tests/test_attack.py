@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import selectc
 
 from selectc.attack import (
+    GAME_MAX_TRIALS,
     extract_class,
     game_exact,
     game_simulate,
@@ -419,6 +421,29 @@ def test_game_strategy_validation():
         game_simulate(0.5, 11, trials=10, obf_strategy="nope")
     with pytest.raises(ConfigError):
         game_simulate(0.5, 11, trials=10, att_strategy="nope")
+
+
+def test_game_refuses_a_trial_count_past_its_cap():
+    for bad in (0, GAME_MAX_TRIALS + 1, 10**15):
+        with pytest.raises(ConfigError, match="trial count"):
+            game_simulate(0.5, 11, trials=bad)
+
+
+def test_game_simulation_draws_in_bounded_batches():
+    """3 * 2**20 trials peak at the arrays of one 2**20-trial batch, where
+    drawing them all at once took about 100 MiB, and every batch counts
+    towards the accuracy."""
+    game_simulate(0.5, 11, trials=10)  # numpy's import is not the simulation's memory
+    trials = 3 << 20
+    tracemalloc.start()
+    try:
+        sim = game_simulate(0.5, 11, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    exact = game_exact(0.5, 11).exact
+    assert abs(sim - exact) < 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_importing_selectc_leaves_numpy_unloaded():

@@ -76,6 +76,15 @@ def test_bad_game_probability_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_game_refuses_too_many_trials_before_drawing(capsys):
+    """A trial count past 10**9 exits 2 with nothing on stdout, not with
+    numpy's out-of-memory traceback."""
+    assert dispatch(["game", "--pl", "0.5", "--n", "11", "--trials", "1000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: trial count" in captured.err
+
+
 # ------------------------------------------------------- main pipeline
 
 def test_obfuscate_run_deobfuscate_flow(tmp_path, capsys):

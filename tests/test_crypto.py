@@ -12,12 +12,12 @@ from selectc.crypto import (
     enc,
     keygen,
     read_key_file,
-    run_plan,
+    run_program,
     write_key_file,
 )
 from selectc.errors import ForeignCiphertextError, FormatError, KeyMismatchError
 from selectc.field import ALL_OPS, FIELD_PRIME, Op, apply_op
-from selectc.ir import Assign, Combine, SimpleExpression, compile_plan
+from selectc.ir import Assign, Combine, SimpleExpression
 from selectc.obfuscate import ObfProgram, checked_key
 
 from crypto_reference import enc_many, he_op
@@ -60,22 +60,22 @@ def test_foreign_handle_rejected():
         dec(b, ct)
 
 
-def one_op_plan(op):
-    return compile_plan(program_of(inputs=["x", "y"], statements=[Assign("r", SimpleExpression(op, "x", "y"))]), {})
+def one_op_program(op):
+    return program_of(inputs=["x", "y"], statements=[Assign("r", SimpleExpression(op, "x", "y"))])
 
 
 def test_foreign_handle_rejected_by_every_op():
-    """he_op and the plan runner reject a foreign operand of every
+    """he_op and run_program reject a foreign operand of every
     operation in either position, name its handle and mint nothing."""
     a, b = keygen(1), keygen(2)
     foreign, own = enc(a, 5), enc(b, 6)
     for op in ALL_OPS:
-        plan = one_op_plan(op)
+        program = one_op_program(op)
         for c1, c2 in ((foreign, own), (own, foreign)):
             with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
                 he_op(b, op, c1, c2)
             with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
-                run_plan(b, plan, {"x": c1, "y": c2}, {}, [])
+                run_program(b, program, {"x": c1, "y": c2}, {}, {})
     assert len(b) == 1
     untouched = keygen(2)
     enc(untouched, 6)
@@ -84,15 +84,14 @@ def test_foreign_handle_rejected_by_every_op():
 
 def test_foreign_handle_rejected_inside_a_combine():
     """A foreign source of a combining statement's later option is named
-    after the runner minted the selector bits and the earlier options'
+    after the run drew the selector bits' and the earlier options'
     handles, none of which stays in the store."""
     a, b = keygen(1), keygen(2)
     program = program_of(inputs=["x", "y"], statements=[Combine("c", (("s0", "x"), ("s1", "y")))])
-    plan = compile_plan(program, {"s0": 1, "s1": 0})
     foreign = enc(a, 5)
     x = enc(b, 6)
     with pytest.raises(ForeignCiphertextError, match=f"{foreign.handle:#x}"):
-        run_plan(b, plan, {"x": x, "y": foreign}, {}, [1, 0])
+        run_program(b, program, {"x": x, "y": foreign}, {}, {"s0": 1, "s1": 0})
     assert list(b._store.items()) == [(x.handle, 6)]
     # x, the two bits and MUL s0 x were drawn
     drawn = keygen(2)
@@ -122,7 +121,7 @@ def test_homomorphism_grid():
 
 
 def test_runner_agrees_with_he_op():
-    """A plan run mints the handles and values he_op mints in turn, after
+    """run_program mints the handles and values he_op mints in turn, after
     the selector bits: one per assignment, and MUL, MUL, ADD, MUL, ADD
     for a 3-way combine. Once the walk frees what it minted after the
     inputs, both keys hold the inputs and the output and draw the same
@@ -134,7 +133,7 @@ def test_runner_agrees_with_he_op():
     ]
     statements.append(Combine("c", (("s0", "r0"), ("s1", "v3"), ("s2", "r5"))))
     bits = {"s0": 0, "s1": 1, "s2": 0}
-    plan = compile_plan(program_of(inputs=names, statements=statements), bits)
+    program = program_of(inputs=names, statements=statements)
     keys = keygen(11), keygen(11)
     inputs = [dict(zip(names, enc_many(key, GRID))) for key in keys]
     sels = enc_many(keys[0], bits.values())
@@ -144,7 +143,7 @@ def test_runner_agrees_with_he_op():
     for n, (_, src) in enumerate(statements[-1].options):
         term = he_op(keys[0], Op.MUL, sels[n], env[src])
         want = term if n == 0 else he_op(keys[0], Op.ADD, want, term)
-    got = run_plan(keys[1], plan, inputs[1], {}, bits.values())
+    got = run_program(keys[1], program, inputs[1], {}, bits)
     assert got == want and dec(keys[1], got) == dec(keys[0], want) == GRID[3]
     walked = keys[0]._store
     assert len(walked) == len(GRID) + 3 + len(statements) - 1 + 5
@@ -285,14 +284,13 @@ def test_a_run_costs_nothing_per_older_handle(older):
         ],
     )
     bits = {"s0": 0, "s1": 1}
-    plan = compile_plan(program, bits)
     key = keygen(9)
     enc_many(key, range(older))
     env = dict(zip(["x", "y"], enc_many(key, [7, 3])))
     before = list(key._store.items())
     tracemalloc.start()
     try:
-        out = run_plan(key, plan, env, {}, bits.values())
+        out = run_program(key, program, env, {}, bits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

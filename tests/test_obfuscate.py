@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -32,7 +33,6 @@ from selectc.ir import (
     Combine,
     Program,
     SimpleExpression,
-    compile_plan,
     eval_env,
     eval_plain,
     normalize,
@@ -375,7 +375,7 @@ def reference_eval_encrypted(obf, key, sel_key, enc_inputs):
 
 
 def test_eval_encrypted_mints_what_the_statement_walk_mints():
-    """Run after run on one key, the plan runner leaves the output handle
+    """Run after run on one key, eval_encrypted leaves the output handle
     and the key's store the statement walk leaves."""
     cases = [(d.obf, d.sel_key) for d in (build_l0(), build_l1())]
     for seed in range(4):
@@ -473,7 +473,7 @@ def _with_row(program, at, op, in1, in2, inputs=None):
 
 
 def test_eval_encrypted_notices_changes_made_in_place():
-    """The cached check and plan follow a program rebuilt with an edited
+    """The cached check follows a program rebuilt with an edited
     statement or a new input, and edits made in place to the bits, their
     order and the bindings; each run equals the deobfuscated program's."""
     source = random_linear_program(random.Random(8), n_statements=4, n_consts=1)
@@ -525,8 +525,7 @@ def test_eval_encrypted_notices_changes_made_in_place():
 
 def test_repeated_runs_check_and_compile_once(monkeypatch):
     """100 runs of one (obfuscation, selector key), a fresh key each, check
-    the key and compile the plan once, in one compile_plan call: no run
-    calls checked_key on its own."""
+    the key once: exactly one checked_key call in all of them."""
     source = random_linear_program(random.Random(9), n_statements=3, n_consts=1)
     obf, sel_key = obfuscate_statement_level(source, ObfuscationConfig(mislead_factor=3, seed=9))
     calls = Counter()
@@ -538,26 +537,28 @@ def test_repeated_runs_check_and_compile_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(obfuscate, "checked_key", counting(obfuscate.checked_key))
-    monkeypatch.setattr(obfuscate, "compile_plan", counting(obfuscate.compile_plan))
     rng = random.Random(9)
     for seed in range(100):
         inputs = random_inputs(source, rng)
         assert run_encrypted(obf, sel_key, inputs, seed) == eval_plain(source, inputs)
-    assert calls["checked_key"] == 0 and calls["compile_plan"] == 1
+    assert calls["checked_key"] == 1
 
 
-def test_compiling_a_plan_tracks_a_handful_of_objects():
-    """A 4,000-statement plan is a few objects, not one per operation:
-    the cyclic collector has nothing new to walk after a compile."""
+def test_a_cold_run_leaves_a_handful_of_objects():
+    """A cold run of a 4,000-statement obfuscation leaves a few objects
+    behind, not one per statement or operation: the cyclic collector has
+    nothing new to walk after it. What it keeps is obf.prepared."""
     source = random_linear_program(random.Random(10), n_statements=1000)
     obf, sel_key = obfuscate_statement_level(source, ObfuscationConfig(mislead_factor=3, seed=10))
-    assert len(obf.program.statements) == 4000
+    assert len(obf.program) == 4000
+    key = keygen(10)
+    cts = {v: enc(key, i) for i, v in enumerate(source.inputs)}
     gc.collect()
     before = len(gc.get_objects())
-    plan = compile_plan(obf.program, sel_key.bits)
+    eval_encrypted(obf, key, sel_key, cts)
     gc.collect()
     assert len(gc.get_objects()) - before <= 4
-    assert len(plan.ops) == 4 * 1000 * (3 + 5)  # 3 assignments and a 3-way combine each
+    assert obf.prepared[1] == 1000 * (3 + 5)  # 3 assignments and a 3-way combine each
 
 
 @hst.composite
@@ -612,12 +613,11 @@ def test_plain_and_encrypted_runs_agree(case, data):
 def test_every_emitted_key_is_one_hot(case):
     """The obfuscators build a one-hot key and do not check it
     themselves: under all five strategies and program-level
-    obfuscation, checked_key and compile_plan accept the key emitted,
-    which binds exactly the program's selectors."""
+    obfuscation, checked_key accepts the key emitted, which binds
+    exactly the program's selectors."""
     _, obf, sel_key, _ = case
     assert set(sel_key.bits) == set(obf.program.selector_ids())
     assert sorted(checked_key(obf, sel_key)) == list(obf.program.combines)
-    compile_plan(obf.program, sel_key.bits)
 
 
 # ------------------------------------------------------ misleading options
@@ -1160,6 +1160,21 @@ def test_config_validation():
         obfuscate_statement_level(p, ObfuscationConfig(op_pool=(Op.ADD, Op.SUB, Op.ADD)))
     with pytest.raises(ConfigError, match="fake variable 'f0' is given twice"):
         obfuscate_statement_level(p, ObfuscationConfig(fake_vars=("f0", "f1", "f0")))
+
+
+def test_an_impossible_mislead_factor_is_refused_before_any_name():
+    """k - 1 misleading statements past |op_pool| * |variables|**2 cannot
+    be drawn for the first statement, so k = 10**5 is refused before the
+    obfuscator takes its k names per statement, which took about 42 MiB."""
+    p = two_stmt_program()
+    tracemalloc.start()
+    try:
+        with pytest.raises(PoolExhaustedError, match="mislead factor 100000 needs 99999 "):
+            obfuscate_statement_level(p, ObfuscationConfig(mislead_factor=10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("fake_combining", [0, 1])
