@@ -19,8 +19,8 @@ Three attacks are modeled:
   * likelihood ranking: score candidates by how typical their
     statements look against a mined pattern table (smoothed relative
     operator frequencies), and rank the class by that score. The
-    result is a Ranking with one record per distinct program, folded
-    only when read.
+    result is a list with one RankedMember per distinct program, best
+    first, each folded when its program is first read.
   * the selection guessing game, exact and simulated, for the
     two-statement combining setting with one conspicuous statement.
 
@@ -31,17 +31,16 @@ pessimistically. Q = 0 means the attacker's first pick is right.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .errors import ConfigError, EnumerationCapError
-from .field import OP_NAMES, Op, field_ops
+from .field import OP_BY_NAME, OP_NAMES, Op, field_ops
 from .ir import (
     Chosen,
     Program,
@@ -101,41 +100,23 @@ class RankedMember:
     log_score: float
     count: int  # selections
     signature: tuple[int, ...]  # the first live signature (_MemberCones.signature) that reached it
+    # its class's cones, then its program once read: one slot, as a 7th slowed ranking 3 %
+    _folded: "_MemberCones | Program" = field(repr=False, compare=False)
     prob: float = 0.0  # per selection
-    program: Program | None = None  # folded from signature when the Ranking is first read
 
-
-class Ranking:
-    """A ranked class, best first, as rank_candidates returns it.
-
-    members holds one RankedMember per distinct program, sorted. As an
-    iterable with a length it is those members, each folded on its
-    first read.
-    """
-
-    __slots__ = ("members", "_cones", "_ends")
-
-    def __init__(self, members: list[RankedMember], cd: ClassDescriptor):
-        self.members = members
-        self._cones = cd.cones
-        self._ends = list(itertools.accumulate(m.count for m in members))  # selections so far
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[RankedMember]:
-        cones = self._cones
-        for member in self.members:
-            if member.program is None:
-                member.program = cones.member(cones.fold(member.signature))
-            yield member
+    @property
+    def program(self) -> Program:
+        folded = self._folded
+        if not isinstance(folded, Program):
+            folded = self._folded = folded.member(folded.fold(self.signature))
+        return folded
 
 
 @dataclass
 class AttackReport:
     class_size: int
     enumerated: int  # selections ranked
-    ranked: Ranking
+    ranked: list[RankedMember]  # best first
     survivors: int | None = None
     min_rank: int | None = None
     quality: float | None = None
@@ -560,14 +541,13 @@ def kpa_filter(
     signature survives with all its selections or with none. Each pair
     prunes what the pairs before it left, and runs each large enough
     subtree once per distinct set of values live into it (see
-    _consistent_selections); the survivors come in product order.
+    _consistent_selections); the survivors come in product order, and
+    with no pairs they are the whole class.
     """
     if cd.class_size > cap:
         raise EnumerationCapError(cd.class_size, cap)
     # every pair's inputs are checked here, so a missing one fails before any evaluation
     envs = [field_env(cd.obf.program, inputs) for inputs, _ in pairs]
-    if not pairs:
-        return list(cd.cones.signatures())
     selections = _consistent_selections(cd, envs, [output for _, output in pairs])
     return list(Counter(map(cd.cones.signature, selections)).items())
 
@@ -720,22 +700,21 @@ def _dag_leaves(root, last: int) -> Iterator[tuple[int, ...]]:
             branches[i] = iter(child)
 
 
-def _statement_log_scores(table) -> dict[str, float]:
+def _statement_log_scores(table) -> dict[Op, float]:
     """Smoothed per-operation log likelihoods from a pattern table.
 
     Counts are normalized to relative frequencies first and add-one
-    smoothed over the operation universe, so any positive rescaling of
-    the table yields identical scores.
+    smoothed over the operation universe (every Op and every name the
+    table counts), so any positive rescaling of the table yields
+    identical scores.
     """
     counts = dict(table.ir_operator_counts()) if table is not None else {}
-    universe = sorted({op.value for op in Op} | set(counts))
     total = sum(counts.values())
-    denom = math.log(1.0 + len(universe))
-    scores = {}
-    for name in universe:
-        rel = counts.get(name, 0) / total if total else 0.0
-        scores[name] = math.log1p(rel) - denom
-    return scores
+    denom = math.log(1.0 + len(OP_BY_NAME.keys() | counts.keys()))
+    return {
+        op: math.log1p(counts.get(name, 0) / total if total else 0.0) - denom
+        for op, name in OP_NAMES.items()
+    }
 
 
 def rank_candidates(
@@ -743,7 +722,7 @@ def rank_candidates(
     table=None,
     cap: int = DEFAULT_CAP,
     survivors: list[CountedSignature] | None = None,
-) -> Ranking:
+) -> list[RankedMember]:
     """Order the class, or the survivors kpa_filter kept, by
     statement-pattern likelihood, best first.
 
@@ -755,7 +734,7 @@ def rank_candidates(
     The unit of work is the distinct member, not the selection. Each
     live signature, the class's (_MemberCones.signatures) or the
     survivors', is keyed and scored once, building nothing
-    (_MemberCones.key_score); the Ranking folds a member only when
+    (_MemberCones.key_score); a member folds when its program is first
     read. Signatures that share a union of cones share its rename map,
     and from the TEMPLATE_AFTER-th of them on, its key template: fixed
     lines made once and the other lines looked up by the choices of
@@ -773,15 +752,14 @@ def rank_candidates(
             raise EnumerationCapError(cd.class_size, cap)
         survivors = cd.cones.signatures()
     cones = cd.cones
-    scores = _statement_log_scores(table)
-    op_scores = {op: scores[name] for op, name in OP_NAMES.items()}
+    op_scores = _statement_log_scores(table)
     members: dict[str, RankedMember] = {}  # key -> member
     memo: dict[tuple[int, ...], _Union] = {}  # see _MemberCones.key_score
     for sig, count in survivors:
         key, score = cones.key_score(sig, op_scores, memo)
         member = members.get(key)
         if member is None:
-            members[key] = RankedMember(key, score, count, sig)
+            members[key] = RankedMember(key, score, count, sig, cones)
         else:
             member.count += count
     # keys are unique, so by key, then stably by descending score, is by (-score, key)
@@ -796,22 +774,25 @@ def rank_candidates(
         )
         for m, w in zip(order, weights):
             m.prob = w / total
-    return Ranking(order, cd)
+    return order
 
 
-def _grade(ranked: Ranking, truth: list[Program]) -> tuple[int, float] | None:
+def _grade(ranked: list[RankedMember], truth: list[Program]) -> tuple[int, float] | None:
     """(r, Q) for the best-ranked truth program, or None if none is ranked.
 
     r counts every selection scoring at least as high, ties included:
     the selections of every member that does. Q = 1 - 1/r.
     """
     wanted = {canonical_key(p, False) for p in truth}
-    members = ranked.members
-    best = max((m.log_score for m in members if m.key in wanted), default=None)
-    if best is None:
+    members = iter(ranked)
+    rank = 0
+    for m in members:  # up to the first truth member, the best one since ranked is best first
+        rank += m.count
+        if m.key in wanted:
+            break
+    else:
         return None
-    last = bisect.bisect_right(members, -best, key=lambda m: -m.log_score) - 1
-    rank = ranked._ends[last]
+    rank += sum(t.count for t in itertools.takewhile(lambda t: t.log_score >= m.log_score, members))
     return rank, 1.0 - 1.0 / rank
 
 
@@ -862,7 +843,7 @@ def run_attack(
         if graded is None:
             raise ConfigError(_unmatched_truth(cd, truth, pairs is not None))
         min_rank, quality = graded
-    selections = ranked._ends[-1] if ranked._ends else 0
+    selections = sum(m.count for m in ranked)
     return AttackReport(
         class_size=cd.class_size,
         enumerated=selections,
@@ -870,7 +851,7 @@ def run_attack(
         survivors=None if pairs is None else selections,
         min_rank=min_rank,
         quality=quality,
-        distinct_programs=len(ranked.members),
+        distinct_programs=len(ranked),
     )
 
 
@@ -884,7 +865,7 @@ def render_attack_report(report: AttackReport, top: int = 10) -> str:
         lines.append(f"quality | {report.quality:.6g}")
     # one line per selection: each member's, repeated count times
     selections = itertools.chain.from_iterable(
-        itertools.repeat(f"{m.prob:.6g} | {m.key}", m.count) for m in report.ranked.members
+        itertools.repeat(f"{m.prob:.6g} | {m.key}", m.count) for m in report.ranked
     )
     for i, line in enumerate(itertools.islice(selections, top), start=1):
         lines.append(f"top | {i} | {line}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .ir import Program, eval_plain, referenced_vars, selectors, sources
 from .obfuscate import ObfProgram, eval_encrypted
-from .attack import ClassDescriptor
+from .attack import ClassDescriptor, CountedSignature, surviving_option_counts
 from .crypto import SelectorKey, enc, keygen
 from .rng import DEFAULT_SEED, spawn
 
@@ -132,24 +132,18 @@ def measure(
     )
 
 
-def potency_reduction(cd: ClassDescriptor, eliminated: list[int]) -> float:
-    """Fraction of misleading options a de-obfuscator ruled out.
+def potency_reduction(cd: ClassDescriptor, survivors: list[CountedSignature]) -> float:
+    """Fraction of misleading options the known pairs ruled out, averaged
+    over the live combining statements (0.0 if there is none).
 
-    eliminated gives, per live combining statement, how many options
-    the de-obfuscator proved wrong; the confidential option can never
-    be ruled out, so each statement contributes eliminated/(options-1).
+    survivors is what kpa_filter returns for cd. A statement's options
+    that no survivor uses are ruled out, counted at most up to its
+    misleading ones, so no survivors at all gives 1.0.
     """
-    if len(eliminated) != len(cd.options):
-        raise ConfigError("one eliminated count per combining statement required")
-    ratios = []
-    for count, options in zip(eliminated, cd.options):
-        if len(options) < 2:
-            raise ConfigError("combining statements need at least two options")
-        if not 0 <= count <= len(options) - 1:
-            raise ConfigError(
-                f"cannot eliminate {count} of {len(options) - 1} misleading options"
-            )
-        ratios.append(count / (len(options) - 1))
+    ratios = [
+        min(len(options) - used, len(options) - 1) / (len(options) - 1)
+        for options, used in zip(cd.options, surviving_option_counts(cd, survivors))
+    ]
     return sum(ratios) / len(ratios) if ratios else 0.0
 
 

@@ -130,7 +130,7 @@ def test_criterion_03_cost_security_tradeoff(announce):
                 p, ObfuscationConfig(mislead_factor=k, seed=0)
             )
             cd = extract_class(obf)
-            enumerated = sum(m.count for m in rank_candidates(cd).members)
+            enumerated = sum(m.count for m in rank_candidates(cd))
             if len(obf.program.statements) > (k + 1) * n:
                 bad.append((n, k, "statements"))
             if not (cd.class_size == enumerated == k**n):

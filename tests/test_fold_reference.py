@@ -12,8 +12,8 @@ attack folds each member to columns from cones built once per class,
 keys and scores each live signature in one pass that builds nothing,
 keys members without a liveness pass and, where many signatures share
 a union of cones, through that union's key template, sorts and weights
-each distinct member once, folds a member only when the ranking is
-read, finds ranks by bisection and filters by pruning a DAG of the
+each distinct member once, folds a member only when its program is
+read, counts ranks in one pass and filters by pruning a DAG of the
 selections once per pair, each pair walking the obfuscated program
 over the branches the pairs before it left, keeping the survivors as
 live signatures that it keys once each; it must agree with these
@@ -259,8 +259,8 @@ def reference_ranking(members, table, truth=None):
 
 
 def reference_members(ranked):
-    """reference_ranking's rows grouped by key, as a Ranking lists its
-    members: (key, log_score, prob, selection count), best first."""
+    """reference_ranking's rows grouped by key, as rank_candidates lists
+    its members: (key, log_score, prob, selection count), best first."""
     members = []
     for key, group in itertools.groupby(ranked, key=itemgetter(3)):
         rows = list(group)
@@ -965,29 +965,29 @@ def test_kpa_folds_only_the_first_pairs_survivors(monkeypatch):
     ranked = rank_candidates(l0, table=TABLE, survivors=survivors)
     assert calls == {"key": [sig for sig, _ in survivors], "fold": []}
     assert 50 <= len(ranked) <= 300 and firsts[1] >= 1_000
-    assert canonical_key(demo.program, False) in {m.key for m in ranked.members}
+    assert canonical_key(demo.program, False) in {m.key for m in ranked}
 
 
 def test_kpa_attack_folds_each_surviving_signature_once(monkeypatch):
     """The work-shape guard: on l1, the 25 selections that pass one pair
     share one live signature, so the KPA attack keys once, not 25 times,
-    and folds only when its ranking is read: once, however often."""
+    and folds only when its member's program is read: once, however often."""
     demo, cd, _ = demo_class("l1")
     pairs = seeded_pairs(cd, 1, seed=7)
     calls = count_passes(monkeypatch)
     report = run_attack(demo.obf, pairs=pairs, table=TABLE)
     assert len(calls["key"]) == 1 and calls["fold"] == []
     assert report.survivors == report.enumerated == 25
-    assert [m.count for m in report.ranked.members] == [25]
-    assert len(list(report.ranked)) == len(list(report.ranked)) == 1
+    assert [m.count for m in report.ranked] == [25]
+    assert [m.program for m in report.ranked] == [m.program for m in report.ranked]
     assert calls["fold"] == calls["key"]
 
 
 @pytest.mark.parametrize("level, folds", [("l0", 12_500), ("l1", 1_861)])
 def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     """The work-shape guard: one key pass per live signature, not per
-    selection, and no fold until the ranking is read, then one per
-    signature, however often it is read.
+    selection, and no fold until a member's program is read, then one
+    per signature, however often it is read.
 
     In l1 a choice in a slot that later choices leave dead changes
     nothing, so its 15,625 selections have 1,861 live signatures; in l0
@@ -1002,22 +1002,39 @@ def test_rank_only_folds_each_live_signature_once(monkeypatch, level, folds):
     assert report.distinct_programs == folds
     assert len({m.key for m in report.ranked}) == folds
     assert len({id(m.program) for m in report.ranked}) == folds
+    # a second read folds nothing
+    assert len({id(m.program) for m in report.ranked}) == folds
     assert sorted(calls["fold"]) == sorted(calls["key"])
 
 
 def test_rank_only_builds_nothing_per_selection(monkeypatch):
     """The work-shape guard: rank-only ranking walks live signatures, so
     l1's 15,625 selections cost 1,861 key passes, one member each, and
-    no fold until the ranking is read. Printing the top lines reads
-    members' keys and probabilities only, so it folds nothing."""
+    no fold until a member's program is read. Printing the top lines
+    reads members' keys and probabilities only, so it folds nothing."""
     demo, cd, _ = demo_class("l1")
     calls = count_passes(monkeypatch)
     report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
     assert len(calls["key"]) == len(report.ranked) == 1_861
-    assert sum(m.count for m in report.ranked.members) == report.enumerated == 15_625
+    assert sum(m.count for m in report.ranked) == report.enumerated == 15_625
     assert len(top_lines(report, 10)) == 10
     assert calls["fold"] == []
-    assert all(m.program is None for m in report.ranked.members)
+
+
+def test_a_member_folds_when_its_program_is_first_read(monkeypatch):
+    """The work-shape guard: a rank-only l1 attack folds no member;
+    reading one member's program folds that member alone, a second read
+    folds nothing, and the program is the member's realize_candidate."""
+    demo, cd, _ = demo_class("l1")
+    calls = count_passes(monkeypatch)
+    report = run_attack(demo.obf, table=TABLE, truth=[demo.program])
+    assert calls["fold"] == []
+    member = report.ranked[len(report.ranked) // 2]
+    program = member.program
+    assert calls["fold"] == [member.signature]
+    assert member.program is program
+    assert calls["fold"] == [member.signature]
+    assert program == realize_candidate(cd, member.signature)
 
 
 def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
@@ -1041,9 +1058,10 @@ def test_rank_only_runs_no_liveness_pass_per_member(monkeypatch):
 def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypatch):
     """The work-shape guard: building the class's cones and ranking
     build no statement node and no Program (the KPA segments are
-    statement indices); a member is folded when the ranking is read, to
-    columns that its one Program holds, so reading a rank-only l0
-    ranking builds 12,500 Programs and not one statement node."""
+    statement indices); a member is folded when its program is read, to
+    columns that its one Program holds, so reading every program of a
+    rank-only l0 ranking builds 12,500 Programs and not one statement
+    node."""
     demo, _, _ = demo_class("l0")
     cd = extract_class(demo.obf)
     built = Counter()
@@ -1072,6 +1090,8 @@ def test_rank_only_builds_no_statement_and_one_program_per_member_read(monkeypat
     assert len(ranked) == cd.class_size == 12_500
     assert built == {}
     assert len({m.key for m in ranked}) == 12_500
+    assert built == {}
+    assert len({id(m.program) for m in ranked}) == 12_500
     assert built == {Program: 12_500}
 
 
@@ -1124,7 +1144,7 @@ def test_rank_only_formats_each_key_line_once(monkeypatch):
     ranked = rank_candidates(cd, table=TABLE)
     assert len(ranked) == 12_500
     [indices] = cd.cones.kept.values()
-    assert len(indices) * len(ranked.members) == 75_000
+    assert len(indices) * len(ranked) == 75_000
     [memo] = memos
     assert template_entries(memo) == 105
     assert len(formatted) == (attack.TEMPLATE_AFTER - 1) * 6 + 3 + 105 == 294
@@ -1234,25 +1254,8 @@ def test_twin_programs_form_one_member_with_the_first_fold():
     cd = extract_class(obf)
     assert_class_matches_reference(obf, reference_realize(cd, (1,)))
     ranked = rank_candidates(cd, table=TABLE)
-    [member] = ranked.members
+    [member] = ranked
     assert (member.count, member.signature) == (2, (0,))
     folds = [realize_candidate(cd, (i,)) for i in (0, 1)]
     assert folds[0] != folds[1]
     assert [m.program for m in ranked] == folds[:1]
-
-
-@pytest.mark.parametrize("name", ["shared-source", "l1-kpa", "l1"])
-def test_ranking_indexes_and_slices_like_its_list(name):
-    """A Ranking has the length of its members, and every read of it,
-    whole or cut short, yields them."""
-    if name == "shared-source":
-        ranking = rank_candidates(extract_class(hand_built(SHARED_SOURCE)), table=TABLE)
-    else:
-        _, cd, _ = demo_class("l1")
-        survivors = kpa_filter(cd, seeded_pairs(cd, 1, seed=7)) if name == "l1-kpa" else None
-        ranking = rank_candidates(cd, table=TABLE, survivors=survivors)
-    rows = list(ranking)
-    assert len(ranking) == len(rows) and rows == ranking.members
-    assert list(ranking) == rows
-    for stop in (1, 10, len(rows) + 5):
-        assert list(itertools.islice(ranking, stop)) == rows[:stop]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from selectc.attack import extract_class, kpa_filter, surviving_option_counts
+from selectc.attack import extract_class, kpa_filter
 from selectc.errors import ConfigError
 from selectc.generate import random_linear_program
 from selectc.metrics import measure, potency_reduction, render_metrics
@@ -87,29 +87,22 @@ def test_render_metrics_lines():
 
 
 def test_potency_reduction_fraction():
+    """Per slot, the options no survivor uses, out of its misleading
+    ones; a slot dead in a survivor (-1) uses all of its options."""
     _, obf = obfuscated(n=2, k=3)
     cd = extract_class(obf)
-    assert potency_reduction(cd, [2, 2]) == 1.0
-    assert potency_reduction(cd, [0, 0]) == 0.0
-    assert potency_reduction(cd, [2, 0]) == 0.5
-    assert potency_reduction(cd, [1, 2]) == pytest.approx(0.75)
-
-
-def test_potency_reduction_validation():
-    _, obf = obfuscated(n=2, k=3)
-    cd = extract_class(obf)
-    with pytest.raises(ConfigError):
-        potency_reduction(cd, [1])
-    with pytest.raises(ConfigError):
-        potency_reduction(cd, [3, 0])
-    with pytest.raises(ConfigError):
-        potency_reduction(cd, [-1, 0])
+    assert [len(options) for options in cd.options] == [3, 3]
+    assert potency_reduction(cd, [((0, 1), 1)]) == 1.0
+    assert potency_reduction(cd, [((0, 0), 1), ((1, 1), 1), ((2, 2), 1)]) == 0.0
+    assert potency_reduction(cd, [((-1, 0), 3)]) == 0.5
+    assert potency_reduction(cd, [((0, 0), 1), ((0, 1), 1), ((0, 2), 1)]) == 0.5
+    assert potency_reduction(cd, [((0, 2), 1), ((1, 2), 1)]) == pytest.approx(0.75)
+    # pairs no member agrees with rule every misleading option out
+    assert potency_reduction(cd, []) == 1.0
 
 
 def test_potency_from_kpa_survivors(two_option_class):
     obf, _ = two_option_class
     cd = extract_class(obf)
     survivors = kpa_filter(cd, [({"a": 3}, 9)])
-    remaining = surviving_option_counts(cd, survivors)
-    eliminated = [len(opts) - r for opts, r in zip(cd.options, remaining)]
-    assert potency_reduction(cd, eliminated) == 1.0
+    assert potency_reduction(cd, survivors) == 1.0
