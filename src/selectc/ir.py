@@ -589,8 +589,6 @@ _NAME_BREAK = re.compile(rf"[{_NAME_BREAKS}]")
 _COMBINE_OPT = re.compile(rf"^\(({_NAME}),({_NAME})\)$")
 # a combining statement's options, joined by single spaces
 _COMBINE_OPTS = re.compile(rf"\({_NAME},{_NAME}\)(?: \({_NAME},{_NAME}\))*")
-# deletes the parentheses of options so joined, and separates them as their halves are
-_UNWRAP = str.maketrans(" ", ",", "()")
 # the first words of header lines, which no assignment target may be read as
 # (nor may it begin with "#", which starts a comment; see check_targets)
 _HEADERS = frozenset(("prime", "input", "const"))
@@ -673,6 +671,32 @@ def parse_program(text: str) -> Program:
                 add_in2(b)
                 add_target(target)
                 continue
+        # then combining statements, under the same guards: a target that
+        # starts with "#" is a comment, and one that is a header word is a
+        # malformed header line
+        if len(tokens) > 2 and tokens[2] == "COMBINE" and tokens[1] == ":=":
+            target = tokens[0]
+            if target[0] != "#" and target not in headers:
+                opts = " ".join(tokens[3:])
+                if not _COMBINE_OPTS.fullmatch(opts):
+                    for tok in tokens[3:]:
+                        if not _COMBINE_OPT.match(tok):
+                            raise FormatError(f"line {lineno}: malformed combine option {tok!r}")
+                if len(tokens) < 5:
+                    raise FormatError(f"line {lineno}: combining statement needs two options")
+                # "(s0,a) (s1,b)" -> "s0,a,s1,b" -> its selectors and options
+                halves = opts.replace(") (", ",")[1:-1].split(",")
+                sels = halves[::2]
+                if len(set(sels)) != len(sels):
+                    raise FormatError(
+                        f"line {lineno}: combining statement selectors must be distinct"
+                    )
+                combines[len(targets)] = tuple(sels + halves[1::2])
+                add_op(None)
+                add_in1(None)
+                add_in2(None)
+                add_target(target)
+                continue
         if not tokens or tokens[0][0] == "#":
             continue
         if tokens[0] == "prime":
@@ -702,25 +726,6 @@ def parse_program(text: str) -> Program:
             continue
         if len(tokens) < 3 or tokens[1] != ":=":
             raise FormatError(f"line {lineno}: expected '<target> := ...'")
-        target = tokens[0]
-        if tokens[2] == "COMBINE":
-            opts = " ".join(tokens[3:])
-            if not _COMBINE_OPTS.fullmatch(opts):
-                for tok in tokens[3:]:
-                    if not _COMBINE_OPT.match(tok):
-                        raise FormatError(f"line {lineno}: malformed combine option {tok!r}")
-            if len(tokens) < 5:
-                raise FormatError(f"line {lineno}: combining statement needs two options")
-            halves = opts.translate(_UNWRAP).split(",")
-            sels = halves[::2]
-            if len(set(sels)) != len(sels):
-                raise FormatError(f"line {lineno}: combining statement selectors must be distinct")
-            combines[len(targets)] = tuple(sels + halves[1::2])
-            add_op(None)
-            add_in1(None)
-            add_in2(None)
-            add_target(target)
-            continue
         if len(tokens) != 5:
             raise FormatError(f"line {lineno}: expected '<target> := OP v1 v2'")
         # the assignment branch above took every known operation

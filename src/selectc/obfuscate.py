@@ -25,6 +25,7 @@ result, so the attacker faces a 1-in-k guess at linear cost.
 from __future__ import annotations
 
 import itertools
+import math
 import typing
 from collections import Counter
 from collections.abc import Callable
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .crypto import Ciphertext, SecretKey, SelectorKey, operation_count, run_program
 from .errors import ConfigError, FormatError, PoolExhaustedError, in_file
-from .field import ARITH_OPS, OP_NAMES, Op, op_from_name, parse_int
+from .field import ARITH_OPS, OP_BY_NAME, OP_NAMES, Op, op_from_name, parse_int
 from .ir import (
     Options,
     Program,
@@ -111,6 +112,8 @@ class ObfProgram:
 
 # an expression as the obfuscator draws it: (operation, operand, operand)
 Expr = tuple[Op, str, str]
+# a combining statement's row in the obfuscator's row buffer
+_COMBINE_ROW = (None, None, None)
 
 
 class _Namer:
@@ -145,6 +148,16 @@ class _Namer:
         return tuple(names)
 
 
+def _indices(items: list, item) -> list[int]:
+    """item's indices in items, ascending, found by list.count and list.index."""
+    found: list[int] = []
+    i = -1
+    for _ in range(items.count(item)):
+        i = items.index(item, i + 1)
+        found.append(i)
+    return found
+
+
 def _distinct_expressions(
     rng,
     count: int,
@@ -156,8 +169,9 @@ def _distinct_expressions(
     """Draw `count` pairwise-distinct expressions avoiding `forbidden`.
 
     Works in O(count) whatever the pool size: the expression space is
-    never built, and the pool is scanned only where the whole space has
-    at most _ENUMERATE_LIMIT expressions.
+    never built, and the pool is scanned, for the indices of the
+    forbidden keys' names, only where the whole space has at most
+    _ENUMERATE_LIMIT expressions.
     """
     n = len(var_choices)
     space = len(op_choices) * n * n
@@ -178,19 +192,46 @@ def _distinct_expressions(
     picked: list[Expr] = []
     if space <= _ENUMERATE_LIMIT and op_weights is None:
         # the space in (op, in1, in2) product order without the forbidden
-        # keys; rng.sample reads only its population's length and items,
-        # so sampling indices draws what sampling the built list would
+        # keys, each at every index where a repeated name puts it
         skip = sorted(
             (o * n + a) * n + b
             for op_name, x, y in forbidden
-            for o, op in enumerate(op_choices)
-            if OP_NAMES[op] == op_name
-            for a, v in enumerate(var_choices)
-            if v == x
-            for b, w in enumerate(var_choices)
-            if w == y
+            for o in _indices(op_choices, OP_BY_NAME.get(op_name))
+            for a in _indices(var_choices, x)
+            for b in _indices(var_choices, y)
         )
-        for i in rng.sample(range(space - len(skip)), count):
+        size = space - len(skip)
+        # rng.sample(range(size), count) as CPython 3.10 to 3.13 draws it,
+        # which draws what sampling the built list would: below a set's
+        # size it swaps the picks out of a list of the indices, above it
+        # redraws a pick already taken; each draw is by rejection on
+        # getrandbits of the bound's bit count
+        if not 0 <= count <= size:
+            raise ValueError("Sample larger than population or is negative")
+        getrandbits = rng.getrandbits
+        picks: list[int] = []
+        setsize = 21
+        if count > 5:
+            setsize += 4 ** math.ceil(math.log(count * 3, 4))
+        if size <= setsize:
+            pool = list(range(size))
+            for left in range(size, size - count, -1):
+                width = left.bit_length()
+                j = getrandbits(width)
+                while j >= left:
+                    j = getrandbits(width)
+                picks.append(pool[j])
+                pool[j] = pool[left - 1]
+        else:
+            width = size.bit_length()
+            taken: set[int] = set()
+            for _ in range(count):
+                j = getrandbits(width)
+                while j >= size or j in taken:
+                    j = getrandbits(width)
+                taken.add(j)
+                picks.append(j)
+        for i in picks:
             for s in skip:
                 if s > i:
                     break
@@ -372,11 +413,14 @@ def obfuscate_statement_level(
 
     Randomness is split into independent streams per concern, so
     enabling fake combining statements does not change how the real
-    groups come out for the same seed. The key is one-hot by
-    construction, and checked where it is read, not here. The program
-    is built in one pass that writes each row once: every name is taken
-    and every fake group drawn before the first row, and each fake group
-    is written just before the real group its draw placed it in front of.
+    groups come out for the same seed; the fake-chains and fake-values
+    streams are spawned only for a config that reads them. The key is
+    one-hot by construction, and checked where it is read, not here. The
+    program is built in one pass that writes each row once: every name is
+    taken and every fake group drawn before the first row, and each fake
+    group is written just before the real group its draw placed it in
+    front of. Rows are buffered as (op, in1, in2) tuples and transposed
+    into columns once.
     """
     cfg.validate()
     _validate_source(program)
@@ -387,8 +431,6 @@ def obfuscate_statement_level(
 
     seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
     rng_opts = spawn(seed, "options")
-    rng_fake = spawn(seed, "fake-chains")
-    rng_vals = spawn(seed, "fake-values")
 
     inputs = list(program.inputs) + list(program.consts) + list(cfg.fake_vars)
     k = cfg.mislead_factor
@@ -419,6 +461,8 @@ def obfuscate_statement_level(
     # with k temporaries, its target and k selectors; their bits follow
     # the real ones, whose values alone the loop sets
     fakes_before: dict[int, list] = {}  # real group index -> its fake groups, in draw order
+    if cfg.fake_combining:
+        rng_fake = spawn(seed, "fake-chains")
     for _ in range(cfg.fake_combining):
         exprs = _distinct_expressions(rng_fake, k, list(cfg.op_pool), list(cfg.fake_vars), set())
         names, sels = fresh.take(k + 1), sel.take(k)
@@ -434,20 +478,18 @@ def obfuscate_statement_level(
     # rejection on getrandbits of (i + 1)'s bit count
     getrandbits = rng_opts.getrandbits
     swaps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
-    ops, in1, in2, targets = [], [], [], []
+    # each statement's (op, in1, in2), a combining statement's all None;
+    # transposed into columns once, at the end
+    rows: list[tuple] = []
+    targets: list[str] = []
     combines: dict[int, Options] = {}
 
     def put_group(
         exprs: list[Expr], temps: tuple[str, ...], sels: tuple[str, ...], target: str
     ) -> None:
         """Write k assignments into temps, then target := COMBINE over them."""
-        group_ops, group_in1, group_in2 = zip(*exprs)
-        ops.extend(group_ops)
-        ops.append(None)
-        in1.extend(group_in1)
-        in1.append(None)
-        in2.extend(group_in2)
-        in2.append(None)
+        rows.extend(exprs)
+        rows.append(_COMBINE_ROW)
         targets.extend(temps)
         combines[len(targets)] = sels + temps
         targets.append(target)
@@ -463,9 +505,7 @@ def obfuscate_statement_level(
             )
             bits.update(prelude_bits)
             for temp, prelude_options in prelude:
-                ops.append(None)
-                in1.append(None)
-                in2.append(None)
+                rows.append(_COMBINE_ROW)
                 combines[len(targets)] = prelude_options
                 targets.append(temp)
             positions.setdefault(target, []).append(len(defined))
@@ -483,8 +523,11 @@ def obfuscate_statement_level(
         defined.append(target)
 
     bindings = dict(program.consts)
-    bindings.update({v: rng_vals.randrange(1, program.prime) for v in cfg.fake_vars})
+    if cfg.fake_vars:
+        rng_vals = spawn(seed, "fake-values")
+        bindings.update({v: rng_vals.randrange(1, program.prime) for v in cfg.fake_vars})
 
+    ops, in1, in2 = zip(*rows)
     obf_program = Program.from_columns(
         inputs, ops, in1, in2, targets, combines, prime=program.prime
     )

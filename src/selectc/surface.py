@@ -21,6 +21,7 @@ agrees with the unrolled three-address program on all inputs.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -129,7 +130,7 @@ class SurfaceProgram:
 
 # ---------------------------------------------------------------- tokens
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
     kind: str  # 'name', 'int', 'sym', 'eof'
     text: str
@@ -137,54 +138,44 @@ class _Token:
     col: int
 
 
-_SYMBOLS = (":=", "==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "/",
-            "(", ")", "{", "}", "[", "]", ";", "!")
+# One scan finds every token (Aho, Lam, Sethi & Ullman, Compilers, 2nd ed.,
+# §3.5): blanks, then an integer, a word, a symbol, a newline, a comment, or
+# any other character, which is an error. Integers are ASCII digits, since
+# str.isdigit() is also true for '²' and '٣'. A word is \w+, which is what
+# str.isalnum() or '_' accepts, and it names a variable only if it starts
+# with a letter or '_'. Longer symbols come before their prefixes. Any
+# character but a blank starts a match, so the scan skips no text; trailing
+# blanks match nothing and end it.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:([0-9]+)|(\w+)|(:=|==|!=|<=|>=|[<>=+\-*/(){}\[\];!])|(\n)|(#[^\n]*)|([^ \t\r]))"
+)
+_KINDS = (None, "int", "name", "sym")  # by the number of the group a token matches
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    add = tokens.append
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line_start = 0  # index of the first character of the current line
+    m = None
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group < 4:
+            start, end = m.span(group)
+            col = start - line_start + 1
+            if group == 2 and not (text[start].isalpha() or text[start] == "_"):
+                raise ParseError(f"unexpected character {text[start]!r}", line, col)
+            add(_Token(_KINDS[group], text[start:end], line, col))
+        elif group == 4:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":  # str.isdigit() is also true for '²' and '٣'
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(_Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+            line_start = m.end()
+        elif group == 6:
+            start = m.start(6)
+            raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
+    # a comment does not move the column, so after a trailing comment the
+    # end of input sits where the comment starts
+    end = m.start(5) if m is not None and m.lastindex == 5 else len(text)
+    add(_Token("eof", "", line, end - line_start + 1))
     return tokens
 
 

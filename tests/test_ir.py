@@ -239,6 +239,55 @@ def test_parse_reads_padding_comments_and_line_ends():
     )
 
 
+_COMBINE_HEAD = "input x\ninput y\n"
+
+
+@pytest.mark.parametrize(
+    "options",
+    ["(s0,x)  (s1,y) (s2,x)", "(s0,x)\t(s1,y)\t (s2,x)", "  (s0,x) (s1,y)\t\t(s2,x)\t"],
+    ids=["two-spaces", "tabs", "padded"],
+)
+def test_combine_options_read_the_same_however_they_are_spaced(options):
+    single = parse_program(_COMBINE_HEAD + "r := COMBINE (s0,x) (s1,y) (s2,x)\n")
+    assert parse_program(_COMBINE_HEAD + f"r := COMBINE {options}\n") == single
+    assert single.combines == {0: ("s0", "s1", "s2", "x", "y", "x")}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("r := COMBINE (s0,x)(s1,y)", "line 3: malformed combine option '(s0,x)(s1,y)'"),
+        ("r := COMBINE (s0,x) (s1,y", "line 3: malformed combine option '(s1,y'"),
+        ("r := COMBINE (s0,x) (s1,y) s2", "line 3: malformed combine option 's2'"),
+        ("r := COMBINE (s0,x)", "line 3: combining statement needs two options"),
+        ("r := COMBINE", "line 3: combining statement needs two options"),
+        ("r := COMBINE (s0,x) (s1,y) (s0,x)", "line 3: combining statement selectors must be distinct"),
+        # a malformed option is reported before a missing or repeated one
+        ("r := COMBINE (s0,x", "line 3: malformed combine option '(s0,x'"),
+        ("r := COMBINE (s0,x) (s0,y", "line 3: malformed combine option '(s0,y'"),
+        # a header word as the target makes a malformed header line
+        ("prime := COMBINE (s0,x) (s1,y)", "line 3: malformed prime line"),
+        ("input := COMBINE (s0,x) (s1,y)", "line 3: malformed input line"),
+        ("const := COMBINE (s0,x) (s1,y)", "line 3: malformed const line"),
+    ],
+    ids=[
+        "unspaced", "unclosed", "bare-selector", "one-option", "no-option", "repeated-selector",
+        "lone-unclosed", "unclosed-repeat", "prime-target", "input-target", "const-target",
+    ],
+)
+def test_combine_line_errors(line, message):
+    with pytest.raises(FormatError) as e:
+        parse_program(_COMBINE_HEAD + line + "\nt := ADD x y\n")
+    assert str(e.value) == message
+
+
+def test_a_combine_line_behind_a_hash_is_a_comment():
+    text = _COMBINE_HEAD + "#t := COMBINE (s0,x) (s1,y)\n#u := COMBINE (s0,x)(s1\nt := ADD x y\n"
+    program = parse_program(text)
+    assert program.columns == ((Op.ADD,), ("x",), ("y",), ("t",))
+    assert program.combines == {}
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

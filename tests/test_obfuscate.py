@@ -823,6 +823,23 @@ def test_sampler_draws_from_pools_with_repeated_names():
                 )
 
 
+def test_sampler_draws_like_the_reference_at_samples_list_set_threshold():
+    """rng.sample swaps picks out of a list up to a set's size (21 indices
+    for up to 5 picks, 85 for 6 to 21) and redraws repeats above it; the
+    inline draw must switch at the same size."""
+    ops = [Op.ADD]
+    for n, count, sizes in ((5, 3, (20, 21, 22)), (10, 6, (84, 85, 86))):
+        names = [f"v{i}" for i in range(n)]
+        keys = [("ADD", a, b) for a in names for b in names]
+        for size in sizes:
+            forbidden = set(keys[: n * n - size])
+            for seed in range(30):
+                args = (count, ops, names, forbidden)
+                assert _draw_outcome(_distinct_expressions, seed, *args) == _draw_outcome(
+                    reference_distinct_expressions, seed, *args
+                )
+
+
 def reference_gen_combined(expr, cfg, rng, var_pool, fresh, sel):
     """The combined-temporaries draw that copies the pool for every operand slot."""
     k = cfg.mislead_factor
@@ -959,6 +976,34 @@ def test_pattern_aware_reads_the_table_once(monkeypatch):
     cfg = ObfuscationConfig(mislead_factor=3, strategy="pattern-aware", pattern_table=table)
     obfuscate_statement_level(program, cfg)
     assert calls == [table]
+
+
+@pytest.mark.parametrize(
+    "fake_vars, fake_combining, labels",
+    [
+        ((), 0, ["options"]),
+        (("f0", "f1"), 0, ["options", "fake-values"]),
+        (("f0", "f1"), 2, ["options", "fake-chains", "fake-values"]),
+    ],
+    ids=["no-fakes", "fake-vars", "both"],
+)
+def test_only_the_streams_a_config_reads_are_spawned(monkeypatch, fake_vars, fake_combining, labels):
+    """A stream is spawned only for a config that draws from it; each is
+    independent, so spawning fewer changes no output (GOLDEN_DIGEST)."""
+    spawned = []
+    real = obfuscate.spawn
+
+    def recording(seed, label):
+        spawned.append(label)
+        return real(seed, label)
+
+    monkeypatch.setattr(obfuscate, "spawn", recording)
+    program = random_linear_program(random.Random(3), n_statements=5)
+    cfg = ObfuscationConfig(
+        mislead_factor=3, fake_vars=fake_vars, fake_combining=fake_combining, seed=4
+    )
+    obfuscate_statement_level(program, cfg)
+    assert spawned == labels
 
 
 # Digest of _golden_obfuscations, captured with the universe-building

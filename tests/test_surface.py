@@ -21,10 +21,13 @@ from selectc.surface import (
     Unary,
     interpret,
     parse_surface,
+    _tokenize,
     render_surface,
     result_variable,
     walk_statements,
 )
+
+from surface_reference import SYMBOLS, reference_tokenize
 
 TASK1 = "if (y != 0) then r := x / y else r := -9999\n"
 TASK2 = (
@@ -237,3 +240,69 @@ def test_walk_statements_is_textual_order():
         names.append(st.target.ident if isinstance(st, AssignStmt) else type(st).__name__)
     assert names == ["a", "IfStmt", "b", "c", "ForStmt", "i", "i", "IfStmt", "d", "e"]
     assert result_variable(sp) == "e"
+
+
+# ------------------------------------------------- tokenizer vs reference
+
+def _tokens_or_error(tokenize, text):
+    """(kind, text, line, col) of each token, or the ParseError's message,
+    line and column."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+# pieces of source text: ASCII names and integers, words of letters and
+# digits beyond ASCII ('²' and '٣' are \w but neither a letter nor an ASCII
+# digit), every symbol and a lone ':', blanks, line ends and comments
+_PIECES = hst.one_of(
+    hst.from_regex(r"[a-z_][a-z0-9_]{0,4}", fullmatch=True),
+    hst.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    hst.text(alphabet="abxyz_0189é²٣ß", min_size=1, max_size=6),
+    hst.sampled_from(SYMBOLS + (":",)),
+    hst.sampled_from([" ", "  ", "\t", "\r", "\n", "\r\n"]),
+    hst.text(alphabet="ab =\t²", max_size=5).map(lambda body: "#" + body + "\n"),
+)
+# characters no token takes, at most one of them put in the text
+_STRAYS = hst.sampled_from(["$", "@", "\x0c", "\u00a0", "'", ".", "\\", "²"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pieces=hst.lists(_PIECES, max_size=30),
+    stray=hst.none() | hst.tuples(hst.integers(0, 30), _STRAYS),
+    trailing=hst.one_of(hst.just(""), hst.text(alphabet="ab :=²", max_size=4).map("#".__add__)),
+)
+def test_tokenizer_matches_the_character_loop(pieces, stray, trailing):
+    """The same tokens, or the same ParseError at the same line and column,
+    including after a trailing comment with no final newline."""
+    if stray is not None:
+        at, ch = stray
+        pieces.insert(at, ch)
+    text = "".join(pieces) + trailing
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # a comment does not move the column the end of input is reported at
+        ("x := # c", "line 1, col 6: unexpected token 'end of input'"),
+        ("x :=   # c\r", "line 1, col 8: unexpected token 'end of input'"),
+        ("x := 1\r\ny :=", "line 2, col 5: unexpected token 'end of input'"),
+        # '²' and '٣' are \w but not letters, so no name starts with them
+        ("r := ²", "line 1, col 6: unexpected character '²'"),
+        ("r := 1٣", "line 1, col 7: unexpected character '٣'"),
+        ("\tr := x : y", "line 1, col 9: unexpected character ':'"),
+    ],
+)
+def test_tokenizer_error_positions(text, want):
+    with pytest.raises(ParseError) as e:
+        parse_surface(text)
+    assert str(e.value) == want
+
+
+def test_names_take_unicode_letters_and_digits():
+    sp = parse_surface("é² := x٣ + _1\n")
+    assert sp.statements == [AssignStmt(Name("é²"), Binary("+", Name("x٣"), Name("_1")))]
