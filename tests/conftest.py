@@ -1,8 +1,10 @@
+import builtins
 import pathlib
 import random
 
 import pytest
 
+from selectc import field
 from selectc.crypto import SelectorKey
 from selectc.field import FIELD_PRIME, Op
 from selectc.generate import random_linear_program
@@ -19,6 +21,25 @@ TASK1_SOURCE = "if (y != 0) then r := x / y else r := -9999\n"
 @pytest.fixture
 def datadir():
     return pathlib.Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """The (divisor, prime) of every inverse DIV computes from here on.
+
+    The DIV memo lives in its prime's field_ops table and outlives a
+    test, so the tables are cleared first.
+    """
+    field.field_ops.cache_clear()
+    seen = []
+
+    def recording_pow(base, exp, mod=None):
+        if exp == -1:
+            seen.append((base, mod))
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(field, "pow", recording_pow, raising=False)
+    return seen
 
 
 @pytest.fixture

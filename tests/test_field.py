@@ -1,5 +1,8 @@
 """Field arithmetic over Z_p with comparisons on signed representatives."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
@@ -8,6 +11,7 @@ from selectc.field import (
     ALL_OPS,
     ARITH_OPS,
     FIELD_PRIME,
+    INVERSE_MEMO,
     Op,
     apply_op,
     field_ops,
@@ -186,3 +190,40 @@ def test_op_table_is_built_once_per_prime_and_read_only():
 def test_apply_op_refuses_an_unknown_operation():
     with pytest.raises(ValueError, match="unknown operation"):
         apply_op("XOR", 1, 2)
+
+
+def test_division_memo_is_per_prime(inverses):
+    """The same divisors, interleaved and repeated across three primes,
+    each divide at their own prime; each (divisor, prime) is inverted
+    once, and a zero divisor is never inverted."""
+    primes = (101, 65521, P)
+    # -1 and -2 reduce to p - 1 and p - 2
+    divisions = [(prime, b) for _ in range(2) for b in (2, 3, -1, -2) for prime in primes]
+    for prime, b in divisions:
+        for a in (1, 5, -7):
+            assert apply_op(Op.DIV, a, b, prime) == reference_apply_op(Op.DIV, a, b, prime)
+    once_each = sorted({(b % prime, prime) for prime, b in divisions})
+    assert sorted(inverses) == once_each
+    for prime in primes:
+        assert field_ops(prime)[Op.DIV](3, 0) == 0
+        assert apply_op(Op.DIV, 3, prime, prime) == 0
+    assert sorted(inverses) == once_each
+
+
+def test_division_memo_is_bounded():
+    """Five times the memo's bound of distinct 61-bit divisors: the memo
+    keeps INVERSE_MEMO of them in about 0.8 MiB, where an unbounded one
+    would hold all of them in about 2 MiB."""
+    field_ops.cache_clear()
+    div = field_ops(P)[Op.DIV]
+    rng = random.Random(7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5 * INVERSE_MEMO):
+            b = rng.randrange(1 << 60, P)
+            assert div(1, b) * b % P == 1
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1.5 * 2**20

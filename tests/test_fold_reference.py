@@ -46,7 +46,7 @@ from selectc.attack import (
 from selectc.crypto import SelectorKey
 from selectc.demos import build_l0, build_l1
 from selectc.errors import ConfigError, EnumerationCapError, UnboundVariableError
-from selectc.field import FIELD_PRIME, Op, signed
+from selectc.field import FIELD_PRIME, Op, field_ops, signed
 from selectc.generate import random_inputs, random_linear_program
 from selectc.ir import (
     Assign,
@@ -761,6 +761,22 @@ def test_random_class_kpa_memoising_every_depth_matches_the_reference(case, coun
 def test_demo_kpa_memoising_every_depth_matches_the_reference(monkeypatch, level):
     monkeypatch.setattr(attack, "MEMO_FROM", 1)
     test_demo_kpa_matches_the_reference(level)
+
+
+def test_demo_kpa_inverts_each_divisor_once(inverses):
+    """The l1 walk re-runs its DIVs on the same values along many
+    branches; three small confidential runs invert each divisor once."""
+    demo, cd, members = demo_class("l1")
+    rng = random.Random(2)
+    envs = [random_inputs(demo.program, rng, small=True) for _ in range(3)]
+    pairs = confidential_pairs(demo, envs)
+    field_ops.cache_clear()
+    inverses.clear()
+    got = kpa_filter(cd, pairs)
+    assert inverses and len(inverses) == len(set(inverses))
+    # a warm memo leaves the same survivors as the cold walk, and both the reference's
+    assert kpa_filter(cd, pairs) == got
+    assert_kpa_matches_reference(cd, pairs, members)
 
 
 # selections / distinct members that survive 0, 1, 2 and 3 pairs
